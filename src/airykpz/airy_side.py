@@ -1,6 +1,6 @@
 """Airy point process side: correlation kernel, Laplace-transformed
-correlation functions, cycle integrals, Cauchy determinant, multiplicative
-statistics, moments of h_k, and the Tracy-Widom distribution F2.
+correlation functions, cycle integrals, multiplicative statistics, moments
+of h_k, and the Tracy-Widom distribution F2.
 
 The Airy point process is the determinantal process on the real line with
 kernel K(x, y) = (Ai(x)Ai'(y) - Ai'(x)Ai(y))/(x - y).  Everything here is
@@ -16,19 +16,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConfigurationError, DomainError, NumericalConsistencyError,
-                     SingularityError)
+from .errors import ConfigurationError, DomainError, NumericalConsistencyError
 from .params import ModelParams
-from .quadrature import (QuadratureRule, composite_legendre, fredholm_det_matrix,
-                         hermite_axis_count, legendre_on, scaled_gauss_hermite,
-                         tensor_integrate)
-from .specfun import airy_both
+from .quadrature import (QuadratureRule, cauchy_det, composite_legendre,
+                         fredholm_det_matrix, hermite_axis_count, legendre_on,
+                         scaled_gauss_hermite, tensor_integrate)
+from .specfun import airy_both, logistic
 
 __all__ = [
     "KERNEL_RANGE", "airy_kernel", "airy_kernel_matrix", "kernel_integral_form",
-    "okounkov_integral", "okounkov_quadrature", "cauchy_det", "cauchy_det_direct",
-    "laplace_R", "cycle_E", "airy_h_moment", "airy_mult_stat",
-    "default_mult_stat_grid", "tracy_widom_f2", "default_f2_grid",
+    "okounkov_integral", "okounkov_quadrature", "laplace_R", "cycle_E",
+    "airy_h_moment", "airy_mult_stat", "default_mult_stat_grid", "tracy_widom_f2",
+    "default_f2_grid",
 ]
 
 KERNEL_RANGE = 50.0
@@ -145,57 +144,6 @@ def okounkov_quadrature(x: float, a: float, b: float,
     return float(np.sum(rule.weights * np.exp(x * z) * fa * fb))
 
 
-def cauchy_det(a: Sequence[complex], b: Sequence[complex]) -> complex:
-    """det[1/(a_i + b_j)] by the Cauchy product formula.
-
-    O(n^2) instead of O(n^3); raises :class:`SingularityError` when some
-    a_i + b_j comes within 1e-12 of zero.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
-        raise ConfigurationError("cauchy_det needs two equal-length nonempty vectors")
-    denom = a[:, None] + b[None, :]
-    bad = np.abs(denom) < 1e-12
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise SingularityError(f"a[{i}] + b[{j}] is within 1e-12 of zero",
-                               indices=(int(i), int(j)))
-    val = np.prod(1.0 / np.diag(denom))
-    n = a.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            val *= (a[i] - a[j]) * (b[i] - b[j]) / (denom[i, j] * denom[j, i])
-    return complex(val)
-
-
-def cauchy_det_direct(a: Sequence[complex], b: Sequence[complex]) -> complex:
-    """Same determinant by pivoted elimination; the test oracle."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return complex(np.linalg.det(1.0 / (a[:, None] + b[None, :])))
-
-
-def _cauchy_grid(avals: list, bvals: list, direct: bool):
-    """Cauchy determinant over broadcast grids of a_i, b_j values."""
-    n = len(avals)
-    if direct:
-        shape = np.broadcast(*avals).shape
-        mat = np.empty(shape + (n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                mat[..., i, j] = 1.0 / (avals[i] + bvals[j])
-        return np.linalg.det(mat)
-    val = 1.0 / (avals[0] + bvals[0])
-    for i in range(1, n):
-        val = val / (avals[i] + bvals[i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = val * ((avals[i] - avals[j]) * (bvals[i] - bvals[j])
-                         / ((avals[i] + bvals[j]) * (avals[j] + bvals[i])))
-    return val
-
-
 def _require_positive_c(c) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or c.size == 0:
@@ -217,22 +165,18 @@ def _real_part(val: complex, what: str, tol: float = _IM_TOL) -> float:
     return val.real
 
 
-def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None,
-              method: str = "cauchy") -> float:
+def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
     """Laplace transform of the n-point correlation function.
 
     Evaluates
         exp(sum c_i^3/12)/(2 pi)^n * int exp(-sum c_i z_i^2)
             det[1/((-i z_i + c_i/2) + (i z_j + c_j/2))] dz
-    with per-axis Gauss-Hermite scaled by 1/sqrt(c_i).  ``method`` picks
-    the Cauchy product form (default) or the direct determinant (test
-    oracle).  The result is analytically real; the imaginary residue is
-    checked against 1e-10 and discarded.
+    with per-axis Gauss-Hermite scaled by 1/sqrt(c_i) and the determinant
+    in its Cauchy product form.  The result is analytically real; the
+    imaginary residue is checked against 1e-10 and discarded.
     """
     c = _require_positive_c(c)
     n = c.size
-    if method not in ("cauchy", "direct"):
-        raise ConfigurationError(f"unknown laplace_R method {method!r}")
     if nodes_per_axis is None:
         if n == 1:
             nodes_per_axis = _AXIS_FLOOR  # integrand is constant; any order is exact
@@ -242,10 +186,11 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None,
             nodes_per_axis = hermite_axis_count(d_min, n)
     rules = [scaled_gauss_hermite(ci, nodes_per_axis) for ci in c]
 
+    half_c = (c / 2.0).reshape((n,) + (1,) * n)   # broadcasts over the n-d grid
+
     def integrand(*zs):
-        avals = [-1j * z + ci / 2.0 for z, ci in zip(zs, c)]
-        bvals = [1j * z + ci / 2.0 for z, ci in zip(zs, c)]
-        return _cauchy_grid(avals, bvals, direct=(method == "direct"))
+        z = np.array(zs)
+        return cauchy_det(-1j * z + half_c, 1j * z + half_c)
 
     pref = math.exp(np.sum(c ** 3) / 12.0) / (2.0 * math.pi) ** n
     val = pref * tensor_integrate(integrand, rules)
@@ -290,7 +235,10 @@ def cycle_E(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
 def airy_h_moment(k: int, C: float, nodes_per_axis: int | None = None) -> float:
     """Expectation of h_k over exp(C a_1), exp(C a_2), ... via the
     partition expansion: sum over partitions of k of
-    laplace_R(C lambda) / prod(multiplicity factorials)."""
+    laplace_R(C lambda) / prod(multiplicity factorials).
+
+    The moment is analytically positive; a sum that is not positive has
+    been lost to cancellation and raises NumericalConsistencyError."""
     from .kpz_side import partitions, symmetry_factor
 
     if not 1 <= k <= 5:
@@ -301,21 +249,14 @@ def airy_h_moment(k: int, C: float, nodes_per_axis: int | None = None) -> float:
     for lam in partitions(k):
         c = [C * p for p in lam.parts]
         total += laplace_R(c, nodes_per_axis) / symmetry_factor(lam)
+    if not total > 0:
+        raise NumericalConsistencyError(
+            f"airy_h_moment({k}, {C}) = {total!r} is not positive")
     return total
 
 
 # ----------------------------------------------------------------------
 # multiplicative statistics and the Tracy-Widom law
-
-def _fermi_weight(r: np.ndarray, u: float, C: float) -> np.ndarray:
-    """f(r) = 1/(1 + exp(-(C r + log u))), evaluated without overflow."""
-    t = C * r + math.log(u)
-    out = np.empty_like(r)
-    pos = t > 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    out[~pos] = np.exp(t[~pos]) / (1.0 + np.exp(t[~pos]))
-    return out
-
 
 def default_mult_stat_grid(params: ModelParams, n: int = 80) -> QuadratureRule:
     """Two-sided truncation for the weighted-kernel determinant.
@@ -340,7 +281,7 @@ def airy_mult_stat(params: ModelParams, grid: QuadratureRule | None = None) -> f
     if grid is None:
         grid = default_mult_stat_grid(params)
     kmat = airy_kernel_matrix(grid.nodes)
-    f = _fermi_weight(grid.nodes, params.u, params.C)
+    f = logistic(params.C * grid.nodes + math.log(params.u))
     val = fredholm_det_matrix(kmat, grid.weights * f)
     if not 0.0 < val <= 1.0 + 1e-10:
         raise NumericalConsistencyError(

@@ -59,8 +59,14 @@ class VerificationRow:
     lhs_value: float = math.nan
     rhs_value: float = math.nan
     aux: str = ""
-    status: str = "ok"
     passed: bool = True
+    error: str = ""
+
+    @property
+    def status(self) -> str:
+        if self.error:
+            return f"error: {self.error}"
+        return "ok" if self.passed else "fail"
 
     @property
     def abs_diff(self) -> float:
@@ -79,7 +85,7 @@ class VerificationRow:
 
 
 def _error_row(labels: dict, exc: Exception) -> VerificationRow:
-    return VerificationRow(labels=labels, status=f"error: {type(exc).__name__}: {exc}",
+    return VerificationRow(labels=labels, error=f"{type(exc).__name__}: {exc}",
                            passed=False)
 
 

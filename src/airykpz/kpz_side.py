@@ -17,21 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConfigurationError, DomainError, NumericalConsistencyError,
-                     SingularityError)
+from .errors import ConfigurationError, DomainError, NumericalConsistencyError
 from .params import ModelParams
-from .quadrature import (QuadratureRule, composite_legendre, fredholm_det_matrix,
-                         gauss_legendre, hermite_axis_count, legendre_on,
-                         scaled_gauss_hermite, tensor_integrate)
-from .specfun import SUPPORTED_RANGE, airy_both
+from .quadrature import (QuadratureRule, cauchy_det, composite_legendre,
+                         fredholm_det_matrix, gauss_legendre, hermite_axis_count,
+                         legendre_on, scaled_gauss_hermite, tensor_integrate)
+from .specfun import SUPPORTED_RANGE, airy_both, logistic
 
 __all__ = [
     "Partition", "ContourSpec", "partitions", "symmetry_factor",
-    "bose_exponent", "bose_exponent_closed", "interaction_det",
+    "bose_exponent", "interaction_det",
     "kpz_moment", "kpz_moment_nested", "ku_kernel", "kpz_laplace",
     "default_kpz_outer_rule", "default_ku_inner_rule",
 ]
@@ -111,31 +109,18 @@ def bose_exponent(w: complex, part: int, T: float) -> complex:
     return (T / 2.0) * total
 
 
-def bose_exponent_closed(w: complex, part: int, T: float) -> complex:
-    """Closed polynomial form of :func:`bose_exponent`:
-    (T/2)(L w^2 + L(L-1) w + L(L-1)(2L-1)/6) with L = part."""
-    if not T > 0:
-        raise DomainError("bose_exponent_closed requires T > 0")
-    if part < 1:
-        raise DomainError("part must be a positive integer")
-    L = part
-    return (T / 2.0) * (L * w * w + L * (L - 1) * w + L * (L - 1) * (2 * L - 1) / 6.0)
+def interaction_det(w, lam: Partition):
+    """det[1/(w_j + lambda_j - w_i)]: the Cauchy determinant with
+    a_i = -w_i and b_j = w_j + lambda_j.
 
-
-def interaction_det(w: Sequence[complex], lam: Partition) -> complex:
-    """det[1/(w_j + lambda_j - w_i)] by pivoted elimination."""
+    ``w`` holds one entry per part along its first axis; further axes
+    broadcast (one determinant per grid point).
+    """
     w = np.asarray(w, dtype=complex)
-    if w.size != lam.length:
+    if w.ndim == 0 or len(w) != lam.length:
         raise ConfigurationError("need one w per partition part")
-    lamv = np.asarray(lam.parts, dtype=float)
-    denom = w[None, :] + lamv[None, :] - w[:, None]   # entry (i, j)
-    bad = np.abs(denom) < 1e-12
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise SingularityError(
-            f"denominator w[{j}] + lambda[{j}] - w[{i}] within 1e-12 of zero",
-            indices=(int(i), int(j)))
-    return complex(np.linalg.det(1.0 / denom))
+    lamv = np.asarray(lam.parts, dtype=float).reshape((-1,) + (1,) * (w.ndim - 1))
+    return cauchy_det(-w, w + lamv)
 
 
 # ----------------------------------------------------------------------
@@ -164,18 +149,6 @@ def _partition_axis_nodes(lam: Partition, T: float, nodes_per_axis: int | None) 
     return hermite_axis_count(d_min, ell, extra_floor=osc)
 
 
-def _mirror_averaged(f):
-    """Average an integrand with its reflection t -> -t on all axes.
-
-    The reflected integrand is the complex conjugate, so the average is
-    exactly real up to floating error, which keeps the imaginary residue
-    of heavily cancelling sums at roundoff level.
-    """
-    def g(*ts):
-        return 0.5 * (f(*ts) + f(*[-t for t in ts]))
-    return g
-
-
 def _partition_moment_integral(lam: Partition, T: float, n_axis: int) -> float:
     """(2 pi)^{-l} * contour integral for one partition, w_j = i t_j."""
     ell = lam.length
@@ -184,18 +157,14 @@ def _partition_moment_integral(lam: Partition, T: float, n_axis: int) -> float:
     log_const = float(np.sum((T / 2.0) * lamv * (lamv - 1) * (2 * lamv - 1) / 6.0))
 
     def integrand(*ts):
-        shape = np.broadcast(*ts).shape
-        mat = np.empty(shape + (ell, ell), dtype=complex)
-        for i in range(ell):
-            for j in range(ell):
-                mat[..., i, j] = 1.0 / (lamv[j] + 1j * (ts[j] - ts[i]))
-        det = np.linalg.det(mat) if ell > 1 else mat[..., 0, 0]
-        phase = det
+        val = interaction_det(1j * np.array(ts), lam)
         for j, p in enumerate(lam.parts):
-            phase = phase * np.exp(1j * (T * p * (p - 1) / 2.0) * ts[j])
-        return phase
+            val = val * np.exp(1j * (T * p * (p - 1) / 2.0) * ts[j])
+        # t -> -t conjugates the integrand and the Hermite nodes are
+        # symmetric, so only the real part survives the sum
+        return val.real
 
-    val = tensor_integrate(_mirror_averaged(integrand), rules)
+    val = tensor_integrate(integrand, rules)
     val = val * math.exp(log_const) / (2.0 * math.pi) ** ell
     if abs(val.imag) > _IM_TOL * (abs(val.real) + 1e-300):
         raise NumericalConsistencyError(
@@ -209,7 +178,9 @@ def kpz_moment(k: int, T: float, nodes_per_axis: int | None = None) -> float:
     formula; directly comparable with airy_h_moment(k, C=(T/2)^(1/3)).
 
     k <= 4 carries the full advertised tolerance; k = 5 is allowed with
-    degraded accuracy.
+    degraded accuracy.  The moment is analytically positive; a sum that is
+    not positive has been lost to cancellation and raises
+    NumericalConsistencyError.
     """
     if not 1 <= k <= 5:
         raise ConfigurationError("kpz_moment supports 1 <= k <= 5")
@@ -219,7 +190,10 @@ def kpz_moment(k: int, T: float, nodes_per_axis: int | None = None) -> float:
     for lam in partitions(k):
         n_axis = _partition_axis_nodes(lam, T, nodes_per_axis)
         total += _partition_moment_integral(lam, T, n_axis) / symmetry_factor(lam)
-    return math.exp(k * T / 24.0) * total
+    moment = math.exp(k * T / 24.0) * total
+    if not moment > 0:
+        raise NumericalConsistencyError(f"kpz_moment({k}, {T}) = {moment!r} is not positive")
+    return moment
 
 
 # ----------------------------------------------------------------------
@@ -274,18 +248,14 @@ def kpz_moment_nested(k: int, T: float, spec: ContourSpec | None = None,
         raise ConfigurationError(f"need exactly {k} contour offsets")
     if nodes_per_axis is None:
         nodes_per_axis = {1: 96, 2: 128, 3: 128}[k]
-    from .quadrature import TENSOR_NODE_BUDGET
-    if nodes_per_axis ** k > TENSOR_NODE_BUDGET:
-        raise ConfigurationError(
-            f"nested grid of {nodes_per_axis ** k} nodes exceeds the "
-            f"{TENSOR_NODE_BUDGET} budget")
     a = np.asarray(spec.offsets, dtype=float)
     hw = spec.half_width
     base = gauss_legendre(nodes_per_axis)
-    t = hw * base.nodes
-    wt = hw * base.weights
+    axis = QuadratureRule(hw * base.nodes, hw * base.weights)
+    band = np.abs(axis.nodes) > 0.9 * hw
+    core_rule = QuadratureRule(axis.nodes[~band], axis.weights[~band])
 
-    def raw(*ts):
+    def f(*ts):
         zs = [a[j] + 1j * ts[j] for j in range(k)]
         val = None
         for A in range(k):
@@ -295,27 +265,17 @@ def kpz_moment_nested(k: int, T: float, spec: ContourSpec | None = None,
         for j in range(k):
             g = np.exp((T / 2.0) * zs[j] ** 2)
             val = g if val is None else val * g
-        return val
+        # t -> -t conjugates the integrand and the Legendre nodes are
+        # symmetric, so only the real part survives the sum
+        return val.real
 
-    f = _mirror_averaged(raw)
-    band = 0.9 * hw
-    total = 0.0 + 0.0j
-    edge = 0.0 + 0.0j
-    # chunk over the first axis in index order (deterministic reduction)
-    rest = nodes_per_axis ** (k - 1)
-    chunk = max(1, int(4e5 // max(rest, 1)))
-    for start in range(0, nodes_per_axis, chunk):
-        sl = slice(start, min(start + chunk, nodes_per_axis))
-        grids = np.meshgrid(t[sl], *([t] * (k - 1)), indexing="ij")
-        wg = np.meshgrid(wt[sl], *([wt] * (k - 1)), indexing="ij")
-        wprod = wg[0]
-        for g in wg[1:]:
-            wprod = wprod * g
-        vals = f(*grids) * wprod
-        total += np.sum(vals)
-        in_band = np.abs(grids[0]) > band
-        if np.any(in_band):
-            edge += np.sum(vals[in_band])
+    # the first axis splits into its core and its outer band |t| > 0.9 hw;
+    # the band's share is the truncation estimate
+    edge = 0j
+    if band.any():
+        band_rule = QuadratureRule(axis.nodes[band], axis.weights[band])
+        edge = tensor_integrate(f, [band_rule] + [axis] * (k - 1))
+    total = tensor_integrate(f, [core_rule] + [axis] * (k - 1)) + edge
     total = total / (2.0 * math.pi) ** k
     edge = edge / (2.0 * math.pi) ** k
     if abs(edge) > 1e-8 * (abs(total) + 1e-300):
@@ -331,16 +291,6 @@ def kpz_moment_nested(k: int, T: float, spec: ContourSpec | None = None,
 
 # ----------------------------------------------------------------------
 # Laplace transform side
-
-def _fermi_factor(r: np.ndarray, u: float, C: float) -> np.ndarray:
-    """1/(1 + u^{-1} exp(C r)) without overflow (u > 0)."""
-    t = C * r - math.log(u)
-    out = np.empty_like(r)
-    pos = t > 0
-    out[pos] = np.exp(-t[pos]) / (1.0 + np.exp(-t[pos]))
-    out[~pos] = 1.0 / (1.0 + np.exp(t[~pos]))
-    return out
-
 
 def default_kpz_outer_rule(params: ModelParams, n: int = 80) -> QuadratureRule:
     """Truncation of [0, inf) for the Fredholm grid: the kernel trace
@@ -384,7 +334,7 @@ def _ku_matrix(xs: np.ndarray, params: ModelParams,
                inner_rule: QuadratureRule) -> np.ndarray:
     """K_u(x_i, x_j) on a grid, sharing Airy evaluations across pairs."""
     r = inner_rule.nodes
-    f = _fermi_factor(r, params.u, params.C)
+    f = logistic(math.log(params.u) - params.C * r)
     A = _airy_factor_matrix(np.asarray(xs, dtype=float), r)
     M = (A * (f * inner_rule.weights)[None, :]) @ A.T
     return 0.5 * (M + M.T)
@@ -405,7 +355,7 @@ def ku_kernel(x: float, x_prime: float, params: ModelParams,
     if inner_rule is None:
         inner_rule = default_ku_inner_rule(params, x_max)
     r = inner_rule.nodes
-    f = _fermi_factor(r, params.u, params.C)
+    f = logistic(math.log(params.u) - params.C * r)
     A = _airy_factor_matrix(np.array([x, x_prime]), r)
     contrib = inner_rule.weights * f * A[0] * A[1]
     val = float(np.sum(contrib))

@@ -1,9 +1,10 @@
-"""Quadrature rules, domain maps, tensor-product integration and the
-quadrature (Nystrom) approximation of Fredholm determinants.
+"""Quadrature rules, tensor-product integration, the Cauchy determinant
+and the quadrature (Nystrom) approximation of Fredholm determinants.
 
 Rule construction is delegated to numpy's Gauss node/weight generators;
-everything downstream (mapping, composite panels, determinants, tensor
-sums) is built here.  All reductions run in a fixed deterministic order.
+everything downstream (interval maps, composite panels, determinants,
+tensor sums) is built here.  All reductions run in a fixed deterministic
+order.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError
+from .errors import ConfigurationError, EvaluationError, SingularityError
 
 __all__ = [
-    "QuadratureRule", "DomainMap",
-    "gauss_legendre", "gauss_hermite", "map_rule", "legendre_on",
+    "QuadratureRule",
+    "gauss_legendre", "gauss_hermite", "legendre_on",
     "composite_legendre", "scaled_gauss_hermite", "hermite_axis_count",
+    "cauchy_det", "cauchy_det_direct",
     "fredholm_det", "fredholm_det_matrix", "tensor_integrate",
     "TENSOR_NODE_BUDGET",
 ]
@@ -27,19 +29,13 @@ MAX_LEGENDRE = 512
 MAX_HERMITE = 256
 TENSOR_NODE_BUDGET = 10 ** 8
 
-#: native domain tags
-INTERVAL = "interval"            # finite interval, plain weight
-REAL_LINE_HERMITE = "hermite"    # real line, Gaussian weight e^{-t^2} absorbed
-HALF_LINE = "half_line"
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes, positive weights and the native domain they live on."""
+    """Nodes and positive weights."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    native_domain: str = INTERVAL
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -58,56 +54,13 @@ class QuadratureRule:
     def __len__(self):
         return self.nodes.size
 
-    def integrate(self, f):
-        """Sum w_i f(x_i); f must accept numpy arrays."""
-        return np.sum(self.weights * f(self.nodes))
-
-
-@dataclass(frozen=True)
-class DomainMap:
-    """Strictly increasing differentiable change of variable.
-
-    kinds:
-        identity              -- no-op
-        affine                -- [-1, 1] -> [a, b]
-        half_line_exp         -- [-1, 1] -> [0, inf), s = -scale*log((1-x)/2)
-        real_line_tanh        -- [-1, 1] -> R, t = scale*atanh(x)
-    """
-
-    kind: str
-    a: float = -1.0
-    b: float = 1.0
-    scale: float = 1.0
-
-    KINDS = ("identity", "affine", "half_line_exp", "real_line_tanh")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ConfigurationError(f"unknown domain map kind {self.kind!r}")
-        if self.kind == "affine" and not self.b > self.a:
-            raise ConfigurationError("affine map requires b > a")
-        if self.kind in ("half_line_exp", "real_line_tanh") and not self.scale > 0:
-            raise ConfigurationError("map scale must be positive")
-
-    def apply(self, x):
-        if self.kind == "identity":
-            return x, np.ones_like(x)
-        if self.kind == "affine":
-            half = 0.5 * (self.b - self.a)
-            return self.a + half * (x + 1.0), np.full_like(x, half)
-        if self.kind == "half_line_exp":
-            s = -self.scale * np.log((1.0 - x) / 2.0)
-            return s, self.scale / (1.0 - x)
-        # real_line_tanh
-        return self.scale * np.arctanh(x), self.scale / (1.0 - x * x)
-
 
 def gauss_legendre(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [-1, 1]."""
     if not 1 <= n <= MAX_LEGENDRE:
         raise ConfigurationError(f"gauss_legendre order must be in [1, {MAX_LEGENDRE}], got {n}")
     x, w = np.polynomial.legendre.leggauss(int(n))
-    return QuadratureRule(x, w, INTERVAL)
+    return QuadratureRule(x, w)
 
 
 def gauss_hermite(n: int) -> QuadratureRule:
@@ -115,24 +68,12 @@ def gauss_hermite(n: int) -> QuadratureRule:
     if not 1 <= n <= MAX_HERMITE:
         raise ConfigurationError(f"gauss_hermite order must be in [1, {MAX_HERMITE}], got {n}")
     t, w = np.polynomial.hermite.hermgauss(int(n))
-    return QuadratureRule(t, w, REAL_LINE_HERMITE)
-
-
-def map_rule(rule: QuadratureRule, dom: DomainMap) -> QuadratureRule:
-    """Transform a rule through a domain map, adjusting weights by the Jacobian."""
-    if dom.kind == "identity":
-        return rule
-    if rule.native_domain != INTERVAL:
-        raise ConfigurationError(
-            f"domain map {dom.kind!r} requires an interval rule, got {rule.native_domain!r}")
-    nodes, jac = dom.apply(rule.nodes)
-    target = HALF_LINE if dom.kind == "half_line_exp" else INTERVAL
-    return QuadratureRule(nodes, rule.weights * jac, target)
+    return QuadratureRule(t, w)
 
 
 def legendre_on(a: float, b: float, n: int) -> QuadratureRule:
     """Gauss-Legendre rule mapped to the finite interval [a, b]."""
-    return map_rule(gauss_legendre(n), DomainMap("affine", a=a, b=b))
+    return composite_legendre(a, b, 1, n)
 
 
 def composite_legendre(a: float, b: float, n_panels: int, n_per_panel: int) -> QuadratureRule:
@@ -151,7 +92,7 @@ def composite_legendre(a: float, b: float, n_panels: int, n_per_panel: int) -> Q
         half = 0.5 * (hi - lo)
         nodes.append(lo + half * (base.nodes + 1.0))
         weights.append(half * base.weights)
-    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights), INTERVAL)
+    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
 
 
 def scaled_gauss_hermite(c: float, n: int) -> QuadratureRule:
@@ -163,7 +104,7 @@ def scaled_gauss_hermite(c: float, n: int) -> QuadratureRule:
         raise ConfigurationError("Gaussian exponent c must be positive")
     base = gauss_hermite(n)
     s = 1.0 / math.sqrt(c)
-    return QuadratureRule(base.nodes * s, base.weights * s, base.native_domain)
+    return QuadratureRule(base.nodes * s, base.weights * s)
 
 
 # A factor analytic in a strip of half-width d around the real axis is
@@ -182,6 +123,46 @@ def hermite_axis_count(d_min: float, dim: int, extra_floor: int = 0) -> int:
     cap = HERMITE_AXIS_CAP_BY_DIM[dim]
     floor = min(max(_HERMITE_AXIS_FLOOR, extra_floor), cap)
     return int(min(max(n, floor), cap))
+
+
+def cauchy_det(a, b):
+    """det[1/(a_i + b_j)] by the Cauchy product formula
+
+        prod_i 1/(a_i + b_i) * prod_{i<j} (a_i - a_j)(b_i - b_j) / ((a_i + b_j)(a_j + b_i)).
+
+    ``a`` and ``b`` hold their n entries along the first axis; any further
+    axes broadcast, so one call evaluates the determinant at every point
+    of a tensor grid.  O(n^2) per point instead of O(n^3).  Raises
+    :class:`SingularityError` with indices (i, j) when some a_i + b_j
+    comes within 1e-12 of zero.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim == 0 or b.ndim == 0 or len(a) != len(b) or len(a) == 0:
+        raise ConfigurationError("cauchy_det needs two nonempty arrays with equal first axes")
+
+    def denom(i, j):
+        d = a[i] + b[j]
+        if np.any(np.abs(d) < 1e-12):
+            raise SingularityError(f"a[{i}] + b[{j}] is within 1e-12 of zero",
+                                   indices=(i, j))
+        return d
+
+    n = len(a)
+    val = 1.0 / denom(0, 0)
+    for i in range(1, n):
+        val = val / denom(i, i)
+    for i in range(n):
+        for j in range(i + 1, n):
+            val = val * ((a[i] - a[j]) * (b[i] - b[j]) / (denom(i, j) * denom(j, i)))
+    return val
+
+
+def cauchy_det_direct(a, b) -> complex:
+    """Same determinant for 1-d ``a``, ``b`` by pivoted elimination; the test oracle."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return complex(np.linalg.det(1.0 / (a[:, None] + b[None, :])))
 
 
 def fredholm_det_matrix(kmat: np.ndarray, weights: np.ndarray) -> float:
@@ -215,13 +196,12 @@ def fredholm_det(kernel, rule: QuadratureRule) -> float:
     return fredholm_det_matrix(kmat, rule.weights)
 
 
-def tensor_integrate(f, rules, vectorized: bool = True) -> complex:
+def tensor_integrate(f, rules) -> complex:
     """Tensor-product quadrature of a complex-valued function of n reals.
 
-    ``f`` receives n broadcast arrays (one per axis) when vectorized,
-    or n floats otherwise.  Summation is chunked along the first axis in
-    index order; within chunks numpy's pairwise summation applies, so
-    the reduction is deterministic.
+    ``f`` receives n broadcast arrays, one per axis.  Summation is chunked
+    along the first axis in index order; within chunks numpy's pairwise
+    summation applies, so the reduction is deterministic.
     """
     rules = list(rules)
     n = len(rules)
@@ -233,9 +213,6 @@ def tensor_integrate(f, rules, vectorized: bool = True) -> complex:
         raise ConfigurationError(
             f"tensor grid of {total} nodes exceeds the {TENSOR_NODE_BUDGET} budget; "
             "use fewer nodes per axis or a lower dimension")
-    if not vectorized:
-        wrapped = np.vectorize(f, otypes=[complex])
-        return tensor_integrate(wrapped, rules, vectorized=True)
 
     axes = [r.nodes for r in rules]
     wts = [r.weights for r in rules]

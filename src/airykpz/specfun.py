@@ -1,4 +1,5 @@
-"""High-accuracy real-argument Airy function Ai, its derivative, and Gamma.
+"""High-accuracy real-argument Airy function Ai, its derivative, Gamma,
+and the overflow-safe logistic function.
 
 Self-contained: no special-function library is used.  Ai and Ai' are
 evaluated from the Maclaurin series for |x| <= 7.2 and from asymptotic
@@ -15,13 +16,12 @@ All entry points accept scalars or numpy arrays and are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["AiryPair", "airy_ai", "airy_ai_prime", "airy_both", "airy_pair", "gamma_fn"]
+__all__ = ["airy_ai", "airy_ai_prime", "airy_both", "gamma_fn", "logistic"]
 
 SUPPORTED_RANGE = 60.0
 _SERIES_CUT = 7.2
@@ -196,14 +196,6 @@ def _airy_asym_neg(x):
 # ----------------------------------------------------------------------
 # public surface
 
-@dataclass(frozen=True)
-class AiryPair:
-    """Ai and Ai' evaluated at a single point."""
-    ai: float
-    ai_prime: float
-    x: float
-
-
 def airy_both(x):
     """Return (Ai(x), Ai'(x)) for scalar or array x, |x| <= 60.
 
@@ -245,12 +237,6 @@ def airy_ai_prime(x):
     return airy_both(x)[1]
 
 
-def airy_pair(x: float) -> AiryPair:
-    """Ai and Ai' at a scalar point, bundled."""
-    ai, aip = airy_both(float(x))
-    return AiryPair(ai=ai, ai_prime=aip, x=float(x))
-
-
 def gamma_fn(x):
     """Gamma function for positive real arguments.
 
@@ -263,3 +249,14 @@ def gamma_fn(x):
     if arr.ndim == 0:
         return math.gamma(float(arr))
     return np.array([math.gamma(float(v)) for v in arr.ravel()]).reshape(arr.shape)
+
+
+def logistic(x):
+    """1/(1 + exp(-x)) for real array x, without overflow at any |x|."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x > 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out

@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 
 from airykpz.airy_side import (airy_h_moment, airy_kernel, airy_kernel_matrix,
-                               airy_mult_stat, cauchy_det, cauchy_det_direct,
-                               cycle_E, default_mult_stat_grid, laplace_R,
-                               okounkov_integral, okounkov_quadrature,
+                               airy_mult_stat, cycle_E, default_mult_stat_grid,
+                               laplace_R, okounkov_integral, okounkov_quadrature,
                                tracy_widom_f2)
 from airykpz.kpz_side import (ContourSpec, bose_exponent, kpz_laplace, kpz_moment,
                               kpz_moment_nested, partitions)
 from airykpz.montecarlo import estimate_h_moment, estimate_mult_stat
 from airykpz.params import ModelParams
-from airykpz.quadrature import composite_legendre
+from airykpz.quadrature import cauchy_det, cauchy_det_direct, composite_legendre
 from airykpz.specfun import airy_ai, airy_both
 
 

@@ -76,6 +76,7 @@ def test_failing_rows_set_exit_code_and_stderr(capsys):
     assert code == 1
     assert "FAIL tw-limit" in err
     assert out.startswith("a,T,C,")
+    assert out.splitlines()[1].endswith(",fail")
 
 
 def test_conflicting_grid_flags(capsys):
@@ -98,6 +99,15 @@ def test_per_row_error_capture():
     text = render(rows, "verify-theorem2", "json")
     parsed = json.loads(text, parse_constant=lambda s: pytest.fail(f"non-literal {s}"))
     assert parsed[0]["lhs_value"] is None
+
+
+def test_moment_lost_to_cancellation_is_an_error_row():
+    # at C = 2.5 the k = 3 KPZ sum cancels to a negative number (~ -1.8e18);
+    # a moment is positive, so the row must be an error, not a value
+    rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[2.5], k_max=3))
+    assert [r.status for r in rows[:2]] == ["ok", "ok"]
+    assert rows[2].status.startswith("error: NumericalConsistencyError")
+    assert not rows[2].passed
 
 
 def test_output_file_and_byte_stability(tmp_path, capsys):

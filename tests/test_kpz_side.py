@@ -7,9 +7,8 @@ import pytest
 from airykpz.airy_side import airy_h_moment, airy_mult_stat
 from airykpz.errors import ConfigurationError, DomainError, SingularityError
 from airykpz.kpz_side import (ContourSpec, Partition, bose_exponent,
-                              bose_exponent_closed, default_ku_inner_rule,
-                              interaction_det, kpz_laplace, kpz_moment,
-                              kpz_moment_nested, ku_kernel, partitions,
+                              default_ku_inner_rule, interaction_det, kpz_laplace,
+                              kpz_moment, kpz_moment_nested, ku_kernel, partitions,
                               symmetry_factor)
 from airykpz.params import ModelParams
 from airykpz.quadrature import composite_legendre
@@ -97,13 +96,14 @@ def test_bose_exponent_simple_sum():
 
 
 def test_bose_exponent_summed_vs_closed():
+    # closed polynomial form (T/2)(L w^2 + L(L-1) w + L(L-1)(2L-1)/6)
     rng = np.random.default_rng(5)
     for _ in range(20):
         w = complex(rng.normal(), rng.normal())
-        part = int(rng.integers(1, 5))
+        L = int(rng.integers(1, 5))
         T = float(rng.uniform(0.4, 6.0))
-        s = bose_exponent(w, part, T)
-        cl = bose_exponent_closed(w, part, T)
+        s = bose_exponent(w, L, T)
+        cl = (T / 2.0) * (L * w * w + L * (L - 1) * w + L * (L - 1) * (2 * L - 1) / 6.0)
         assert abs(s - cl) <= 1e-12 * max(1.0, abs(cl))
 
 
@@ -293,15 +293,14 @@ def test_ku_kernel_vanishes_with_u():
 def test_ku_kernel_flip_variable_oracle():
     # same kernel through the mirrored integral f(y) Ai(x+y) Ai(x'+y) dy
     # on an independently built grid
-    from airykpz.airy_side import _fermi_weight
-    from airykpz.specfun import airy_both
+    from airykpz.specfun import airy_both, logistic
     p = ModelParams.from_C(1.0, 2.0)
     x, xp = 0.4, 1.3
     lo = -(20.0 + abs(math.log(p.u))) / p.C - max(x, xp)
     hi = 12.0 + max(x, xp)
     rule = composite_legendre(lo, hi, int(math.ceil((hi - lo) / 0.8)), 12)
     y = rule.nodes
-    f = _fermi_weight(y, p.u, p.C)
+    f = logistic(p.C * y + math.log(p.u))
     ax, _ = airy_both(x + y)
     axp, _ = airy_both(xp + y)
     oracle = float(np.sum(rule.weights * f * ax * axp))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from airykpz.errors import DomainError
-from airykpz.specfun import airy_ai, airy_ai_prime, airy_both, airy_pair, gamma_fn
+from airykpz.specfun import airy_ai, airy_ai_prime, airy_both, gamma_fn, logistic
 
 # Reference values from a 30-digit arbitrary-precision evaluation
 # (independent algorithm), frozen: (x, Ai(x), Ai'(x)).
@@ -140,10 +140,9 @@ def test_airy_vectorized_shapes_and_pair():
     grid = np.linspace(-3, 3, 12).reshape(3, 4)
     ai, aip = airy_both(grid)
     assert ai.shape == grid.shape and aip.shape == grid.shape
-    pair = airy_pair(1.0)
-    assert pair.x == 1.0
-    assert pair.ai == pytest.approx(0.1352924163128814155, rel=1e-12)
-    assert math.isfinite(pair.ai) and math.isfinite(pair.ai_prime)
+    ai1, aip1 = airy_both(1.0)
+    assert isinstance(ai1, float) and isinstance(aip1, float)
+    assert ai1 == pytest.approx(0.1352924163128814155, rel=1e-12)
 
 
 def test_airy_domain_errors():
@@ -153,6 +152,15 @@ def test_airy_domain_errors():
         airy_ai(-61.0)
     with pytest.raises(DomainError):
         airy_ai(float("nan"))
+
+
+def test_logistic_overflow_safe():
+    x = np.array([-800.0, -30.0, -0.5, 0.0, 0.5, 30.0, 800.0])
+    f = logistic(x)
+    assert np.all(np.isfinite(f))
+    assert f[0] == 0.0 and f[3] == 0.5 and f[-1] == 1.0
+    assert f == pytest.approx(1.0 / (1.0 + np.exp(-np.clip(x, -700, 700))), rel=1e-15)
+    assert f + logistic(-x) == pytest.approx(np.ones_like(x), abs=1e-15)
 
 
 def test_gamma_values():
