@@ -7,9 +7,8 @@ determinants vs. delta-Bose-gas contour integrals), together with the
 Tracy-Widom large-time limit and a GUE-edge Monte Carlo cross-check.
 """
 
-from .airy_side import (airy_h_moment, airy_kernel, airy_mult_stat, cycle_E,
-                        kernel_integral_form, laplace_R, okounkov_integral,
-                        tracy_widom_f2)
+from .airy_side import (airy_h_moment, airy_mult_stat, cycle_E, kernel_integral_form,
+                        laplace_R, okounkov_integral, tracy_widom_f2)
 from .errors import (AiryKpzError, ConfigurationError, DomainError,
                      EvaluationError, NumericalConsistencyError, SingularityError)
 from .kpz_side import (ContourSpec, Partition, bose_exponent, interaction_det,
@@ -18,9 +17,9 @@ from .kpz_side import (ContourSpec, Partition, bose_exponent, interaction_det,
 from .montecarlo import (EdgeSample, EstimatorResult, draw_edge_samples,
                          estimate_h_moment, estimate_mult_stat, sample_gue_edge)
 from .params import ModelParams
-from .quadrature import (QuadratureRule, cauchy_det, fredholm_det, gauss_hermite,
-                         gauss_legendre, tensor_integrate)
-from .specfun import airy_ai, airy_ai_prime, gamma_fn
+from .quadrature import (QuadratureRule, cauchy_det, gauss_hermite, gauss_legendre,
+                         tensor_integrate)
+from .specfun import airy_ai, airy_ai_prime
 
 __version__ = "0.1.0"
 
@@ -28,9 +27,9 @@ __all__ = [
     "AiryKpzError", "ConfigurationError", "ContourSpec", "DomainError",
     "EdgeSample", "EstimatorResult", "EvaluationError", "ModelParams",
     "NumericalConsistencyError", "Partition", "QuadratureRule", "SingularityError",
-    "airy_ai", "airy_ai_prime", "airy_h_moment", "airy_kernel", "airy_mult_stat",
+    "airy_ai", "airy_ai_prime", "airy_h_moment", "airy_mult_stat",
     "bose_exponent", "cauchy_det", "cycle_E", "draw_edge_samples",
-    "estimate_h_moment", "estimate_mult_stat", "fredholm_det", "gamma_fn",
+    "estimate_h_moment", "estimate_mult_stat",
     "gauss_hermite", "gauss_legendre", "interaction_det", "kernel_integral_form",
     "kpz_laplace", "kpz_moment", "kpz_moment_nested", "ku_kernel", "laplace_R",
     "okounkov_integral", "partitions", "sample_gue_edge",

@@ -24,7 +24,7 @@ from .quadrature import (QuadratureRule, cauchy_det, composite_legendre,
 from .specfun import airy_both, logistic
 
 __all__ = [
-    "KERNEL_RANGE", "airy_kernel", "airy_kernel_matrix", "kernel_integral_form",
+    "KERNEL_RANGE", "airy_kernel_matrix", "kernel_integral_form",
     "okounkov_integral", "okounkov_quadrature", "laplace_R", "cycle_E",
     "airy_h_moment", "airy_mult_stat", "default_mult_stat_grid", "tracy_widom_f2",
     "default_f2_grid",
@@ -39,36 +39,13 @@ _AXIS_FLOOR = 48
 # ----------------------------------------------------------------------
 # correlation kernel
 
-def airy_kernel(x, y):
-    """Airy correlation kernel, Christoffel-Darboux ratio form.
-
-    Near the diagonal (|x - y| <= 1e-5) the confluent limit at the
-    midpoint m is used: Ai'(m)^2 - m Ai(m)^2.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if (x.size and np.max(np.abs(x)) > KERNEL_RANGE) or (y.size and np.max(np.abs(y)) > KERNEL_RANGE):
-        raise DomainError(f"airy_kernel arguments must satisfy |x|, |y| <= {KERNEL_RANGE:g}")
-    x, y = np.broadcast_arrays(x, y)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).astype(float)
-    y = np.atleast_1d(y).astype(float)
-    d = x - y
-    near = np.abs(d) <= _CONFLUENT_EPS
-    out = np.empty_like(d)
-    if np.any(~near):
-        ax, apx = airy_both(x[~near])
-        ay, apy = airy_both(y[~near])
-        out[~near] = (ax * apy - apx * ay) / d[~near]
-    if np.any(near):
-        m = 0.5 * (x[near] + y[near])
-        am, apm = airy_both(m)
-        out[near] = apm ** 2 - m * am ** 2
-    return float(out[0]) if scalar else out
-
-
 def airy_kernel_matrix(points: np.ndarray) -> np.ndarray:
-    """Kernel matrix K(x_i, x_j) on a grid, one Airy evaluation per node."""
+    """Kernel matrix K(x_i, x_j) on a grid, one Airy evaluation per node.
+
+    Christoffel-Darboux ratio form; pairs with |x_i - x_j| <= 1e-5 (the
+    diagonal among them) use the confluent limit at the midpoint m:
+    Ai'(m)^2 - m Ai(m)^2.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.size and np.max(np.abs(pts)) > KERNEL_RANGE:
         raise DomainError(f"grid exceeds the kernel range |x| <= {KERNEL_RANGE:g}")
@@ -89,7 +66,7 @@ def airy_kernel_matrix(points: np.ndarray) -> np.ndarray:
 def kernel_integral_form(x: float, y: float, rule: QuadratureRule | None = None) -> float:
     """The kernel through its half-line integral of Ai(x+a)Ai(y+a).
 
-    Independent of :func:`airy_kernel`; agrees with it to ~1e-9 on
+    Independent of :func:`airy_kernel_matrix`; agrees with it to ~1e-9 on
     [-10, 10]^2.  The default rule truncates [0, inf) where the Airy
     decay has killed the integrand and resolves the oscillation that a
     negative min(x, y) brings in.

@@ -265,6 +265,35 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+_FLAGS = {
+    "--C": dict(dest="C_list", type=_parse_float_list, help="comma list of Airy scalings C"),
+    "--T": dict(dest="T_list", type=_parse_float_list,
+                help="comma list of KPZ times T (T = 2C^3)"),
+    "--u": dict(dest="u_list", type=_parse_float_list,
+                help="comma list of Laplace variables u"),
+    "--a": dict(dest="a_list", type=_parse_float_list,
+                help="comma list of reference points a"),
+    "--k-max": dict(type=int),
+    "--nodes": dict(type=int, help="quadrature resolution override (0 = defaults)"),
+    "--samples": dict(type=int),
+    "--matrix-size": dict(type=int),
+    "--keep-top": dict(type=int),
+    "--seed": dict(type=int),
+    "--tol": dict(type=float, help="tolerance override (0 = command default)"),
+    "--format": dict(choices=("csv", "json")),
+    "--out": dict(dest="output_path", help="output path (default: stdout)"),
+}
+
+# the flags each runner reads; --format and --out apply to all
+_COMMAND_FLAGS = {
+    "verify-theorem2": ("--C", "--T", "--k-max", "--nodes", "--tol"),
+    "verify-theorem1": ("--C", "--T", "--u", "--nodes", "--tol"),
+    "tw-limit": ("--a", "--T", "--tol"),
+    "mc-check": ("--C", "--T", "--u", "--k-max", "--samples", "--matrix-size",
+                 "--keep-top", "--seed", "--tol"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="airykpz",
@@ -272,36 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         doc = (_RUNNERS[name].__doc__ or "").strip().splitlines()[0]
-        sp = sub.add_parser(name, help=doc, description=doc)
-        sp.add_argument("--C", default="", help="comma list of Airy scalings C")
-        sp.add_argument("--T", default="", help="comma list of KPZ times T (T = 2C^3)")
-        sp.add_argument("--u", default="", help="comma list of Laplace variables u")
-        sp.add_argument("--a", default="", help="comma list of reference points a")
-        sp.add_argument("--k-max", type=int, default=3, dest="k_max")
-        sp.add_argument("--nodes", type=int, default=0,
-                        help="quadrature resolution override (0 = defaults)")
-        sp.add_argument("--samples", type=int, default=2000)
-        sp.add_argument("--matrix-size", type=int, default=400, dest="matrix_size")
-        sp.add_argument("--keep-top", type=int, default=48, dest="keep_top")
-        sp.add_argument("--seed", type=int, default=12345)
-        sp.add_argument("--tol", type=float, default=0.0,
-                        help="tolerance override (0 = command default)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", default="-", dest="output_path",
-                        help="output path (default: stdout)")
+        # flags left out keep their RunConfig defaults
+        sp = sub.add_parser(name, help=doc, description=doc,
+                            argument_default=argparse.SUPPRESS)
+        for flag in _COMMAND_FLAGS[name] + ("--format", "--out"):
+            sp.add_argument(flag, **_FLAGS[flag])
     return p
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        C_list=_parse_float_list(args.C),
-        T_list=_parse_float_list(args.T),
-        u_list=_parse_float_list(args.u),
-        a_list=_parse_float_list(args.a),
-        k_max=args.k_max, nodes=args.nodes, samples=args.samples,
-        matrix_size=args.matrix_size, keep_top=args.keep_top, seed=args.seed,
-        tol=args.tol, format=args.format, output_path=args.output_path)
+    return RunConfig(**vars(args))
 
 
 def run(cfg: RunConfig) -> tuple[list[VerificationRow], str]:

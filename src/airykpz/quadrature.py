@@ -21,7 +21,7 @@ __all__ = [
     "gauss_legendre", "gauss_hermite", "legendre_on",
     "composite_legendre", "scaled_gauss_hermite", "hermite_axis_count",
     "cauchy_det", "cauchy_det_direct",
-    "fredholm_det", "fredholm_det_matrix", "tensor_integrate",
+    "fredholm_det_matrix", "tensor_integrate",
     "TENSOR_NODE_BUDGET",
 ]
 
@@ -166,7 +166,13 @@ def cauchy_det_direct(a, b) -> complex:
 
 
 def fredholm_det_matrix(kmat: np.ndarray, weights: np.ndarray) -> float:
-    """det(I - W^{1/2} K W^{1/2}) for a kernel already evaluated on a grid."""
+    """Quadrature (Nystrom) approximation of det(1 - K): ``kmat`` holds
+    k(x_i, x_j) on a rule's nodes, ``weights`` its weights.
+
+    det(I - M) with M_ij = sqrt(w_i) k(x_i, x_j) sqrt(w_j), by pivoted LU
+    elimination; spectrally convergent for analytic kernels.  A non-finite
+    entry raises :class:`EvaluationError` with its indices (i, j).
+    """
     kmat = np.asarray(kmat, dtype=float)
     if not np.all(np.isfinite(kmat)):
         i, j = np.argwhere(~np.isfinite(kmat))[0]
@@ -174,26 +180,6 @@ def fredholm_det_matrix(kmat: np.ndarray, weights: np.ndarray) -> float:
     sq = np.sqrt(weights)
     n = kmat.shape[0]
     return float(np.linalg.det(np.eye(n) - sq[:, None] * kmat * sq[None, :]))
-
-
-def fredholm_det(kernel, rule: QuadratureRule) -> float:
-    """Quadrature (Nystrom) approximation of det(1 - K) on the rule's domain.
-
-    ``kernel(x, y)`` must broadcast over numpy arrays.  The discretized
-    matrix is M_ij = sqrt(w_i) k(x_i, x_j) sqrt(w_j); the determinant is
-    evaluated by pivoted LU elimination.  Spectrally convergent for
-    analytic kernels.
-    """
-    x = rule.nodes
-    kmat = np.asarray(kernel(x[:, None], x[None, :]), dtype=float)
-    if kmat.shape != (x.size, x.size):
-        raise ConfigurationError("kernel did not broadcast to a square matrix")
-    if not np.all(np.isfinite(kmat)):
-        i, j = np.argwhere(~np.isfinite(kmat))[0]
-        raise EvaluationError(
-            f"kernel not finite at node pair (x={x[i]!r}, y={x[j]!r})",
-            where=(float(x[i]), float(x[j])))
-    return fredholm_det_matrix(kmat, rule.weights)
 
 
 def tensor_integrate(f, rules) -> complex:

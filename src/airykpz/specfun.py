@@ -1,5 +1,5 @@
-"""High-accuracy real-argument Airy function Ai, its derivative, Gamma,
-and the overflow-safe logistic function.
+"""High-accuracy real-argument Airy function Ai, its derivative and the
+overflow-safe logistic function.
 
 Self-contained: no special-function library is used.  Ai and Ai' are
 evaluated from the Maclaurin series for |x| <= 7.2 and from asymptotic
@@ -15,13 +15,11 @@ All entry points accept scalars or numpy arrays and are pure.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["airy_ai", "airy_ai_prime", "airy_both", "gamma_fn", "logistic"]
+__all__ = ["airy_ai", "airy_ai_prime", "airy_both", "logistic"]
 
 SUPPORTED_RANGE = 60.0
 _SERIES_CUT = 7.2
@@ -235,20 +233,6 @@ def airy_ai(x):
 def airy_ai_prime(x):
     """Derivative Ai'(x)."""
     return airy_both(x)[1]
-
-
-def gamma_fn(x):
-    """Gamma function for positive real arguments.
-
-    Relative error <= 1e-12 on (0, 30] (delegates to the C library
-    implementation, which is a few ulp on this range).
-    """
-    arr = np.asarray(x, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.min(arr) <= 0.0):
-        raise DomainError("gamma_fn requires a positive finite argument")
-    if arr.ndim == 0:
-        return math.gamma(float(arr))
-    return np.array([math.gamma(float(v)) for v in arr.ravel()]).reshape(arr.shape)
 
 
 def logistic(x):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from airykpz.airy_side import (airy_h_moment, airy_kernel, airy_kernel_matrix,
+from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix,
                                airy_mult_stat, cycle_E, default_mult_stat_grid,
                                laplace_R, okounkov_integral, okounkov_quadrature,
                                tracy_widom_f2)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from airykpz.airy_side import (airy_h_moment, airy_kernel, airy_kernel_matrix,
+from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix,
                                airy_mult_stat, cycle_E, default_mult_stat_grid,
                                kernel_integral_form, laplace_R, okounkov_integral,
                                okounkov_quadrature, tracy_widom_f2)
@@ -25,19 +25,23 @@ def closed_R1(c):
 # ----------------------------------------------------------------------
 # kernel
 
+def kernel_pair(x, y):
+    return airy_kernel_matrix([x, y])[0, 1]
+
+
 def test_kernel_diagonal_confluent_value():
-    assert airy_kernel(0.0, 0.0) == pytest.approx(AIP0_SQ, rel=1e-12)
+    assert np.diag(airy_kernel_matrix([0.0])) == pytest.approx([AIP0_SQ], rel=1e-12)
 
 
 def test_kernel_symmetry_random_pairs():
     rng = np.random.default_rng(3)
     for _ in range(25):
         x, y = rng.uniform(-12, 8, size=2)
-        assert airy_kernel(x, y) == pytest.approx(airy_kernel(y, x), rel=1e-13, abs=1e-15)
+        assert kernel_pair(x, y) == pytest.approx(kernel_pair(y, x), rel=1e-13, abs=1e-15)
 
 
 def test_kernel_matches_integral_form_pointwise():
-    assert airy_kernel(1.0, 2.0) == pytest.approx(kernel_integral_form(1.0, 2.0), abs=1e-9)
+    assert kernel_pair(1.0, 2.0) == pytest.approx(kernel_integral_form(1.0, 2.0), abs=1e-9)
     assert kernel_integral_form(0.0, 0.0) == pytest.approx(AIP0_SQ, abs=1e-10)
     k55 = kernel_integral_form(5.0, 5.0)
     assert 0 < k55 < 1e-5
@@ -60,14 +64,14 @@ def test_kernel_representation_agreement_grid():
 def test_kernel_near_diagonal_continuity():
     # confluent branch joins the ratio branch smoothly across |x-y| = 1e-5
     x = -1.3
-    below = airy_kernel(x, x + 0.9999e-5)   # confluent side
-    above = airy_kernel(x, x + 1.0001e-5)   # ratio side
+    below = kernel_pair(x, x + 0.9999e-5)   # confluent side
+    above = kernel_pair(x, x + 1.0001e-5)   # ratio side
     assert below == pytest.approx(above, abs=1e-8)
 
 
 def test_kernel_domain_error():
     with pytest.raises(DomainError):
-        airy_kernel(50.5, 0.0)
+        kernel_pair(50.5, 0.0)
     with pytest.raises(DomainError):
         kernel_integral_form(0.0, -51.0)
 
@@ -165,7 +169,7 @@ def test_laplace_R_n1_definitional(c):
     L = min(26.0 / c + 14.0, 48.0)
     rule = composite_legendre(-L, 12.0, int(math.ceil(L + 12)), 10)
     x = rule.nodes
-    kxx = airy_kernel(x, x)
+    kxx = np.diag(airy_kernel_matrix(x))
     oracle = float(np.sum(rule.weights * np.exp(c * x) * kxx))
     assert laplace_R([c]) == pytest.approx(oracle, abs=1e-8)
 

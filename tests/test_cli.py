@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import airykpz
 from airykpz.cli import (RunConfig, build_parser, config_from_args, main,
                          render, run, run_verify_theorem2)
 
@@ -79,6 +84,13 @@ def test_failing_rows_set_exit_code_and_stderr(capsys):
     assert out.splitlines()[1].endswith(",fail")
 
 
+def test_flag_not_read_by_the_command_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tw-limit", "--a", "0", "--nodes", "160"])
+    assert exc.value.code == 2
+    assert "--nodes" in capsys.readouterr().err
+
+
 def test_conflicting_grid_flags(capsys):
     code, out, err = _run_main(
         ["verify-theorem1", "--C", "1.0", "--T", "2.0", "--u", "1"], capsys)
@@ -118,6 +130,22 @@ def test_output_file_and_byte_stability(tmp_path, capsys):
     assert main(argv + ["--out", str(p2)]) == 0
     capsys.readouterr()
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_output_independent_of_blas_threads():
+    # on this grid, rows C = 0.8, u = 10 and C = 1.6, u = 1 show the
+    # summation order of the K_u reduction in their last printed digits
+    src = str(Path(airykpz.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "airykpz.cli", "verify-theorem1",
+            "--C", "0.8,1.0,1.6", "--u", "0.1,1,10"]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_mc_check_small_run(capsys):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from airykpz.airy_side import airy_h_moment, airy_mult_stat
-from airykpz.errors import ConfigurationError, DomainError, SingularityError
+from airykpz.errors import (ConfigurationError, DomainError, NumericalConsistencyError,
+                            SingularityError)
 from airykpz.kpz_side import (ContourSpec, Partition, bose_exponent,
-                              default_ku_inner_rule, interaction_det, kpz_laplace,
-                              kpz_moment, kpz_moment_nested, ku_kernel, partitions,
-                              symmetry_factor)
+                              default_kpz_outer_rule, default_ku_inner_rule,
+                              interaction_det, kpz_laplace, kpz_moment, kpz_moment_nested,
+                              ku_kernel, partitions, symmetry_factor)
 from airykpz.params import ModelParams
 from airykpz.quadrature import composite_legendre
 
@@ -339,8 +340,15 @@ def test_theorem1_point_match():
 
 
 def test_kpz_laplace_outer_doubling():
-    from airykpz.kpz_side import default_kpz_outer_rule
     p = ModelParams.from_C(1.0, 1.0)
     v80 = kpz_laplace(p, default_kpz_outer_rule(p, 80))
     v160 = kpz_laplace(p, default_kpz_outer_rule(p, 160))
     assert abs(v80 - v160) < 1e-9
+
+
+def test_kpz_laplace_truncated_inner_rule_raises():
+    # an inner rule that stops at r = 5 cuts off the Fermi tail of K_u;
+    # unchecked, the determinant reads 0.79488 against the true 0.79069
+    p = ModelParams.from_C(1.0, 1.0)
+    with pytest.raises(NumericalConsistencyError):
+        kpz_laplace(p, default_kpz_outer_rule(p), composite_legendre(-30.0, 5.0, 35, 10))

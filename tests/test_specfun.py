@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from airykpz.errors import DomainError
-from airykpz.specfun import airy_ai, airy_ai_prime, airy_both, gamma_fn, logistic
+from airykpz.specfun import airy_ai, airy_ai_prime, airy_both, logistic
 
 # Reference values from a 30-digit arbitrary-precision evaluation
 # (independent algorithm), frozen: (x, Ai(x), Ai'(x)).
@@ -36,18 +36,6 @@ AIRY_REF = [
     (59.0, 6.256527549941553585e-133, -4.808377425557188549e-132),
 ]
 
-GAMMA_REF = [
-    (0.123, 7.662417261962312071),
-    (0.5, 1.772453850905516027),
-    (1.5, 0.8862269254527580136),
-    (2.7, 1.544685845850593984),
-    (9.25, 69106.22689508938317),
-    (14.5, 23092317922.31423841),
-    (22.0, 5.109094217170944e19),
-    (29.5, 1.634812519827426644e30),
-    (30.0, 8.841761993739701955e30),
-]
-
 FIRST_AI_ZERO = -2.338107410459767038489
 
 
@@ -61,8 +49,8 @@ def test_airy_reference_values(x, ai_ref, aip_ref):
 
 
 def test_airy_at_zero_closed_forms():
-    assert airy_ai(0.0) == pytest.approx(3 ** (-2 / 3) / gamma_fn(2 / 3), rel=1e-14)
-    assert airy_ai_prime(0.0) == pytest.approx(-(3 ** (-1 / 3)) / gamma_fn(1 / 3), rel=1e-14)
+    assert airy_ai(0.0) == pytest.approx(3 ** (-2 / 3) / math.gamma(2 / 3), rel=1e-14)
+    assert airy_ai_prime(0.0) == pytest.approx(-(3 ** (-1 / 3)) / math.gamma(1 / 3), rel=1e-14)
     assert airy_ai(0.0) == pytest.approx(0.35502805388781723926, rel=1e-15)
     assert airy_ai_prime(0.0) == pytest.approx(-0.25881940379280679840, rel=1e-15)
 
@@ -161,26 +149,3 @@ def test_logistic_overflow_safe():
     assert f[0] == 0.0 and f[3] == 0.5 and f[-1] == 1.0
     assert f == pytest.approx(1.0 / (1.0 + np.exp(-np.clip(x, -700, 700))), rel=1e-15)
     assert f + logistic(-x) == pytest.approx(np.ones_like(x), abs=1e-15)
-
-
-def test_gamma_values():
-    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-    assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14)
-
-
-@pytest.mark.parametrize("x,ref", GAMMA_REF)
-def test_gamma_reference_values(x, ref):
-    assert gamma_fn(x) == pytest.approx(ref, rel=1e-12)
-
-
-@pytest.mark.parametrize("x", [0.3, 1.7, 6.5])
-def test_gamma_recurrence(x):
-    assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
-
-
-def test_gamma_domain_errors():
-    with pytest.raises(DomainError):
-        gamma_fn(0.0)
-    with pytest.raises(DomainError):
-        gamma_fn(-2.0)
