@@ -19,7 +19,6 @@ from .montecarlo import (EdgeSample, EstimatorResult, draw_edge_samples,
 from .params import ModelParams
 from .quadrature import (QuadratureRule, cauchy_det, gauss_hermite, gauss_legendre,
                          tensor_integrate)
-from .specfun import airy_ai, airy_ai_prime
 
 __version__ = "0.1.0"
 
@@ -27,7 +26,7 @@ __all__ = [
     "AiryKpzError", "ConfigurationError", "ContourSpec", "DomainError",
     "EdgeSample", "EstimatorResult", "EvaluationError", "ModelParams",
     "NumericalConsistencyError", "Partition", "QuadratureRule", "SingularityError",
-    "airy_ai", "airy_ai_prime", "airy_h_moment", "airy_mult_stat",
+    "airy_h_moment", "airy_mult_stat",
     "bose_exponent", "cauchy_det", "cycle_E", "draw_edge_samples",
     "estimate_h_moment", "estimate_mult_stat",
     "gauss_hermite", "gauss_legendre", "interaction_det", "kernel_integral_form",

@@ -32,8 +32,6 @@ __all__ = [
 
 KERNEL_RANGE = 50.0
 _CONFLUENT_EPS = 1e-5     # |x - y| below which the confluent diagonal form is used
-_IM_TOL = 1e-10           # allowed |Im|/|Re| residue for analytically real integrals
-_AXIS_FLOOR = 48
 
 
 # ----------------------------------------------------------------------
@@ -135,13 +133,6 @@ def _require_positive_c(c) -> np.ndarray:
     return c
 
 
-def _real_part(val: complex, what: str, tol: float = _IM_TOL) -> float:
-    if abs(val.imag) > tol * (abs(val.real) + 1e-300):
-        raise NumericalConsistencyError(
-            f"{what}: imaginary residue {val.imag:.3e} exceeds {tol:g} of {val.real:.3e}")
-    return val.real
-
-
 def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
     """Laplace transform of the n-point correlation function.
 
@@ -149,29 +140,27 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
         exp(sum c_i^3/12)/(2 pi)^n * int exp(-sum c_i z_i^2)
             det[1/((-i z_i + c_i/2) + (i z_j + c_j/2))] dz
     with per-axis Gauss-Hermite scaled by 1/sqrt(c_i) and the determinant
-    in its Cauchy product form.  The result is analytically real; the
-    imaginary residue is checked against 1e-10 and discarded.
+    in its Cauchy product form.  The matrix 1/(a_i + b_j) is the Gram
+    matrix of the functions exp(-s(c_i/2 - i z_i)) on s > 0, so its
+    determinant is real and non-negative at every node; the integrand is
+    its real part.  n = 1 has no interaction pole and gets the floor order.
     """
     c = _require_positive_c(c)
     n = c.size
     if nodes_per_axis is None:
-        if n == 1:
-            nodes_per_axis = _AXIS_FLOOR  # integrand is constant; any order is exact
-        else:
-            d_min = min(math.sqrt(c[i]) * (c[i] + c[j]) / 2.0
-                        for i in range(n) for j in range(n) if i != j)
-            nodes_per_axis = hermite_axis_count(d_min, n)
+        d_min = min((math.sqrt(c[i]) * (c[i] + c[j]) / 2.0
+                     for i in range(n) for j in range(n) if i != j), default=math.inf)
+        nodes_per_axis = hermite_axis_count(d_min, n)
     rules = [scaled_gauss_hermite(ci, nodes_per_axis) for ci in c]
 
     half_c = (c / 2.0).reshape((n,) + (1,) * n)   # broadcasts over the n-d grid
 
     def integrand(*zs):
         z = np.array(zs)
-        return cauchy_det(-1j * z + half_c, 1j * z + half_c)
+        return cauchy_det(-1j * z + half_c, 1j * z + half_c).real
 
     pref = math.exp(np.sum(c ** 3) / 12.0) / (2.0 * math.pi) ** n
-    val = pref * tensor_integrate(integrand, rules)
-    return _real_part(val, "laplace_R")
+    return pref * tensor_integrate(integrand, rules)
 
 
 def cycle_E(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
@@ -179,21 +168,21 @@ def cycle_E(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
 
     exp(sum c_i^3/12)/(2 pi)^n * int exp(-sum c_i z_i^2)
         prod_i 1/(-i (z_i - z_{i+1}) + (c_i + c_{i+1})/2) dz,
-    with the cyclic convention z_{n+1} = z_1.
+    with the cyclic convention z_{n+1} = z_1.  z -> -z conjugates the
+    integrand and the Hermite nodes are symmetric, so only its real part
+    survives the sum; the integrand returns that.
     """
     c = _require_positive_c(c)
     n = c.size
     if n > 4:
         raise ConfigurationError("cycle_E supports at most 4 exponents")
     if nodes_per_axis is None:
-        if n == 1:
-            nodes_per_axis = _AXIS_FLOOR
-        else:
-            d_min = min(math.sqrt(c[i]) * (c[i] + c[(i + 1) % n]) / 2.0
-                        for i in range(n))
-            d_min = min(d_min, min(math.sqrt(c[(i + 1) % n]) * (c[i] + c[(i + 1) % n]) / 2.0
-                                   for i in range(n)))
-            nodes_per_axis = hermite_axis_count(d_min, n)
+        # factor (i, i + 1) has a pole along both of its axes; for n = 1 the
+        # single factor is the constant 1/c_1
+        pairs = [(i, (i + 1) % n) for i in range(n)] if n > 1 else []
+        d_min = min((math.sqrt(c[m]) * (c[i] + c[j]) / 2.0
+                     for i, j in pairs for m in (i, j)), default=math.inf)
+        nodes_per_axis = hermite_axis_count(d_min, n)
     rules = [scaled_gauss_hermite(ci, nodes_per_axis) for ci in c]
 
     def integrand(*zs):
@@ -202,11 +191,10 @@ def cycle_E(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
             j = (i + 1) % n
             term = 1.0 / (-1j * (zs[i] - zs[j]) + (c[i] + c[j]) / 2.0)
             val = term if val is None else val * term
-        return val
+        return val.real
 
     pref = math.exp(np.sum(c ** 3) / 12.0) / (2.0 * math.pi) ** n
-    val = pref * tensor_integrate(integrand, rules)
-    return _real_part(val, "cycle_E")
+    return pref * tensor_integrate(integrand, rules)
 
 
 def airy_h_moment(k: int, C: float, nodes_per_axis: int | None = None) -> float:

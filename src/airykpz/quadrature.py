@@ -1,5 +1,6 @@
-"""Quadrature rules, tensor-product integration, the Cauchy determinant
-and the quadrature (Nystrom) approximation of Fredholm determinants.
+"""Quadrature rules, tensor-product integration of real integrands, the
+Cauchy determinant and the quadrature (Nystrom) approximation of Fredholm
+determinants.
 
 Rule construction is delegated to numpy's Gauss node/weight generators;
 everything downstream (interval maps, composite panels, determinants,
@@ -116,7 +117,8 @@ HERMITE_AXIS_CAP_BY_DIM = {1: 256, 2: 256, 3: 256, 4: 56, 5: 24}
 
 
 def hermite_axis_count(d_min: float, dim: int, extra_floor: int = 0) -> int:
-    """Per-axis Gauss-Hermite order for a pole at scaled distance d_min."""
+    """Per-axis Gauss-Hermite order for a pole at scaled distance d_min;
+    d_min = math.inf (no pole) gives the floor."""
     if not d_min > 0:
         raise ConfigurationError("pole distance must be positive")
     n = math.ceil((math.log(100.0 / _HERMITE_AXIS_TOL) / (2.0 * d_min)) ** 2 / 2.0)
@@ -182,12 +184,16 @@ def fredholm_det_matrix(kmat: np.ndarray, weights: np.ndarray) -> float:
     return float(np.linalg.det(np.eye(n) - sq[:, None] * kmat * sq[None, :]))
 
 
-def tensor_integrate(f, rules) -> complex:
-    """Tensor-product quadrature of a complex-valued function of n reals.
+def tensor_integrate(f, rules) -> float:
+    """Tensor-product quadrature of a real-valued function of n reals.
 
-    ``f`` receives n broadcast arrays, one per axis.  Summation is chunked
-    along the first axis in index order; within chunks numpy's pairwise
-    summation applies, so the reduction is deterministic.
+    ``f`` receives n broadcast arrays, one per axis, and returns real
+    values: each caller integrates an analytically real quantity and
+    hands over its real part itself, with the reason it is real.  A
+    complex result raises :class:`ConfigurationError` rather than being
+    truncated.  Summation is chunked along the first axis in index order;
+    within chunks numpy's pairwise summation applies, so the reduction is
+    deterministic.
     """
     rules = list(rules)
     n = len(rules)
@@ -205,11 +211,14 @@ def tensor_integrate(f, rules) -> complex:
     # chunk the first axis to bound memory at ~chunk * prod(rest) points
     rest = total // sizes[0]
     chunk = max(1, min(sizes[0], int(4e5 // max(rest, 1)) or 1))
-    acc = 0.0 + 0.0j
+    acc = 0.0
     for start in range(0, sizes[0], chunk):
         stop = min(start + chunk, sizes[0])
         grids = np.meshgrid(axes[0][start:stop], *axes[1:], indexing="ij")
-        vals = np.asarray(f(*grids), dtype=complex)
+        vals = np.array(f(*grids))
+        if np.iscomplexobj(vals):
+            raise ConfigurationError("tensor_integrate needs a real-valued integrand; "
+                                     "return the real part where it is analytically real")
         if vals.shape != grids[0].shape:
             raise ConfigurationError("integrand did not broadcast over the tensor grid")
         wgrid = np.meshgrid(wts[0][start:stop], *wts[1:], indexing="ij")
@@ -217,4 +226,4 @@ def tensor_integrate(f, rules) -> complex:
         for wg in wgrid[1:]:
             wprod = wprod * wg
         acc += np.sum(vals * wprod)
-    return complex(acc)
+    return float(acc)

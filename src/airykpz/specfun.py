@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["airy_ai", "airy_ai_prime", "airy_both", "logistic"]
+__all__ = ["airy_both", "logistic"]
 
 SUPPORTED_RANGE = 60.0
 _SERIES_CUT = 7.2
@@ -223,16 +223,6 @@ def airy_both(x):
     if arr.ndim == 0:
         return float(ai), float(aip)
     return ai, aip
-
-
-def airy_ai(x):
-    """Airy function Ai(x)."""
-    return airy_both(x)[0]
-
-
-def airy_ai_prime(x):
-    """Derivative Ai'(x)."""
-    return airy_both(x)[1]
 
 
 def logistic(x):

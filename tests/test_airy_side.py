@@ -195,12 +195,24 @@ def test_laplace_R_product_vs_direct_determinant():
         def direct(*zs):
             z = np.stack(zs, axis=-1)
             a, b = -1j * z + c / 2.0, 1j * z + c / 2.0
-            return np.linalg.det(1.0 / (a[..., :, None] + b[..., None, :]))
+            return np.linalg.det(1.0 / (a[..., :, None] + b[..., None, :])).real
 
         rules = [scaled_gauss_hermite(ci, 64) for ci in c]
         pref = math.exp(np.sum(c ** 3) / 12.0) / (2.0 * math.pi) ** c.size
-        oracle = pref * tensor_integrate(direct, rules).real
+        oracle = pref * tensor_integrate(direct, rules)
         assert laplace_R(c, nodes_per_axis=64) == pytest.approx(oracle, rel=1e-11)
+
+
+def test_laplace_R_integrand_real_and_positive():
+    # det[1/(a_i + b_j)] with a_i = c_i/2 - i z_i, b_j = conj(a_j) is a Gram
+    # determinant, so laplace_R may integrate its real part alone
+    rng = np.random.default_rng(11)
+    for n in range(1, 6):
+        c = rng.uniform(0.3, 2.0, n).reshape((n, 1))
+        z = rng.normal(0.0, 3.0, (n, 500))
+        val = cauchy_det(-1j * z + c / 2.0, 1j * z + c / 2.0)
+        assert np.all(val.real > 0)
+        assert np.all(np.abs(val.imag) <= 1e-14 * val.real)
 
 
 def test_laplace_R_order_symmetry():

@@ -6,7 +6,8 @@ import pytest
 from airykpz.errors import ConfigurationError, EvaluationError
 from airykpz.quadrature import (QuadratureRule, composite_legendre,
                                 fredholm_det_matrix, gauss_hermite, gauss_legendre,
-                                legendre_on, scaled_gauss_hermite, tensor_integrate)
+                                hermite_axis_count, legendre_on, scaled_gauss_hermite,
+                                tensor_integrate)
 
 
 def integrate(rule, f):
@@ -170,11 +171,29 @@ def test_tensor_budget_and_dimension_errors():
         tensor_integrate(lambda *a: 1.0, [gauss_legendre(2)] * 6)
 
 
-def test_tensor_complex_and_deterministic():
+def test_tensor_oscillatory_and_deterministic():
     rules = [legendre_on(0.0, 1.0, 17), legendre_on(0.0, 2.0, 13)]
-    f = lambda x, y: np.exp(1j * (x + y))
+    f = lambda x, y: np.cos(x + y)
     v1 = tensor_integrate(f, rules)
     v2 = tensor_integrate(f, rules)
+    assert isinstance(v1, float)
     assert v1 == v2  # bit-stable
-    ref = (np.exp(1j) - 1) / 1j * (np.exp(2j) - 1) / 1j
+    ref = ((np.exp(1j) - 1) / 1j * (np.exp(2j) - 1) / 1j).real
     assert v1 == pytest.approx(ref, rel=1e-12)
+
+
+def test_tensor_rejects_complex_integrand():
+    # a complex integrand is an error, never silently truncated to its real part
+    rules = [legendre_on(0.0, 1.0, 4)] * 2
+    with pytest.raises(ConfigurationError):
+        tensor_integrate(lambda x, y: np.exp(1j * (x + y)), rules)
+    with pytest.raises(ConfigurationError):
+        tensor_integrate(lambda x, y: np.ones_like(x) + 0j, rules)
+
+
+def test_hermite_axis_count_floor_and_cap():
+    # no pole (d_min = inf) gives the floor; a near pole is capped per dimension
+    assert hermite_axis_count(math.inf, 1) == 48
+    assert hermite_axis_count(math.inf, 1, extra_floor=80) == 80
+    assert hermite_axis_count(0.465, 3) == 256
+    assert hermite_axis_count(0.465, 4) == 56

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from airykpz.errors import DomainError
-from airykpz.specfun import airy_ai, airy_ai_prime, airy_both, logistic
+from airykpz.specfun import airy_both, logistic
 
 # Reference values from a 30-digit arbitrary-precision evaluation
 # (independent algorithm), frozen: (x, Ai(x), Ai'(x)).
@@ -49,23 +49,23 @@ def test_airy_reference_values(x, ai_ref, aip_ref):
 
 
 def test_airy_at_zero_closed_forms():
-    assert airy_ai(0.0) == pytest.approx(3 ** (-2 / 3) / math.gamma(2 / 3), rel=1e-14)
-    assert airy_ai_prime(0.0) == pytest.approx(-(3 ** (-1 / 3)) / math.gamma(1 / 3), rel=1e-14)
-    assert airy_ai(0.0) == pytest.approx(0.35502805388781723926, rel=1e-15)
-    assert airy_ai_prime(0.0) == pytest.approx(-0.25881940379280679840, rel=1e-15)
+    assert airy_both(0.0)[0] == pytest.approx(3 ** (-2 / 3) / math.gamma(2 / 3), rel=1e-14)
+    assert airy_both(0.0)[1] == pytest.approx(-(3 ** (-1 / 3)) / math.gamma(1 / 3), rel=1e-14)
+    assert airy_both(0.0)[0] == pytest.approx(0.35502805388781723926, rel=1e-15)
+    assert airy_both(0.0)[1] == pytest.approx(-0.25881940379280679840, rel=1e-15)
 
 
 def test_airy_large_positive_asymptotic_bounds():
     x = 10.0
     bound = math.exp(-(2 / 3) * x ** 1.5) / (2 * math.sqrt(math.pi) * x ** 0.25)
-    assert 0 < airy_ai(10.0) < 1.2e-10
-    assert airy_ai(10.0) < bound * 1.01
-    aip = airy_ai_prime(10.0)
+    assert 0 < airy_both(10.0)[0] < 1.2e-10
+    assert airy_both(10.0)[0] < bound * 1.01
+    aip = airy_both(10.0)[1]
     assert aip < 0 and abs(aip) < 4e-10
 
 
 def test_airy_first_zero():
-    assert abs(airy_ai(FIRST_AI_ZERO)) < 1e-9
+    assert abs(airy_both(FIRST_AI_ZERO)[0]) < 1e-9
 
 
 def test_airy_ode_residual():
@@ -74,15 +74,15 @@ def test_airy_ode_residual():
     # 1e-6 bound, which a 3-point stencil cannot do at |x| = 15
     xs = np.linspace(-15.0, 15.0, 200)
     h = 1e-3
-    d2 = (-airy_ai(xs + 2 * h) + 16 * airy_ai(xs + h) - 30 * airy_ai(xs)
-          + 16 * airy_ai(xs - h) - airy_ai(xs - 2 * h)) / (12 * h ** 2)
-    resid = np.abs(d2 - xs * airy_ai(xs))
-    assert np.all(resid <= 1e-6 * np.maximum(1.0, np.abs(airy_ai(xs))))
+    d2 = (-airy_both(xs + 2 * h)[0] + 16 * airy_both(xs + h)[0] - 30 * airy_both(xs)[0]
+          + 16 * airy_both(xs - h)[0] - airy_both(xs - 2 * h)[0]) / (12 * h ** 2)
+    resid = np.abs(d2 - xs * airy_both(xs)[0])
+    assert np.all(resid <= 1e-6 * np.maximum(1.0, np.abs(airy_both(xs)[0])))
 
 
 def test_airy_positive_monotone_decreasing():
     xs = np.linspace(0.0, 20.0, 101)
-    vals = airy_ai(xs)
+    vals = airy_both(xs)[0]
     assert np.all(vals > 0)
     assert np.all(np.diff(vals) < 0)
 
@@ -90,10 +90,10 @@ def test_airy_positive_monotone_decreasing():
 def test_airy_derivative_consistency():
     # centered first difference against Ai', away from the zeros of Ai'
     xs = np.linspace(-10.0, 10.0, 401)
-    aip = airy_ai_prime(xs)
+    aip = airy_both(xs)[1]
     keep = np.abs(aip) > 0.05
     h = 1e-5
-    fd = (airy_ai(xs[keep] + h) - airy_ai(xs[keep] - h)) / (2 * h)
+    fd = (airy_both(xs[keep] + h)[0] - airy_both(xs[keep] - h)[0]) / (2 * h)
     assert np.max(np.abs(fd - aip[keep]) / np.abs(aip[keep])) < 1e-7
 
 
@@ -135,11 +135,11 @@ def test_airy_vectorized_shapes_and_pair():
 
 def test_airy_domain_errors():
     with pytest.raises(DomainError):
-        airy_ai(60.5)
+        airy_both(60.5)
     with pytest.raises(DomainError):
-        airy_ai(-61.0)
+        airy_both(-61.0)
     with pytest.raises(DomainError):
-        airy_ai(float("nan"))
+        airy_both(float("nan"))
 
 
 def test_logistic_overflow_safe():
