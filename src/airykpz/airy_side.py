@@ -11,6 +11,7 @@ in :mod:`airykpz.montecarlo` and the KPZ counterpart in
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -144,8 +145,12 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
     matrix of the functions exp(-s(c_i/2 - i z_i)) on s > 0, so its
     determinant is real and non-negative at every node; the integrand is
     its real part.  n = 1 has no interaction pole and gets the floor order.
+
+    The value is symmetric in ``c`` (the correlation function is symmetric
+    in its arguments): ``c`` is sorted in descending order, and the axes of
+    equal exponents are summed as one symmetric block.
     """
-    c = _require_positive_c(c)
+    c = np.sort(_require_positive_c(c))[::-1]
     n = c.size
     if nodes_per_axis is None:
         d_min = min((math.sqrt(c[i]) * (c[i] + c[j]) / 2.0
@@ -153,14 +158,15 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
         nodes_per_axis = hermite_axis_count(d_min, n)
     rules = [scaled_gauss_hermite(ci, nodes_per_axis) for ci in c]
 
-    half_c = (c / 2.0).reshape((n,) + (1,) * n)   # broadcasts over the n-d grid
+    blocks = [len(list(run)) for _, run in itertools.groupby(c)]
 
     def integrand(*zs):
         z = np.array(zs)
+        half_c = (c / 2.0).reshape((n,) + (1,) * (z.ndim - 1))
         return cauchy_det(-1j * z + half_c, 1j * z + half_c).real
 
     pref = math.exp(np.sum(c ** 3) / 12.0) / (2.0 * math.pi) ** n
-    return pref * tensor_integrate(integrand, rules)
+    return pref * tensor_integrate(integrand, rules, blocks)
 
 
 def cycle_E(c: Sequence[float], nodes_per_axis: int | None = None) -> float:

@@ -160,7 +160,11 @@ def _partition_moment_integral(lam: Partition, T: float, n_axis: int) -> float:
         # symmetric, so only the real part survives the sum
         return val.real
 
-    return tensor_integrate(integrand, rules) * math.exp(log_const) / (2.0 * math.pi) ** ell
+    # equal parts are adjacent and share one rule; the integrand is symmetric
+    # under permuting them (rows and columns of the determinant together)
+    blocks = list(lam.multiplicities.values())
+    return (tensor_integrate(integrand, rules, blocks)
+            * math.exp(log_const) / (2.0 * math.pi) ** ell)
 
 
 def kpz_moment(k: int, T: float, nodes_per_axis: int | None = None) -> float:

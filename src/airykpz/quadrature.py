@@ -6,6 +6,12 @@ Rule construction is delegated to numpy's Gauss node/weight generators;
 everything downstream (interval maps, composite panels, determinants,
 tensor sums) is built here.  All reductions run in a fixed deterministic
 order.
+
+The tensor driver takes the permutation symmetry of its integrand from
+its caller: axes that share one rule and over which the integrand is
+symmetric form a block, and a block of size m is summed over its
+nondecreasing index tuples only, each weighted by its number of distinct
+permutations m!/prod(run length)!.
 """
 
 from __future__ import annotations
@@ -184,46 +190,107 @@ def fredholm_det_matrix(kmat: np.ndarray, weights: np.ndarray) -> float:
     return float(np.linalg.det(np.eye(n) - sq[:, None] * kmat * sq[None, :]))
 
 
-def tensor_integrate(f, rules) -> float:
+def _block_points(rule: QuadratureRule, m: int, first: np.ndarray):
+    """The nondecreasing m-tuples of node indices whose leading index lies
+    in ``first``, in lexicographic order: the nodes at each position, and
+    each tuple's weight, its axis weights' product times its number of
+    distinct permutations m!/prod(run length)!."""
+    cols = [first]
+    run = np.ones(first.size, dtype=np.int64)      # length of the current run
+    denom = np.ones(first.size, dtype=np.int64)    # prod of run-length factorials
+    for _ in range(m - 1):
+        last = cols[-1]
+        reps = len(rule) - last                    # next index: last .. len(rule)-1
+        owner = np.repeat(np.arange(last.size), reps)
+        nxt = np.arange(owner.size) - np.repeat(np.cumsum(reps) - reps - last, reps)
+        run = np.where(nxt == last[owner], run[owner] + 1, 1)
+        denom = denom[owner] * run
+        cols = [col[owner] for col in cols] + [nxt]
+    w = rule.weights[cols[0]]
+    for col in cols[1:]:
+        w = w * rule.weights[col]
+    if m > 1:
+        w = w * (math.factorial(m) // denom)
+    return [rule.nodes[col] for col in cols], w
+
+
+_CHUNK_POINTS = 4e5
+
+
+def tensor_integrate(f, rules, blocks=None) -> float:
     """Tensor-product quadrature of a real-valued function of n reals.
 
-    ``f`` receives n broadcast arrays, one per axis, and returns real
-    values: each caller integrates an analytically real quantity and
-    hands over its real part itself, with the reason it is real.  A
-    complex result raises :class:`ConfigurationError` rather than being
-    truncated.  Summation is chunked along the first axis in index order;
-    within chunks numpy's pairwise summation applies, so the reduction is
-    deterministic.
+    ``f`` receives n 1-d arrays of equal length, one per axis, holding the
+    coordinates of a batch of points, and returns real values: each caller
+    integrates an analytically real quantity and hands over its real part
+    itself, with the reason it is real.  A complex result raises
+    :class:`ConfigurationError` rather than being truncated.
+
+    ``blocks`` lists the sizes of consecutive runs of axes that share one
+    rule and over which ``f`` is symmetric; ``None`` means every block has
+    size 1 (the full grid).  Within a block of size m only nondecreasing
+    index tuples are summed, each weighted by its number of distinct
+    permutations m!/prod(run length)!, so f runs at C(n + m - 1, m) in
+    place of n^m points per block.  The node budget applies to the full
+    grid.  Points are summed in lexicographic index order (block by block,
+    nondecreasing tuples within a block), chunked by the first index to
+    about 4e5 points; within chunks numpy's pairwise summation applies, so
+    the reduction is deterministic.
     """
     rules = list(rules)
     n = len(rules)
     if n < 1 or n > 5:
         raise ConfigurationError(f"tensor dimension must be 1..5, got {n}")
-    sizes = [len(r) for r in rules]
-    total = math.prod(sizes)
+    blocks = [1] * n if blocks is None else [int(m) for m in blocks]
+    if min(blocks, default=0) < 1 or sum(blocks) != n:
+        raise ConfigurationError(
+            f"blocks {blocks} must be positive sizes summing to the dimension {n}")
+    total = math.prod(len(r) for r in rules)
     if total > TENSOR_NODE_BUDGET:
         raise ConfigurationError(
             f"tensor grid of {total} nodes exceeds the {TENSOR_NODE_BUDGET} budget; "
             "use fewer nodes per axis or a lower dimension")
 
-    axes = [r.nodes for r in rules]
-    wts = [r.weights for r in rules]
-    # chunk the first axis to bound memory at ~chunk * prod(rest) points
-    rest = total // sizes[0]
-    chunk = max(1, min(sizes[0], int(4e5 // max(rest, 1)) or 1))
+    firsts = np.cumsum([0] + blocks[:-1]).tolist()
+    for a, m in zip(firsts, blocks):
+        if any(not (np.array_equal(r.nodes, rules[a].nodes)
+                    and np.array_equal(r.weights, rules[a].weights)) for r in rules[a + 1:a + m]):
+            raise ConfigurationError(f"axes {a}..{a + m - 1} form one block "
+                                     "but do not share one rule")
+    block_rules = [rules[a] for a in firsts]
+
+    # every block after the first is enumerated whole; the first is chunked
+    # by its leading index so a chunk holds about _CHUNK_POINTS points
+    tail = [_block_points(r, m, np.arange(len(r))) for r, m in zip(block_rules[1:], blocks[1:])]
+    rest = math.prod(w.size for _, w in tail)
+    s0, m0 = len(block_rules[0]), blocks[0]
+    per_first = [math.comb(s0 - i + m0 - 2, m0 - 1) * rest for i in range(s0)]
     acc = 0.0
-    for start in range(0, sizes[0], chunk):
-        stop = min(start + chunk, sizes[0])
-        grids = np.meshgrid(axes[0][start:stop], *axes[1:], indexing="ij")
-        vals = np.array(f(*grids))
+    start = 0
+    while start < s0:
+        stop, npts = start + 1, per_first[start]
+        while stop < s0 and npts + per_first[stop] <= _CHUNK_POINTS:
+            npts += per_first[stop]
+            stop += 1
+        parts = [_block_points(block_rules[0], m0, np.arange(start, stop))] + tail
+        # the lexicographic product of the blocks' tuples: a block's nodes
+        # repeat over later blocks' tuples and tile over earlier ones', and
+        # the per-block weights multiply as outer products
+        xs = []
+        inner, outer = npts, 1
+        for nodes, w in parts:
+            inner //= w.size
+            xs += [np.tile(np.repeat(x, inner), outer) for x in nodes]
+            outer *= w.size
+        wprod = parts[0][1]
+        for _, w in parts[1:]:
+            wprod = np.multiply.outer(wprod, w).ravel()
+        vals = np.array(f(*xs))
         if np.iscomplexobj(vals):
             raise ConfigurationError("tensor_integrate needs a real-valued integrand; "
                                      "return the real part where it is analytically real")
-        if vals.shape != grids[0].shape:
-            raise ConfigurationError("integrand did not broadcast over the tensor grid")
-        wgrid = np.meshgrid(wts[0][start:stop], *wts[1:], indexing="ij")
-        wprod = wgrid[0]
-        for wg in wgrid[1:]:
-            wprod = wprod * wg
+        if vals.shape != (npts,):
+            raise ConfigurationError("integrand did not broadcast over the points")
         acc += np.sum(vals * wprod)
+        start = stop
     return float(acc)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from airykpz import airy_side
 from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix,
                                airy_mult_stat, cycle_E, default_mult_stat_grid,
                                kernel_integral_form, laplace_R, okounkov_integral,
@@ -216,8 +217,11 @@ def test_laplace_R_integrand_real_and_positive():
 
 
 def test_laplace_R_order_symmetry():
-    # the determinant structure makes R symmetric in the exponents
-    assert laplace_R([0.9, 1.7]) == pytest.approx(laplace_R([1.7, 0.9]), rel=1e-10)
+    # the determinant structure makes R symmetric in the exponents; laplace_R
+    # sorts them, so any order gives the same bits
+    assert laplace_R([0.9, 1.7]) == laplace_R([1.7, 0.9])
+    assert (laplace_R([0.6, 1.2, 0.6], nodes_per_axis=64)
+            == laplace_R([1.2, 0.6, 0.6], nodes_per_axis=64))
 
 
 def test_laplace_R_validation():
@@ -298,6 +302,21 @@ def test_airy_h_moment_k2_composition():
     C = 1.0
     expect = laplace_R([2 * C]) + laplace_R([C, C]) / 2.0
     assert airy_h_moment(2, C) == pytest.approx(expect, rel=1e-10)
+
+
+def test_airy_h_moment_symmetric_blocks_match_full_grid(monkeypatch):
+    # laplace_R([0.6] * 3) runs 256 nodes per axis; summing its sorted index
+    # tuples must reproduce the full 256^3 grid
+    fast = airy_h_moment(3, 0.6)
+    seen = []
+
+    def full_grid(f, rules, blocks=None):
+        seen.append(blocks)
+        return tensor_integrate(f, rules)
+
+    monkeypatch.setattr(airy_side, "tensor_integrate", full_grid)
+    assert fast == pytest.approx(airy_h_moment(3, 0.6), rel=1e-13)
+    assert seen == [[1], [1, 1], [3]]
 
 
 def test_airy_h_moment_validation():

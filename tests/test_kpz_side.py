@@ -11,8 +11,9 @@ from airykpz.kpz_side import (ContourSpec, Partition, bose_exponent,
                               default_kpz_outer_rule, default_ku_inner_rule,
                               interaction_det, kpz_laplace, kpz_moment, kpz_moment_nested,
                               ku_kernel, partitions, symmetry_factor)
+from airykpz import kpz_side
 from airykpz.params import ModelParams
-from airykpz.quadrature import composite_legendre
+from airykpz.quadrature import composite_legendre, tensor_integrate
 
 
 # ----------------------------------------------------------------------
@@ -228,6 +229,22 @@ def test_kpz_moment_node_doubling():
     v = kpz_moment(2, 2.0, nodes_per_axis=64)
     v2 = kpz_moment(2, 2.0, nodes_per_axis=128)
     assert abs(v - v2) < 1e-9
+
+
+def test_kpz_moment_symmetric_blocks_match_full_grid(monkeypatch):
+    # the (1,1,1) partition at C = 0.6 runs 256 nodes per axis; summing its
+    # sorted index tuples must reproduce the full 256^3 grid
+    T = 2.0 * 0.6 ** 3
+    fast = kpz_moment(3, T)
+    seen = []
+
+    def full_grid(f, rules, blocks=None):
+        seen.append(blocks)
+        return tensor_integrate(f, rules)
+
+    monkeypatch.setattr(kpz_side, "tensor_integrate", full_grid)
+    assert fast == pytest.approx(kpz_moment(3, T), rel=1e-13)
+    assert seen == [[1], [1, 1], [3]]
 
 
 def test_kpz_moment_validation():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -197,3 +198,92 @@ def test_hermite_axis_count_floor_and_cap():
     assert hermite_axis_count(math.inf, 1, extra_floor=80) == 80
     assert hermite_axis_count(0.465, 3) == 256
     assert hermite_axis_count(0.465, 4) == 56
+
+
+def _vandermonde_sq(*xs):
+    out = np.ones_like(xs[0])
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            out = out * (xs[i] - xs[j]) ** 2
+    return out
+
+
+@pytest.mark.parametrize("blocks, f", [
+    ([3], lambda x, y, z: np.exp(-(x + y + z)) * (1 + _vandermonde_sq(x, y, z))),
+    ([2, 1], lambda x, y, z: np.exp(-(x + y)) * np.cos(3 * z) * (1 + (x - y) ** 2 * z)),
+    ([1, 2], lambda x, y, z: np.cos(3 * x) / (1 + y * y + z * z + x * y * z)),
+    ([1, 1, 1], lambda x, y, z: np.sin(x + 2 * y) * np.exp(-z * x)),
+    ([4], lambda x, y, z, u: np.exp(-(x + y + z + u)) * (1 + _vandermonde_sq(x, y, z, u))
+     / (2 + x * y * z * u)),
+])
+def test_tensor_blocks_match_full_grid(blocks, f):
+    # summing the sorted tuples of each symmetric block, weighted by their
+    # permutation counts, is the full grid sum reordered
+    r = legendre_on(0.0, 1.5, 11)
+    rules = []
+    for b, m in enumerate(blocks):
+        rules += [r if b % 2 == 0 else gauss_hermite(9)] * m
+    full = tensor_integrate(f, rules)
+    assert tensor_integrate(f, rules, blocks) == pytest.approx(full, rel=1e-13)
+
+
+@pytest.mark.parametrize("n, blocks, expect", [
+    (150, [3], math.comb(152, 3)),              # spans two chunks
+    (20, [2, 1], math.comb(21, 2) * 20),
+    (20, [1, 2], 20 * math.comb(21, 2)),
+    (12, [4], math.comb(15, 4)),
+    (12, [2, 2], math.comb(13, 2) ** 2),
+    (12, None, 12 ** 4),
+])
+def test_tensor_blocks_evaluate_sorted_tuples_only(n, blocks, expect):
+    # a block of size m over n nodes costs C(n + m - 1, m) points, never
+    # more than the ~4e5-point chunk at a time
+    batches = []
+
+    def f(*xs):
+        batches.append(xs[0].size)
+        assert all(x.shape == xs[0].shape for x in xs)
+        return np.ones_like(xs[0])
+
+    dim = sum(blocks) if blocks else 4
+    val = tensor_integrate(f, [gauss_legendre(n)] * dim, blocks)
+    assert sum(batches) == expect
+    assert max(batches) <= 4e5
+    assert val == pytest.approx(2.0 ** dim, rel=1e-13)
+
+
+def test_tensor_blocks_visit_sorted_tuples_in_order():
+    # lexicographic order, block by block, nondecreasing within a block
+    rule = gauss_legendre(4)
+    seen = []
+
+    def f(*xs):
+        seen.extend(zip(*(np.searchsorted(rule.nodes, x).tolist() for x in xs)))
+        return np.ones_like(xs[0])
+
+    tensor_integrate(f, [rule] * 5, [2, 1, 2])
+    pairs = list(itertools.combinations_with_replacement(range(4), 2))
+    assert seen == [a + (b,) + c for a in pairs for b in range(4) for c in pairs]
+
+
+def test_tensor_blocks_validation():
+    f = lambda *xs: np.ones_like(xs[0])
+    a, b = legendre_on(0.0, 1.0, 5), legendre_on(0.0, 2.0, 5)
+    with pytest.raises(ConfigurationError):
+        tensor_integrate(f, [a, b, a], [2, 1])      # rules differ inside a block
+    with pytest.raises(ConfigurationError):
+        tensor_integrate(f, [a, a, gauss_legendre(6)], [3])
+    with pytest.raises(ConfigurationError):
+        tensor_integrate(f, [a] * 3, [2, 2])        # sizes exceed the dimension
+    with pytest.raises(ConfigurationError):
+        tensor_integrate(f, [a] * 3, [2])           # sizes fall short of it
+    with pytest.raises(ConfigurationError):
+        tensor_integrate(f, [a] * 3, [3, 0])
+    assert tensor_integrate(f, [a, legendre_on(0.0, 1.0, 5), b], [2, 1]) == pytest.approx(2.0)
+
+
+def test_tensor_blocks_deterministic():
+    rules = [scaled_gauss_hermite(0.7, 40)] * 3
+    f = lambda x, y, z: np.cos(x * y * z) + np.cos(x + y + z)
+    first = tensor_integrate(f, rules, [3])
+    assert all(tensor_integrate(f, rules, [3]) == first for _ in range(3))
