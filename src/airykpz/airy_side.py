@@ -80,7 +80,7 @@ def kernel_integral_form(x: float, y: float, rule: QuadratureRule | None = None)
     a = rule.nodes
     fx, _ = airy_both(x + a)
     fy, _ = airy_both(y + a)
-    return float(np.sum(rule.weights * fx * fy))
+    return float(np.sum(rule.weights * (fx * fy)))
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,22 @@
 """High-accuracy real-argument Airy function Ai, its derivative and the
 overflow-safe logistic function.
 
-Self-contained: no special-function library is used.  Ai and Ai' are
-evaluated from the Maclaurin series for |x| <= 7.2 and from asymptotic
-expansions beyond.  The series suffers catastrophic cancellation between
-its two constituent series (their terms grow like exp((2/3)|x|^{3/2})
-while Ai stays O(1) or decays), so the series is summed in double-double
-arithmetic; the switchover at 7.2 is where the asymptotic branches reach
-~1e-13 relative accuracy, keeping both branches within the 1e-10/1e-11
-agreement targets validated in the test suite.
+Self-contained: no special-function library is used.  For |x| > 7.2, Ai
+and Ai' come from their asymptotic expansions (DLMF 9.7), which reach
+~1e-13 relative accuracy there.  For |x| <= 7.2 they come from a fixed
+table of degree-25 Taylor expansions of Ai about centres every 0.25 on
+[-7.25, 7.25], evaluated at the nearest centre (|h| <= 0.125).  The
+coefficients follow from the Airy equation y'' = x y (DLMF 9.2.1):
+a_2 = x0 a_0 / 2 and (n+2)(n+1) a_{n+2} = x0 a_n + a_{n-1}.
+
+The table is built once at import by Taylor steps of that equation,
+seeded without any series: leftward from the asymptotic value at 7.25
+down to 0 (stable, because Ai is the solution recessive to the right),
+then from the closed-form Ai(0), Ai'(0) down to -7.25.  The leftward
+march must reproduce the closed forms to 1e-13 relative, or import
+raises.  Accuracy against a 40-digit reference is pinned by
+``tests/test_specfun.py::test_airy_against_mpmath``: 1e-11 relative on
+[-60, 60], and 1e-12 of the local envelope near the zeros of Ai.
 
 All entry points accept scalars or numpy arrays and are pure.
 """
@@ -17,118 +25,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalConsistencyError
 
 __all__ = ["airy_both", "logistic"]
 
 SUPPORTED_RANGE = 60.0
-_SERIES_CUT = 7.2
+_ASYM_CUT = 7.2
 
-# Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3), split into
-# hi+lo double-double pairs (lo parts from a 45-digit evaluation).
-_AI0_HI = 0.3550280538878172
-_AI0_LO = 2.05233632436212e-17
-_AIP0_HI = -0.2588194037928068
-_AIP0_LO = 2.522243111610832e-17
+# Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3)
+_AI0 = 0.3550280538878172
+_AIP0 = -0.2588194037928068
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
-
-
-# ----------------------------------------------------------------------
-# double-double primitives (vectorized, branch-free)
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-def _split(a):
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-def _two_prod(a, b):
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-def _dd_add(ah, al, bh, bl):
-    sh, sl = _two_sum(ah, bh)
-    sl = sl + (al + bl)
-    return _two_sum(sh, sl)
-
-def _dd_mul(ah, al, bh, bl):
-    ph, pl = _two_prod(ah, bh)
-    pl = pl + (ah * bl + al * bh)
-    return _two_sum(ph, pl)
-
-def _dd_div_scalar(ah, al, d):
-    # (ah, al) / d with d an exactly representable double
-    qh = ah / d
-    ph, pl = _two_prod(qh, d)
-    ql = ((ah - ph) - pl + al) / d
-    return _two_sum(qh, ql)
-
-
-# ----------------------------------------------------------------------
-# Maclaurin series, |x| <= 7.2
-
-def _airy_series(x):
-    """Sum Ai = c1*f - c2*g and Ai' = c1*f' - c2*g' in double-double.
-
-    Term recurrences (t <- t * x^3 / r_k):
-        f : a0 = 1,     r = (3k+2)(3k+3)
-        g : b0 = x,     r = (3k+3)(3k+4)
-        f': p1 = x^2/2, r = (3k)(3k+2)      (series starts at k = 1)
-        g': q0 = 1,     r = (3k+1)(3k+3)
-    """
-    x = np.asarray(x, dtype=float)
-    x2h, x2l = _two_prod(x, x)
-    x3h, x3l = _dd_mul(x2h, x2l, x, np.zeros_like(x))
-
-    ah, al = np.ones_like(x), np.zeros_like(x)          # f term
-    bh, bl = x.copy(), np.zeros_like(x)                 # g term
-    qh, ql = np.ones_like(x), np.zeros_like(x)          # g' term
-    ph, pl = 0.5 * x2h, 0.5 * x2l                       # f' term (k=1), x^2/2 exact halving
-
-    fh, fl = ah.copy(), al.copy()
-    gh, gl = bh.copy(), bl.copy()
-    fph, fpl = np.zeros_like(x), np.zeros_like(x)
-    gph, gpl = qh.copy(), ql.copy()
-    fph, fpl = _dd_add(fph, fpl, ph, pl)
-
-    for k in range(200):
-        ra = (3 * k + 2) * (3 * k + 3)
-        rb = (3 * k + 3) * (3 * k + 4)
-        rq = (3 * k + 1) * (3 * k + 3)
-        kk = k + 1
-        rp = (3 * kk) * (3 * kk + 2)
-
-        th, tl = _dd_div_scalar(x3h, x3l, float(ra))
-        ah, al = _dd_mul(ah, al, th, tl)
-        th, tl = _dd_div_scalar(x3h, x3l, float(rb))
-        bh, bl = _dd_mul(bh, bl, th, tl)
-        th, tl = _dd_div_scalar(x3h, x3l, float(rq))
-        qh, ql = _dd_mul(qh, ql, th, tl)
-        th, tl = _dd_div_scalar(x3h, x3l, float(rp))
-        ph, pl = _dd_mul(ph, pl, th, tl)
-
-        fh, fl = _dd_add(fh, fl, ah, al)
-        gh, gl = _dd_add(gh, gl, bh, bl)
-        gph, gpl = _dd_add(gph, gpl, qh, ql)
-        fph, fpl = _dd_add(fph, fpl, ph, pl)
-
-        scale = np.maximum(np.abs(fh), 1.0)
-        if np.all(np.abs(ah) < 1e-36 * scale) and np.all(np.abs(bh) < 1e-36 * scale):
-            break
-
-    aih, ail = _dd_add(*_dd_mul(fh, fl, np.full_like(x, _AI0_HI), np.full_like(x, _AI0_LO)),
-                       *_dd_mul(gh, gl, np.full_like(x, _AIP0_HI), np.full_like(x, _AIP0_LO)))
-    aph, apl = _dd_add(*_dd_mul(fph, fpl, np.full_like(x, _AI0_HI), np.full_like(x, _AI0_LO)),
-                       *_dd_mul(gph, gpl, np.full_like(x, _AIP0_HI), np.full_like(x, _AIP0_LO)))
-    return aih + ail, aph + apl
+_STEP = 0.25
+_EDGE = 7.25
+_DEGREE = 25
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +102,60 @@ def _airy_asym_neg(x):
 
 
 # ----------------------------------------------------------------------
+# Taylor table, |x| <= 7.2
+
+def _taylor_coeffs(x0, ai, aip):
+    """Taylor coefficients a_0..a_25 of Ai about x0 from Ai(x0), Ai'(x0)."""
+    a = [ai, aip, 0.5 * x0 * ai]
+    for n in range(1, _DEGREE - 1):
+        a.append((x0 * a[n] + a[n - 1]) / ((n + 2) * (n + 1)))
+    return np.array(a)
+
+
+def _horner(table, j, h):
+    """Sum table[n][j] * h**n, gathering one coefficient row per step."""
+    p = np.take(table[-1], j)
+    for row in table[-2::-1]:
+        p *= h
+        p += np.take(row, j)
+    return p
+
+
+def _march(x0, ai, aip, step, n):
+    """Coefficient rows about x0 + k*step, k = 0..n-1, and (Ai, Ai') at x0 + n*step."""
+    powers = step ** np.arange(_DEGREE + 1)
+    rows = []
+    for k in range(n):
+        a = _taylor_coeffs(x0 + k * step, ai, aip)
+        rows.append(a)
+        ai, aip = a @ powers, (a[1:] * np.arange(1, _DEGREE + 1)) @ powers[:-1]
+    return rows, ai, aip
+
+
+def _taylor_table():
+    n = round(_EDGE / _STEP)
+    ai, aip = _airy_asym_pos(np.array([_EDGE]))
+    right, ai0, aip0 = _march(_EDGE, ai[0], aip[0], -_STEP, n)
+    if abs(ai0 / _AI0 - 1.0) > 1e-13 or abs(aip0 / _AIP0 - 1.0) > 1e-13:
+        raise NumericalConsistencyError(
+            f"Taylor march reached Ai(0) = {ai0!r}, Ai'(0) = {aip0!r}; "
+            f"closed forms {_AI0!r}, {_AIP0!r}")
+    left, _, _ = _march(0.0, _AI0, _AIP0, -_STEP, n + 1)
+    coeffs = np.array(left[::-1] + right[::-1])          # centres -7.25 .. 7.25
+    deriv = coeffs[:, 1:] * np.arange(1, _DEGREE + 1)
+    return coeffs.T.copy(), deriv.T.copy()
+
+
+_AI_T, _AIP_T = _taylor_table()
+
+
+def _airy_taylor(x):
+    j = np.rint((x + _EDGE) / _STEP).astype(np.intp)
+    h = x - (j * _STEP - _EDGE)
+    return _horner(_AI_T, j, h), _horner(_AIP_T, j, h)
+
+
+# ----------------------------------------------------------------------
 # public surface
 
 def airy_both(x):
@@ -209,11 +173,11 @@ def airy_both(x):
     flat = arr.ravel()
     ai = np.empty_like(flat)
     aip = np.empty_like(flat)
-    ser = np.abs(flat) <= _SERIES_CUT
-    pos = flat > _SERIES_CUT
-    neg = flat < -_SERIES_CUT
-    if ser.any():
-        ai[ser], aip[ser] = _airy_series(flat[ser])
+    tab = np.abs(flat) <= _ASYM_CUT
+    pos = flat > _ASYM_CUT
+    neg = flat < -_ASYM_CUT
+    if tab.any():
+        ai[tab], aip[tab] = _airy_taylor(flat[tab])
     if pos.any():
         ai[pos], aip[pos] = _airy_asym_pos(flat[pos])
     if neg.any():

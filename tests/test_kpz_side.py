@@ -225,6 +225,19 @@ def test_kpz_moment_k2_matches_airy():
     assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
 
 
+@pytest.mark.parametrize("C", [0.6, 1.0, 1.4, 2.0])
+def test_moment_k2_closed_form(C):
+    # both k = 2 partition integrals reduce to closed form; with
+    # g = sqrt(pi/T) e^{T/4} / (4 pi):
+    # E = exp(T/12) [(1/(2 pi T) - g erfc(sqrt(T)/2)) / 2 + g]
+    T = 2.0 * C ** 3
+    g = math.sqrt(math.pi / T) * math.exp(T / 4.0) / (4.0 * math.pi)
+    closed = math.exp(T / 12.0) * (
+        (1.0 / (2.0 * math.pi * T) - g * math.erfc(math.sqrt(T) / 2.0)) / 2.0 + g)
+    assert kpz_moment(2, T) == pytest.approx(closed, rel=1e-9)
+    assert airy_h_moment(2, C) == pytest.approx(closed, rel=1e-9)
+
+
 def test_kpz_moment_node_doubling():
     v = kpz_moment(2, 2.0, nodes_per_axis=64)
     v2 = kpz_moment(2, 2.0, nodes_per_axis=128)

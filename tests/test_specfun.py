@@ -98,20 +98,56 @@ def test_airy_derivative_consistency():
 
 
 def test_series_asymptotic_switchover_agreement():
-    # both branches agree to <= 1e-11 around the +-7.2 switchover
-    from airykpz.specfun import _airy_asym_neg, _airy_asym_pos, _airy_series
-    xs = np.linspace(6.9, 7.5, 25)
-    ai_s, aip_s = _airy_series(xs)
+    # the Taylor table and the asymptotic branches agree to <= 1e-11 on the
+    # stretch of 6.9..7.5 that the table reaches (nearest centre up to 7.25)
+    from airykpz.specfun import _EDGE, _STEP, _airy_asym_neg, _airy_asym_pos, _airy_taylor
+    xs = np.linspace(6.9, _EDGE + _STEP / 2, 25)
+    ai_s, aip_s = _airy_taylor(xs)
     ai_a, aip_a = _airy_asym_pos(xs)
     assert np.max(np.abs(ai_s - ai_a) / np.abs(ai_a)) < 1e-11
     assert np.max(np.abs(aip_s - aip_a) / np.abs(aip_a)) < 1e-11
     xs = -xs
-    ai_s, aip_s = _airy_series(xs)
+    ai_s, aip_s = _airy_taylor(xs)
     ai_a, aip_a = _airy_asym_neg(xs)
     env = 1.0 / (np.sqrt(np.pi) * np.abs(xs) ** 0.25)
     assert np.max(np.abs(ai_s - ai_a) / env) < 1e-11
     env_p = np.abs(xs) ** 0.25 / np.sqrt(np.pi)
     assert np.max(np.abs(aip_s - aip_a) / env_p) < 1e-11
+
+
+def test_taylor_march_reproduces_closed_forms():
+    # the table's right half is marched leftward from the asymptotic value
+    # at 7.25; it must land on the closed-form Ai(0), Ai'(0)
+    from airykpz.specfun import _AI0, _AIP0, _EDGE, _STEP, _airy_asym_pos, _march
+    ai, aip = _airy_asym_pos(np.array([_EDGE]))
+    _, ai0, aip0 = _march(_EDGE, ai[0], aip[0], -_STEP, round(_EDGE / _STEP))
+    assert ai0 == pytest.approx(3 ** (-2 / 3) / math.gamma(2 / 3), rel=1e-13)
+    assert aip0 == pytest.approx(-(3 ** (-1 / 3)) / math.gamma(1 / 3), rel=1e-13)
+    assert ai0 == pytest.approx(_AI0, rel=1e-13)
+    assert aip0 == pytest.approx(_AIP0, rel=1e-13)
+
+
+def test_airy_against_mpmath():
+    # the documented accuracy: 1e-11 relative on [-60, 60], or 1e-12 of the
+    # local envelope on the negative axis, where Ai and Ai' have zeros
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261018)
+    zeros = [float(mpmath.airyaizero(k)) for k in range(1, 16)]
+    zeros_p = [float(mpmath.airyaizero(k, derivative=1)) for k in range(1, 16)]
+    xs = np.concatenate([rng.uniform(-60.0, 60.0, 200),
+                         rng.uniform(-7.7, -6.7, 60), rng.uniform(6.7, 7.7, 60),
+                         zeros, np.add(zeros, 1e-6), zeros_p, np.subtract(zeros_p, 1e-6)])
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.airyai(x)) for x in xs])
+        ref_p = np.array([float(mpmath.airyai(x, derivative=1)) for x in xs])
+    ai, aip = airy_both(xs)
+    z = np.maximum(np.abs(xs), 1.0)
+    neg = xs < 0
+    for val, r, env in ((ai, ref, 1.0 / (np.sqrt(np.pi) * z ** 0.25)),
+                        (aip, ref_p, z ** 0.25 / np.sqrt(np.pi))):
+        err = np.abs(val - r)
+        ok = (err <= 1e-11 * np.abs(r)) | (neg & (err <= 1e-12 * env))
+        assert ok.all(), xs[~ok]
 
 
 def test_airy_scipy_cross_check():
