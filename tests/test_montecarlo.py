@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from airykpz.airy_side import airy_mult_stat, laplace_R, tracy_widom_f2
 from airykpz.errors import ConfigurationError
 from airykpz.montecarlo import (BIAS_GUARD, EdgeSample, EstimatorResult,
-                                complete_homogeneous, draw_edge_samples,
-                                estimate_h_moment, estimate_mult_stat,
-                                sample_gue_edge)
+                                _edge_rows, _tridiagonal, complete_homogeneous,
+                                draw_edge_samples, estimate_h_moment,
+                                estimate_mult_stat, sample_gue_edge)
 from airykpz.params import ModelParams
 from airykpz.quadrature import legendre_on
 
@@ -40,6 +41,39 @@ def test_sample_validation():
         sample_gue_edge(20, 4, 0)
     with pytest.raises(ConfigurationError):
         sample_gue_edge(100, 65, 0)
+    with pytest.raises(ConfigurationError):
+        sample_gue_edge(50, 64, 0)      # more kept points than eigenvalues
+
+
+# kept-point counts per matrix size, and draws per size; N = 50 and 200 are
+# solved whole (the window's cap binds), N = 400 and 800 are windowed
+WINDOW_CASES = {50: (48,), 200: (48,), 400: (32, 48, 64), 800: (48,)}
+WINDOW_DRAWS = {50: 100, 200: 60, 400: 200, 800: 20}
+
+
+@pytest.mark.parametrize("N", sorted(WINDOW_CASES))
+def test_window_matches_full_solve(N):
+    # the windowed draw against the full solve of the same variates
+    worst = 0.0
+    for i in range(WINDOW_DRAWS[N]):
+        full = eigh_tridiagonal(*_tridiagonal(N, 2026, i), eigvals_only=True)
+        for m in WINDOW_CASES[N]:
+            ref = N ** (1.0 / 6.0) * (full[-m:][::-1] - 2.0 * math.sqrt(N))
+            got = sample_gue_edge(N, m, 2026, sample_index=i).points
+            worst = max(worst, float(np.max(np.abs(got - ref))))
+    assert worst <= 1e-10
+
+
+def test_edge_rows_bounds_and_monotone():
+    for N in (*range(50, 1001), 2000, 5000):
+        rows = [_edge_rows(N, m) for m in range(1, min(64, N) + 1)]
+        assert all(m <= r <= N for m, r in enumerate(rows, start=1))
+        assert all(a <= b for a, b in zip(rows, rows[1:]))
+    # the cap binds: the window is the whole matrix
+    assert _edge_rows(50, 48) == 50 and _edge_rows(200, 48) == 200
+    # and it does not at the README grid, N = 400, keep-top 48
+    assert _edge_rows(400, 32) < _edge_rows(400, 48) < _edge_rows(400, 64) < 400
+    assert _edge_rows(800, 48) < 800
 
 
 def test_bulk_edge_location(edge_samples):
