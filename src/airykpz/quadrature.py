@@ -2,9 +2,10 @@
 Cauchy determinant and the quadrature (Nystrom) approximation of Fredholm
 determinants.
 
-Rule construction is delegated to numpy's Gauss node/weight generators;
-everything downstream (interval maps, composite panels, determinants,
-tensor sums) is built here.  All reductions run in a fixed deterministic
+Rule construction is delegated to numpy's Gauss node/weight generators,
+once per order: each order's rule is cached and shared, with read-only
+arrays.  Everything downstream (interval maps, composite panels,
+determinants, tensor sums) is built here.  All reductions run in a fixed deterministic
 order.
 
 The tensor driver takes the permutation symmetry of its integrand from
@@ -16,6 +17,7 @@ permutations m!/prod(run length)!.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,20 +64,29 @@ class QuadratureRule:
         return self.nodes.size
 
 
+def _shared_rule(nodes, weights) -> QuadratureRule:
+    """A rule every caller of one order receives: its arrays are read-only."""
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule(nodes, weights)
+
+
+# the orders are bounded by MAX_LEGENDRE and MAX_HERMITE, so the caches are too
+@functools.lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [-1, 1]."""
+    """n-point Gauss-Legendre rule on [-1, 1]; built once per order and shared."""
     if not 1 <= n <= MAX_LEGENDRE:
         raise ConfigurationError(f"gauss_legendre order must be in [1, {MAX_LEGENDRE}], got {n}")
-    x, w = np.polynomial.legendre.leggauss(int(n))
-    return QuadratureRule(x, w)
+    return _shared_rule(*np.polynomial.legendre.leggauss(int(n)))
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_hermite(n: int) -> QuadratureRule:
-    """n-point Gauss-Hermite rule for the weight e^{-t^2} on the real line."""
+    """n-point Gauss-Hermite rule for the weight e^{-t^2} on the real line;
+    built once per order and shared."""
     if not 1 <= n <= MAX_HERMITE:
         raise ConfigurationError(f"gauss_hermite order must be in [1, {MAX_HERMITE}], got {n}")
-    t, w = np.polynomial.hermite.hermgauss(int(n))
-    return QuadratureRule(t, w)
+    return _shared_rule(*np.polynomial.hermite.hermgauss(int(n)))
 
 
 def legendre_on(a: float, b: float, n: int) -> QuadratureRule:

@@ -88,6 +88,33 @@ def test_rule_invariants_and_validation():
         QuadratureRule(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("make", [gauss_legendre, gauss_hermite])
+def test_rules_built_once_per_order_and_read_only(make):
+    rule = make(24)
+    assert make(24) is rule
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights[:] = 1.0
+    with pytest.raises(ValueError):
+        rule.nodes *= 2.0
+
+
+def test_derived_rules_bit_identical_to_uncached(monkeypatch):
+    import airykpz.quadrature as quadrature
+    cases = [lambda: composite_legendre(-3.0, 2.0, 5, 8), lambda: legendre_on(0.0, 18.5, 80),
+             lambda: scaled_gauss_hermite(0.37, 21), lambda: scaled_gauss_hermite(1.0, 256)]
+    # the second round reads every base rule from the cache
+    rounds = [[make() for make in cases] for _ in range(2)]
+    monkeypatch.setattr(quadrature, "gauss_legendre", quadrature.gauss_legendre.__wrapped__)
+    monkeypatch.setattr(quadrature, "gauss_hermite", quadrature.gauss_hermite.__wrapped__)
+    for make, *rules in zip(cases, *rounds):
+        fresh = make()
+        for rule in rules:
+            assert rule.nodes.tobytes() == fresh.nodes.tobytes()
+            assert rule.weights.tobytes() == fresh.weights.tobytes()
+
+
 def test_map_affine_n1():
     mapped = legendre_on(0.0, 2.0, 1)
     assert mapped.nodes == pytest.approx([1.0])

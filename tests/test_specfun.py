@@ -97,28 +97,30 @@ def test_airy_derivative_consistency():
     assert np.max(np.abs(fd - aip[keep]) / np.abs(aip[keep])) < 1e-7
 
 
-def test_series_asymptotic_switchover_agreement():
-    # the Taylor table and the asymptotic branches agree to <= 1e-11 on the
-    # stretch of 6.9..7.5 that the table reaches (nearest centre up to 7.25)
-    from airykpz.specfun import _EDGE, _STEP, _airy_asym_neg, _airy_asym_pos, _airy_taylor
-    xs = np.linspace(6.9, _EDGE + _STEP / 2, 25)
-    ai_s, aip_s = _airy_taylor(xs)
+def test_table_asymptotic_agreement():
+    # the Taylor table and the asymptotic expansions, which only seed and
+    # check it, agree to <= 1e-12 on 7.2 <= |x| <= 60 (measured 3.5e-13,
+    # the error of the expansions near 7.2), centres and midpoints
+    from airykpz.specfun import _airy_asym_neg, _airy_asym_pos
+    xs = np.concatenate([np.linspace(7.2, 60.0, 425), np.arange(7.375, 60.0, 0.25)])
+    ai_s, aip_s = airy_both(xs)
     ai_a, aip_a = _airy_asym_pos(xs)
-    assert np.max(np.abs(ai_s - ai_a) / np.abs(ai_a)) < 1e-11
-    assert np.max(np.abs(aip_s - aip_a) / np.abs(aip_a)) < 1e-11
+    assert np.max(np.abs(ai_s - ai_a) / np.abs(ai_a)) < 1e-12
+    assert np.max(np.abs(aip_s - aip_a) / np.abs(aip_a)) < 1e-12
     xs = -xs
-    ai_s, aip_s = _airy_taylor(xs)
+    ai_s, aip_s = airy_both(xs)
     ai_a, aip_a = _airy_asym_neg(xs)
     env = 1.0 / (np.sqrt(np.pi) * np.abs(xs) ** 0.25)
-    assert np.max(np.abs(ai_s - ai_a) / env) < 1e-11
+    assert np.max(np.abs(ai_s - ai_a) / env) < 1e-12
     env_p = np.abs(xs) ** 0.25 / np.sqrt(np.pi)
-    assert np.max(np.abs(aip_s - aip_a) / env_p) < 1e-11
+    assert np.max(np.abs(aip_s - aip_a) / env_p) < 1e-12
 
 
 def test_taylor_march_reproduces_closed_forms():
     # the table's right half is marched leftward from the asymptotic value
-    # at 7.25; it must land on the closed-form Ai(0), Ai'(0)
+    # at 60.25; it must land on the closed-form Ai(0), Ai'(0)
     from airykpz.specfun import _AI0, _AIP0, _EDGE, _STEP, _airy_asym_pos, _march
+    assert _EDGE == 60.25
     ai, aip = _airy_asym_pos(np.array([_EDGE]))
     _, ai0, aip0 = _march(_EDGE, ai[0], aip[0], -_STEP, round(_EDGE / _STEP))
     assert ai0 == pytest.approx(3 ** (-2 / 3) / math.gamma(2 / 3), rel=1e-13)
@@ -127,41 +129,22 @@ def test_taylor_march_reproduces_closed_forms():
     assert aip0 == pytest.approx(_AIP0, rel=1e-13)
 
 
-def test_airy_against_mpmath():
-    # the documented accuracy: 1e-11 relative on [-60, 60], or 1e-12 of the
-    # local envelope on the negative axis, where Ai and Ai' have zeros
-    mpmath = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(20261018)
-    zeros = [float(mpmath.airyaizero(k)) for k in range(1, 16)]
-    zeros_p = [float(mpmath.airyaizero(k, derivative=1)) for k in range(1, 16)]
-    xs = np.concatenate([rng.uniform(-60.0, 60.0, 200),
-                         rng.uniform(-7.7, -6.7, 60), rng.uniform(6.7, 7.7, 60),
-                         zeros, np.add(zeros, 1e-6), zeros_p, np.subtract(zeros_p, 1e-6)])
-    with mpmath.workdps(40):
-        ref = np.array([float(mpmath.airyai(x)) for x in xs])
-        ref_p = np.array([float(mpmath.airyai(x, derivative=1)) for x in xs])
-    ai, aip = airy_both(xs)
-    z = np.maximum(np.abs(xs), 1.0)
-    neg = xs < 0
-    for val, r, env in ((ai, ref, 1.0 / (np.sqrt(np.pi) * z ** 0.25)),
-                        (aip, ref_p, z ** 0.25 / np.sqrt(np.pi))):
-        err = np.abs(val - r)
-        ok = (err <= 1e-11 * np.abs(r)) | (neg & (err <= 1e-12 * env))
-        assert ok.all(), xs[~ok]
+def test_taylor_march_lands_on_negative_asymptotic():
+    # the table's left half is marched from the closed forms down to
+    # -60.25; it must land on the asymptotic value there, within 1e-12 of
+    # the local envelope (measured 3e-15 for Ai, 7.4e-14 for Ai')
+    from airykpz.specfun import _AI0, _AIP0, _EDGE, _STEP, _airy_asym_neg, _march
+    rows, _, _ = _march(0.0, _AI0, _AIP0, -_STEP, round(_EDGE / _STEP) + 1)
+    assert len(rows) == 242
+    ai, aip = _airy_asym_neg(np.array([-_EDGE]))
+    assert abs(rows[-1][0] - ai[0]) <= 1e-12 / (np.sqrt(np.pi) * _EDGE ** 0.25)
+    assert abs(rows[-1][1] - aip[0]) <= 1e-12 * _EDGE ** 0.25 / np.sqrt(np.pi)
 
 
-def test_airy_taylor_table_against_mpmath():
-    # the Taylor table, |x| <= 7.2: 1e-12 relative on the positive axis and
-    # 1e-13 of the local envelope on the negative axis; measured worst
-    # 1.3e-13 relative and 7e-16 of the envelope, while a degree-14 table
-    # reaches 1.8e-13 of the envelope and fails
+def _assert_documented_accuracy(xs):
+    # against 40-digit mpmath: 1e-12 relative on x >= 0; 1e-13 of the
+    # local envelope on x < 0, where Ai and Ai' have zeros
     mpmath = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(20261019)
-    zeros = [float(mpmath.airyaizero(k)) for k in range(1, 5)]
-    zeros_p = [float(mpmath.airyaizero(k, derivative=1)) for k in range(1, 5)]
-    xs = np.concatenate([rng.uniform(-7.2, 7.2, 400),
-                         np.arange(-7.125, 7.2, 0.25),   # farthest from the centres
-                         zeros, np.add(zeros, 1e-6), zeros_p, np.subtract(zeros_p, 1e-6)])
     with mpmath.workdps(40):
         ref = np.array([float(mpmath.airyai(x)) for x in xs])
         ref_p = np.array([float(mpmath.airyai(x, derivative=1)) for x in xs])
@@ -173,6 +156,38 @@ def test_airy_taylor_table_against_mpmath():
         bound = np.where(neg, 1e-13 * env, 1e-12 * np.abs(r))
         ok = np.abs(val - r) <= bound
         assert ok.all(), xs[~ok]
+
+
+def test_airy_against_mpmath():
+    # the documented accuracy of the one table on [-60, 60]; measured worst
+    # 4.8e-14 relative on x >= 0 and 4.3e-15 of the envelope on x < 0.  The
+    # asymptotic expansions fail the envelope bound (3.3e-13 near -7.2)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261018)
+    zeros = [float(mpmath.airyaizero(k)) for k in range(1, 16)]
+    zeros_p = [float(mpmath.airyaizero(k, derivative=1)) for k in range(1, 16)]
+    xs = np.concatenate([rng.uniform(-60.0, 60.0, 200),
+                         rng.uniform(-7.7, -6.7, 60), rng.uniform(6.7, 7.7, 60),
+                         zeros, np.add(zeros, 1e-6), zeros_p, np.subtract(zeros_p, 1e-6),
+                         np.random.default_rng(20261019).uniform(-7.2, 7.2, 400),
+                         np.arange(-59.875, 60.0, 0.25)])   # farthest from the centres
+    _assert_documented_accuracy(xs)
+
+
+def test_table_edge_tied_to_supported_range():
+    # the outermost centres sit one step past the supported range, so the
+    # ends of the range and points just inside them get an in-table centre
+    from airykpz.specfun import _AI_T, _EDGE, _STEP, SUPPORTED_RANGE, _nearest_centre
+    assert _EDGE == SUPPORTED_RANGE + _STEP
+    assert _AI_T.shape[1] == 483
+    xs = np.array([-60.0, 60.0, -(60.0 - 1e-9), 60.0 - 1e-9])
+    j, h = _nearest_centre(xs)
+    assert np.all((j >= 0) & (j < _AI_T.shape[1]))
+    assert np.all(np.abs(h) <= _STEP / 2)
+    _assert_documented_accuracy(xs)
+    for x in (60.5, -60.5):
+        with pytest.raises(DomainError):
+            airy_both(x)
 
 
 def test_airy_scipy_cross_check():
