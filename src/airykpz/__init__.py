@@ -14,8 +14,8 @@ from .errors import (AiryKpzError, ConfigurationError, DomainError,
 from .kpz_side import (ContourSpec, Partition, bose_exponent, interaction_det,
                        kpz_laplace, kpz_moment, kpz_moment_nested, ku_kernel,
                        partitions, symmetry_factor)
-from .montecarlo import (EdgeSample, EstimatorResult, draw_edge_samples,
-                         estimate_h_moment, estimate_mult_stat, sample_gue_edge)
+from .montecarlo import (EstimatorResult, draw_edge_samples, estimate_h_moment,
+                         estimate_mult_stat, sample_gue_edge)
 from .params import ModelParams
 from .quadrature import (QuadratureRule, cauchy_det, gauss_hermite, gauss_legendre,
                          tensor_integrate)
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AiryKpzError", "ConfigurationError", "ContourSpec", "DomainError",
-    "EdgeSample", "EstimatorResult", "EvaluationError", "ModelParams",
+    "EstimatorResult", "EvaluationError", "ModelParams",
     "NumericalConsistencyError", "Partition", "QuadratureRule", "SingularityError",
     "airy_h_moment", "airy_mult_stat",
     "bose_exponent", "cauchy_det", "cycle_E", "draw_edge_samples",

@@ -235,8 +235,7 @@ def default_mult_stat_grid(params: ModelParams, n: int = 80) -> QuadratureRule:
     The weight dies like u e^{C r} to the left (shifted by log u for
     u > 1), the kernel superexponentially to the right.
     """
-    shift = max(0.0, math.log(params.u)) if params.u > 0 else 0.0
-    left = -(16.0 + shift) / params.C - 4.0
+    left = -(16.0 + math.log(max(params.u, 1.0))) / params.C - 4.0
     return legendre_on(left, 12.0, n)
 
 

@@ -125,6 +125,7 @@ def run_verify_theorem1(cfg: RunConfig) -> list[VerificationRow]:
     """Laplace identity: airy_mult_stat(u, C) vs kpz_laplace(u, T=2C^3)."""
     if any(u < 0 for u in cfg.u_list):
         raise AiryKpzError("u values must be >= 0")
+    n = cfg.nodes or 80
     rows = []
     for C, T in _derive_grid(cfg):
         for u in cfg.u_list:
@@ -132,19 +133,13 @@ def run_verify_theorem1(cfg: RunConfig) -> list[VerificationRow]:
             tol = cfg.tol or 1e-6
             try:
                 params = ModelParams.from_C(C, u)
-                if u == 0:
-                    lhs = rhs = 1.0
-                elif cfg.nodes:
-                    lhs = airy_mult_stat(params, default_mult_stat_grid(params, cfg.nodes))
-                    rhs = kpz_laplace(params, default_kpz_outer_rule(params, cfg.nodes))
-                else:
-                    lhs = airy_mult_stat(params)
-                    rhs = kpz_laplace(params)
+                lhs = airy_mult_stat(params, default_mult_stat_grid(params, n))
+                rhs = kpz_laplace(params, default_kpz_outer_rule(params, n))
             except (AiryKpzError, OverflowError) as exc:
                 rows.append(_error_row(labels, exc))
                 continue
             row = VerificationRow(labels=labels, lhs_value=lhs, rhs_value=rhs,
-                                  aux=f"tol={tol:g};nodes={cfg.nodes or 80}")
+                                  aux=f"tol={tol:g};nodes={n}")
             row.passed = row.abs_diff < tol
             rows.append(row)
     return rows
@@ -218,9 +213,8 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
                 rows.append(_error_row(labels, exc))
                 continue
             tol = max(3.0 * est.stderr, cfg.tol or 0.03)
-            bias = 0.0 if est.bias_bound is None else est.bias_bound
             row = VerificationRow(labels=labels, lhs_value=est.mean, rhs_value=ref,
-                                  aux=f"stderr={est.stderr:.6g};bias={bias:.3g}"
+                                  aux=f"stderr={est.stderr:.6g};bias={est.bias_bound:.3g}"
                                       f";flagged={str(est.flagged).lower()};tol={tol:.6g}"
                                       f";samples={est.n_samples}")
             row.passed = row.abs_diff <= tol and not est.flagged

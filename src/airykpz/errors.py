@@ -14,8 +14,8 @@ class ConfigurationError(AiryKpzError, ValueError):
 
 
 class NumericalConsistencyError(AiryKpzError, ArithmeticError):
-    """A computed quantity violates a self-check (imaginary residue,
-    out-of-range determinant, truncation sensitivity)."""
+    """A computed quantity violates a self-check (out-of-range determinant,
+    non-positive moment, truncation sensitivity)."""
 
 
 class SingularityError(AiryKpzError, ArithmeticError):

@@ -22,9 +22,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalConsistencyError
 from .params import ModelParams
-from .quadrature import (QuadratureRule, cauchy_det, composite_legendre,
-                         fredholm_det_matrix, gauss_legendre, hermite_axis_count,
-                         legendre_on, scaled_gauss_hermite, tensor_integrate)
+from .quadrature import (HERMITE_AXIS_CAP_BY_DIM, QuadratureRule, cauchy_det,
+                         composite_legendre, fredholm_det_matrix, gauss_legendre,
+                         hermite_axis_count, legendre_on, scaled_gauss_hermite,
+                         tensor_integrate)
 from .specfun import SUPPORTED_RANGE, airy_both, logistic
 
 __all__ = [
@@ -137,7 +138,7 @@ def _partition_axis_nodes(lam: Partition, T: float, nodes_per_axis: int | None) 
         # an explicit budget binds the tensor grids; 1-d integrals are cheap
         # and still must resolve their oscillatory phase
         if ell == 1:
-            return min(max(nodes_per_axis, osc), 256)
+            return min(max(nodes_per_axis, osc), HERMITE_AXIS_CAP_BY_DIM[1])
         return nodes_per_axis
     lamv = lam.parts
     d_min = min((lamv[j] * math.sqrt(T * lamv[i] / 2.0)
@@ -285,7 +286,7 @@ def kpz_moment_nested(k: int, T: float, spec: ContourSpec | None = None,
 def default_kpz_outer_rule(params: ModelParams, n: int = 80) -> QuadratureRule:
     """Truncation of [0, inf) for the Fredholm grid: the kernel trace
     decays like u e^{-Cx}."""
-    x_max = (22.0 + max(0.0, math.log(params.u))) / params.C
+    x_max = (22.0 + math.log(max(params.u, 1.0))) / params.C
     return legendre_on(0.0, x_max, n)
 
 

@@ -18,6 +18,10 @@ margin; the rows past it change no kept eigenvalue beyond roundoff.  Every
 draw uses the full-length variates, so a windowed draw is the full solve of
 the same (seed, index) to within ~4e-12 in rescaled units
 (``tests/test_montecarlo.py::test_window_matches_full_solve``).
+
+Draws are plain arrays: one draw is the 1-d array of its m rescaled points,
+nonincreasing, and an ensemble is the (draws, m) array whose row i is draw
+i of the seed's stream.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import ConfigurationError, NumericalConsistencyError
 
 __all__ = [
-    "EdgeSample", "EstimatorResult", "sample_gue_edge", "draw_edge_samples",
+    "EstimatorResult", "sample_gue_edge", "draw_edge_samples",
     "complete_homogeneous", "estimate_h_moment", "estimate_mult_stat",
     "BIAS_GUARD",
 ]
@@ -41,23 +45,6 @@ BIAS_GUARD = 1e-6
 
 #: rows solved past the m-th eigenvalue's turning row, in units of N^(1/3)
 _EDGE_MARGIN = 10.0
-
-
-@dataclass(frozen=True)
-class EdgeSample:
-    """Top rescaled eigenvalues of one draw, sorted nonincreasing."""
-
-    points: np.ndarray
-    matrix_size: int
-    kept: int
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or pts.size != self.kept or self.kept > self.matrix_size:
-            raise ConfigurationError("inconsistent EdgeSample")
-        if np.any(np.diff(pts) > 0):
-            raise ConfigurationError("EdgeSample points must be nonincreasing")
 
 
 @dataclass(frozen=True)
@@ -77,15 +64,10 @@ class EstimatorResult:
             raise ConfigurationError("EstimatorResult needs stderr >= 0 and >= 2 samples")
 
 
-def _tridiagonal(N: int, seed, index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _tridiagonal(N: int, seed: int, index: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of one size-N draw, from the stream of
     (seed, index); off-diagonal j has 2(N-j) chi degrees of freedom."""
-    if index is None:
-        ss = np.random.SeedSequence(entropy=seed)
-    else:
-        # per-sample stream derived from (master seed, sample index)
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    rng = np.random.default_rng(ss)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     diag = rng.standard_normal(N)
     off = np.sqrt(rng.chisquare(2.0 * np.arange(N - 1, 0, -1))) / math.sqrt(2.0)
     return diag, off
@@ -107,16 +89,22 @@ def _edge_rows(N: int, m: int) -> int:
     return min(N, math.ceil(turning + _EDGE_MARGIN * N ** (1.0 / 3.0)))
 
 
-def sample_gue_edge(N: int, m: int, seed, sample_index: int | None = None) -> EdgeSample:
-    """One draw of the rescaled top-m GUE eigenvalues.
+def sample_gue_edge(N: int, m: int, seed: int, sample_index: int = 0) -> np.ndarray:
+    """One draw of the rescaled top-m GUE eigenvalues, as a nonincreasing
+    1-d array of m points.
 
-    Deterministic given (N, m, seed, sample_index).  The variates are drawn
-    for the whole matrix; the eigensolve sees its leading _edge_rows(N, m).
+    Deterministic given (N, m, seed, sample_index); the draw is row
+    sample_index of draw_edge_samples(N, m, seed, count).  The variates are
+    drawn for the whole matrix; the eigensolve sees its leading
+    _edge_rows(N, m).
     """
     if not 50 <= N <= 5000:
         raise ConfigurationError("matrix size N must be in [50, 5000]")
     if not 1 <= m <= min(64, N):
         raise ConfigurationError("kept-point count m must be in [1, min(64, N)]")
+    for name, val in (("seed", seed), ("sample_index", sample_index)):
+        if not (isinstance(val, (int, np.integer)) and val >= 0):
+            raise ConfigurationError(f"{name} must be a non-negative integer, got {val!r}")
     diag, off = _tridiagonal(N, seed, sample_index)
     n = _edge_rows(N, m)
     try:
@@ -126,27 +114,25 @@ def sample_gue_edge(N: int, m: int, seed, sample_index: int | None = None) -> Ed
             f"tridiagonal eigensolver failed (N={N}, seed={seed!r}, "
             f"sample_index={sample_index!r}): {exc}") from exc
     top = eigs[-m:][::-1]
-    points = N ** (1.0 / 6.0) * (top - 2.0 * math.sqrt(N))
-    return EdgeSample(points=points, matrix_size=N, kept=m)
+    return N ** (1.0 / 6.0) * (top - 2.0 * math.sqrt(N))
 
 
-def draw_edge_samples(N: int, m: int, seed, count: int) -> list[EdgeSample]:
-    """count independent draws with per-sample derived streams."""
+def draw_edge_samples(N: int, m: int, seed: int, count: int) -> np.ndarray:
+    """count independent draws as a (count, m) array; row i is
+    sample_gue_edge(N, m, seed, i)."""
     if count < 1:
         raise ConfigurationError("need at least one sample")
-    return [sample_gue_edge(N, m, seed, sample_index=i) for i in range(count)]
+    return np.stack([sample_gue_edge(N, m, seed, i) for i in range(count)])
 
 
-def _points_matrix(samples: list[EdgeSample], min_kept: int) -> np.ndarray:
-    if len(samples) < 2:
-        raise ConfigurationError("estimators need at least 2 samples")
-    kept = {s.kept for s in samples}
-    if len(kept) != 1:
-        raise ConfigurationError("all samples must keep the same number of points")
-    if kept.pop() < min_kept:
+def _points_matrix(samples: np.ndarray, min_kept: int) -> np.ndarray:
+    pts = np.asarray(samples, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 2:
+        raise ConfigurationError("estimators need a (draws, kept) array of at least 2 draws")
+    if pts.shape[1] < min_kept:
         raise ConfigurationError(
             f"samples keep too few points (< {min_kept}); truncation bias unbounded")
-    return np.stack([s.points for s in samples])
+    return pts
 
 
 def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
@@ -163,8 +149,6 @@ def complete_homogeneous(values: np.ndarray, k: int) -> np.ndarray:
     j h_j = sum_{i<=j} p_i h_{j-i}; h_0 = 1.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    if k == 0:
-        return np.ones(values.shape[0])
     p = [None] + [np.sum(values ** j, axis=1) for j in range(1, k + 1)]
     h = [np.ones(values.shape[0])]
     for j in range(1, k + 1):
@@ -175,37 +159,35 @@ def complete_homogeneous(values: np.ndarray, k: int) -> np.ndarray:
     return h[k]
 
 
-def estimate_h_moment(samples: list[EdgeSample], k: int, C: float) -> EstimatorResult:
-    """Empirical E[h_k(exp(C a_1), exp(C a_2), ...)] over the kept points."""
+def estimate_h_moment(samples: np.ndarray, k: int, C: float) -> EstimatorResult:
+    """Empirical E[h_k(exp(C a_1), exp(C a_2), ...)] over the kept points
+    of a (draws, kept) sample array."""
     if not 0 <= k <= 3:
         raise ConfigurationError("estimate_h_moment supports 0 <= k <= 3")
     if not C >= 0.3:
         raise ConfigurationError("estimate_h_moment requires C >= 0.3 "
                                  "(tail truncation control)")
-    if k == 0:
-        return EstimatorResult(mean=1.0, stderr=0.0, n_samples=len(samples))
     pts = _points_matrix(samples, min_kept=32)
     vals = complete_homogeneous(np.exp(C * pts), k)
     mean, stderr = _mean_stderr(vals)
     return EstimatorResult(mean=mean, stderr=stderr, n_samples=pts.shape[0])
 
 
-def estimate_mult_stat(samples: list[EdgeSample], u: float, C: float) -> EstimatorResult:
-    """Empirical E prod_i 1/(1 + u exp(C a_i)) over the kept points.
+def estimate_mult_stat(samples: np.ndarray, u: float, C: float) -> EstimatorResult:
+    """Empirical E prod_i 1/(1 + u exp(C a_i)) over the kept points of a
+    (draws, kept) sample array.
 
-    Each omitted tail factor lies in (1 - u exp(C a_m), 1); the reported
-    bias_bound is the worst per-factor gap u exp(C a_m) across samples,
-    and the result is flagged when it exceeds BIAS_GUARD.  The N - m
-    omitted factors together can move the product by more than that gap.
+    Each omitted tail factor lies in (1 - u exp(C a_m), 1), a_m the least
+    kept point of its draw; the reported bias_bound is the worst per-factor
+    gap u exp(C a_m) across draws, and the result is flagged when it
+    exceeds BIAS_GUARD.  The N - m omitted factors together can move the
+    product by more than that gap.
     """
     if not u >= 0:
         raise ConfigurationError("estimate_mult_stat requires u >= 0")
-    n = len(samples)
-    if u == 0:
-        return EstimatorResult(mean=1.0, stderr=0.0, n_samples=n, bias_bound=0.0)
     pts = _points_matrix(samples, min_kept=32)
     vals = np.prod(1.0 / (1.0 + u * np.exp(C * pts)), axis=1)
     mean, stderr = _mean_stderr(vals)
-    bias = float(np.max(u * np.exp(C * pts[:, -1])))
+    bias = float(np.max(u * np.exp(C * np.min(pts, axis=1))))
     return EstimatorResult(mean=mean, stderr=stderr, n_samples=pts.shape[0],
                            bias_bound=bias, flagged=bias > BIAS_GUARD)

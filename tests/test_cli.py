@@ -177,6 +177,15 @@ def test_mc_check_rejects_few_samples():
         run(cfg)
 
 
+def test_mc_check_negative_seed_is_a_usage_error(capsys):
+    code, out, err = _run_main(
+        ["mc-check", "--C", "0.5", "--u", "1", "--k-max", "1", "--samples", "100",
+         "--matrix-size", "100", "--keep-top", "32", "--seed", "-1"], capsys)
+    assert code == 2
+    assert err.startswith("error: seed must be a non-negative integer")
+    assert out == ""
+
+
 def test_parser_defaults_roundtrip():
     args = build_parser().parse_args(
         ["verify-theorem2", "--C", "0.6,1.0,1.4", "--k-max", "3"])
