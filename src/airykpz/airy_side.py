@@ -11,7 +11,6 @@ in :mod:`airykpz.montecarlo` and the KPZ counterpart in
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Sequence
 
@@ -141,14 +140,16 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
         exp(sum c_i^3/12)/(2 pi)^n * int exp(-sum c_i z_i^2)
             det[1/((-i z_i + c_i/2) + (i z_j + c_j/2))] dz
     with per-axis Gauss-Hermite scaled by 1/sqrt(c_i) and the determinant
-    in its Cauchy product form.  The matrix 1/(a_i + b_j) is the Gram
-    matrix of the functions exp(-s(c_i/2 - i z_i)) on s > 0, so its
-    determinant is real and non-negative at every node; the integrand is
-    its real part.  n = 1 has no interaction pole and gets the floor order.
+    in its Cauchy product form, whose factors the tensor driver contracts.
+    The matrix 1/(a_i + b_j) is the Gram matrix of the functions
+    exp(-s(c_i/2 - i z_i)) on s > 0, so its determinant is real and
+    non-negative at every node; the driver returns the real part of the
+    sum and checks that the imaginary part is roundoff.  n = 1 has no
+    interaction pole and gets the floor order.
 
     The value is symmetric in ``c`` (the correlation function is symmetric
-    in its arguments): ``c`` is sorted in descending order, and the axes of
-    equal exponents are summed as one symmetric block.
+    in its arguments); ``c`` is sorted in descending order, so every order
+    of the same exponents gives the same bits.
     """
     c = np.sort(_require_positive_c(c))[::-1]
     n = c.size
@@ -158,15 +159,12 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
         nodes_per_axis = hermite_axis_count(d_min, n)
     rules = [scaled_gauss_hermite(ci, nodes_per_axis) for ci in c]
 
-    blocks = [len(list(run)) for _, run in itertools.groupby(c)]
-
     def integrand(*zs):
-        z = np.array(zs)
-        half_c = (c / 2.0).reshape((n,) + (1,) * (z.ndim - 1))
-        return cauchy_det(-1j * z + half_c, 1j * z + half_c).real
+        return cauchy_det([-1j * z + ci / 2.0 for z, ci in zip(zs, c)],
+                          [1j * z + ci / 2.0 for z, ci in zip(zs, c)])
 
     pref = math.exp(np.sum(c ** 3) / 12.0) / (2.0 * math.pi) ** n
-    return pref * tensor_integrate(integrand, rules, blocks)
+    return pref * tensor_integrate(integrand, rules)
 
 
 def cycle_E(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
@@ -175,8 +173,8 @@ def cycle_E(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
     exp(sum c_i^3/12)/(2 pi)^n * int exp(-sum c_i z_i^2)
         prod_i 1/(-i (z_i - z_{i+1}) + (c_i + c_{i+1})/2) dz,
     with the cyclic convention z_{n+1} = z_1.  z -> -z conjugates the
-    integrand and the Hermite nodes are symmetric, so only its real part
-    survives the sum; the integrand returns that.
+    integrand and the Hermite nodes are symmetric, so the sum is real; the
+    tensor driver returns its real part.
     """
     c = _require_positive_c(c)
     n = c.size
@@ -192,12 +190,17 @@ def cycle_E(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
     rules = [scaled_gauss_hermite(ci, nodes_per_axis) for ci in c]
 
     def integrand(*zs):
-        val = None
+        if n == 1:
+            return [np.full(zs[0].size, 1.0 / c[0])], {}
+        # factor (i, i + 1) is the pair table of its two axes; for n = 2 both
+        # factors share the pair (0, 1)
+        tables = {}
         for i in range(n):
             j = (i + 1) % n
-            term = 1.0 / (-1j * (zs[i] - zs[j]) + (c[i] + c[j]) / 2.0)
-            val = term if val is None else val * term
-        return val.real
+            term = 1.0 / (-1j * np.subtract.outer(zs[i], zs[j]) + (c[i] + c[j]) / 2.0)
+            key, term = ((i, j), term) if i < j else ((j, i), term.T)
+            tables[key] = tables[key] * term if key in tables else term
+        return [np.ones(z.size) for z in zs], tables
 
     pref = math.exp(np.sum(c ** 3) / 12.0) / (2.0 * math.pi) ** n
     return pref * tensor_integrate(integrand, rules)

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 from .airy_side import (airy_h_moment, airy_mult_stat, default_mult_stat_grid,
                         tracy_widom_f2)
-from .errors import AiryKpzError
+from .errors import AiryKpzError, ConfigurationError
 from .kpz_side import default_kpz_outer_rule, kpz_laplace, kpz_moment
-from .montecarlo import draw_edge_samples, estimate_h_moment, estimate_mult_stat
+from .montecarlo import MIN_KEPT, draw_edge_samples, estimate_h_moment, estimate_mult_stat
 from .params import ModelParams
 
 __all__ = ["RunConfig", "VerificationRow", "main",
@@ -187,6 +187,10 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
     """Monte Carlo estimates against the analytic Airy-side pipeline."""
     if cfg.samples < 100:
         raise AiryKpzError("mc-check needs at least 100 samples")
+    if cfg.keep_top < MIN_KEPT:
+        # known before any draw: every estimator row would reject the samples
+        raise ConfigurationError(f"mc-check needs --keep-top >= {MIN_KEPT}; the estimators "
+                                 f"reject fewer kept points per draw")
     samples = draw_edge_samples(cfg.matrix_size, cfg.keep_top, cfg.seed, cfg.samples)
     rows = []
     for C, T in _derive_grid(cfg):

@@ -110,17 +110,15 @@ def bose_exponent(w: complex, part: int, T: float) -> complex:
 
 
 def interaction_det(w, lam: Partition):
-    """det[1/(w_j + lambda_j - w_i)]: the Cauchy determinant with
-    a_i = -w_i and b_j = w_j + lambda_j.
+    """det[1/(w_j + lambda_j - w_i)] as the factors of its Cauchy product
+    form (see :func:`cauchy_det`), with a_i = -w_i and b_j = w_j + lambda_j.
 
-    ``w`` holds one entry per part along its first axis; further axes
-    broadcast (one determinant per grid point).
+    Entry j of ``w`` is a scalar or a 1-d array over the nodes of axis j.
     """
-    w = np.asarray(w, dtype=complex)
-    if w.ndim == 0 or len(w) != lam.length:
+    if np.isscalar(w) or len(w) != lam.length:
         raise ConfigurationError("need one w per partition part")
-    lamv = np.asarray(lam.parts, dtype=float).reshape((-1,) + (1,) * (w.ndim - 1))
-    return cauchy_det(-w, w + lamv)
+    w = [np.asarray(x, dtype=complex) for x in w]
+    return cauchy_det([-x for x in w], [x + p for x, p in zip(w, lam.parts)])
 
 
 # ----------------------------------------------------------------------
@@ -154,17 +152,13 @@ def _partition_moment_integral(lam: Partition, T: float, n_axis: int) -> float:
     log_const = float(np.sum((T / 2.0) * lamv * (lamv - 1) * (2 * lamv - 1) / 6.0))
 
     def integrand(*ts):
-        val = interaction_det(1j * np.array(ts), lam)
-        for j, p in enumerate(lam.parts):
-            val = val * np.exp(1j * (T * p * (p - 1) / 2.0) * ts[j])
-        # t -> -t conjugates the integrand and the Hermite nodes are
-        # symmetric, so only the real part survives the sum
-        return val.real
+        diag, pairs = interaction_det([1j * t for t in ts], lam)
+        phases = [np.exp(1j * (T * p * (p - 1) / 2.0) * t) for p, t in zip(lam.parts, ts)]
+        return [d * ph for d, ph in zip(diag, phases)], pairs
 
-    # equal parts are adjacent and share one rule; the integrand is symmetric
-    # under permuting them (rows and columns of the determinant together)
-    blocks = list(lam.multiplicities.values())
-    return (tensor_integrate(integrand, rules, blocks)
+    # t -> -t conjugates the integrand and the Hermite nodes are symmetric,
+    # so the sum is real; the tensor driver returns its real part
+    return (tensor_integrate(integrand, rules)
             * math.exp(log_const) / (2.0 * math.pi) ** ell)
 
 
@@ -251,21 +245,18 @@ def kpz_moment_nested(k: int, T: float, spec: ContourSpec | None = None,
     core_rule = QuadratureRule(axis.nodes[~band], axis.weights[~band])
 
     def f(*ts):
-        zs = [a[j] + 1j * ts[j] for j in range(k)]
-        val = None
+        zs = [a[j] + 1j * t for j, t in enumerate(ts)]
+        pairs = {}
         for A in range(k):
             for B in range(A + 1, k):
-                term = (zs[A] - zs[B]) / (zs[A] - zs[B] - 1.0)
-                val = term if val is None else val * term
-        for j in range(k):
-            g = np.exp((T / 2.0) * zs[j] ** 2)
-            val = g if val is None else val * g
-        # t -> -t conjugates the integrand and the Legendre nodes are
-        # symmetric, so only the real part survives the sum
-        return val.real
+                d = np.subtract.outer(zs[A], zs[B])
+                pairs[A, B] = d / (d - 1.0)
+        return [np.exp((T / 2.0) * z ** 2) for z in zs], pairs
 
-    # the first axis splits into its core and its outer band |t| > 0.9 hw;
-    # the band's share is the truncation estimate
+    # t -> -t conjugates the integrand and the Legendre nodes are symmetric,
+    # so the sum is real; the tensor driver returns its real part.  The
+    # first axis splits into its core and its outer band |t| > 0.9 hw; the
+    # band's share is the truncation estimate
     edge = 0.0
     if band.any():
         band_rule = QuadratureRule(axis.nodes[band], axis.weights[band])

@@ -37,11 +37,15 @@ from .errors import ConfigurationError, NumericalConsistencyError
 __all__ = [
     "EstimatorResult", "sample_gue_edge", "draw_edge_samples",
     "complete_homogeneous", "estimate_h_moment", "estimate_mult_stat",
-    "BIAS_GUARD",
+    "BIAS_GUARD", "MIN_KEPT",
 ]
 
 #: per-factor truncation-bias level above which estimates are flagged
 BIAS_GUARD = 1e-6
+
+#: fewest kept points per draw the estimators accept; below it the
+#: truncation of the Airy point process leaves their bias unbounded
+MIN_KEPT = 32
 
 #: rows solved past the m-th eigenvalue's turning row, in units of N^(1/3)
 _EDGE_MARGIN = 10.0
@@ -60,7 +64,7 @@ class EstimatorResult:
     flagged: bool = False
 
     def __post_init__(self):
-        if self.stderr < 0 or self.n_samples < 2:
+        if not self.stderr >= 0 or self.n_samples < 2:
             raise ConfigurationError("EstimatorResult needs stderr >= 0 and >= 2 samples")
 
 
@@ -125,13 +129,19 @@ def draw_edge_samples(N: int, m: int, seed: int, count: int) -> np.ndarray:
     return np.stack([sample_gue_edge(N, m, seed, i) for i in range(count)])
 
 
-def _points_matrix(samples: np.ndarray, min_kept: int) -> np.ndarray:
-    pts = np.asarray(samples, dtype=float)
+def _points_matrix(samples: np.ndarray) -> np.ndarray:
+    try:
+        pts = np.asarray(samples, dtype=float)
+    except ValueError as exc:   # ragged draws, or entries that are not numbers
+        raise ConfigurationError(
+            "estimators need a rectangular (draws, kept) array of numbers") from exc
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ConfigurationError("estimators need a (draws, kept) array of at least 2 draws")
-    if pts.shape[1] < min_kept:
+    if pts.shape[1] < MIN_KEPT:
         raise ConfigurationError(
-            f"samples keep too few points (< {min_kept}); truncation bias unbounded")
+            f"samples keep too few points (< {MIN_KEPT}); truncation bias unbounded")
+    if not np.all(np.isfinite(pts)):
+        raise ConfigurationError("samples hold non-finite points")
     return pts
 
 
@@ -167,7 +177,7 @@ def estimate_h_moment(samples: np.ndarray, k: int, C: float) -> EstimatorResult:
     if not C >= 0.3:
         raise ConfigurationError("estimate_h_moment requires C >= 0.3 "
                                  "(tail truncation control)")
-    pts = _points_matrix(samples, min_kept=32)
+    pts = _points_matrix(samples)
     vals = complete_homogeneous(np.exp(C * pts), k)
     mean, stderr = _mean_stderr(vals)
     return EstimatorResult(mean=mean, stderr=stderr, n_samples=pts.shape[0])
@@ -185,7 +195,7 @@ def estimate_mult_stat(samples: np.ndarray, u: float, C: float) -> EstimatorResu
     """
     if not u >= 0:
         raise ConfigurationError("estimate_mult_stat requires u >= 0")
-    pts = _points_matrix(samples, min_kept=32)
+    pts = _points_matrix(samples)
     vals = np.prod(1.0 / (1.0 + u * np.exp(C * pts)), axis=1)
     mean, stderr = _mean_stderr(vals)
     bias = float(np.max(u * np.exp(C * np.min(pts, axis=1))))

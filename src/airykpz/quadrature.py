@@ -1,18 +1,17 @@
-"""Quadrature rules, tensor-product integration of real integrands, the
-Cauchy determinant and the quadrature (Nystrom) approximation of Fredholm
-determinants.
+"""Quadrature rules, tensor-product integration of product-form
+integrands, the Cauchy determinant and the quadrature (Nystrom)
+approximation of Fredholm determinants.
 
 Rule construction is delegated to numpy's Gauss node/weight generators,
 once per order: each order's rule is cached and shared, with read-only
 arrays.  Everything downstream (interval maps, composite panels,
-determinants, tensor sums) is built here.  All reductions run in a fixed deterministic
-order.
+determinants, tensor sums) is built here.  All reductions run in a fixed
+deterministic order.
 
-The tensor driver takes the permutation symmetry of its integrand from
-its caller: axes that share one rule and over which the integrand is
-symmetric form a block, and a block of size m is summed over its
-nondecreasing index tuples only, each weighted by its number of distinct
-permutations m!/prod(run length)!.
+Every tensor integrand here is a product of per-axis factors and pair
+factors (the Cauchy determinant in its product form is one), so the
+tensor driver takes those factors as small tables and sums the axes out
+one by one, in place of evaluating the integrand at each grid point.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError, SingularityError
+from .errors import (ConfigurationError, EvaluationError, NumericalConsistencyError,
+                     SingularityError)
 
 __all__ = [
     "QuadratureRule",
@@ -145,36 +145,39 @@ def hermite_axis_count(d_min: float, dim: int, extra_floor: int = 0) -> int:
 
 
 def cauchy_det(a, b):
-    """det[1/(a_i + b_j)] by the Cauchy product formula
+    """det[1/(a_i + b_j)] in the Cauchy product form
 
-        prod_i 1/(a_i + b_i) * prod_{i<j} (a_i - a_j)(b_i - b_j) / ((a_i + b_j)(a_j + b_i)).
+        prod_i 1/(a_i + b_i) * prod_{i<j} (a_i - a_j)(b_i - b_j) / ((a_i + b_j)(a_j + b_i)),
 
-    ``a`` and ``b`` hold their n entries along the first axis; any further
-    axes broadcast, so one call evaluates the determinant at every point
-    of a tensor grid.  O(n^2) per point instead of O(n^3).  Raises
-    :class:`SingularityError` with indices (i, j) when some a_i + b_j
-    comes within 1e-12 of zero.
+    returned as its factors, in the form :func:`tensor_integrate`'s
+    integrands return them.  Entry i of ``a`` and of ``b`` is a scalar or a
+    1-d array over the nodes of axis i.  The result is ``(diag, pairs)``:
+    ``diag[i]`` is the array 1/(a_i + b_i) and ``pairs[i, j]`` (i < j) the
+    (n_i, n_j) table of the pair factor, axis i along its rows.  At each
+    grid point the product of all factors is the determinant there.
+    Raises :class:`SingularityError` with indices (i, j) when some
+    a_i + b_j comes within 1e-12 of zero.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim == 0 or b.ndim == 0 or len(a) != len(b) or len(a) == 0:
-        raise ConfigurationError("cauchy_det needs two nonempty arrays with equal first axes")
+    if len(a) != len(b) or len(a) == 0:
+        raise ConfigurationError("cauchy_det needs two nonempty sequences of equal length")
+    a = [np.atleast_1d(np.asarray(x, dtype=complex)) for x in a]
+    b = [np.atleast_1d(np.asarray(x, dtype=complex)) for x in b]
+    if any(x.ndim != 1 or x.shape != y.shape for x, y in zip(a, b)):
+        raise ConfigurationError("cauchy_det entries must be 1-d and match between a and b")
 
     def denom(i, j):
-        d = a[i] + b[j]
+        d = a[i] + b[j] if i == j else np.add.outer(a[i], b[j])
         if np.any(np.abs(d) < 1e-12):
             raise SingularityError(f"a[{i}] + b[{j}] is within 1e-12 of zero",
                                    indices=(i, j))
         return d
 
     n = len(a)
-    val = 1.0 / denom(0, 0)
-    for i in range(1, n):
-        val = val / denom(i, i)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = val * ((a[i] - a[j]) * (b[i] - b[j]) / (denom(i, j) * denom(j, i)))
-    return val
+    diag = [1.0 / denom(i, i) for i in range(n)]
+    pairs = {(i, j): (np.subtract.outer(a[i], a[j]) * np.subtract.outer(b[i], b[j])
+                      / (denom(i, j) * denom(j, i).T))
+             for i in range(n) for j in range(i + 1, n)}
+    return diag, pairs
 
 
 def cauchy_det_direct(a, b) -> complex:
@@ -201,107 +204,72 @@ def fredholm_det_matrix(kmat: np.ndarray, weights: np.ndarray) -> float:
     return float(np.linalg.det(np.eye(n) - sq[:, None] * kmat * sq[None, :]))
 
 
-def _block_points(rule: QuadratureRule, m: int, first: np.ndarray):
-    """The nondecreasing m-tuples of node indices whose leading index lies
-    in ``first``, in lexicographic order: the nodes at each position, and
-    each tuple's weight, its axis weights' product times its number of
-    distinct permutations m!/prod(run length)!."""
-    cols = [first]
-    run = np.ones(first.size, dtype=np.int64)      # length of the current run
-    denom = np.ones(first.size, dtype=np.int64)    # prod of run-length factorials
-    for _ in range(m - 1):
-        last = cols[-1]
-        reps = len(rule) - last                    # next index: last .. len(rule)-1
-        owner = np.repeat(np.arange(last.size), reps)
-        nxt = np.arange(owner.size) - np.repeat(np.cumsum(reps) - reps - last, reps)
-        run = np.where(nxt == last[owner], run[owner] + 1, 1)
-        denom = denom[owner] * run
-        cols = [col[owner] for col in cols] + [nxt]
-    w = rule.weights[cols[0]]
-    for col in cols[1:]:
-        w = w * rule.weights[col]
-    if m > 1:
-        w = w * (math.factorial(m) // denom)
-    return [rule.nodes[col] for col in cols], w
+def _contract(u, pairs):
+    """sum over the grid of prod_i u[i][x_i] * prod_{i<j} pairs[i, j][x_i, x_j],
+    with every pair present; the axes are summed out in a fixed order by
+    ``np.einsum`` without ``optimize``, so no BLAS call is made."""
+    if len(u) == 1:
+        return np.einsum("a->", u[0])
+    if len(u) == 2:
+        return np.einsum("a,ab,b->", u[0], pairs[0, 1], u[1])
+    if len(u) == 3:
+        inner = np.einsum("ac,bc->ab", pairs[0, 2], u[2] * pairs[1, 2])
+        return np.einsum("a,ab,b->", u[0], pairs[0, 1] * inner, u[1])
+    # l >= 4: fix the first axis's index, fold its pair rows into the other
+    # axes' factors and recurse
+    rest = {(i - 1, j - 1): t for (i, j), t in pairs.items() if i > 0}
+    total = 0.0
+    for x, ux in enumerate(u[0]):
+        total += ux * _contract([u[i] * pairs[0, i][x] for i in range(1, len(u))], rest)
+    return total
 
 
-_CHUNK_POINTS = 4e5
+def tensor_integrate(f, rules) -> float:
+    """Tensor-product quadrature of an integrand given by its factors.
 
+    ``f`` receives the n axes' node arrays once and returns
+    ``(axis, pairs)``: ``axis`` a list of n arrays, ``axis[i]`` holding
+    axis i's factor at its n_i nodes, and ``pairs`` a dict that maps axis
+    pairs (i, j), i < j, to the (n_i, n_j) tables of their pair factors.
+    A pair left out of the dict is 1.  The integrand at a grid point is the
+    product of all factors there, so the n-fold weighted sum is a
+    contraction of these tables: one n^3 ``einsum`` for three axes, a loop
+    over the first axis for more.  The node budget applies to the full
+    grid, which the contraction covers.
 
-def tensor_integrate(f, rules, blocks=None) -> float:
-    """Tensor-product quadrature of a real-valued function of n reals.
-
-    ``f`` receives n 1-d arrays of equal length, one per axis, holding the
-    coordinates of a batch of points, and returns real values: each caller
-    integrates an analytically real quantity and hands over its real part
-    itself, with the reason it is real.  A complex result raises
-    :class:`ConfigurationError` rather than being truncated.
-
-    ``blocks`` lists the sizes of consecutive runs of axes that share one
-    rule and over which ``f`` is symmetric; ``None`` means every block has
-    size 1 (the full grid).  Within a block of size m only nondecreasing
-    index tuples are summed, each weighted by its number of distinct
-    permutations m!/prod(run length)!, so f runs at C(n + m - 1, m) in
-    place of n^m points per block.  The node budget applies to the full
-    grid.  Points are summed in lexicographic index order (block by block,
-    nondecreasing tuples within a block), chunked by the first index to
-    about 4e5 points; within chunks numpy's pairwise summation applies, so
-    the reduction is deterministic.
+    The factors may be complex.  The result is the real part of the total:
+    each caller integrates an analytically real quantity.  The same
+    contraction of the absolute factors gives sum |w f|, and an imaginary
+    part above 1e-12 of it, or a non-finite sum, raises
+    :class:`NumericalConsistencyError`.  The reduction order is fixed, so
+    the result is deterministic and independent of the BLAS thread count.
     """
     rules = list(rules)
     n = len(rules)
     if n < 1 or n > 5:
         raise ConfigurationError(f"tensor dimension must be 1..5, got {n}")
-    blocks = [1] * n if blocks is None else [int(m) for m in blocks]
-    if min(blocks, default=0) < 1 or sum(blocks) != n:
-        raise ConfigurationError(
-            f"blocks {blocks} must be positive sizes summing to the dimension {n}")
     total = math.prod(len(r) for r in rules)
     if total > TENSOR_NODE_BUDGET:
         raise ConfigurationError(
             f"tensor grid of {total} nodes exceeds the {TENSOR_NODE_BUDGET} budget; "
             "use fewer nodes per axis or a lower dimension")
 
-    firsts = np.cumsum([0] + blocks[:-1]).tolist()
-    for a, m in zip(firsts, blocks):
-        if any(not (np.array_equal(r.nodes, rules[a].nodes)
-                    and np.array_equal(r.weights, rules[a].weights)) for r in rules[a + 1:a + m]):
-            raise ConfigurationError(f"axes {a}..{a + m - 1} form one block "
-                                     "but do not share one rule")
-    block_rules = [rules[a] for a in firsts]
-
-    # every block after the first is enumerated whole; the first is chunked
-    # by its leading index so a chunk holds about _CHUNK_POINTS points
-    tail = [_block_points(r, m, np.arange(len(r))) for r, m in zip(block_rules[1:], blocks[1:])]
-    rest = math.prod(w.size for _, w in tail)
-    s0, m0 = len(block_rules[0]), blocks[0]
-    per_first = [math.comb(s0 - i + m0 - 2, m0 - 1) * rest for i in range(s0)]
-    acc = 0.0
-    start = 0
-    while start < s0:
-        stop, npts = start + 1, per_first[start]
-        while stop < s0 and npts + per_first[stop] <= _CHUNK_POINTS:
-            npts += per_first[stop]
-            stop += 1
-        parts = [_block_points(block_rules[0], m0, np.arange(start, stop))] + tail
-        # the lexicographic product of the blocks' tuples: a block's nodes
-        # repeat over later blocks' tuples and tile over earlier ones', and
-        # the per-block weights multiply as outer products
-        xs = []
-        inner, outer = npts, 1
-        for nodes, w in parts:
-            inner //= w.size
-            xs += [np.tile(np.repeat(x, inner), outer) for x in nodes]
-            outer *= w.size
-        wprod = parts[0][1]
-        for _, w in parts[1:]:
-            wprod = np.multiply.outer(wprod, w).ravel()
-        vals = np.array(f(*xs))
-        if np.iscomplexobj(vals):
-            raise ConfigurationError("tensor_integrate needs a real-valued integrand; "
-                                     "return the real part where it is analytically real")
-        if vals.shape != (npts,):
-            raise ConfigurationError("integrand did not broadcast over the points")
-        acc += np.sum(vals * wprod)
-        start = stop
-    return float(acc)
+    axis, pairs = f(*(r.nodes for r in rules))
+    sizes = [len(r) for r in rules]
+    if len(axis) != n or any(np.shape(v) != (s,) for v, s in zip(axis, sizes)):
+        raise ConfigurationError("integrand must return one factor array per axis, "
+                                 "of that axis's length")
+    if any(not 0 <= i < j < n or np.shape(t) != (sizes[i], sizes[j])
+           for (i, j), t in pairs.items()):
+        raise ConfigurationError("integrand pair tables must be keyed (i, j), i < j, "
+                                 "with shape (n_i, n_j)")
+    u = [np.asarray(v) * r.weights for v, r in zip(axis, rules)]
+    full = {(i, j): np.asarray(pairs[i, j]) if (i, j) in pairs else np.ones((sizes[i], sizes[j]))
+            for i in range(n) for j in range(i + 1, n)}
+    val = complex(_contract(u, full))
+    mag = float(_contract([np.abs(v) for v in u], {k: np.abs(t) for k, t in full.items()}))
+    if not math.isfinite(mag) or not abs(val.imag) <= 1e-12 * mag:
+        raise NumericalConsistencyError(
+            f"tensor sum {val!r} is not finite and real: sum |w f| = {mag:.3e}, "
+            "and |Im| may not exceed 1e-12 of it")
+    return val.real

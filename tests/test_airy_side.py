@@ -12,8 +12,10 @@ from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix,
 from airykpz.errors import ConfigurationError, DomainError, SingularityError
 from airykpz.params import ModelParams
 from airykpz.quadrature import (cauchy_det, cauchy_det_direct, composite_legendre,
-                                scaled_gauss_hermite, tensor_integrate)
+                                scaled_gauss_hermite)
 from airykpz.specfun import airy_both
+
+from pointwise import factor_grid, pointwise_sum
 
 AIP0_SQ = 0.06698748377966397414  # Ai'(0)^2, 30-digit evaluation
 R1 = 0.3066099715278760013815    # e^(1/12)/(2 sqrt(pi))
@@ -105,13 +107,18 @@ def test_okounkov_domain_error():
         okounkov_quadrature(-1.0, 0.0, 0.0)
 
 
+def det_value(a, b):
+    """The determinant at the single point whose entries are ``a``, ``b``."""
+    return factor_grid(*cauchy_det(a, b)).item()
+
+
 def test_cauchy_det_n1():
-    assert cauchy_det([2.0 + 1j], [1.0 - 0.5j]) == pytest.approx(1.0 / (3.0 + 0.5j))
+    assert det_value([2.0 + 1j], [1.0 - 0.5j]) == pytest.approx(1.0 / (3.0 + 0.5j))
 
 
 def test_cauchy_det_hermitian_positive():
     a = np.array([0.5, 1.1, 2.3])
-    val = cauchy_det(a, a)
+    val = det_value(a, a)
     assert abs(val.imag) < 1e-15
     assert val.real > 0
 
@@ -132,17 +139,20 @@ def test_cauchy_det_random_against_direct():
                         / (abs(a[i] - a[j]) * abs(b[i] - b[j])))
         if amp > 1e4:
             continue
-        prod = cauchy_det(a, b)
+        prod = det_value(a, b)
         direct = cauchy_det_direct(a, b)
         assert abs(prod - direct) <= 1e-10 * abs(direct)
         done += 1
-    # broadcast grids: entries along the first axis, one determinant per point
-    a = np.array([0.9 + 0.2j, 1.4 - 0.3j, 0.6])[:, None, None] + 0.4j * rng.normal(size=(3, 4, 5))
-    b = np.array([1.1, 0.7 + 0.1j, 1.6 - 0.2j])[:, None, None] + 0.4j * rng.normal(size=(3, 1, 5))
-    grid = cauchy_det(a, b)
-    assert grid.shape == (4, 5)
-    for idx in np.ndindex(4, 5):
-        direct = cauchy_det_direct(a[(slice(None),) + idx], b[:, 0, idx[1]])
+    # tensor grids: entry i holds axis i's values, one determinant per grid point
+    a = [x + 0.4j * rng.normal(size=m) for x, m in zip((0.9 + 0.2j, 1.4 - 0.3j, 0.6), (4, 5, 3))]
+    b = [x + 0.4j * rng.normal(size=m) for x, m in zip((1.1, 0.7 + 0.1j, 1.6 - 0.2j), (4, 5, 3))]
+    diag, pairs = cauchy_det(a, b)
+    assert [d.shape for d in diag] == [(4,), (5,), (3,)]
+    assert {k: t.shape for k, t in pairs.items()} == {(0, 1): (4, 5), (0, 2): (4, 3),
+                                                      (1, 2): (5, 3)}
+    grid = factor_grid(diag, pairs)
+    for idx in np.ndindex(4, 5, 3):
+        direct = cauchy_det_direct([x[i] for x, i in zip(a, idx)], [x[i] for x, i in zip(b, idx)])
         assert abs(grid[idx] - direct) <= 1e-12 * abs(direct)
 
 
@@ -191,27 +201,28 @@ def test_laplace_R_n2_definitional():
 
 
 def test_laplace_R_product_vs_direct_determinant():
-    # the same Gaussian integral with the determinant by pivoted elimination
+    # the same Gaussian integral, summed point by point over the full grid
+    # with the determinant by pivoted elimination
     for c in (np.array([0.9, 1.4]), np.array([1.0, 0.8, 1.3])):
-        def direct(*zs):
-            z = np.stack(zs, axis=-1)
-            a, b = -1j * z + c / 2.0, 1j * z + c / 2.0
-            return np.linalg.det(1.0 / (a[..., :, None] + b[..., None, :])).real
-
         rules = [scaled_gauss_hermite(ci, 64) for ci in c]
+        z = np.stack(np.meshgrid(*(r.nodes for r in rules), indexing="ij"), axis=-1)
+        w = math.prod(np.meshgrid(*(r.weights for r in rules), indexing="ij"))
+        a, b = -1j * z + c / 2.0, 1j * z + c / 2.0
+        det = np.linalg.det(1.0 / (a[..., :, None] + b[..., None, :]))
         pref = math.exp(np.sum(c ** 3) / 12.0) / (2.0 * math.pi) ** c.size
-        oracle = pref * tensor_integrate(direct, rules)
+        oracle = pref * float(np.sum(w * det).real)
         assert laplace_R(c, nodes_per_axis=64) == pytest.approx(oracle, rel=1e-11)
 
 
 def test_laplace_R_integrand_real_and_positive():
     # det[1/(a_i + b_j)] with a_i = c_i/2 - i z_i, b_j = conj(a_j) is a Gram
-    # determinant, so laplace_R may integrate its real part alone
+    # determinant, so the sum laplace_R takes is real
     rng = np.random.default_rng(11)
     for n in range(1, 6):
-        c = rng.uniform(0.3, 2.0, n).reshape((n, 1))
-        z = rng.normal(0.0, 3.0, (n, 500))
-        val = cauchy_det(-1j * z + c / 2.0, 1j * z + c / 2.0)
+        c = rng.uniform(0.3, 2.0, n)
+        z = [rng.normal(0.0, 3.0, 6) for _ in range(n)]
+        val = factor_grid(*cauchy_det([-1j * zi + ci / 2.0 for zi, ci in zip(z, c)],
+                                      [1j * zi + ci / 2.0 for zi, ci in zip(z, c)]))
         assert np.all(val.real > 0)
         assert np.all(np.abs(val.imag) <= 1e-14 * val.real)
 
@@ -304,19 +315,19 @@ def test_airy_h_moment_k2_composition():
     assert airy_h_moment(2, C) == pytest.approx(expect, rel=1e-10)
 
 
-def test_airy_h_moment_symmetric_blocks_match_full_grid(monkeypatch):
-    # laplace_R([0.6] * 3) runs 256 nodes per axis; summing its sorted index
-    # tuples must reproduce the full 256^3 grid
-    fast = airy_h_moment(3, 0.6)
-    seen = []
+def test_airy_h_moment_contraction_matches_pointwise_sum(monkeypatch):
+    # k = 3 at C = 0.6 with 64 nodes per axis: the (1,1,1) partition's
+    # contraction against the same factors summed point by point
+    fast = airy_h_moment(3, 0.6, nodes_per_axis=64)
+    dims = []
 
-    def full_grid(f, rules, blocks=None):
-        seen.append(blocks)
-        return tensor_integrate(f, rules)
+    def full_grid(f, rules):
+        dims.append(len(rules))
+        return pointwise_sum(f, rules).real
 
     monkeypatch.setattr(airy_side, "tensor_integrate", full_grid)
-    assert fast == pytest.approx(airy_h_moment(3, 0.6), rel=1e-13)
-    assert seen == [[1], [1, 1], [3]]
+    assert fast == pytest.approx(airy_h_moment(3, 0.6, nodes_per_axis=64), rel=1e-13)
+    assert dims == [1, 2, 3]
 
 
 def test_airy_h_moment_validation():

@@ -186,6 +186,16 @@ def test_mc_check_negative_seed_is_a_usage_error(capsys):
     assert out == ""
 
 
+def test_mc_check_keep_top_below_minimum_is_a_usage_error(capsys):
+    # rejected before any draw: the estimators need 32 kept points per draw
+    code, out, err = _run_main(
+        ["mc-check", "--C", "0.5", "--u", "1", "--k-max", "1", "--samples", "2000",
+         "--keep-top", "16", "--seed", "1"], capsys)
+    assert code == 2
+    assert err.startswith("error: mc-check needs --keep-top >= 32")
+    assert out == ""
+
+
 def test_parser_defaults_roundtrip():
     args = build_parser().parse_args(
         ["verify-theorem2", "--C", "0.6,1.0,1.4", "--k-max", "3"])

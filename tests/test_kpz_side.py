@@ -13,7 +13,9 @@ from airykpz.kpz_side import (ContourSpec, Partition, bose_exponent,
                               ku_kernel, partitions, symmetry_factor)
 from airykpz import kpz_side
 from airykpz.params import ModelParams
-from airykpz.quadrature import composite_legendre, tensor_integrate
+from airykpz.quadrature import composite_legendre
+
+from pointwise import factor_grid, pointwise_sum
 
 
 # ----------------------------------------------------------------------
@@ -130,21 +132,26 @@ def test_exponent_identity_transported():
 # ----------------------------------------------------------------------
 # interaction determinant
 
+def det_value(w, lam):
+    """The determinant at the single point w."""
+    return factor_grid(*interaction_det(w, lam)).item()
+
+
 def test_interaction_det_single():
-    assert interaction_det([0.5j], Partition((3,))) == pytest.approx(1.0 / 3.0)
+    assert det_value([0.5j], Partition((3,))) == pytest.approx(1.0 / 3.0)
 
 
 def test_interaction_det_equal_w_is_zero():
     # rows coincide when the w's do
-    val = interaction_det([0.0, 0.0], Partition((2, 1)))
+    val = det_value([0.0, 0.0], Partition((2, 1)))
     assert abs(val) < 1e-15
 
 
 def test_interaction_det_shift_invariance():
     lam = Partition((3, 2))
     w = np.array([0.4j, -1.1j])
-    v0 = interaction_det(w, lam)
-    v1 = interaction_det(w + 0.77j, lam)
+    v0 = det_value(w, lam)
+    v1 = det_value(w + 0.77j, lam)
     assert v1 == pytest.approx(v0, rel=1e-12)
 
 
@@ -170,7 +177,7 @@ def test_interaction_det_against_cofactor_expansion():
             for j in range(ell):
                 mat[i, j] = 1.0 / (w[j] + parts[j] - w[i])
         ref = _cofactor_det(mat)
-        val = interaction_det(w, lam)
+        val = det_value(w, lam)
         assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
@@ -244,20 +251,20 @@ def test_kpz_moment_node_doubling():
     assert abs(v - v2) < 1e-9
 
 
-def test_kpz_moment_symmetric_blocks_match_full_grid(monkeypatch):
-    # the (1,1,1) partition at C = 0.6 runs 256 nodes per axis; summing its
-    # sorted index tuples must reproduce the full 256^3 grid
+def test_kpz_moment_contraction_matches_pointwise_sum(monkeypatch):
+    # k = 3 at C = 0.6 with 64 nodes per axis: the (1,1,1) partition's
+    # contraction against the same factors summed point by point
     T = 2.0 * 0.6 ** 3
-    fast = kpz_moment(3, T)
-    seen = []
+    fast = kpz_moment(3, T, nodes_per_axis=64)
+    dims = []
 
-    def full_grid(f, rules, blocks=None):
-        seen.append(blocks)
-        return tensor_integrate(f, rules)
+    def full_grid(f, rules):
+        dims.append(len(rules))
+        return pointwise_sum(f, rules).real
 
     monkeypatch.setattr(kpz_side, "tensor_integrate", full_grid)
-    assert fast == pytest.approx(kpz_moment(3, T), rel=1e-13)
-    assert seen == [[1], [1, 1], [3]]
+    assert fast == pytest.approx(kpz_moment(3, T, nodes_per_axis=64), rel=1e-13)
+    assert dims == [1, 2, 3]
 
 
 def test_kpz_moment_validation():

@@ -201,8 +201,31 @@ def test_estimator_validation(edge_samples):
         EstimatorResult(mean=0.0, stderr=-1.0, n_samples=5)
 
 
+def test_estimator_result_rejects_nan_stderr():
+    with pytest.raises(ConfigurationError):
+        EstimatorResult(mean=1.0, stderr=math.nan, n_samples=5)
+
+
 @pytest.mark.parametrize("estimator", [estimate_h_moment, estimate_mult_stat])
 def test_estimators_reject_1d_array(edge_samples, estimator):
     # one draw's points are not a (draws, kept) array
     with pytest.raises(ConfigurationError):
         estimator(edge_samples[0], 1, 0.5)
+
+
+@pytest.mark.parametrize("estimator", [estimate_h_moment, estimate_mult_stat])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_estimators_reject_non_finite_points(edge_samples, estimator, bad):
+    pts = np.array(edge_samples[:3])
+    pts[1, 5] = bad
+    with pytest.raises(ConfigurationError):
+        estimator(pts, 1, 0.5)
+    with pytest.raises(ConfigurationError):
+        estimator(np.full((3, 40), bad), 1, 0.5)
+
+
+@pytest.mark.parametrize("estimator", [estimate_h_moment, estimate_mult_stat])
+def test_estimators_reject_ragged_draws(edge_samples, estimator):
+    ragged = [edge_samples[0], edge_samples[1][:40]]
+    with pytest.raises(ConfigurationError):
+        estimator(ragged, 1, 0.5)

@@ -1,14 +1,15 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from airykpz.errors import ConfigurationError, EvaluationError
+from airykpz.errors import ConfigurationError, EvaluationError, NumericalConsistencyError
 from airykpz.quadrature import (QuadratureRule, composite_legendre,
                                 fredholm_det_matrix, gauss_hermite, gauss_legendre,
                                 hermite_axis_count, legendre_on, scaled_gauss_hermite,
                                 tensor_integrate)
+
+from pointwise import pointwise_sum
 
 
 def integrate(rule, f):
@@ -171,24 +172,28 @@ def test_fredholm_nan_kernel_reports_node_pair():
     assert rule.nodes[i] + rule.nodes[j] > 1.5
 
 
+def _ones(*xs):
+    return [np.ones(x.size) for x in xs], {}
+
+
 def test_tensor_constant_on_square():
     rules = [legendre_on(-1.0, 1.0, 6)] * 2
-    val = tensor_integrate(lambda x, y: np.ones_like(x), rules)
+    val = tensor_integrate(_ones, rules)
     assert val == pytest.approx(4.0, abs=1e-14)
 
 
 def test_tensor_separable_gaussian():
     rules = [gauss_hermite(20)] * 2
-    val = tensor_integrate(lambda t, u: np.ones_like(t), rules)
+    val = tensor_integrate(_ones, rules)
     assert val == pytest.approx(math.pi, rel=1e-14)
     trunc = [legendre_on(-8.0, 8.0, 60)] * 2
-    val2 = tensor_integrate(lambda t, u: np.exp(-t * t - u * u), trunc)
+    val2 = tensor_integrate(lambda t, u: ([np.exp(-t * t), np.exp(-u * u)], {}), trunc)
     assert val2 == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_tensor_cubic_exactness_3d():
     rules = [legendre_on(0.0, 1.0, 2)] * 3
-    val = tensor_integrate(lambda x, y, z: (x ** 3) * (y ** 3) * (z ** 3), rules)
+    val = tensor_integrate(lambda x, y, z: ([x ** 3, y ** 3, z ** 3], {}), rules)
     assert val == pytest.approx((1 / 4) ** 3, abs=1e-15)
 
 
@@ -201,7 +206,7 @@ def test_tensor_budget_and_dimension_errors():
 
 def test_tensor_oscillatory_and_deterministic():
     rules = [legendre_on(0.0, 1.0, 17), legendre_on(0.0, 2.0, 13)]
-    f = lambda x, y: np.cos(x + y)
+    f = lambda x, y: ([np.ones(x.size), np.ones(y.size)], {(0, 1): np.cos(np.add.outer(x, y))})
     v1 = tensor_integrate(f, rules)
     v2 = tensor_integrate(f, rules)
     assert isinstance(v1, float)
@@ -210,13 +215,94 @@ def test_tensor_oscillatory_and_deterministic():
     assert v1 == pytest.approx(ref, rel=1e-12)
 
 
-def test_tensor_rejects_complex_integrand():
-    # a complex integrand is an error, never silently truncated to its real part
-    rules = [legendre_on(0.0, 1.0, 4)] * 2
-    with pytest.raises(ConfigurationError):
-        tensor_integrate(lambda x, y: np.exp(1j * (x + y)), rules)
-    with pytest.raises(ConfigurationError):
-        tensor_integrate(lambda x, y: np.ones_like(x) + 0j, rules)
+def _random_factors(rng, sizes, missing):
+    """Random complex per-axis arrays and pair tables; the pairs in
+    ``missing`` are left out (they are 1)."""
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    axis = [cplx(n) for n in sizes]
+    pairs = {(i, j): cplx(sizes[i], sizes[j])
+             for i in range(len(sizes)) for j in range(i + 1, len(sizes))
+             if (i, j) not in missing}
+    return axis, pairs
+
+
+@pytest.mark.parametrize("sizes, missing", [
+    ((7,), ()),
+    ((5, 8), ()),
+    ((4, 6, 5), ((0, 2),)),
+    ((3, 5, 4, 6), ((0, 2), (1, 3))),          # the four-axis cycle_E shape
+    ((3, 4, 2, 5, 3), ((1, 4), (0, 3), (2, 3))),
+], ids=["l1", "l2", "l3", "l4", "l5"])
+def test_tensor_contraction_matches_pointwise_sum(sizes, missing):
+    # the contraction is the full-grid sum of the factors' product, with a
+    # left-out pair counting as 1; random complex factors, unequal axes
+    rng = np.random.default_rng(len(sizes))
+    axis, pairs = _random_factors(rng, sizes, missing)
+    rules = [legendre_on(0.0, 1.0 + i, n) for i, n in enumerate(sizes)]
+    ref = pointwise_sum(lambda *xs: (axis, pairs), rules)
+    # fold the phase of the total into axis 0's factor: the total is then
+    # real, |ref|, as the driver requires
+    axis[0] = axis[0] * (abs(ref) / ref)
+    assert tensor_integrate(lambda *xs: (axis, pairs), rules) == pytest.approx(
+        abs(ref), rel=1e-12)
+
+
+def test_tensor_imaginary_total_raises():
+    # the total of an integrand that is not real is an error, never
+    # silently truncated to its real part
+    rules = [legendre_on(0.0, 1.0, 8)]
+    with pytest.raises(NumericalConsistencyError):
+        tensor_integrate(lambda x: ([np.exp(1j * x)], {}), rules)
+    with pytest.raises(NumericalConsistencyError):
+        tensor_integrate(lambda x: ([np.where(x > 0.5, np.nan, 1.0)], {}), rules)
+    # a complex-typed integrand with a real total is integrated
+    assert tensor_integrate(lambda x: ([np.cos(x) + 0j], {}), rules) == pytest.approx(
+        math.sin(1.0), rel=1e-14)
+
+
+def test_tensor_contraction_bit_deterministic():
+    rules = [scaled_gauss_hermite(0.7, 40), scaled_gauss_hermite(1.1, 40),
+             scaled_gauss_hermite(0.9, 40)]
+
+    def f(x, y, z):
+        d = lambda s, t: 1.0 / (1.0 + 1j * np.subtract.outer(s, t))
+        return [np.cos(x), np.ones(y.size), np.exp(-z * z)], {
+            (0, 1): d(x, y) * d(y, x).T, (0, 2): d(x, z) * d(z, x).T, (1, 2): d(y, z) * d(z, y).T}
+
+    first = tensor_integrate(f, rules)
+    assert all(tensor_integrate(f, rules) == first for _ in range(3))
+
+
+def test_tensor_integrand_called_once_with_axis_nodes():
+    # f sees each axis's nodes once, never the points of the full grid
+    rules = [gauss_legendre(4), gauss_legendre(5), gauss_legendre(3)]
+    seen = []
+
+    def f(*xs):
+        seen.append(xs)
+        return [np.ones(x.size) for x in xs], {}
+
+    assert tensor_integrate(f, rules) == pytest.approx(8.0, rel=1e-14)
+    assert len(seen) == 1
+    assert [x.tolist() for x in seen[0]] == [r.nodes.tolist() for r in rules]
+
+
+def test_tensor_factor_validation():
+    a, b = legendre_on(0.0, 1.0, 5), legendre_on(0.0, 2.0, 4)
+    ones = [np.ones(5), np.ones(4)]
+    bad = [
+        ([np.ones(5)], {}),                              # one factor short
+        ([np.ones(5), np.ones(5)], {}),                  # wrong axis length
+        (ones, {(1, 0): np.ones((4, 5))}),               # pair key not i < j
+        (ones, {(0, 2): np.ones((5, 4))}),               # axis out of range
+        (ones, {(0, 1): np.ones((4, 5))}),               # table transposed
+    ]
+    for factors in bad:
+        with pytest.raises(ConfigurationError):
+            tensor_integrate(lambda *xs: factors, [a, b])
+    assert tensor_integrate(lambda *xs: (ones, {(0, 1): np.ones((5, 4))}), [a, b]) == (
+        pytest.approx(2.0))
 
 
 def test_hermite_axis_count_floor_and_cap():
@@ -225,92 +311,3 @@ def test_hermite_axis_count_floor_and_cap():
     assert hermite_axis_count(math.inf, 1, extra_floor=80) == 80
     assert hermite_axis_count(0.465, 3) == 256
     assert hermite_axis_count(0.465, 4) == 56
-
-
-def _vandermonde_sq(*xs):
-    out = np.ones_like(xs[0])
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            out = out * (xs[i] - xs[j]) ** 2
-    return out
-
-
-@pytest.mark.parametrize("blocks, f", [
-    ([3], lambda x, y, z: np.exp(-(x + y + z)) * (1 + _vandermonde_sq(x, y, z))),
-    ([2, 1], lambda x, y, z: np.exp(-(x + y)) * np.cos(3 * z) * (1 + (x - y) ** 2 * z)),
-    ([1, 2], lambda x, y, z: np.cos(3 * x) / (1 + y * y + z * z + x * y * z)),
-    ([1, 1, 1], lambda x, y, z: np.sin(x + 2 * y) * np.exp(-z * x)),
-    ([4], lambda x, y, z, u: np.exp(-(x + y + z + u)) * (1 + _vandermonde_sq(x, y, z, u))
-     / (2 + x * y * z * u)),
-])
-def test_tensor_blocks_match_full_grid(blocks, f):
-    # summing the sorted tuples of each symmetric block, weighted by their
-    # permutation counts, is the full grid sum reordered
-    r = legendre_on(0.0, 1.5, 11)
-    rules = []
-    for b, m in enumerate(blocks):
-        rules += [r if b % 2 == 0 else gauss_hermite(9)] * m
-    full = tensor_integrate(f, rules)
-    assert tensor_integrate(f, rules, blocks) == pytest.approx(full, rel=1e-13)
-
-
-@pytest.mark.parametrize("n, blocks, expect", [
-    (150, [3], math.comb(152, 3)),              # spans two chunks
-    (20, [2, 1], math.comb(21, 2) * 20),
-    (20, [1, 2], 20 * math.comb(21, 2)),
-    (12, [4], math.comb(15, 4)),
-    (12, [2, 2], math.comb(13, 2) ** 2),
-    (12, None, 12 ** 4),
-])
-def test_tensor_blocks_evaluate_sorted_tuples_only(n, blocks, expect):
-    # a block of size m over n nodes costs C(n + m - 1, m) points, never
-    # more than the ~4e5-point chunk at a time
-    batches = []
-
-    def f(*xs):
-        batches.append(xs[0].size)
-        assert all(x.shape == xs[0].shape for x in xs)
-        return np.ones_like(xs[0])
-
-    dim = sum(blocks) if blocks else 4
-    val = tensor_integrate(f, [gauss_legendre(n)] * dim, blocks)
-    assert sum(batches) == expect
-    assert max(batches) <= 4e5
-    assert val == pytest.approx(2.0 ** dim, rel=1e-13)
-
-
-def test_tensor_blocks_visit_sorted_tuples_in_order():
-    # lexicographic order, block by block, nondecreasing within a block
-    rule = gauss_legendre(4)
-    seen = []
-
-    def f(*xs):
-        seen.extend(zip(*(np.searchsorted(rule.nodes, x).tolist() for x in xs)))
-        return np.ones_like(xs[0])
-
-    tensor_integrate(f, [rule] * 5, [2, 1, 2])
-    pairs = list(itertools.combinations_with_replacement(range(4), 2))
-    assert seen == [a + (b,) + c for a in pairs for b in range(4) for c in pairs]
-
-
-def test_tensor_blocks_validation():
-    f = lambda *xs: np.ones_like(xs[0])
-    a, b = legendre_on(0.0, 1.0, 5), legendre_on(0.0, 2.0, 5)
-    with pytest.raises(ConfigurationError):
-        tensor_integrate(f, [a, b, a], [2, 1])      # rules differ inside a block
-    with pytest.raises(ConfigurationError):
-        tensor_integrate(f, [a, a, gauss_legendre(6)], [3])
-    with pytest.raises(ConfigurationError):
-        tensor_integrate(f, [a] * 3, [2, 2])        # sizes exceed the dimension
-    with pytest.raises(ConfigurationError):
-        tensor_integrate(f, [a] * 3, [2])           # sizes fall short of it
-    with pytest.raises(ConfigurationError):
-        tensor_integrate(f, [a] * 3, [3, 0])
-    assert tensor_integrate(f, [a, legendre_on(0.0, 1.0, 5), b], [2, 1]) == pytest.approx(2.0)
-
-
-def test_tensor_blocks_deterministic():
-    rules = [scaled_gauss_hermite(0.7, 40)] * 3
-    f = lambda x, y, z: np.cos(x * y * z) + np.cos(x + y + z)
-    first = tensor_integrate(f, rules, [3])
-    assert all(tensor_integrate(f, rules, [3]) == first for _ in range(3))
