@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -248,7 +249,48 @@ def test_tensor_contraction_matches_pointwise_sum(sizes, missing):
         abs(ref), rel=1e-12)
 
 
-def test_tensor_imaginary_total_raises():
+# A block is a run of consecutive axes tied together by pair tables; a
+# pair across two blocks is left out of the dict, so it counts as 1.
+def _block_pairs(blocks):
+    """The axis pairs (i, j), i < j, that lie inside one block."""
+    out, start = [], 0
+    for m in blocks:
+        out += itertools.combinations(range(start, start + m), 2)
+        start += m
+    return out
+
+
+def _coupled(xs, blocks, table):
+    return {(i, j): table(xs[i], xs[j]) for i, j in _block_pairs(blocks)}
+
+
+_sq = lambda s, t: 1.0 + np.subtract.outer(s, t) ** 2
+
+
+@pytest.mark.parametrize("blocks, f", [
+    ([3], lambda *xs: ([np.exp(-x) for x in xs], _coupled(xs, [3], _sq))),
+    ([2, 1], lambda *xs: ([np.exp(-xs[0]), np.exp(-xs[1]), np.cos(3 * xs[2])],
+                          _coupled(xs, [2, 1], lambda s, t: 1 / (1 + np.add.outer(s, t) ** 2)))),
+    ([1, 2], lambda *xs: ([np.cos(3 * xs[0]), np.ones(xs[1].size), np.ones(xs[2].size)],
+                          _coupled(xs, [1, 2], lambda s, t: 1 / (1 + np.add.outer(s * s, t * t))))),
+    ([1, 1, 1], lambda *xs: ([np.sin(xs[0]), np.exp(-xs[1]), np.cos(2 * xs[2])], {})),
+    ([4], lambda *xs: ([np.exp(-x) for x in xs],
+                       _coupled(xs, [4], lambda s, t: _sq(s, t) / (2 + np.multiply.outer(s, t))))),
+])
+def test_tensor_blocks_match_full_grid(blocks, f):
+    # the contraction of an integrand whose axes are coupled only inside
+    # blocks is the full-grid sum of the same factors, point by point
+    r = legendre_on(0.0, 1.5, 11)
+    rules = []
+    for b, m in enumerate(blocks):
+        rules += [r if b % 2 == 0 else gauss_hermite(9)] * m
+    assert sorted(f(*(q.nodes for q in rules))[1]) == _block_pairs(blocks)
+    full = pointwise_sum(f, rules)
+    assert abs(full.imag) == 0.0
+    assert tensor_integrate(f, rules) == pytest.approx(full.real, rel=1e-13)
+
+
+def test_tensor_rejects_complex_integrand():
     # the total of an integrand that is not real is an error, never
     # silently truncated to its real part
     rules = [legendre_on(0.0, 1.0, 8)]
@@ -261,17 +303,17 @@ def test_tensor_imaginary_total_raises():
         math.sin(1.0), rel=1e-14)
 
 
-def test_tensor_contraction_bit_deterministic():
+def test_tensor_blocks_deterministic():
     rules = [scaled_gauss_hermite(0.7, 40), scaled_gauss_hermite(1.1, 40),
              scaled_gauss_hermite(0.9, 40)]
+    d = lambda s, t: 1.0 / (1.0 + 1j * np.subtract.outer(s, t))
+    for blocks in ([3], [2, 1]):
+        def f(*xs):
+            return [np.cos(xs[0]), np.ones(xs[1].size), np.exp(-xs[2] ** 2)], {
+                (i, j): d(xs[i], xs[j]) * d(xs[j], xs[i]).T for i, j in _block_pairs(blocks)}
 
-    def f(x, y, z):
-        d = lambda s, t: 1.0 / (1.0 + 1j * np.subtract.outer(s, t))
-        return [np.cos(x), np.ones(y.size), np.exp(-z * z)], {
-            (0, 1): d(x, y) * d(y, x).T, (0, 2): d(x, z) * d(z, x).T, (1, 2): d(y, z) * d(z, y).T}
-
-    first = tensor_integrate(f, rules)
-    assert all(tensor_integrate(f, rules) == first for _ in range(3))
+        first = tensor_integrate(f, rules)
+        assert all(tensor_integrate(f, rules) == first for _ in range(3))
 
 
 def test_tensor_integrand_called_once_with_axis_nodes():
@@ -288,7 +330,9 @@ def test_tensor_integrand_called_once_with_axis_nodes():
     assert [x.tolist() for x in seen[0]] == [r.nodes.tolist() for r in rules]
 
 
-def test_tensor_factor_validation():
+def test_tensor_blocks_validation():
+    # a pair table is keyed (i, j), i < j, by two axes of the integral and
+    # shaped (n_i, n_j); anything else is a caller's error
     a, b = legendre_on(0.0, 1.0, 5), legendre_on(0.0, 2.0, 4)
     ones = [np.ones(5), np.ones(4)]
     bad = [
