@@ -7,7 +7,7 @@ determinants vs. delta-Bose-gas contour integrals), together with the
 Tracy-Widom large-time limit and a GUE-edge Monte Carlo cross-check.
 """
 
-from .airy_side import (airy_h_moment, airy_mult_stat, cycle_E, kernel_integral_form,
+from .airy_side import (airy_h_moment, airy_mult_stat, kernel_integral_form,
                         laplace_R, okounkov_integral, tracy_widom_f2)
 from .errors import (AiryKpzError, ConfigurationError, DomainError,
                      EvaluationError, NumericalConsistencyError, SingularityError)
@@ -27,7 +27,7 @@ __all__ = [
     "EstimatorResult", "EvaluationError", "ModelParams",
     "NumericalConsistencyError", "Partition", "QuadratureRule", "SingularityError",
     "airy_h_moment", "airy_mult_stat",
-    "bose_exponent", "cauchy_det", "cycle_E", "draw_edge_samples",
+    "bose_exponent", "cauchy_det", "draw_edge_samples",
     "estimate_h_moment", "estimate_mult_stat",
     "gauss_hermite", "gauss_legendre", "interaction_det", "kernel_integral_form",
     "kpz_laplace", "kpz_moment", "kpz_moment_nested", "ku_kernel", "laplace_R",

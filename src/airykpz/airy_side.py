@@ -1,16 +1,20 @@
-"""Airy point process side: correlation kernel, Laplace-transformed
-correlation functions, cycle integrals, multiplicative statistics, moments
-of h_k, and the Tracy-Widom distribution F2.
+"""Airy point process side: correlation kernel, multiplicative statistics,
+moments of h_k, the Tracy-Widom distribution F2, and the Laplace-transformed
+correlation functions that the tests use as an oracle.
 
 The Airy point process is the determinantal process on the real line with
-kernel K(x, y) = (Ai(x)Ai'(y) - Ai'(x)Ai(y))/(x - y).  Everything here is
-a deterministic quadrature computation; the Monte Carlo counterpart lives
-in :mod:`airykpz.montecarlo` and the KPZ counterpart in
+kernel K(x, y) = (Ai(x)Ai'(y) - Ai'(x)Ai(y))/(x - y).  Both Airy-side
+statistics come from one Fredholm determinant, det(I - K f_u) with
+f_u(r) = u e^{Cr}/(1 + u e^{Cr}), by Nystrom discretization on Gauss-Legendre
+grids (Bornemann, Math. Comp. 79 (2010)): the multiplicative statistic is
+its value, E h_k is (-1)^k times its u^k coefficient.  The Monte Carlo
+counterpart lives in :mod:`airykpz.montecarlo`, the KPZ counterpart in
 :mod:`airykpz.kpz_side`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -21,16 +25,16 @@ from .params import ModelParams
 from .quadrature import (QuadratureRule, cauchy_det, composite_legendre,
                          fredholm_det_matrix, hermite_axis_count, legendre_on,
                          scaled_gauss_hermite, tensor_integrate)
-from .specfun import airy_both, logistic
+from .specfun import SUPPORTED_RANGE, airy_both, logistic
 
 __all__ = [
     "KERNEL_RANGE", "airy_kernel_matrix", "kernel_integral_form",
-    "okounkov_integral", "okounkov_quadrature", "laplace_R", "cycle_E",
+    "okounkov_integral", "laplace_R",
     "airy_h_moment", "airy_mult_stat", "default_mult_stat_grid", "tracy_widom_f2",
     "default_f2_grid",
 ]
 
-KERNEL_RANGE = 50.0
+KERNEL_RANGE = SUPPORTED_RANGE
 _CONFLUENT_EPS = 1e-5     # |x - y| below which the confluent diagonal form is used
 
 
@@ -40,24 +44,23 @@ _CONFLUENT_EPS = 1e-5     # |x - y| below which the confluent diagonal form is u
 def airy_kernel_matrix(points: np.ndarray) -> np.ndarray:
     """Kernel matrix K(x_i, x_j) on a grid, one Airy evaluation per node.
 
-    Christoffel-Darboux ratio form; pairs with |x_i - x_j| <= 1e-5 (the
-    diagonal among them) use the confluent limit at the midpoint m:
-    Ai'(m)^2 - m Ai(m)^2.
+    Christoffel-Darboux ratio form off the diagonal; the diagonal is the
+    confluent limit Ai'(x)^2 - x Ai(x)^2, and the off-diagonal pairs with
+    |x_i - x_j| <= 1e-5 take that limit at their midpoint.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size and np.max(np.abs(pts)) > KERNEL_RANGE:
         raise DomainError(f"grid exceeds the kernel range |x| <= {KERNEL_RANGE:g}")
     ai, aip = airy_both(pts)
-    d = pts[:, None] - pts[None, :]
-    num = ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]
+    d = np.subtract.outer(pts, pts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        kmat = num / d
-    # diagonal (and any accidental near-coincident pair) via the confluent form
-    near = np.abs(d) <= _CONFLUENT_EPS
-    if np.any(near):
-        m = 0.5 * (pts[:, None] + pts[None, :])
-        am, apm = airy_both(m[near])
-        kmat[near] = apm ** 2 - m[near] * am ** 2
+        kmat = (np.multiply.outer(ai, aip) - np.multiply.outer(aip, ai)) / d
+    np.fill_diagonal(kmat, aip ** 2 - pts * ai ** 2)
+    i, j = np.nonzero(np.abs(d) <= _CONFLUENT_EPS)
+    i, j = i[i != j], j[i != j]
+    m = 0.5 * (pts[i] + pts[j])
+    am, apm = airy_both(m)
+    kmat[i, j] = apm ** 2 - m * am ** 2
     return kmat
 
 
@@ -95,28 +98,6 @@ def okounkov_integral(x: float, a: float, b: float) -> float:
         raise DomainError("okounkov_integral requires x > 0")
     return float(np.exp(x ** 3 / 12.0 - 0.5 * (a + b) * x - (a - b) ** 2 / (4.0 * x))
                  / (2.0 * np.sqrt(np.pi * x)))
-
-
-def okounkov_quadrature(x: float, a: float, b: float,
-                        rule: QuadratureRule | None = None) -> float:
-    """Direct quadrature of exp(xz) Ai(z+a) Ai(z+b) dz over the real line.
-
-    Test-mode companion of :func:`okounkov_integral`.
-    """
-    if not x > 0:
-        raise DomainError("okounkov_quadrature requires x > 0")
-    if rule is None:
-        # left tail decays like e^{xz}, right tail superexponentially; the
-        # integrand's exponent peaks near z = x^2/4.  Clamp to the Airy
-        # support: beyond it the e^{xz} factor has long killed the tail.
-        lo = max(-(30.0 / x + 10.0) + min(a, b, 0.0),
-                 -59.5 - min(a, b, 0.0))
-        hi = x * x / 4.0 + 18.0 - min(a, b, 0.0)
-        rule = composite_legendre(lo, hi, int(math.ceil((hi - lo) / 2.0)), 14)
-    z = rule.nodes
-    fa, _ = airy_both(z + a)
-    fb, _ = airy_both(z + b)
-    return float(np.sum(rule.weights * np.exp(x * z) * fa * fb))
 
 
 def _require_positive_c(c) -> np.ndarray:
@@ -167,62 +148,80 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
     return pref * tensor_integrate(integrand, rules)
 
 
-def cycle_E(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
-    """Cyclic integral: the single-cycle building block of laplace_R.
+# ----------------------------------------------------------------------
+# moments of h_k: the u-series of the Fredholm determinant
 
-    exp(sum c_i^3/12)/(2 pi)^n * int exp(-sum c_i z_i^2)
-        prod_i 1/(-i (z_i - z_{i+1}) + (c_i + c_{i+1})/2) dz,
-    with the cyclic convention z_{n+1} = z_1.  z -> -z conjugates the
-    integrand and the Hermite nodes are symmetric, so the sum is real; the
-    tensor driver returns its real part.
+# The grid runs from where e^{Cr} is roundoff (e^{-37} ~ 1e-16), at most to
+# the kernel range, to 22 past the peak (kC)^2/4 of e^{kCr} K(r, r).
+_H_ORDER = 30          # default Gauss-Legendre order per panel
+_H_PANEL_WIDTH = 8.0
+_H_LEFT_DECAY = 37.0
+_H_RIGHT_MARGIN = 22.0
+
+
+def _h_series(rule: QuadratureRule, C: float, k: int) -> list[float]:
+    """E h_1, ..., E h_k from the Nystrom discretization of det(I - K f_u).
+
+    With g = e^{Cr} and S = (w g)^{1/2} K (w g)^{1/2}, the discretized
+    K f_u is similar to P(u) = sum_m (-1)^{m+1} u^m S G^{m-1}, G = diag(g).
+    From log det(I - P) = -sum_j tr(P^j)/j, (-1)^n times its u^n
+    coefficient is l_n = sum_j (-1)^{j+1}/j sum_a tr(S G^{a_1} ... S G^{a_j})
+    over the exponents a_i >= 0 with sum a_i = n - j.  E h_n is (-1)^n
+    times the u^n coefficient of det(I - P), so E h_n = e_n with e_0 = 1
+    and n e_n = sum_i i l_i e_{n-i} (Newton's recursion).
+
+    For k <= 5 a word has at most two positive exponents, so a rotation
+    makes it S^p G^c S^q G^b and its trace one O(n^2) sum over S, S^2 or
+    S^3.  Products and sums run through ``np.einsum`` without
+    ``optimize``: no BLAS call, so no dependence on its thread count.
     """
-    c = _require_positive_c(c)
-    n = c.size
-    if n > 4:
-        raise ConfigurationError("cycle_E supports at most 4 exponents")
-    if nodes_per_axis is None:
-        # factor (i, i + 1) has a pole along both of its axes; for n = 1 the
-        # single factor is the constant 1/c_1
-        pairs = [(i, (i + 1) % n) for i in range(n)] if n > 1 else []
-        d_min = min((math.sqrt(c[m]) * (c[i] + c[j]) / 2.0
-                     for i, j in pairs for m in (i, j)), default=math.inf)
-        nodes_per_axis = hermite_axis_count(d_min, n)
-    rules = [scaled_gauss_hermite(ci, nodes_per_axis) for ci in c]
+    g = np.exp(C * rule.nodes)
+    s = np.sqrt(rule.weights * g)
+    powers = [None, s[:, None] * airy_kernel_matrix(rule.nodes) * s[None, :]]
+    for _ in range(2, (k + 1) // 2 + 1):
+        powers.append(np.einsum("il,lj->ij", powers[-1], powers[1]))
 
-    def integrand(*zs):
-        if n == 1:
-            return [np.full(zs[0].size, 1.0 / c[0])], {}
-        # factor (i, i + 1) is the pair table of its two axes; for n = 2 both
-        # factors share the pair (0, 1)
-        tables = {}
-        for i in range(n):
-            j = (i + 1) % n
-            term = 1.0 / (-1j * np.subtract.outer(zs[i], zs[j]) + (c[i] + c[j]) / 2.0)
-            key, term = ((i, j), term) if i < j else ((j, i), term.T)
-            tables[key] = tables[key] * term if key in tables else term
-        return [np.ones(z.size) for z in zs], tables
+    def trace(a):
+        # rotate the first positive exponent to the end, then split after
+        # the other positive one, or mid-word
+        j = len(a)
+        nz = [i for i, e in enumerate(a) if e]
+        a = a[nz[0] + 1:] + a[:nz[0] + 1] if nz else a
+        if j == 1:
+            return np.einsum("ii,i->", powers[1], g ** a[0])
+        p = nz[1] - nz[0] if len(nz) == 2 else (j + 1) // 2
+        diag = np.einsum("il,l,li->i", powers[p], g ** a[p - 1], powers[j - p])
+        return np.einsum("i,i->", diag, g ** a[-1])
 
-    pref = math.exp(np.sum(c ** 3) / 12.0) / (2.0 * math.pi) ** n
-    return pref * tensor_integrate(integrand, rules)
+    ell, e = [0.0], [1.0]
+    for n in range(1, k + 1):
+        ell.append(sum((-1) ** (j + 1) * trace(a) / j for j in range(1, n + 1)
+                       for a in itertools.product(range(n - j + 1), repeat=j)
+                       if sum(a) == n - j))
+        e.append(sum(i * ell[i] * e[n - i] for i in range(1, n + 1)) / n)
+    return e[1:]
 
 
 def airy_h_moment(k: int, C: float, nodes_per_axis: int | None = None) -> float:
-    """Expectation of h_k over exp(C a_1), exp(C a_2), ... via the
-    partition expansion: sum over partitions of k of
-    laplace_R(C lambda) / prod(multiplicity factorials).
+    """Expectation of h_k over exp(C a_1), exp(C a_2), ...: (-1)^k times
+    the u^k coefficient of det(I - K f_u).
 
-    The moment is analytically positive; a sum that is not positive has
-    been lost to cancellation and raises NumericalConsistencyError."""
-    from .kpz_side import partitions, symmetry_factor
-
+    ``nodes_per_axis`` is the Gauss-Legendre order per panel of the grid
+    (default 30).  Supported on C >= 0.4 and (kC)^2/4 + 22 <= 60, where the
+    grid stays inside the kernel range; other inputs raise DomainError.
+    The moment is analytically positive; a value that is not positive has
+    been lost to cancellation and raises NumericalConsistencyError.
+    """
     if not 1 <= k <= 5:
         raise ConfigurationError("airy_h_moment supports 1 <= k <= 5")
-    if not C > 0:
-        raise DomainError("airy_h_moment requires C > 0")
-    total = 0.0
-    for lam in partitions(k):
-        c = [C * p for p in lam.parts]
-        total += laplace_R(c, nodes_per_axis) / symmetry_factor(lam)
+    right = (k * C) ** 2 / 4.0 + _H_RIGHT_MARGIN
+    if not (C >= 0.4 and right <= KERNEL_RANGE):
+        raise DomainError(f"airy_h_moment supports C >= 0.4 and (kC)^2/4 + "
+                          f"{_H_RIGHT_MARGIN:g} <= {KERNEL_RANGE:g}; got k = {k}, C = {C}")
+    left = max(-KERNEL_RANGE, -_H_LEFT_DECAY / C)
+    rule = composite_legendre(left, right, math.ceil((right - left) / _H_PANEL_WIDTH),
+                              nodes_per_axis or _H_ORDER)
+    total = float(_h_series(rule, C, k)[-1])
     if not total > 0:
         raise NumericalConsistencyError(
             f"airy_h_moment({k}, {C}) = {total!r} is not positive")

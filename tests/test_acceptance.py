@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix,
-                               airy_mult_stat, cycle_E, default_mult_stat_grid,
-                               laplace_R, okounkov_integral, okounkov_quadrature,
-                               tracy_widom_f2)
+                               airy_mult_stat, default_mult_stat_grid,
+                               laplace_R, okounkov_integral, tracy_widom_f2)
 from airykpz.kpz_side import (ContourSpec, bose_exponent, kpz_laplace, kpz_moment,
-                              kpz_moment_nested, partitions)
+                              kpz_moment_nested, partitions, symmetry_factor)
 from airykpz.montecarlo import estimate_h_moment, estimate_mult_stat
 from airykpz.params import ModelParams
 from airykpz.quadrature import cauchy_det, cauchy_det_direct, composite_legendre
@@ -187,44 +186,30 @@ def _check_kernel_representations():
 
 
 def _check_okounkov():
+    # exp(xz) Ai(z+a) Ai(z+b) is below 1e-12 outside [-58, 19] for these x, a, b
+    rule = composite_legendre(-58.0, 19.0, 39, 14)
+    z = rule.nodes
     rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(10):
         x = float(rng.uniform(0.5, 2.0))
         a, b = rng.uniform(-2.0, 2.0, size=2)
-        closed = okounkov_integral(x, a, b)
-        worst = max(worst, abs(okounkov_quadrature(x, a, b) - closed))
+        quad = float(np.sum(rule.weights * np.exp(x * z) * airy_both(z + a)[0]
+                            * airy_both(z + b)[0]))
+        worst = max(worst, abs(quad - okounkov_integral(x, a, b)))
     return worst, worst <= 1e-8
 
 
-def _cycles(perm):
-    seen, cycles = set(), []
-    for s in range(len(perm)):
-        if s in seen:
-            continue
-        cur, j = [s], perm[s]
-        seen.add(s)
-        while j != s:
-            cur.append(j)
-            seen.add(j)
-            j = perm[j]
-        cycles.append(cur)
-    return cycles
-
-
-def _check_permutation_expansion():
+def _check_partition_expansion():
+    # the u-series of det(I - K f_u) against E h_k expanded over partitions
+    # into Laplace transforms of the correlation functions
+    C = 1.0
     worst = 0.0
-    for c in ([1.1, 0.9], [1.2, 0.9, 1.5]):
-        n = len(c)
-        total = 0.0
-        for perm in itertools.permutations(range(n)):
-            cycles = _cycles(perm)
-            term = (-1) ** (n - len(cycles))
-            for cyc in cycles:
-                term *= cycle_E([c[i] for i in cyc])
-            total += term
-        worst = max(worst, abs(total - laplace_R(c)))
-    return worst, worst <= 1e-8
+    for k in (1, 2, 3):
+        expansion = sum(laplace_R([C * p for p in lam.parts]) / symmetry_factor(lam)
+                        for lam in partitions(k))
+        worst = max(worst, abs(airy_h_moment(k, C) - expansion) / expansion)
+    return worst, worst <= 1e-10
 
 
 def _check_h_monomial_expansion():
@@ -282,7 +267,7 @@ def test_criterion_7_property_suites():
         "exponent identity (1e-11)": _check_exponent_identity(),
         "kernel forms on [-8,8]^2 (1e-8)": _check_kernel_representations(),
         "okounkov vs quadrature (1e-8)": _check_okounkov(),
-        "cycle expansion n<=3 (1e-8)": _check_permutation_expansion(),
+        "u-series vs partition expansion k<=3 (1e-10)": _check_partition_expansion(),
         "h/m expansion (1e-12)": _check_h_monomial_expansion(),
         "airy ODE residual (1e-6)": _check_airy_ode(),
         "node-doubling self-convergence": _check_node_doubling(),

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -6,9 +5,9 @@ import pytest
 
 from airykpz import airy_side
 from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix,
-                               airy_mult_stat, cycle_E, default_mult_stat_grid,
+                               airy_mult_stat, default_mult_stat_grid,
                                kernel_integral_form, laplace_R, okounkov_integral,
-                               okounkov_quadrature, tracy_widom_f2)
+                               tracy_widom_f2)
 from airykpz.errors import ConfigurationError, DomainError, SingularityError
 from airykpz.params import ModelParams
 from airykpz.quadrature import (cauchy_det, cauchy_det_direct, composite_legendre,
@@ -23,6 +22,14 @@ R1 = 0.3066099715278760013815    # e^(1/12)/(2 sqrt(pi))
 
 def closed_R1(c):
     return math.exp(c ** 3 / 12.0) / (2.0 * math.sqrt(math.pi) * c ** 1.5)
+
+
+def closed_h2(C):
+    # E h_2 in closed form; the formula of test_kpz_side.py::test_moment_k2_closed_form
+    T = 2.0 * C ** 3
+    g = math.sqrt(math.pi / T) * math.exp(T / 4.0) / (4.0 * math.pi)
+    return math.exp(T / 12.0) * (
+        (1.0 / (2.0 * math.pi * T) - g * math.erfc(math.sqrt(T) / 2.0)) / 2.0 + g)
 
 
 # ----------------------------------------------------------------------
@@ -74,9 +81,9 @@ def test_kernel_near_diagonal_continuity():
 
 def test_kernel_domain_error():
     with pytest.raises(DomainError):
-        kernel_pair(50.5, 0.0)
+        kernel_pair(60.5, 0.0)
     with pytest.raises(DomainError):
-        kernel_integral_form(0.0, -51.0)
+        kernel_integral_form(0.0, -60.5)
 
 
 # ----------------------------------------------------------------------
@@ -91,12 +98,17 @@ def test_okounkov_symmetry_in_ab():
 
 
 def test_okounkov_against_quadrature():
+    # direct quadrature of exp(xz) Ai(z+a) Ai(z+b) over z; for x in [0.5, 2]
+    # and |a|, |b| <= 2 the integrand is below 1e-12 outside [-58, 19]
+    rule = composite_legendre(-58.0, 19.0, 39, 14)
+    z = rule.nodes
     rng = np.random.default_rng(11)
     for _ in range(10):
         x = rng.uniform(0.5, 2.0)
         a, b = rng.uniform(-2.0, 2.0, size=2)
         closed = okounkov_integral(x, a, b)
-        quad = okounkov_quadrature(x, a, b)
+        quad = float(np.sum(rule.weights * np.exp(x * z) * airy_both(z + a)[0]
+                            * airy_both(z + b)[0]))
         assert quad == pytest.approx(closed, rel=1e-8, abs=1e-10)
 
 
@@ -104,7 +116,7 @@ def test_okounkov_domain_error():
     with pytest.raises(DomainError):
         okounkov_integral(0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        okounkov_quadrature(-1.0, 0.0, 0.0)
+        okounkov_integral(-1.0, 0.0, 0.0)
 
 
 def det_value(a, b):
@@ -163,7 +175,7 @@ def test_cauchy_det_singularity_reported():
 
 
 # ----------------------------------------------------------------------
-# laplace_R / cycle_E
+# laplace_R
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
 def test_laplace_R_n1_closed_form(c):
@@ -244,57 +256,6 @@ def test_laplace_R_validation():
         laplace_R([1.0] * 6)
 
 
-def test_cycle_E_n1_equals_R():
-    for c in (0.7, 1.0, 1.8):
-        assert cycle_E([c]) == pytest.approx(laplace_R([c]), rel=1e-12)
-
-
-def test_cycle_E_rotation_invariance():
-    c = (1.1, 0.9, 1.4)
-    v = cycle_E(c)
-    assert cycle_E((0.9, 1.4, 1.1)) == pytest.approx(v, rel=1e-9)
-    cc = (1.2, 1.2)
-    assert cycle_E(cc) == pytest.approx(cycle_E(cc[::-1]), rel=1e-12)
-
-
-def _cycles(perm):
-    seen, cycles = set(), []
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        cur, j = [start], perm[start]
-        seen.add(start)
-        while j != start:
-            cur.append(j)
-            seen.add(j)
-            j = perm[j]
-        cycles.append(cur)
-    return cycles
-
-
-def _perm_expansion(c):
-    n = len(c)
-    total = 0.0
-    for perm in itertools.permutations(range(n)):
-        cycles = _cycles(perm)
-        sign = (-1) ** (n - len(cycles))
-        prod = 1.0
-        for cyc in cycles:
-            prod *= cycle_E([c[i] for i in cyc])
-        total += sign * prod
-    return total
-
-
-def test_permutation_expansion_n2():
-    c = [1.1, 0.9]
-    assert _perm_expansion(c) == pytest.approx(laplace_R(c), abs=1e-9)
-
-
-def test_permutation_expansion_n3():
-    c = [1.2, 0.9, 1.5]
-    assert _perm_expansion(c) == pytest.approx(laplace_R(c), abs=1e-8)
-
-
 def test_laplace_R_node_doubling_self_convergence():
     v96 = laplace_R([0.9, 1.3], nodes_per_axis=96)
     v192 = laplace_R([0.9, 1.3], nodes_per_axis=192)
@@ -316,9 +277,10 @@ def test_airy_h_moment_k2_composition():
 
 
 def test_airy_h_moment_contraction_matches_pointwise_sum(monkeypatch):
-    # k = 3 at C = 0.6 with 64 nodes per axis: the (1,1,1) partition's
-    # contraction against the same factors summed point by point
-    fast = airy_h_moment(3, 0.6, nodes_per_axis=64)
+    # the (1,1,1) term of the partition expansion of E h_3 at C = 0.6, with
+    # 64 nodes per axis: laplace_R's contraction against the same factors
+    # summed point by point
+    fast = laplace_R([0.6] * 3, nodes_per_axis=64)
     dims = []
 
     def full_grid(f, rules):
@@ -326,8 +288,28 @@ def test_airy_h_moment_contraction_matches_pointwise_sum(monkeypatch):
         return pointwise_sum(f, rules).real
 
     monkeypatch.setattr(airy_side, "tensor_integrate", full_grid)
-    assert fast == pytest.approx(airy_h_moment(3, 0.6, nodes_per_axis=64), rel=1e-13)
-    assert dims == [1, 2, 3]
+    assert fast == pytest.approx(laplace_R([0.6] * 3, nodes_per_axis=64), rel=1e-13)
+    assert dims == [3]
+
+
+@pytest.mark.parametrize("C", [0.4, 0.5, 0.6, 1.0, 1.4, 2.0, 2.5])
+def test_airy_h_moment_closed_forms(C):
+    # at C = 0.4 the left edge of the grid, the kernel range -60, binds
+    tol = 1e-9 if C < 0.5 else 2e-12
+    assert abs(airy_h_moment(1, C) / closed_R1(C) - 1.0) <= tol
+    assert abs(airy_h_moment(2, C) / closed_h2(C) - 1.0) <= tol
+
+
+@pytest.mark.parametrize("C", [0.5, 1.0, 2.0, 3.0])
+def test_airy_h_moment_self_convergence(C, monkeypatch):
+    # Legendre order per panel 30 -> 45, and the left edge moved from
+    # where e^{Cr} is roundoff out to the kernel range
+    vals = [airy_h_moment(k, C) for k in range(1, 5)]
+    for k, v in enumerate(vals, start=1):
+        assert abs(airy_h_moment(k, C, nodes_per_axis=45) / v - 1.0) <= 1e-12
+    monkeypatch.setattr(airy_side, "_H_LEFT_DECAY", math.inf)
+    for k, v in enumerate(vals, start=1):
+        assert abs(airy_h_moment(k, C) / v - 1.0) <= 1e-12
 
 
 def test_airy_h_moment_validation():
@@ -337,6 +319,10 @@ def test_airy_h_moment_validation():
         airy_h_moment(6, 1.0)
     with pytest.raises(DomainError):
         airy_h_moment(1, -1.0)
+    with pytest.raises(DomainError):
+        airy_h_moment(1, 0.39)
+    with pytest.raises(DomainError):
+        airy_h_moment(4, 3.2)
 
 
 # ----------------------------------------------------------------------

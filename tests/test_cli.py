@@ -133,19 +133,23 @@ def test_output_file_and_byte_stability(tmp_path, capsys):
 
 
 def test_output_independent_of_blas_threads():
-    # on this grid, rows C = 0.8, u = 10 and C = 1.6, u = 1 show the
-    # summation order of the K_u reduction in their last printed digits
     src = str(Path(airykpz.__file__).resolve().parents[1])
-    argv = [sys.executable, "-m", "airykpz.cli", "verify-theorem1",
-            "--C", "0.8,1.0,1.6", "--u", "0.1,1,10"]
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(argv, env=env, capture_output=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr.decode()
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for args in (
+            # rows C = 0.8, u = 10 and C = 1.6, u = 1 show the summation
+            # order of the K_u reduction in their last printed digits
+            ("verify-theorem1", "--C", "0.8,1.0,1.6", "--u", "0.1,1,10"),
+            # the Airy side's matrix products and traces, the KPZ side's
+            # contractions
+            ("verify-theorem2", "--C", "0.6,1.0,1.4", "--k-max", "3")):
+        outs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-m", "airykpz.cli", *args],
+                                  env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                                  capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr.decode()
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], args[0]
 
 
 def test_mc_check_small_run(capsys):
