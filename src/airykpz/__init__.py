@@ -7,8 +7,8 @@ determinants vs. delta-Bose-gas contour integrals), together with the
 Tracy-Widom large-time limit and a GUE-edge Monte Carlo cross-check.
 """
 
-from .airy_side import (airy_h_moment, airy_mult_stat, kernel_integral_form,
-                        laplace_R, okounkov_integral, tracy_widom_f2)
+from .airy_side import (airy_h_moment, airy_mult_stat, laplace_R, okounkov_integral,
+                        tracy_widom_f2)
 from .errors import (AiryKpzError, ConfigurationError, DomainError,
                      EvaluationError, NumericalConsistencyError, SingularityError)
 from .kpz_side import (ContourSpec, Partition, bose_exponent, interaction_det,
@@ -29,7 +29,7 @@ __all__ = [
     "airy_h_moment", "airy_mult_stat",
     "bose_exponent", "cauchy_det", "draw_edge_samples",
     "estimate_h_moment", "estimate_mult_stat",
-    "gauss_hermite", "gauss_legendre", "interaction_det", "kernel_integral_form",
+    "gauss_hermite", "gauss_legendre", "interaction_det",
     "kpz_laplace", "kpz_moment", "kpz_moment_nested", "ku_kernel", "laplace_R",
     "okounkov_integral", "partitions", "sample_gue_edge",
     "symmetry_factor", "tensor_integrate", "tracy_widom_f2",

@@ -28,13 +28,11 @@ from .quadrature import (QuadratureRule, cauchy_det, composite_legendre,
 from .specfun import SUPPORTED_RANGE, airy_both, logistic
 
 __all__ = [
-    "KERNEL_RANGE", "airy_kernel_matrix", "kernel_integral_form",
-    "okounkov_integral", "laplace_R",
+    "airy_kernel_matrix", "okounkov_integral", "laplace_R",
     "airy_h_moment", "airy_mult_stat", "default_mult_stat_grid", "tracy_widom_f2",
     "default_f2_grid",
 ]
 
-KERNEL_RANGE = SUPPORTED_RANGE
 _CONFLUENT_EPS = 1e-5     # |x - y| below which the confluent diagonal form is used
 
 
@@ -49,8 +47,6 @@ def airy_kernel_matrix(points: np.ndarray) -> np.ndarray:
     |x_i - x_j| <= 1e-5 take that limit at their midpoint.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.size and np.max(np.abs(pts)) > KERNEL_RANGE:
-        raise DomainError(f"grid exceeds the kernel range |x| <= {KERNEL_RANGE:g}")
     ai, aip = airy_both(pts)
     d = np.subtract.outer(pts, pts)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -62,27 +58,6 @@ def airy_kernel_matrix(points: np.ndarray) -> np.ndarray:
     am, apm = airy_both(m)
     kmat[i, j] = apm ** 2 - m * am ** 2
     return kmat
-
-
-def kernel_integral_form(x: float, y: float, rule: QuadratureRule | None = None) -> float:
-    """The kernel through its half-line integral of Ai(x+a)Ai(y+a).
-
-    Independent of :func:`airy_kernel_matrix`; agrees with it to ~1e-9 on
-    [-10, 10]^2.  The default rule truncates [0, inf) where the Airy
-    decay has killed the integrand and resolves the oscillation that a
-    negative min(x, y) brings in.
-    """
-    if max(abs(x), abs(y)) > KERNEL_RANGE:
-        raise DomainError(f"kernel arguments must satisfy |x|, |y| <= {KERNEL_RANGE:g}")
-    if rule is None:
-        upper = 16.0 - min(x, y, 0.0)
-        rule = composite_legendre(0.0, upper, int(math.ceil(upper)), 10)
-    if np.min(rule.nodes) < 0:
-        raise DomainError("kernel_integral_form requires a rule on the half line a >= 0")
-    a = rule.nodes
-    fx, _ = airy_both(x + a)
-    fy, _ = airy_both(y + a)
-    return float(np.sum(rule.weights * (fx * fy)))
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +127,7 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
 # moments of h_k: the u-series of the Fredholm determinant
 
 # The grid runs from where e^{Cr} is roundoff (e^{-37} ~ 1e-16), at most to
-# the kernel range, to 22 past the peak (kC)^2/4 of e^{kCr} K(r, r).
+# the Airy range, to 22 past the peak (kC)^2/4 of e^{kCr} K(r, r).
 _H_ORDER = 30          # default Gauss-Legendre order per panel
 _H_PANEL_WIDTH = 8.0
 _H_LEFT_DECAY = 37.0
@@ -208,17 +183,17 @@ def airy_h_moment(k: int, C: float, nodes_per_axis: int | None = None) -> float:
 
     ``nodes_per_axis`` is the Gauss-Legendre order per panel of the grid
     (default 30).  Supported on C >= 0.4 and (kC)^2/4 + 22 <= 60, where the
-    grid stays inside the kernel range; other inputs raise DomainError.
+    grid stays inside the Airy range; other inputs raise DomainError.
     The moment is analytically positive; a value that is not positive has
     been lost to cancellation and raises NumericalConsistencyError.
     """
     if not 1 <= k <= 5:
         raise ConfigurationError("airy_h_moment supports 1 <= k <= 5")
     right = (k * C) ** 2 / 4.0 + _H_RIGHT_MARGIN
-    if not (C >= 0.4 and right <= KERNEL_RANGE):
+    if not (C >= 0.4 and right <= SUPPORTED_RANGE):
         raise DomainError(f"airy_h_moment supports C >= 0.4 and (kC)^2/4 + "
-                          f"{_H_RIGHT_MARGIN:g} <= {KERNEL_RANGE:g}; got k = {k}, C = {C}")
-    left = max(-KERNEL_RANGE, -_H_LEFT_DECAY / C)
+                          f"{_H_RIGHT_MARGIN:g} <= {SUPPORTED_RANGE:g}; got k = {k}, C = {C}")
+    left = max(-SUPPORTED_RANGE, -_H_LEFT_DECAY / C)
     rule = composite_legendre(left, right, math.ceil((right - left) / _H_PANEL_WIDTH),
                               nodes_per_axis or _H_ORDER)
     total = float(_h_series(rule, C, k)[-1])

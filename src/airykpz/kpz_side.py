@@ -300,13 +300,11 @@ def default_ku_inner_rule(params: ModelParams, x_max: float) -> QuadratureRule:
 
 
 def _airy_factor_matrix(xs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Ai(x_i - r_m); arguments beyond +60 contribute < 1e-132 and are zeroed."""
+    """Ai(x_i - r_m); arguments beyond +60 contribute < 1e-132 and are zeroed,
+    arguments below -60 raise DomainError from airy_both."""
     args = xs[:, None] - r[None, :]
     out = np.zeros_like(args)
     inside = args <= SUPPORTED_RANGE
-    if np.min(args) < -SUPPORTED_RANGE:
-        raise DomainError("kernel grid requires Airy arguments below -60; "
-                          "shrink the inner rule or the outer grid")
     vals, _ = airy_both(args[inside])
     out[inside] = vals
     return out

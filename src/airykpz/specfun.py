@@ -3,10 +3,12 @@ overflow-safe logistic function.
 
 Self-contained: no special-function library is used.  On the whole
 supported range [-60, 60], Ai and Ai' come from one fixed table of
-degree-25 Taylor expansions of Ai about centres every 0.25 on
-[-60.25, 60.25], evaluated at the nearest centre (|h| <= 0.125).  The
-coefficients follow from the Airy equation y'' = x y (DLMF 9.2.1):
-a_2 = x0 a_0 / 2 and (n+2)(n+1) a_{n+2} = x0 a_n + a_{n-1}.
+degree-23 Taylor expansions of Ai about centres every 0.25 on
+[-60.25, 60.25], evaluated at the nearest centre (|h| <= 0.125): one
+Horner pass over the centre's coefficients yields the polynomial and its
+derivative, Ai and Ai'.  The coefficients follow from the Airy equation
+y'' = x y (DLMF 9.2.1): a_2 = x0 a_0 / 2 and
+(n+2)(n+1) a_{n+2} = x0 a_n + a_{n-1}.
 
 The table is built once at import by Taylor steps of that equation:
 leftward from the asymptotic value (DLMF 9.7) at 60.25 down to 0
@@ -39,7 +41,7 @@ _AIP0 = -0.2588194037928068
 
 _STEP = 0.25
 _EDGE = SUPPORTED_RANGE + _STEP   # outermost centres; seeds of the marches
-_DEGREE = 25
+_DEGREE = 23
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +108,7 @@ def _airy_asym_neg(x):
 # Taylor table
 
 def _taylor_coeffs(x0, ai, aip):
-    """Taylor coefficients a_0..a_25 of Ai about x0 from Ai(x0), Ai'(x0)."""
+    """Taylor coefficients a_0..a_{_DEGREE} of Ai about x0 from Ai(x0), Ai'(x0)."""
     a = [ai, aip, 0.5 * x0 * ai]
     for n in range(1, _DEGREE - 1):
         a.append((x0 * a[n] + a[n - 1]) / ((n + 2) * (n + 1)))
@@ -114,12 +116,16 @@ def _taylor_coeffs(x0, ai, aip):
 
 
 def _horner(table, j, h):
-    """Sum table[n][j] * h**n, gathering one coefficient row per step."""
+    """p = sum table[n][j] * h**n and dp/dh from one Horner sweep,
+    gathering one coefficient row per step."""
     p = np.take(table[-1], j)
+    dp = np.zeros_like(p)
     for row in table[-2::-1]:
+        dp *= h
+        dp += p
         p *= h
         p += np.take(row, j)
-    return p
+    return p, dp
 
 
 def _march(x0, ai, aip, step, n):
@@ -151,11 +157,10 @@ def _taylor_table():
             f"Taylor march reached Ai(-{_EDGE:g}) = {left[-1][0]!r}, "
             f"Ai'(-{_EDGE:g}) = {left[-1][1]!r}; asymptotic values {ai[0]!r}, {aip[0]!r}")
     coeffs = np.array(left[::-1] + right[::-1])          # centres -_EDGE .. _EDGE
-    deriv = coeffs[:, 1:] * np.arange(1, _DEGREE + 1)
-    return coeffs.T.copy(), deriv.T.copy()
+    return coeffs.T.copy()
 
 
-_AI_T, _AIP_T = _taylor_table()
+_AI_T = _taylor_table()
 
 
 def _nearest_centre(x):
@@ -182,7 +187,7 @@ def airy_both(x):
         raise DomainError(
             f"airy argument outside supported interval [-{SUPPORTED_RANGE:g}, {SUPPORTED_RANGE:g}]")
     j, h = _nearest_centre(arr)
-    ai, aip = _horner(_AI_T, j, h), _horner(_AIP_T, j, h)
+    ai, aip = _horner(_AI_T, j, h)
     if arr.ndim == 0:
         return float(ai), float(aip)
     return ai, aip

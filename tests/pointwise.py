@@ -1,8 +1,11 @@
-"""Brute-force references for product-form integrands: each factor is
+"""Brute-force references.  For product-form integrands each factor is
 read at every point of the full grid through ``np.meshgrid`` of the node
-indices, with no contraction."""
+indices, with no contraction; the Airy kernel is summed from its
+half-line integral."""
 
 import numpy as np
+
+from airykpz.specfun import airy_both
 
 
 def factor_grid(axis, pairs):
@@ -27,3 +30,12 @@ def pointwise_sum(f, rules):
     for i, r in enumerate(rules):
         w = w * r.weights[idx[i]]
     return complex(np.sum(w * factor_grid(axis, pairs)))
+
+
+def half_line_kernel(xs, ys, rule):
+    """K(x, y) = int_0^inf Ai(x + a) Ai(y + a) da on the nodes of ``rule``
+    for every x in xs and y in ys, an array of shape (len(xs), len(ys)).
+    Summed as w * (Ai(x+a) * Ai(y+a)), so it is bit-symmetric in x and y."""
+    ax, _ = airy_both(np.add.outer(np.atleast_1d(xs), rule.nodes))
+    ay, _ = airy_both(np.add.outer(np.atleast_1d(ys), rule.nodes))
+    return np.sum(rule.weights * (ax[:, None, :] * ay[None, :, :]), axis=-1)

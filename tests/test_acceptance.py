@@ -21,7 +21,7 @@ from airykpz.params import ModelParams
 from airykpz.quadrature import cauchy_det, cauchy_det_direct, composite_legendre
 from airykpz.specfun import airy_both
 
-from pointwise import factor_grid
+from pointwise import factor_grid, half_line_kernel
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -178,9 +178,7 @@ def _check_exponent_identity():
 
 def _check_kernel_representations():
     xs = np.linspace(-8.0, 8.0, 21)
-    rule = composite_legendre(0.0, 26.0, 26, 10)
-    ai_xa, _ = airy_both(xs[:, None] + rule.nodes[None, :])
-    integral = (ai_xa * rule.weights[None, :]) @ ai_xa.T
+    integral = half_line_kernel(xs, xs, composite_legendre(0.0, 26.0, 26, 10))
     worst = float(np.max(np.abs(airy_kernel_matrix(xs) - integral)))
     return worst, worst <= 1e-8
 

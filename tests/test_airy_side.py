@@ -6,15 +6,14 @@ import pytest
 from airykpz import airy_side
 from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix,
                                airy_mult_stat, default_mult_stat_grid,
-                               kernel_integral_form, laplace_R, okounkov_integral,
-                               tracy_widom_f2)
+                               laplace_R, okounkov_integral, tracy_widom_f2)
 from airykpz.errors import ConfigurationError, DomainError, SingularityError
 from airykpz.params import ModelParams
 from airykpz.quadrature import (cauchy_det, cauchy_det_direct, composite_legendre,
                                 scaled_gauss_hermite)
 from airykpz.specfun import airy_both
 
-from pointwise import factor_grid, pointwise_sum
+from pointwise import factor_grid, half_line_kernel, pointwise_sum
 
 AIP0_SQ = 0.06698748377966397414  # Ai'(0)^2, 30-digit evaluation
 R1 = 0.3066099715278760013815    # e^(1/12)/(2 sqrt(pi))
@@ -51,22 +50,19 @@ def test_kernel_symmetry_random_pairs():
 
 
 def test_kernel_matches_integral_form_pointwise():
-    assert kernel_pair(1.0, 2.0) == pytest.approx(kernel_integral_form(1.0, 2.0), abs=1e-9)
-    assert kernel_integral_form(0.0, 0.0) == pytest.approx(AIP0_SQ, abs=1e-10)
-    k55 = kernel_integral_form(5.0, 5.0)
+    # for x, y >= 0 the integrand is below 1e-38 past a = 16
+    rule = composite_legendre(0.0, 16.0, 16, 10)
+    assert kernel_pair(1.0, 2.0) == pytest.approx(half_line_kernel(1.0, 2.0, rule)[0, 0],
+                                                  abs=1e-9)
+    assert half_line_kernel(0.0, 0.0, rule)[0, 0] == pytest.approx(AIP0_SQ, abs=1e-10)
+    k55 = half_line_kernel(5.0, 5.0, rule)[0, 0]
     assert 0 < k55 < 1e-5
-
-
-def test_kernel_integral_form_symmetric_by_construction():
-    assert kernel_integral_form(-3.2, 1.7) == kernel_integral_form(1.7, -3.2)
 
 
 def test_kernel_representation_agreement_grid():
     # max over a 21x21 grid on [-8, 8]^2 of |ratio form - integral form| <= 1e-8
     xs = np.linspace(-8.0, 8.0, 21)
-    rule = composite_legendre(0.0, 26.0, 26, 10)
-    ai_xa, _ = airy_both(xs[:, None] + rule.nodes[None, :])
-    integral = (ai_xa * rule.weights[None, :]) @ ai_xa.T
+    integral = half_line_kernel(xs, xs, composite_legendre(0.0, 26.0, 26, 10))
     ratio = airy_kernel_matrix(xs)
     assert np.max(np.abs(ratio - integral)) <= 1e-8
 
@@ -80,10 +76,10 @@ def test_kernel_near_diagonal_continuity():
 
 
 def test_kernel_domain_error():
-    with pytest.raises(DomainError):
-        kernel_pair(60.5, 0.0)
-    with pytest.raises(DomainError):
-        kernel_integral_form(0.0, -60.5)
+    # the range is airy_both's; the kernel matrix has no check of its own
+    for points in ([60.5, 0.0], [0.0, -60.5]):
+        with pytest.raises(DomainError, match="airy argument outside"):
+            airy_kernel_matrix(points)
 
 
 # ----------------------------------------------------------------------

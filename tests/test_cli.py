@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -150,6 +151,28 @@ def test_output_independent_of_blas_threads():
             assert proc.returncode == 0, proc.stderr.decode()
             outs.append(proc.stdout)
         assert outs[0] == outs[1], args[0]
+
+
+def test_pipelines_make_no_blas_product():
+    # The thread-count test above cannot see a BLAS product that happens
+    # to give the same bits at 1 and 2 threads, so the pipeline modules
+    # are read instead: no `@`, no dot/matmul/tensordot/inner/vdot call
+    # and no einsum(..., optimize=...).  Out of scope: specfun, whose
+    # Taylor-step products run once at import, and the LAPACK
+    # np.linalg.det of the Fredholm and Cauchy determinants.
+    blas_calls = {"dot", "matmul", "tensordot", "inner", "vdot"}
+    src = Path(airykpz.__file__).resolve().parent
+    found = []
+    for module in ("airy_side", "kpz_side", "quadrature"):
+        for node in ast.walk(ast.parse((src / f"{module}.py").read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((module, node.lineno, "@"))
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in blas_calls or (
+                        name == "einsum" and any(k.arg == "optimize" for k in node.keywords)):
+                    found.append((module, node.lineno, name))
+    assert found == []
 
 
 def test_mc_check_small_run(capsys):

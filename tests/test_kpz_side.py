@@ -389,3 +389,11 @@ def test_kpz_laplace_truncated_inner_rule_raises():
     p = ModelParams.from_C(1.0, 1.0)
     with pytest.raises(NumericalConsistencyError):
         kpz_laplace(p, default_kpz_outer_rule(p), composite_legendre(-30.0, 5.0, 35, 10))
+
+
+def test_kpz_laplace_inner_rule_beyond_airy_range_raises():
+    # r up to 65 puts x - r below -60 at the outer nodes near x = 0; the
+    # range check is airy_both's, reached through the K_u grid
+    p = ModelParams.from_C(1.0, 1.0)
+    with pytest.raises(DomainError, match="airy argument outside"):
+        kpz_laplace(p, default_kpz_outer_rule(p), composite_legendre(-30.0, 65.0, 95, 10))
