@@ -5,7 +5,13 @@ Both sides of the Laplace-transform identity and of the moments identity
 are computed through independent pipelines (weighted Airy-kernel Fredholm
 determinants vs. delta-Bose-gas contour integrals), together with the
 Tracy-Widom large-time limit and a GUE-edge Monte Carlo cross-check.
+
+The Monte Carlo names are resolved from ``airykpz.montecarlo`` on first
+access (PEP 562), so scipy, which only that module needs, is loaded only
+when one of them is used.
 """
+
+import importlib
 
 from .airy_side import (airy_h_moment, airy_mult_stat, laplace_R, okounkov_integral,
                         tracy_widom_f2)
@@ -14,8 +20,6 @@ from .errors import (AiryKpzError, ConfigurationError, DomainError,
 from .kpz_side import (ContourSpec, Partition, bose_exponent, interaction_det,
                        kpz_laplace, kpz_moment, kpz_moment_nested, ku_kernel,
                        partitions, symmetry_factor)
-from .montecarlo import (EstimatorResult, draw_edge_samples, estimate_h_moment,
-                         estimate_mult_stat, sample_gue_edge)
 from .params import ModelParams
 from .quadrature import (QuadratureRule, cauchy_det, gauss_hermite, gauss_legendre,
                          tensor_integrate)
@@ -34,3 +38,18 @@ __all__ = [
     "okounkov_integral", "partitions", "sample_gue_edge",
     "symmetry_factor", "tensor_integrate", "tracy_widom_f2",
 ]
+
+_MONTECARLO_NAMES = frozenset({"EstimatorResult", "draw_edge_samples", "estimate_h_moment",
+                               "estimate_mult_stat", "sample_gue_edge"})
+
+
+def __getattr__(name):
+    if name in _MONTECARLO_NAMES:
+        # not cached here, so a name rebound in montecarlo (a patch, the
+        # bench tracer's hooks) is what every later access returns
+        return getattr(importlib.import_module(".montecarlo", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _MONTECARLO_NAMES)

@@ -18,7 +18,6 @@ from .airy_side import (airy_h_moment, airy_mult_stat, default_mult_stat_grid,
                         tracy_widom_f2)
 from .errors import AiryKpzError, ConfigurationError
 from .kpz_side import default_kpz_outer_rule, kpz_laplace, kpz_moment
-from .montecarlo import MIN_KEPT, draw_edge_samples, estimate_h_moment, estimate_mult_stat
 from .params import ModelParams
 
 __all__ = ["RunConfig", "VerificationRow", "main",
@@ -185,6 +184,10 @@ def run_tw_limit(cfg: RunConfig) -> list[VerificationRow]:
 
 def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
     """Monte Carlo estimates against the analytic Airy-side pipeline."""
+    # imported here, not at module level: montecarlo loads scipy, which no
+    # other subcommand needs
+    from .montecarlo import MIN_KEPT, draw_edge_samples, estimate_h_moment, estimate_mult_stat
+
     if cfg.samples < 100:
         raise AiryKpzError("mc-check needs at least 100 samples")
     if cfg.keep_top < MIN_KEPT:

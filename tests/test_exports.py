@@ -1,11 +1,20 @@
+import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import airykpz
+from airykpz import montecarlo
 
 MODULES = ["airykpz"] + [f"airykpz.{m.name}" for m in pkgutil.iter_modules(airykpz.__path__)]
+SRC = Path(airykpz.__file__).resolve().parent
+LAZY = ["EstimatorResult", "draw_edge_samples", "estimate_h_moment", "estimate_mult_stat",
+        "sample_gue_edge"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -14,3 +23,94 @@ def test_all_names_resolve(name):
     mod = importlib.import_module(name)
     missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", LAZY)
+def test_lazy_name_is_the_montecarlo_object(name):
+    assert getattr(airykpz, name) is getattr(montecarlo, name)
+
+
+def test_dir_lists_every_exported_name():
+    assert set(airykpz.__all__) <= set(dir(airykpz))
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from airykpz import *", namespace)
+    assert [n for n in airykpz.__all__ if n not in namespace] == []
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'airykpz' has no attribute 'no_such_name'"):
+        airykpz.no_such_name  # noqa: B018
+    assert not hasattr(airykpz, "no_such_name")
+
+
+_FRESH = """
+import contextlib, io, sys
+import airykpz, airykpz.cli
+
+def main(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return airykpz.cli.main(argv)
+
+assert main(["verify-theorem1", "--C", "1", "--u", "1"]) == 0
+assert main(["verify-theorem2", "--C", "1", "--k-max", "1"]) == 0
+assert main(["tw-limit", "--a=-2", "--T", "64"]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert loaded == [], loaded
+assert main(["mc-check", "--C", "0.5", "--u", "1", "--k-max", "1", "--samples", "100",
+             "--matrix-size", "100", "--keep-top", "32"]) in (0, 1)
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_only_mc_check_loads_scipy():
+    # the pytest process has scipy loaded already, so this runs in a new interpreter
+    proc = subprocess.run([sys.executable, "-c", _FRESH], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _module_level(tree):
+    """The statements run at import: the module body and the bodies of
+    its top-level if/try/with blocks, but no function or class body."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, (ast.If, ast.Try, ast.With)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                todo.extend(getattr(node, field, []))
+        elif isinstance(node, ast.ExceptHandler):
+            todo.extend(node.body)
+
+
+def _imported_modules(node):
+    """Dotted names an import statement binds or reads from; relative ones
+    keep their leading dots, and `from a import b` also gives `a.b`."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = "." * node.level + (node.module or "")
+        return [base] + [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_only_montecarlo_imports_scipy_and_nothing_imports_it_at_module_level():
+    # scipy costs most of a cold start and only mc-check needs it: a new
+    # scipy import, or a top-level import of montecarlo, would put it back
+    # on every CLI call and every `import airykpz`
+    scipy_users, eager = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if path.name != "montecarlo.py" and any(
+                    m.split(".")[0] == "scipy" for m in _imported_modules(node)):
+                scipy_users.append((path.name, node.lineno))
+        for node in _module_level(tree):
+            if any("montecarlo" in m.split(".") for m in _imported_modules(node)):
+                eager.append((path.name, node.lineno))
+    assert scipy_users == [], f"scipy imported outside montecarlo.py: {scipy_users}"
+    assert eager == [], f"montecarlo imported at module level (loads scipy): {eager}"
