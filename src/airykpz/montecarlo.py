@@ -21,12 +21,15 @@ the same (seed, index) to within ~4e-12 in rescaled units
 
 Draws are plain arrays: one draw is the 1-d array of its m rescaled points,
 nonincreasing, and an ensemble is the (draws, m) array whose row i is draw
-i of the seed's stream.
+i of the seed's stream.  An ensemble is drawn in one forked worker process
+per usable CPU, each over a contiguous range of indices; every draw has its
+own stream, so the array is the same bytes at any CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +96,22 @@ def _edge_rows(N: int, m: int) -> int:
     return min(N, math.ceil(turning + _EDGE_MARGIN * N ** (1.0 / 3.0)))
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
+
+
+def _check_draw(N: int, m: int, seed: int, sample_index: int) -> None:
+    """Raise ConfigurationError unless (N, m, seed, sample_index) names a draw."""
+    if not (_is_int(N) and 50 <= N <= 5000):
+        raise ConfigurationError(f"matrix size N must be an integer in [50, 5000], got {N!r}")
+    if not (_is_int(m) and 1 <= m <= min(64, N)):
+        raise ConfigurationError(
+            f"kept-point count m must be an integer in [1, min(64, N)], got {m!r}")
+    for name, val in (("seed", seed), ("sample_index", sample_index)):
+        if not (_is_int(val) and val >= 0):
+            raise ConfigurationError(f"{name} must be a non-negative integer, got {val!r}")
+
+
 def sample_gue_edge(N: int, m: int, seed: int, sample_index: int = 0) -> np.ndarray:
     """One draw of the rescaled top-m GUE eigenvalues, as a nonincreasing
     1-d array of m points.
@@ -102,18 +121,12 @@ def sample_gue_edge(N: int, m: int, seed: int, sample_index: int = 0) -> np.ndar
     drawn for the whole matrix; the eigensolve sees its leading
     _edge_rows(N, m).
     """
-    if not 50 <= N <= 5000:
-        raise ConfigurationError("matrix size N must be in [50, 5000]")
-    if not 1 <= m <= min(64, N):
-        raise ConfigurationError("kept-point count m must be in [1, min(64, N)]")
-    for name, val in (("seed", seed), ("sample_index", sample_index)):
-        if not (isinstance(val, (int, np.integer)) and val >= 0):
-            raise ConfigurationError(f"{name} must be a non-negative integer, got {val!r}")
+    _check_draw(N, m, seed, sample_index)
     diag, off = _tridiagonal(N, seed, sample_index)
     n = _edge_rows(N, m)
     try:
         eigs = eigh_tridiagonal(diag[:n], off[:n - 1], eigvals_only=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - stev is robust
+    except np.linalg.LinAlgError as exc:
         raise NumericalConsistencyError(
             f"tridiagonal eigensolver failed (N={N}, seed={seed!r}, "
             f"sample_index={sample_index!r}): {exc}") from exc
@@ -121,12 +134,42 @@ def sample_gue_edge(N: int, m: int, seed: int, sample_index: int = 0) -> np.ndar
     return N ** (1.0 / 6.0) * (top - 2.0 * math.sqrt(N))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform: draw in-process
+        return 1
+
+
+def _draw_range(N: int, m: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """Draws start, ..., stop - 1 of the seed's stream as rows of one array."""
+    return np.stack([sample_gue_edge(N, m, seed, i) for i in range(start, stop)])
+
+
 def draw_edge_samples(N: int, m: int, seed: int, count: int) -> np.ndarray:
     """count independent draws as a (count, m) array; row i is
-    sample_gue_edge(N, m, seed, i)."""
-    if count < 1:
-        raise ConfigurationError("need at least one sample")
-    return np.stack([sample_gue_edge(N, m, seed, i) for i in range(count)])
+    sample_gue_edge(N, m, seed, i).
+
+    The indices are cut into one contiguous range per usable CPU (at most
+    count ranges), each drawn in its own worker process; the array is the
+    same bytes at any CPU count.  Workers are forked, not spawned: a spawned
+    worker re-runs the caller's __main__, which breaks a top-level script
+    that calls this function.  Every worker has exited when this returns
+    or raises.
+    """
+    if not (_is_int(count) and count >= 1):
+        raise ConfigurationError(f"sample count must be a positive integer, got {count!r}")
+    _check_draw(N, m, seed, 0)
+    workers = min(_usable_cpus(), count)
+    if workers == 1:
+        return _draw_range(N, m, seed, 0, count)
+    # imported here so that importing this module starts no pool machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    cuts = [count * w // workers for w in range(workers + 1)]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        blocks = [pool.submit(_draw_range, N, m, seed, a, b) for a, b in zip(cuts, cuts[1:])]
+        return np.concatenate([block.result() for block in blocks])
 
 
 def _points_matrix(samples: np.ndarray) -> np.ndarray:

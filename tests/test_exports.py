@@ -46,7 +46,7 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(airykpz, "no_such_name")
 
 
-_FRESH = """
+_ONE_CELLS = """
 import contextlib, io, sys
 import airykpz, airykpz.cli
 
@@ -57,6 +57,9 @@ def main(argv):
 assert main(["verify-theorem1", "--C", "1", "--u", "1"]) == 0
 assert main(["verify-theorem2", "--C", "1", "--k-max", "1"]) == 0
 assert main(["tw-limit", "--a=-2", "--T", "64"]) == 0
+"""
+
+_FRESH = _ONE_CELLS + """
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert loaded == [], loaded
 assert main(["mc-check", "--C", "0.5", "--u", "1", "--k-max", "1", "--samples", "100",
@@ -65,12 +68,28 @@ assert "scipy.linalg" in sys.modules
 """
 
 
-def test_only_mc_check_loads_scipy():
-    # the pytest process has scipy loaded already, so this runs in a new interpreter
-    proc = subprocess.run([sys.executable, "-c", _FRESH], capture_output=True, text=True,
+_NO_POOL = _ONE_CELLS + """
+loaded = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+assert loaded == [], loaded
+"""
+
+
+def _run_fresh(script):
+    # the pytest process has these modules loaded already, so each check
+    # runs in a new interpreter
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC.parent)},
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_mc_check_loads_scipy():
+    _run_fresh(_FRESH)
+
+
+def test_only_mc_check_loads_the_process_pool():
+    # the Monte Carlo worker pool imports its modules when it draws
+    _run_fresh(_NO_POOL)
 
 
 def _module_level(tree):

@@ -1,12 +1,15 @@
 import itertools
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from airykpz import montecarlo
 from airykpz.airy_side import airy_mult_stat, laplace_R, tracy_widom_f2
-from airykpz.errors import ConfigurationError
+from airykpz.errors import ConfigurationError, NumericalConsistencyError
 from airykpz.montecarlo import (BIAS_GUARD, EstimatorResult, _edge_rows, _tridiagonal,
                                 complete_homogeneous, draw_edge_samples,
                                 estimate_h_moment, estimate_mult_stat, sample_gue_edge)
@@ -46,6 +49,10 @@ def test_sample_validation():
         sample_gue_edge(100, 65, 0)
     with pytest.raises(ConfigurationError):
         sample_gue_edge(50, 64, 0)      # more kept points than eigenvalues
+    with pytest.raises(ConfigurationError):
+        sample_gue_edge(400.0, 16, 0)
+    with pytest.raises(ConfigurationError):
+        sample_gue_edge(200, 16.0, 0)
 
 
 @pytest.mark.parametrize("seed", [None, -1, 1.5, "7"])
@@ -55,6 +62,52 @@ def test_seed_must_be_non_negative_integer(seed):
         sample_gue_edge(200, 16, seed)
     with pytest.raises(ConfigurationError):
         draw_edge_samples(200, 16, seed, 2)
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5, "3", True, None])
+def test_count_must_be_positive_integer(count):
+    # a float count would reach the range cuts; True would be one draw
+    with pytest.raises(ConfigurationError):
+        draw_edge_samples(200, 16, 777, count)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_draws_identical_at_any_worker_count(monkeypatch, cpus):
+    # each draw has its own stream: cutting the indices into worker ranges,
+    # more workers than draws included, changes no bit of the array
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    for n in (1, 2, 5):
+        rows = np.stack([sample_gue_edge(200, 16, 777, i) for i in range(n)])
+        assert np.array_equal(draw_edge_samples(200, 16, 777, n), rows)
+        assert multiprocessing.active_children() == []
+
+
+def test_no_affinity_call_means_one_in_process_worker(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert montecarlo._usable_cpus() == 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_eigensolver_failure_names_the_draw_and_leaves_no_worker(monkeypatch, cpus):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+    # forked workers inherit the patched module
+    monkeypatch.setattr(montecarlo, "eigh_tridiagonal", fail)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    with pytest.raises(NumericalConsistencyError, match=r"seed=777, sample_index=0\)"):
+        draw_edge_samples(200, 16, 777, 5)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("args", [(20, 16, 777, 4), (200, 65, 777, 4), (400.0, 16, 777, 4),
+                                  (200, 16, -1, 4), (200, 16, 777, 2.5)])
+def test_bad_arguments_raise_before_any_worker_starts(monkeypatch, args):
+    def no_fork():
+        raise AssertionError("a worker was started")
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(ConfigurationError):
+        draw_edge_samples(*args)
 
 
 # kept-point counts per matrix size, and draws per size; N = 50 and 200 are
