@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericalConsistencyError
+from .errors import (ConfigurationError, DomainError, check_order, check_positive,
+                     check_probability)
 from .params import ModelParams
 from .quadrature import (QuadratureRule, cauchy_det, composite_legendre,
                          fredholm_det_matrix, hermite_axis_count, legendre_on,
@@ -30,7 +31,7 @@ from .specfun import SUPPORTED_RANGE, airy_both, logistic
 __all__ = [
     "airy_kernel_matrix", "okounkov_integral", "laplace_R",
     "airy_h_moment", "airy_mult_stat", "default_mult_stat_grid", "tracy_widom_f2",
-    "default_f2_grid",
+    "default_f2_grid", "newton_h",
 ]
 
 _CONFLUENT_EPS = 1e-5     # |x - y| below which the confluent diagonal form is used
@@ -75,22 +76,8 @@ def okounkov_integral(x: float, a: float, b: float) -> float:
                  / (2.0 * np.sqrt(np.pi * x)))
 
 
-def _require_positive_c(c) -> np.ndarray:
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise DomainError("need a nonempty vector of Laplace exponents")
-    if np.any(c <= 0):
-        raise DomainError("Laplace exponents must be strictly positive")
-    if np.any(c > 20.0):
-        raise DomainError("Laplace exponent above 20: exp(c^3/12) overflows "
-                          "double precision")
-    if c.size > 5:
-        raise ConfigurationError("at most 5 Laplace exponents are supported")
-    return c
-
-
 def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
-    """Laplace transform of the n-point correlation function.
+    """Laplace transform of the n-point correlation function, n <= 4.
 
     Evaluates
         exp(sum c_i^3/12)/(2 pi)^n * int exp(-sum c_i z_i^2)
@@ -107,7 +94,17 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
     in its arguments); ``c`` is sorted in descending order, so every order
     of the same exponents gives the same bits.
     """
-    c = np.sort(_require_positive_c(c))[::-1]
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise DomainError("need a nonempty vector of Laplace exponents")
+    if np.any(c <= 0):
+        raise DomainError("Laplace exponents must be strictly positive")
+    if np.any(c > 20.0):
+        raise DomainError("Laplace exponent above 20: exp(c^3/12) overflows "
+                          "double precision")
+    if c.size > 4:
+        raise ConfigurationError("at most 4 Laplace exponents are supported")
+    c = np.sort(c)[::-1]
     n = c.size
     if nodes_per_axis is None:
         d_min = min((math.sqrt(c[i]) * (c[i] + c[j]) / 2.0
@@ -134,6 +131,16 @@ _H_LEFT_DECAY = 37.0
 _H_RIGHT_MARGIN = 22.0
 
 
+def newton_h(p: list) -> list:
+    """h_0 = 1, h_1, ..., h_k from the power sums p = [p_1, ..., p_k] by
+    Newton's identities, j h_j = sum_{i<=j} p_i h_{j-i}; the p_i may be
+    scalars or arrays of one shape."""
+    h = [1.0]
+    for j in range(1, len(p) + 1):
+        h.append(sum(p[i - 1] * h[j - i] for i in range(1, j + 1)) / j)
+    return h
+
+
 def _h_series(rule: QuadratureRule, C: float, k: int) -> list[float]:
     """E h_1, ..., E h_k from the Nystrom discretization of det(I - K f_u).
 
@@ -141,20 +148,19 @@ def _h_series(rule: QuadratureRule, C: float, k: int) -> list[float]:
     K f_u is similar to P(u) = sum_m (-1)^{m+1} u^m S G^{m-1}, G = diag(g).
     From log det(I - P) = -sum_j tr(P^j)/j, (-1)^n times its u^n
     coefficient is l_n = sum_j (-1)^{j+1}/j sum_a tr(S G^{a_1} ... S G^{a_j})
-    over the exponents a_i >= 0 with sum a_i = n - j.  E h_n is (-1)^n
-    times the u^n coefficient of det(I - P), so E h_n = e_n with e_0 = 1
-    and n e_n = sum_i i l_i e_{n-i} (Newton's recursion).
+    over the exponents a_i >= 0 with sum a_i = n - j.  E h_n is the
+    coefficient of v^n in det(I - P) = exp(sum_n l_n v^n), v = -u, so it
+    is :func:`newton_h` of the power sums p_i = i l_i.
 
-    For k <= 5 a word has at most two positive exponents, so a rotation
-    makes it S^p G^c S^q G^b and its trace one O(n^2) sum over S, S^2 or
-    S^3.  Products and sums run through ``np.einsum`` without
+    For k <= 4 a word has at most two positive exponents, so a rotation
+    makes it S^p G^c S^q G^b and its trace one O(n^2) sum over S or S^2.
+    Products and sums run through ``np.einsum`` without
     ``optimize``: no BLAS call, so no dependence on its thread count.
     """
     g = np.exp(C * rule.nodes)
     s = np.sqrt(rule.weights * g)
-    powers = [None, s[:, None] * airy_kernel_matrix(rule.nodes) * s[None, :]]
-    for _ in range(2, (k + 1) // 2 + 1):
-        powers.append(np.einsum("il,lj->ij", powers[-1], powers[1]))
+    S = s[:, None] * airy_kernel_matrix(rule.nodes) * s[None, :]
+    powers = [None, S, np.einsum("il,lj->ij", S, S) if k > 2 else None]
 
     def trace(a):
         # rotate the first positive exponent to the end, then split after
@@ -168,13 +174,10 @@ def _h_series(rule: QuadratureRule, C: float, k: int) -> list[float]:
         diag = np.einsum("il,l,li->i", powers[p], g ** a[p - 1], powers[j - p])
         return np.einsum("i,i->", diag, g ** a[-1])
 
-    ell, e = [0.0], [1.0]
-    for n in range(1, k + 1):
-        ell.append(sum((-1) ** (j + 1) * trace(a) / j for j in range(1, n + 1)
-                       for a in itertools.product(range(n - j + 1), repeat=j)
-                       if sum(a) == n - j))
-        e.append(sum(i * ell[i] * e[n - i] for i in range(1, n + 1)) / n)
-    return e[1:]
+    ell = [sum((-1) ** (j + 1) * trace(a) / j for j in range(1, n + 1)
+               for a in itertools.product(range(n - j + 1), repeat=j) if sum(a) == n - j)
+           for n in range(1, k + 1)]
+    return newton_h([i * l for i, l in enumerate(ell, start=1)])[1:]
 
 
 def airy_h_moment(k: int, C: float, nodes_per_axis: int | None = None) -> float:
@@ -182,13 +185,13 @@ def airy_h_moment(k: int, C: float, nodes_per_axis: int | None = None) -> float:
     the u^k coefficient of det(I - K f_u).
 
     ``nodes_per_axis`` is the Gauss-Legendre order per panel of the grid
-    (default 30).  Supported on C >= 0.4 and (kC)^2/4 + 22 <= 60, where the
-    grid stays inside the Airy range; other inputs raise DomainError.
-    The moment is analytically positive; a value that is not positive has
-    been lost to cancellation and raises NumericalConsistencyError.
+    (default 30).  Supported on integer 1 <= k <= 4 (ConfigurationError
+    otherwise), C >= 0.4 and (kC)^2/4 + 22 <= 60, where the grid stays
+    inside the Airy range; other C raise DomainError.  The moment is
+    analytically positive; a value that is not positive has been lost to
+    cancellation and raises NumericalConsistencyError.
     """
-    if not 1 <= k <= 5:
-        raise ConfigurationError("airy_h_moment supports 1 <= k <= 5")
+    check_order("airy_h_moment", k)
     right = (k * C) ** 2 / 4.0 + _H_RIGHT_MARGIN
     if not (C >= 0.4 and right <= SUPPORTED_RANGE):
         raise DomainError(f"airy_h_moment supports C >= 0.4 and (kC)^2/4 + "
@@ -196,11 +199,7 @@ def airy_h_moment(k: int, C: float, nodes_per_axis: int | None = None) -> float:
     left = max(-SUPPORTED_RANGE, -_H_LEFT_DECAY / C)
     rule = composite_legendre(left, right, math.ceil((right - left) / _H_PANEL_WIDTH),
                               nodes_per_axis or _H_ORDER)
-    total = float(_h_series(rule, C, k)[-1])
-    if not total > 0:
-        raise NumericalConsistencyError(
-            f"airy_h_moment({k}, {C}) = {total!r} is not positive")
-    return total
+    return check_positive(f"airy_h_moment({k}, {C})", float(_h_series(rule, C, k)[-1]))
 
 
 # ----------------------------------------------------------------------
@@ -229,11 +228,7 @@ def airy_mult_stat(params: ModelParams, grid: QuadratureRule | None = None) -> f
         grid = default_mult_stat_grid(params)
     kmat = airy_kernel_matrix(grid.nodes)
     f = logistic(params.C * grid.nodes + math.log(params.u))
-    val = fredholm_det_matrix(kmat, grid.weights * f)
-    if not 0.0 < val <= 1.0 + 1e-10:
-        raise NumericalConsistencyError(
-            f"multiplicative statistic {val!r} outside (0, 1]")
-    return min(val, 1.0)
+    return check_probability("airy_mult_stat", fredholm_det_matrix(kmat, grid.weights * f))
 
 
 def default_f2_grid(s: float, n: int = 80) -> QuadratureRule:
@@ -241,13 +236,11 @@ def default_f2_grid(s: float, n: int = 80) -> QuadratureRule:
 
 
 def tracy_widom_f2(s: float, grid: QuadratureRule | None = None) -> float:
-    """GUE Tracy-Widom distribution F2(s) = det(1 - K) on [s, inf)."""
+    """GUE Tracy-Widom distribution F2(s) = det(1 - K) on [s, inf); a
+    determinant outside (0, 1 + 1e-10] raises, one above 1 is clipped to 1."""
     if not -10.0 <= s <= 6.0:
         raise DomainError("tracy_widom_f2 supports s in [-10, 6]")
     if grid is None:
         grid = default_f2_grid(s)
     kmat = airy_kernel_matrix(grid.nodes)
-    val = fredholm_det_matrix(kmat, grid.weights)
-    if not 0.0 < val < 1.0:
-        raise NumericalConsistencyError(f"F2({s}) = {val!r} outside (0, 1)")
-    return val
+    return check_probability(f"F2({s})", fredholm_det_matrix(kmat, grid.weights))

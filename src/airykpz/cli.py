@@ -16,21 +16,13 @@ from dataclasses import dataclass, field
 
 from .airy_side import (airy_h_moment, airy_mult_stat, default_mult_stat_grid,
                         tracy_widom_f2)
-from .errors import AiryKpzError, ConfigurationError
+from .errors import AiryKpzError, ConfigurationError, check_order
 from .kpz_side import default_kpz_outer_rule, kpz_laplace, kpz_moment
 from .params import ModelParams
 
 __all__ = ["RunConfig", "VerificationRow", "main",
            "run_verify_theorem1", "run_verify_theorem2", "run_tw_limit", "run_mc_check"]
 
-COMMANDS = ("verify-theorem2", "verify-theorem1", "tw-limit", "mc-check")
-
-_HEADERS = {
-    "verify-theorem2": ("C", "T", "k"),
-    "verify-theorem1": ("C", "T", "u"),
-    "tw-limit": ("a", "T", "C"),
-    "mc-check": ("kind", "param", "C", "T"),
-}
 _VALUE_COLS = ("lhs_value", "rhs_value", "abs_diff", "rel_diff", "aux", "status")
 
 
@@ -90,8 +82,8 @@ def _error_row(labels: dict, exc: Exception) -> VerificationRow:
 
 def _derive_grid(cfg: RunConfig) -> list[tuple[float, float]]:
     """(C, T) pairs from whichever list was supplied."""
-    if cfg.C_list and cfg.T_list:
-        raise AiryKpzError("supply either a C list or a T list, not both")
+    if bool(cfg.C_list) == bool(cfg.T_list):
+        raise ConfigurationError("supply one nonempty list: either --C or --T")
     if cfg.C_list:
         return [(C, 2.0 * C ** 3) for C in cfg.C_list]
     return [((T / 2.0) ** (1.0 / 3.0), T) for T in cfg.T_list]
@@ -99,8 +91,7 @@ def _derive_grid(cfg: RunConfig) -> list[tuple[float, float]]:
 
 def run_verify_theorem2(cfg: RunConfig) -> list[VerificationRow]:
     """Moment identity: airy_h_moment(k, C) vs kpz_moment(k, T=2C^3)."""
-    if cfg.k_max > 4:
-        raise AiryKpzError("verify-theorem2 supports k_max <= 4")
+    check_order("verify-theorem2 --k-max", cfg.k_max)
     nodes = cfg.nodes or None
     rows = []
     for C, T in _derive_grid(cfg):
@@ -169,11 +160,8 @@ def run_tw_limit(cfg: RunConfig) -> list[VerificationRow]:
                 prev = None
                 continue
             diff = abs(lhs - rhs)
-            if prev is None:
-                mono, ok_mono = "na", True
-            else:
-                ok_mono = diff <= prev + 1e-12
-                mono = "true" if ok_mono else "false"
+            ok_mono = prev is None or diff <= prev + 1e-12
+            mono = "na" if prev is None else str(ok_mono).lower()
             passed = ok_mono and (i < len(T_list) - 1 or diff < tol)
             rows.append(VerificationRow(labels=labels, lhs_value=lhs, rhs_value=rhs,
                                         aux=f"tol={tol:g};nonincreasing={mono}",
@@ -186,17 +174,22 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
     """Monte Carlo estimates against the analytic Airy-side pipeline."""
     # imported here, not at module level: montecarlo loads scipy, which no
     # other subcommand needs
-    from .montecarlo import MIN_KEPT, draw_edge_samples, estimate_h_moment, estimate_mult_stat
+    from .montecarlo import (MAX_H_ORDER, MIN_KEPT, draw_edge_samples, estimate_h_moment,
+                             estimate_mult_stat)
 
     if cfg.samples < 100:
         raise AiryKpzError("mc-check needs at least 100 samples")
+    # known before any draw: every estimator row would reject the samples
     if cfg.keep_top < MIN_KEPT:
-        # known before any draw: every estimator row would reject the samples
         raise ConfigurationError(f"mc-check needs --keep-top >= {MIN_KEPT}; the estimators "
                                  f"reject fewer kept points per draw")
+    if cfg.k_max > MAX_H_ORDER:
+        raise ConfigurationError(f"mc-check supports --k-max <= {MAX_H_ORDER}; the h_k "
+                                 f"estimator rejects higher orders")
+    grid = _derive_grid(cfg)
     samples = draw_edge_samples(cfg.matrix_size, cfg.keep_top, cfg.seed, cfg.samples)
     rows = []
-    for C, T in _derive_grid(cfg):
+    for C, T in grid:
         for k in range(1, cfg.k_max + 1):
             labels = {"kind": "h_moment", "param": k, "C": C, "T": T}
             try:
@@ -229,11 +222,17 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
     return rows
 
 
-_RUNNERS = {
-    "verify-theorem2": run_verify_theorem2,
-    "verify-theorem1": run_verify_theorem1,
-    "tw-limit": run_tw_limit,
-    "mc-check": run_mc_check,
+# per subcommand: its runner, its label columns and the flags the runner
+# reads (--format and --out apply to all)
+COMMANDS = {
+    "verify-theorem2": (run_verify_theorem2, ("C", "T", "k"),
+                        ("--C", "--T", "--k-max", "--nodes", "--tol")),
+    "verify-theorem1": (run_verify_theorem1, ("C", "T", "u"),
+                        ("--C", "--T", "--u", "--nodes", "--tol")),
+    "tw-limit": (run_tw_limit, ("a", "T", "C"), ("--a", "--T", "--tol")),
+    "mc-check": (run_mc_check, ("kind", "param", "C", "T"),
+                 ("--C", "--T", "--u", "--k-max", "--samples", "--matrix-size",
+                  "--keep-top", "--seed", "--tol")),
 }
 
 
@@ -247,17 +246,16 @@ def _fmt(v) -> str:
 
 
 def render(rows: list[VerificationRow], command: str, fmt: str) -> str:
-    names = _HEADERS[command] + _VALUE_COLS
+    _, labels, _ = COMMANDS[command]
+    names = labels + _VALUE_COLS
     if fmt == "json":
-        payload = [row.as_dict(_HEADERS[command]) for row in rows]
-        for row in payload:   # NaN from error rows is not a JSON literal
-            for key, val in row.items():
-                if isinstance(val, float) and not math.isfinite(val):
-                    row[key] = None
+        # NaN from error rows is not a JSON literal
+        payload = [{key: None if isinstance(val, float) and not math.isfinite(val) else val
+                    for key, val in row.as_dict(labels).items()} for row in rows]
         return json.dumps(payload, indent=2) + "\n"
     lines = [",".join(names)]
     for row in rows:
-        d = row.as_dict(_HEADERS[command])
+        d = row.as_dict(labels)
         lines.append(",".join(_fmt(d[name]) for name in names))
     return "\n".join(lines) + "\n"
 
@@ -285,27 +283,18 @@ _FLAGS = {
     "--out": dict(dest="output_path", help="output path (default: stdout)"),
 }
 
-# the flags each runner reads; --format and --out apply to all
-_COMMAND_FLAGS = {
-    "verify-theorem2": ("--C", "--T", "--k-max", "--nodes", "--tol"),
-    "verify-theorem1": ("--C", "--T", "--u", "--nodes", "--tol"),
-    "tw-limit": ("--a", "--T", "--tol"),
-    "mc-check": ("--C", "--T", "--u", "--k-max", "--samples", "--matrix-size",
-                 "--keep-top", "--seed", "--tol"),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="airykpz",
         description="Verify the KPZ/Airy one-point identities numerically.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        doc = (_RUNNERS[name].__doc__ or "").strip().splitlines()[0]
+    for name, (runner, _, flags) in COMMANDS.items():
+        doc = (runner.__doc__ or "").strip().splitlines()[0]
         # flags left out keep their RunConfig defaults
         sp = sub.add_parser(name, help=doc, description=doc,
                             argument_default=argparse.SUPPRESS)
-        for flag in _COMMAND_FLAGS[name] + ("--format", "--out"):
+        for flag in flags + ("--format", "--out"):
             sp.add_argument(flag, **_FLAGS[flag])
     return p
 
@@ -315,7 +304,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def run(cfg: RunConfig) -> tuple[list[VerificationRow], str]:
-    rows = _RUNNERS[cfg.command](cfg)
+    """Rows and rendered text of one command; a grid with no cells checks
+    nothing and raises ConfigurationError."""
+    rows = COMMANDS[cfg.command][0](cfg)
+    if not rows:
+        raise ConfigurationError(f"{cfg.command}: the grid has no cells, so nothing "
+                                 f"would be checked")
     return rows, render(rows, cfg.command, cfg.format)
 
 

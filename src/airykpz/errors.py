@@ -1,4 +1,7 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and the guards on moment
+orders and on computed moments and probabilities that raise from it."""
+
+import numbers
 
 
 class AiryKpzError(Exception):
@@ -38,3 +41,29 @@ class EvaluationError(AiryKpzError, ArithmeticError):
     def __init__(self, message, where=None):
         super().__init__(message)
         self.where = where
+
+
+def is_integer(val) -> bool:
+    """An int or numpy integer; a bool is not one."""
+    return isinstance(val, numbers.Integral) and not isinstance(val, bool)
+
+
+def check_order(name: str, k, k_max: int = 4) -> None:
+    """Raise ConfigurationError unless k is an integer in [1, k_max]; the
+    default is the highest moment order either side computes to its accuracy."""
+    if not (is_integer(k) and 1 <= k <= k_max):
+        raise ConfigurationError(f"{name} supports integer 1 <= k <= {k_max}, got {k!r}")
+
+
+def check_positive(name: str, value: float) -> float:
+    """value, a moment; one that is not positive was lost to cancellation and raises."""
+    if not value > 0:
+        raise NumericalConsistencyError(f"{name} = {value!r} is not positive")
+    return value
+
+
+def check_probability(name: str, value: float) -> float:
+    """value, a probability det(1 - K), clipped to 1; outside (0, 1 + 1e-10] it raises."""
+    if not 0.0 < value <= 1.0 + 1e-10:
+        raise NumericalConsistencyError(f"{name} = {value!r} outside (0, 1]")
+    return min(value, 1.0)

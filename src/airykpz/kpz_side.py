@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericalConsistencyError
+from .errors import (ConfigurationError, DomainError, NumericalConsistencyError,
+                     check_order, check_positive, check_probability)
 from .params import ModelParams
 from .quadrature import (HERMITE_AXIS_CAP_BY_DIM, QuadratureRule, cauchy_det,
                          composite_legendre, fredholm_det_matrix, gauss_legendre,
@@ -72,8 +73,7 @@ class Partition:
 
 def partitions(k: int) -> list[Partition]:
     """All partitions of k, descending lexicographic in the parts."""
-    if not 1 <= k <= MAX_PARTITION_WEIGHT:
-        raise ConfigurationError(f"partitions supports 1 <= k <= {MAX_PARTITION_WEIGHT}")
+    check_order("partitions", k, MAX_PARTITION_WEIGHT)
     out: list[Partition] = []
 
     def rec(remaining: int, largest: int, prefix: list[int]):
@@ -166,23 +166,18 @@ def kpz_moment(k: int, T: float, nodes_per_axis: int | None = None) -> float:
     """exp(kT/24) E[Z(T,0)^k / k!], via the partition-expanded contour
     formula; directly comparable with airy_h_moment(k, C=(T/2)^(1/3)).
 
-    k <= 4 carries the full advertised tolerance; k = 5 is allowed with
-    degraded accuracy.  The moment is analytically positive; a sum that is
-    not positive has been lost to cancellation and raises
-    NumericalConsistencyError.
+    Supported on integer 1 <= k <= 4; other k raise ConfigurationError.
+    The moment is analytically positive; a sum that is not positive has
+    been lost to cancellation and raises NumericalConsistencyError.
     """
-    if not 1 <= k <= 5:
-        raise ConfigurationError("kpz_moment supports 1 <= k <= 5")
+    check_order("kpz_moment", k)
     if not T > 0:
         raise DomainError("kpz_moment requires T > 0")
     total = 0.0
     for lam in partitions(k):
         n_axis = _partition_axis_nodes(lam, T, nodes_per_axis)
         total += _partition_moment_integral(lam, T, n_axis) / symmetry_factor(lam)
-    moment = math.exp(k * T / 24.0) * total
-    if not moment > 0:
-        raise NumericalConsistencyError(f"kpz_moment({k}, {T}) = {moment!r} is not positive")
-    return moment
+    return check_positive(f"kpz_moment({k}, {T})", math.exp(k * T / 24.0) * total)
 
 
 # ----------------------------------------------------------------------
@@ -225,10 +220,10 @@ def kpz_moment_nested(k: int, T: float, spec: ContourSpec | None = None,
 
     The result must be independent of admissible contour offsets; the
     outermost 10% band of the first axis is monitored and a visible
-    contribution there raises a truncation-sensitivity error.
+    contribution there, or a value lost to cancellation (not positive),
+    raises NumericalConsistencyError.
     """
-    if not 1 <= k <= 3:
-        raise ConfigurationError("kpz_moment_nested supports 1 <= k <= 3")
+    check_order("kpz_moment_nested", k, k_max=3)
     if not T > 0:
         raise DomainError("kpz_moment_nested requires T > 0")
     if spec is None:
@@ -268,7 +263,8 @@ def kpz_moment_nested(k: int, T: float, spec: ContourSpec | None = None,
         raise NumericalConsistencyError(
             f"nested contour integral is truncation-sensitive: outer band "
             f"contributes {abs(edge):.3e} of {abs(total):.3e}")
-    return math.exp(k * T / 24.0) * total / math.factorial(k)
+    return check_positive(f"kpz_moment_nested({k}, {T})",
+                          math.exp(k * T / 24.0) * total / math.factorial(k))
 
 
 # ----------------------------------------------------------------------
@@ -293,9 +289,9 @@ def default_ku_inner_rule(params: ModelParams, x_max: float) -> QuadratureRule:
     hi = (20.0 + abs(math.log(params.u))) / params.C + x_max
     if hi > SUPPORTED_RANGE:
         raise ConfigurationError(
-            f"default kernel rule needs the Airy function beyond its supported "
-            f"range (inner domain reaches {hi:.1f}); supply explicit rules or "
-            f"use C >= {((20.0 + abs(math.log(params.u))) / (SUPPORTED_RANGE - x_max)):.2f}")
+            f"default kernel rule needs the Airy function beyond its supported range (inner "
+            f"domain reaches {hi:.1f}); supply explicit rules or use C >= "
+            f"{((20.0 + abs(math.log(params.u))) / (SUPPORTED_RANGE - x_max)):.2f}")
     return composite_legendre(lo, hi, int(math.ceil(hi - lo)), 10)
 
 
@@ -336,20 +332,19 @@ def _ku_matrix(xs: np.ndarray, params: ModelParams,
     return 0.5 * (M + M.T)
 
 
-def ku_kernel(x: float, x_prime: float, params: ModelParams,
-              inner_rule: QuadratureRule | None = None) -> float:
+def ku_kernel(x: float, x_prime: float, params: ModelParams) -> float:
     """Kernel of the Laplace-transform determinant:
     K_u(x, x') = int dr Ai(x-r) Ai(x'-r) / (1 + u^{-1} exp((T/2)^{1/3} r)).
 
     Symmetric in (x, x'); x, x' >= 0, u > 0.  The [0, 1] entry of the
-    grid evaluation that :func:`kpz_laplace` runs, truncation check included.
+    grid evaluation that :func:`kpz_laplace` runs on its default inner
+    rule, truncation check included.
     """
     if not (x >= 0 and x_prime >= 0):
         raise DomainError("ku_kernel requires x, x' >= 0")
     if not params.u > 0:
         raise DomainError("ku_kernel requires u > 0")
-    if inner_rule is None:
-        inner_rule = default_ku_inner_rule(params, max(x, x_prime))
+    inner_rule = default_ku_inner_rule(params, max(x, x_prime))
     return float(_ku_matrix(np.array([x, x_prime]), params, inner_rule)[0, 1])
 
 
@@ -368,7 +363,4 @@ def kpz_laplace(params: ModelParams, outer_rule: QuadratureRule | None = None,
     if inner_rule is None:
         inner_rule = default_ku_inner_rule(params, float(np.max(outer_rule.nodes)))
     kmat = _ku_matrix(outer_rule.nodes, params, inner_rule)
-    val = fredholm_det_matrix(kmat, outer_rule.weights)
-    if not 0.0 < val <= 1.0 + 1e-10:
-        raise NumericalConsistencyError(f"Laplace determinant {val!r} outside (0, 1]")
-    return min(val, 1.0)
+    return check_probability("kpz_laplace", fredholm_det_matrix(kmat, outer_rule.weights))

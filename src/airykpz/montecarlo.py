@@ -23,7 +23,8 @@ Draws are plain arrays: one draw is the 1-d array of its m rescaled points,
 nonincreasing, and an ensemble is the (draws, m) array whose row i is draw
 i of the seed's stream.  An ensemble is drawn in one forked worker process
 per usable CPU, each over a contiguous range of indices; every draw has its
-own stream, so the array is the same bytes at any CPU count.
+own stream, so the array is the same bytes at any CPU count.  The h_k
+estimates (k <= 3) use the Airy side's Newton recursion, ``newton_h``.
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConfigurationError, NumericalConsistencyError
+from .airy_side import newton_h
+from .errors import ConfigurationError, NumericalConsistencyError, is_integer
 
 __all__ = [
     "EstimatorResult", "sample_gue_edge", "draw_edge_samples",
     "complete_homogeneous", "estimate_h_moment", "estimate_mult_stat",
-    "BIAS_GUARD", "MIN_KEPT",
+    "BIAS_GUARD", "MIN_KEPT", "MAX_H_ORDER",
 ]
 
 #: per-factor truncation-bias level above which estimates are flagged
@@ -49,6 +51,9 @@ BIAS_GUARD = 1e-6
 #: fewest kept points per draw the estimators accept; below it the
 #: truncation of the Airy point process leaves their bias unbounded
 MIN_KEPT = 32
+
+#: highest k for which estimate_h_moment's tail truncation is controlled
+MAX_H_ORDER = 3
 
 #: rows solved past the m-th eigenvalue's turning row, in units of N^(1/3)
 _EDGE_MARGIN = 10.0
@@ -96,19 +101,15 @@ def _edge_rows(N: int, m: int) -> int:
     return min(N, math.ceil(turning + _EDGE_MARGIN * N ** (1.0 / 3.0)))
 
 
-def _is_int(val) -> bool:
-    return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
-
-
 def _check_draw(N: int, m: int, seed: int, sample_index: int) -> None:
     """Raise ConfigurationError unless (N, m, seed, sample_index) names a draw."""
-    if not (_is_int(N) and 50 <= N <= 5000):
+    if not (is_integer(N) and 50 <= N <= 5000):
         raise ConfigurationError(f"matrix size N must be an integer in [50, 5000], got {N!r}")
-    if not (_is_int(m) and 1 <= m <= min(64, N)):
+    if not (is_integer(m) and 1 <= m <= min(64, N)):
         raise ConfigurationError(
             f"kept-point count m must be an integer in [1, min(64, N)], got {m!r}")
     for name, val in (("seed", seed), ("sample_index", sample_index)):
-        if not (_is_int(val) and val >= 0):
+        if not (is_integer(val) and val >= 0):
             raise ConfigurationError(f"{name} must be a non-negative integer, got {val!r}")
 
 
@@ -157,7 +158,7 @@ def draw_edge_samples(N: int, m: int, seed: int, count: int) -> np.ndarray:
     that calls this function.  Every worker has exited when this returns
     or raises.
     """
-    if not (_is_int(count) and count >= 1):
+    if not (is_integer(count) and count >= 1):
         raise ConfigurationError(f"sample count must be a positive integer, got {count!r}")
     _check_draw(N, m, seed, 0)
     workers = min(_usable_cpus(), count)
@@ -196,27 +197,19 @@ def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
 
 
 def complete_homogeneous(values: np.ndarray, k: int) -> np.ndarray:
-    """h_k of the columns of a (rows, m) value matrix, one result per row.
-
-    Uses power sums p_j = sum_i values_i^j and the Newton recursion
-    j h_j = sum_{i<=j} p_i h_{j-i}; h_0 = 1.
-    """
+    """h_k of the columns of a (rows, m) value matrix, one result per row:
+    :func:`airykpz.airy_side.newton_h` of the row power sums
+    p_j = sum_i values_i^j."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    p = [None] + [np.sum(values ** j, axis=1) for j in range(1, k + 1)]
-    h = [np.ones(values.shape[0])]
-    for j in range(1, k + 1):
-        acc = np.zeros(values.shape[0])
-        for i in range(1, j + 1):
-            acc += p[i] * h[j - i]
-        h.append(acc / j)
-    return h[k]
+    p = [np.sum(values ** j, axis=1) for j in range(1, k + 1)]
+    return np.ones(values.shape[0]) * newton_h(p)[k]
 
 
 def estimate_h_moment(samples: np.ndarray, k: int, C: float) -> EstimatorResult:
     """Empirical E[h_k(exp(C a_1), exp(C a_2), ...)] over the kept points
     of a (draws, kept) sample array."""
-    if not 0 <= k <= 3:
-        raise ConfigurationError("estimate_h_moment supports 0 <= k <= 3")
+    if not 0 <= k <= MAX_H_ORDER:
+        raise ConfigurationError(f"estimate_h_moment supports 0 <= k <= {MAX_H_ORDER}")
     if not C >= 0.3:
         raise ConfigurationError("estimate_h_moment requires C >= 0.3 "
                                  "(tail truncation control)")

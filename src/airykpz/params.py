@@ -1,4 +1,4 @@
-"""The matched parameter triple coupling the two sides of the identities."""
+"""The matched parameters coupling the two sides of the identities."""
 
 from __future__ import annotations
 
@@ -11,28 +11,28 @@ __all__ = ["ModelParams"]
 
 @dataclass(frozen=True)
 class ModelParams:
-    """KPZ time T, Airy scaling C and Laplace variable u, with T/2 = C^3.
+    """Airy scaling C and Laplace variable u; the KPZ time T = 2C^3 is
+    derived from C, so the pair always satisfies T/2 = C^3."""
 
-    Construct through :meth:`from_C` or :meth:`from_T` so one member of
-    the (T, C) pair is always derived from the other.
-    """
-
-    T: float
     C: float
     u: float
 
     def __post_init__(self):
-        if not (self.T > 0 and self.C > 0):
-            raise DomainError("ModelParams requires T > 0 and C > 0")
+        if not self.C > 0:
+            raise DomainError("ModelParams requires C > 0")
         if not self.u >= 0:
             raise DomainError("ModelParams requires u >= 0")
-        if abs(self.T / 2.0 - self.C ** 3) > 1e-12 * max(1.0, self.T):
-            raise DomainError("ModelParams requires T/2 = C^3; use from_C or from_T")
+
+    @property
+    def T(self) -> float:
+        return 2.0 * self.C ** 3
 
     @classmethod
     def from_C(cls, C: float, u: float) -> "ModelParams":
-        return cls(T=2.0 * float(C) ** 3, C=float(C), u=float(u))
+        return cls(C=float(C), u=float(u))
 
     @classmethod
     def from_T(cls, T: float, u: float) -> "ModelParams":
-        return cls(T=float(T), C=(float(T) / 2.0) ** (1.0 / 3.0), u=float(u))
+        if not T > 0:
+            raise DomainError("ModelParams requires T > 0")
+        return cls(C=(float(T) / 2.0) ** (1.0 / 3.0), u=float(u))

@@ -130,7 +130,7 @@ def scaled_gauss_hermite(c: float, n: int) -> QuadratureRule:
 # K = O(10..100) (measured).  Invert for n with two digits of headroom.
 _HERMITE_AXIS_TOL = 1e-9
 _HERMITE_AXIS_FLOOR = 48
-HERMITE_AXIS_CAP_BY_DIM = {1: 256, 2: 256, 3: 256, 4: 56, 5: 24}
+HERMITE_AXIS_CAP_BY_DIM = {1: 256, 2: 256, 3: 256, 4: 56}
 
 
 def hermite_axis_count(d_min: float, dim: int, extra_floor: int = 0) -> int:
@@ -215,13 +215,11 @@ def _contract(u, pairs):
     if len(u) == 3:
         inner = np.einsum("ac,bc->ab", pairs[0, 2], u[2] * pairs[1, 2])
         return np.einsum("a,ab,b->", u[0], pairs[0, 1] * inner, u[1])
-    # l >= 4: fix the first axis's index, fold its pair rows into the other
-    # axes' factors and recurse
+    # l = 4: fix the first axis's index, fold its pair rows into the other
+    # axes' factors and contract the three left
     rest = {(i - 1, j - 1): t for (i, j), t in pairs.items() if i > 0}
-    total = 0.0
-    for x, ux in enumerate(u[0]):
-        total += ux * _contract([u[i] * pairs[0, i][x] for i in range(1, len(u))], rest)
-    return total
+    return sum(ux * _contract([u[i] * pairs[0, i][x] for i in (1, 2, 3)], rest)
+               for x, ux in enumerate(u[0]))
 
 
 def tensor_integrate(f, rules) -> float:
@@ -234,7 +232,7 @@ def tensor_integrate(f, rules) -> float:
     A pair left out of the dict is 1.  The integrand at a grid point is the
     product of all factors there, so the n-fold weighted sum is a
     contraction of these tables: one n^3 ``einsum`` for three axes, a loop
-    over the first axis for more.  The node budget applies to the full
+    over the first axis for four.  The node budget applies to the full
     grid, which the contraction covers.
 
     The factors may be complex.  The result is the real part of the total:
@@ -246,8 +244,8 @@ def tensor_integrate(f, rules) -> float:
     """
     rules = list(rules)
     n = len(rules)
-    if n < 1 or n > 5:
-        raise ConfigurationError(f"tensor dimension must be 1..5, got {n}")
+    if n < 1 or n > 4:
+        raise ConfigurationError(f"tensor dimension must be 1..4, got {n}")
     total = math.prod(len(r) for r in rules)
     if total > TENSOR_NODE_BUDGET:
         raise ConfigurationError(

@@ -249,7 +249,7 @@ def test_laplace_R_validation():
     with pytest.raises(DomainError):
         laplace_R([])
     with pytest.raises(ConfigurationError):
-        laplace_R([1.0] * 6)
+        laplace_R([1.0] * 5)
 
 
 def test_laplace_R_node_doubling_self_convergence():
@@ -309,10 +309,11 @@ def test_airy_h_moment_self_convergence(C, monkeypatch):
 
 
 def test_airy_h_moment_validation():
-    with pytest.raises(ConfigurationError):
-        airy_h_moment(0, 1.0)
-    with pytest.raises(ConfigurationError):
-        airy_h_moment(6, 1.0)
+    # k = 5 is outside the supported orders, and a float or bool k is not an order
+    for k in (0, 5, 2.0, True):
+        with pytest.raises(ConfigurationError):
+            airy_h_moment(k, 1.0)
+    assert airy_h_moment(np.int64(2), 1.0) == airy_h_moment(2, 1.0)
     with pytest.raises(DomainError):
         airy_h_moment(1, -1.0)
     with pytest.raises(DomainError):

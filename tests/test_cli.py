@@ -28,13 +28,24 @@ def test_theorem1_u0_row_exact(capsys):
     assert fields[3] == "1" and fields[4] == "1" and fields[5] == "0"
 
 
-def test_empty_grid_exits_clean(capsys):
-    code, out, err = _run_main(["verify-theorem2", "--C", ""], capsys)
-    assert code == 0
-    assert out.strip() == "C,T,k,lhs_value,rhs_value,abs_diff,rel_diff,aux,status"
-    code, out, err = _run_main(["verify-theorem2", "--C", "", "--format", "json"], capsys)
-    assert code == 0
-    assert json.loads(out) == []
+@pytest.mark.parametrize("argv", [
+    ["verify-theorem2", "--C", ""],
+    ["verify-theorem2", "--C", "", "--format", "json"],
+    ["verify-theorem2", "--k-max", "2"],                 # neither --C nor --T
+    ["verify-theorem2", "--C", "1", "--k-max", "0"],
+    ["verify-theorem1", "--C", "1"],                     # no --u
+    ["tw-limit", "--T", "8,64"],                         # no --a
+    ["mc-check", "--u", "1", "--k-max", "1"],            # neither --C nor --T
+], ids=["empty-C", "empty-C-json", "no-C-or-T", "k-max-0", "no-u", "no-a", "mc-no-C-or-T"])
+def test_grid_without_cells_is_a_usage_error(argv, capsys, monkeypatch):
+    # a grid that yields no rows checks nothing: exit 2, no table, and for
+    # mc-check no draw
+    from airykpz import montecarlo
+    monkeypatch.setattr(montecarlo, "draw_edge_samples", lambda *a: pytest.fail("drew"))
+    code, out, err = _run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_theorem2_rows_in_C_k_order_and_pass(capsys):
@@ -210,6 +221,23 @@ def test_mc_check_negative_seed_is_a_usage_error(capsys):
          "--matrix-size", "100", "--keep-top", "32", "--seed", "-1"], capsys)
     assert code == 2
     assert err.startswith("error: seed must be a non-negative integer")
+    assert out == ""
+
+
+def test_mc_check_k_max_above_estimator_bound_is_a_usage_error(capsys, monkeypatch):
+    # rejected before any draw: the h_k estimator stops at k = 3
+    from airykpz import montecarlo
+    monkeypatch.setattr(montecarlo, "draw_edge_samples", lambda *a: pytest.fail("drew"))
+    code, out, err = _run_main(["mc-check", "--C", "0.5", "--u", "1", "--k-max", "4"], capsys)
+    assert code == 2
+    assert err.startswith("error: mc-check supports --k-max <= 3")
+    assert out == ""
+
+
+def test_verify_theorem2_k_max_above_moment_bound_is_a_usage_error(capsys):
+    code, out, err = _run_main(["verify-theorem2", "--C", "1", "--k-max", "5"], capsys)
+    assert code == 2
+    assert err.startswith("error: verify-theorem2 --k-max supports integer 1 <= k <= 4")
     assert out == ""
 
 

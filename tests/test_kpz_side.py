@@ -268,10 +268,10 @@ def test_kpz_moment_contraction_matches_pointwise_sum(monkeypatch):
 
 
 def test_kpz_moment_validation():
-    with pytest.raises(ConfigurationError):
-        kpz_moment(0, 2.0)
-    with pytest.raises(ConfigurationError):
-        kpz_moment(6, 2.0)
+    # k = 5 is outside the supported orders, and a float or bool k is not an order
+    for k in (0, 5, 2.0, True):
+        with pytest.raises(ConfigurationError):
+            kpz_moment(k, 2.0)
     with pytest.raises(DomainError):
         kpz_moment(2, -1.0)
 
@@ -308,10 +308,19 @@ def test_nested_k2_matches_expansion():
 
 
 def test_nested_validation():
-    with pytest.raises(ConfigurationError):
-        kpz_moment_nested(4, 2.0)
+    for k in (0, 4, 2.0, True):
+        with pytest.raises(ConfigurationError):
+            kpz_moment_nested(k, 2.0)
     with pytest.raises(ConfigurationError):
         kpz_moment_nested(2, 2.0, ContourSpec(offsets=(2.0,), half_width=8.0))
+
+
+@pytest.mark.parametrize("k, T", [(3, 2.0 * 1.4 ** 3), (2, 16.0)])
+def test_nested_lost_to_cancellation_raises(k, T):
+    # the nested sums cancel to -6.0e11 and -3.27 here, against Airy-side
+    # moments 15.75 and 7.31: a moment is positive, so these must raise
+    with pytest.raises(NumericalConsistencyError, match="is not positive"):
+        kpz_moment_nested(k, T)
 
 
 # ----------------------------------------------------------------------

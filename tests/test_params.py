@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from airykpz.errors import DomainError
@@ -23,10 +25,11 @@ def test_roundtrip_consistency():
         assert q.C == pytest.approx(C, rel=1e-14)
 
 
-def test_coupling_enforced_on_direct_construction():
-    ModelParams(T=2.0, C=1.0, u=0.0)
-    with pytest.raises(DomainError):
-        ModelParams(T=2.0, C=1.1, u=0.0)
+def test_T_is_derived_from_C():
+    # T is not stored: it is 2 C^3 on every construction path
+    for C in (0.3, 1.0, 2.4):
+        assert ModelParams(C, 0.5).T == 2.0 * C ** 3
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["C", "u"]
 
 
 def test_validation():
@@ -36,3 +39,7 @@ def test_validation():
         ModelParams.from_T(0.0, 0.0)
     with pytest.raises(DomainError):
         ModelParams.from_C(1.0, -0.5)
+    with pytest.raises(DomainError):
+        ModelParams.from_T(-2.0, 0.0)
+    with pytest.raises(DomainError):
+        ModelParams(0.0, 1.0)
