@@ -141,6 +141,22 @@ def newton_h(p: list) -> list:
     return h
 
 
+_SQUARE_ROWS = 32       # 16 to 64 rows per block time alike at n = 210-352
+
+
+def _symmetric_square(S: np.ndarray) -> np.ndarray:
+    """S^2 of a bitwise symmetric S: the upper triangle in blocks of rows,
+    (S^2)_ij = sum_l S_il S_jl, then mirrored.  Entry (i, j) is summed as in
+    one full ``np.einsum("il,jl->ij", S, S)``, so the bits are the same."""
+    n = S.shape[0]
+    sq = np.empty_like(S)
+    for i0 in range(0, n, _SQUARE_ROWS):
+        sq[i0:i0 + _SQUARE_ROWS, i0:] = np.einsum("il,jl->ij", S[i0:i0 + _SQUARE_ROWS], S[i0:])
+    lower = np.tril_indices(n, -1)
+    sq[lower] = sq.T[lower]
+    return sq
+
+
 def _h_series(rule: QuadratureRule, C: float, k: int) -> list[float]:
     """E h_1, ..., E h_k from the Nystrom discretization of det(I - K f_u).
 
@@ -154,13 +170,17 @@ def _h_series(rule: QuadratureRule, C: float, k: int) -> list[float]:
 
     For k <= 4 a word has at most two positive exponents, so a rotation
     makes it S^p G^c S^q G^b and its trace one O(n^2) sum over S or S^2.
-    Products and sums run through ``np.einsum`` without
-    ``optimize``: no BLAS call, so no dependence on its thread count.
+    S is bitwise symmetric, so S^2 is built from its upper triangle
+    (:func:`_symmetric_square`).  Products and sums run through
+    ``np.einsum`` without ``optimize``: no BLAS call, so no dependence on
+    its thread count.
     """
     g = np.exp(C * rule.nodes)
     s = np.sqrt(rule.weights * g)
-    S = s[:, None] * airy_kernel_matrix(rule.nodes) * s[None, :]
-    powers = [None, S, np.einsum("il,lj->ij", S, S) if k > 2 else None]
+    # s_i s_j K_ij: both factors are bitwise symmetric, so S is too
+    S = airy_kernel_matrix(rule.nodes)
+    S *= np.multiply.outer(s, s)
+    powers = [None, S, _symmetric_square(S) if k > 2 else None]
 
     def trace(a):
         # rotate the first positive exponent to the end, then split after

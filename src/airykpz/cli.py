@@ -89,6 +89,16 @@ def _derive_grid(cfg: RunConfig) -> list[tuple[float, float]]:
     return [((T / 2.0) ** (1.0 / 3.0), T) for T in cfg.T_list]
 
 
+def _check_u(cfg: RunConfig) -> None:
+    """Laplace variables are non-negative; a negative one is a usage error."""
+    if any(u < 0 for u in cfg.u_list):
+        raise AiryKpzError("u values must be >= 0")
+
+
+def _no_cells(command: str) -> ConfigurationError:
+    return ConfigurationError(f"{command}: the grid has no cells, so nothing would be checked")
+
+
 def run_verify_theorem2(cfg: RunConfig) -> list[VerificationRow]:
     """Moment identity: airy_h_moment(k, C) vs kpz_moment(k, T=2C^3)."""
     check_order("verify-theorem2 --k-max", cfg.k_max)
@@ -113,8 +123,7 @@ def run_verify_theorem2(cfg: RunConfig) -> list[VerificationRow]:
 
 def run_verify_theorem1(cfg: RunConfig) -> list[VerificationRow]:
     """Laplace identity: airy_mult_stat(u, C) vs kpz_laplace(u, T=2C^3)."""
-    if any(u < 0 for u in cfg.u_list):
-        raise AiryKpzError("u values must be >= 0")
+    _check_u(cfg)
     n = cfg.nodes or 80
     rows = []
     for C, T in _derive_grid(cfg):
@@ -179,14 +188,18 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
 
     if cfg.samples < 100:
         raise AiryKpzError("mc-check needs at least 100 samples")
-    # known before any draw: every estimator row would reject the samples
+    # known before any draw: every estimator row would reject the samples,
+    # some row would reject its u, or the grid would yield no row at all
     if cfg.keep_top < MIN_KEPT:
         raise ConfigurationError(f"mc-check needs --keep-top >= {MIN_KEPT}; the estimators "
                                  f"reject fewer kept points per draw")
     if cfg.k_max > MAX_H_ORDER:
         raise ConfigurationError(f"mc-check supports --k-max <= {MAX_H_ORDER}; the h_k "
                                  f"estimator rejects higher orders")
+    _check_u(cfg)
     grid = _derive_grid(cfg)
+    if cfg.k_max < 1 and not cfg.u_list:
+        raise _no_cells(cfg.command)
     samples = draw_edge_samples(cfg.matrix_size, cfg.keep_top, cfg.seed, cfg.samples)
     rows = []
     for C, T in grid:
@@ -308,8 +321,7 @@ def run(cfg: RunConfig) -> tuple[list[VerificationRow], str]:
     nothing and raises ConfigurationError."""
     rows = COMMANDS[cfg.command][0](cfg)
     if not rows:
-        raise ConfigurationError(f"{cfg.command}: the grid has no cells, so nothing "
-                                 f"would be checked")
+        raise _no_cells(cfg.command)
     return rows, render(rows, cfg.command, cfg.format)
 
 

@@ -150,6 +150,11 @@ def _partition_moment_integral(lam: Partition, T: float, n_axis: int) -> float:
     lamv = np.asarray(lam.parts, dtype=float)
     rules = [scaled_gauss_hermite(T * p / 2.0, n_axis) for p in lam.parts]
     log_const = float(np.sum((T / 2.0) * lamv * (lamv - 1) * (2 * lamv - 1) / 6.0))
+    try:
+        const = math.exp(log_const)
+    except OverflowError:
+        raise DomainError(f"partition {lam.parts} at T = {T}: its prefactor "
+                          f"exp({log_const:.6g}) overflows double precision") from None
 
     def integrand(*ts):
         diag, pairs = interaction_det([1j * t for t in ts], lam)
@@ -158,8 +163,7 @@ def _partition_moment_integral(lam: Partition, T: float, n_axis: int) -> float:
 
     # t -> -t conjugates the integrand and the Hermite nodes are symmetric,
     # so the sum is real; the tensor driver returns its real part
-    return (tensor_integrate(integrand, rules)
-            * math.exp(log_const) / (2.0 * math.pi) ** ell)
+    return tensor_integrate(integrand, rules) * const / (2.0 * math.pi) ** ell
 
 
 def kpz_moment(k: int, T: float, nodes_per_axis: int | None = None) -> float:

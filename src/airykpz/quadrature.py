@@ -236,9 +236,12 @@ def tensor_integrate(f, rules) -> float:
     grid, which the contraction covers.
 
     The factors may be complex.  The result is the real part of the total:
-    each caller integrates an analytically real quantity.  The same
-    contraction of the absolute factors gives sum |w f|, and an imaginary
-    part above 1e-12 of it, or a non-finite sum, raises
+    each caller integrates an analytically real quantity.  When every
+    table's imaginary part is exactly zero, the real parts are contracted
+    in real arithmetic.  The same contraction of the absolute factors
+    gives sum |w f|; when every table is real and non-negative, that sum
+    is the total itself and is not contracted again.  An imaginary part
+    above 1e-12 of sum |w f|, or a non-finite sum, raises
     :class:`NumericalConsistencyError`.  The reduction order is fixed, so
     the result is deterministic and independent of the BLAS thread count.
     """
@@ -264,8 +267,16 @@ def tensor_integrate(f, rules) -> float:
     u = [np.asarray(v) * r.weights for v, r in zip(axis, rules)]
     full = {(i, j): np.asarray(pairs[i, j]) if (i, j) in pairs else np.ones((sizes[i], sizes[j]))
             for i in range(n) for j in range(i + 1, n)}
+    real = not any(np.iscomplexobj(t) and np.any(t.imag) for t in [*u, *full.values()])
+    if real:
+        # copied: einsum runs ~2.5x slower on the strided view .real gives
+        u = [np.ascontiguousarray(v.real) for v in u]
+        full = {k: np.ascontiguousarray(t.real) for k, t in full.items()}
     val = complex(_contract(u, full))
-    mag = float(_contract([np.abs(v) for v in u], {k: np.abs(t) for k, t in full.items()}))
+    if real and all(np.all(t >= 0) for t in [*u, *full.values()]):
+        mag = val.real      # every w f is >= 0, so sum |w f| is the sum itself
+    else:
+        mag = float(_contract([np.abs(v) for v in u], {k: np.abs(t) for k, t in full.items()}))
     if not math.isfinite(mag) or not abs(val.imag) <= 1e-12 * mag:
         raise NumericalConsistencyError(
             f"tensor sum {val!r} is not finite and real: sum |w f| = {mag:.3e}, "

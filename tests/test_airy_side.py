@@ -288,6 +288,18 @@ def test_airy_h_moment_contraction_matches_pointwise_sum(monkeypatch):
     assert dims == [3]
 
 
+def test_h_series_square_from_upper_triangle(monkeypatch):
+    # k = 3 at C = 0.6: n = 330 nodes, so the last block of rows is partial
+    seen = []
+    square = airy_side._symmetric_square
+    monkeypatch.setattr(airy_side, "_symmetric_square", lambda S: seen.append(S) or square(S))
+    airy_h_moment(3, 0.6)
+    (S,) = seen
+    assert S.shape[0] % airy_side._SQUARE_ROWS != 0
+    assert np.array_equal(S, S.T)
+    assert np.array_equal(square(S), np.einsum("il,jl->ij", S, S))
+
+
 @pytest.mark.parametrize("C", [0.4, 0.5, 0.6, 1.0, 1.4, 2.0, 2.5])
 def test_airy_h_moment_closed_forms(C):
     # at C = 0.4 the left edge of the grid, the kernel range -60, binds

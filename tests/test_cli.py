@@ -36,7 +36,9 @@ def test_theorem1_u0_row_exact(capsys):
     ["verify-theorem1", "--C", "1"],                     # no --u
     ["tw-limit", "--T", "8,64"],                         # no --a
     ["mc-check", "--u", "1", "--k-max", "1"],            # neither --C nor --T
-], ids=["empty-C", "empty-C-json", "no-C-or-T", "k-max-0", "no-u", "no-a", "mc-no-C-or-T"])
+    ["mc-check", "--C", "0.5", "--k-max", "0"],          # no h_k order and no --u
+], ids=["empty-C", "empty-C-json", "no-C-or-T", "k-max-0", "no-u", "no-a", "mc-no-C-or-T",
+        "mc-k-max-0-no-u"])
 def test_grid_without_cells_is_a_usage_error(argv, capsys, monkeypatch):
     # a grid that yields no rows checks nothing: exit 2, no table, and for
     # mc-check no draw
@@ -231,6 +233,16 @@ def test_mc_check_k_max_above_estimator_bound_is_a_usage_error(capsys, monkeypat
     code, out, err = _run_main(["mc-check", "--C", "0.5", "--u", "1", "--k-max", "4"], capsys)
     assert code == 2
     assert err.startswith("error: mc-check supports --k-max <= 3")
+    assert out == ""
+
+
+def test_mc_check_negative_u_is_a_usage_error(capsys, monkeypatch):
+    # rejected before any draw, as verify-theorem1 rejects it
+    from airykpz import montecarlo
+    monkeypatch.setattr(montecarlo, "draw_edge_samples", lambda *a: pytest.fail("drew"))
+    code, out, err = _run_main(["mc-check", "--C", "0.5", "--u=-1", "--k-max", "1"], capsys)
+    assert code == 2
+    assert err.startswith("error: u values must be >= 0")
     assert out == ""
 
 

@@ -276,6 +276,12 @@ def test_kpz_moment_validation():
         kpz_moment(2, -1.0)
 
 
+def test_kpz_moment_prefactor_overflow_is_a_domain_error():
+    # the (4,) term's prefactor at T = 128 is exp(896), beyond double precision
+    with pytest.raises(DomainError, match=r"partition \(4,\) at T = 128"):
+        kpz_moment(4, 128.0)
+
+
 # ----------------------------------------------------------------------
 # nested contours
 

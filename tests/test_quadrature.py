@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from airykpz import quadrature
 from airykpz.errors import ConfigurationError, EvaluationError, NumericalConsistencyError
 from airykpz.quadrature import (QuadratureRule, composite_legendre,
                                 fredholm_det_matrix, gauss_hermite, gauss_legendre,
@@ -287,6 +288,68 @@ def test_tensor_blocks_match_full_grid(blocks, f):
     full = pointwise_sum(f, rules)
     assert abs(full.imag) == 0.0
     assert tensor_integrate(f, rules) == pytest.approx(full.real, rel=1e-13)
+
+
+def _spy_contract(monkeypatch, n_axes):
+    """Record the table dtypes and value of each contraction over n_axes
+    axes (a four-axis contraction recurses into three-axis ones)."""
+    calls = []
+    contract = quadrature._contract
+
+    def spy(u, pairs):
+        val = contract(u, pairs)
+        if len(u) == n_axes:
+            calls.append(([t.dtype for t in [*u, *pairs.values()]], val))
+        return val
+
+    monkeypatch.setattr(quadrature, "_contract", spy)
+    return calls
+
+
+def _nonnegative_complex_factors(sizes):
+    """Random factors >= 0 of complex dtype: every imaginary part is 0."""
+    rng = np.random.default_rng(10 + len(sizes))
+    axis = [rng.random(n) + 0j for n in sizes]
+    pairs = {(i, j): rng.random((sizes[i], sizes[j])) + 0j
+             for i in range(len(sizes)) for j in range(i + 1, len(sizes))}
+    rules = [legendre_on(0.0, 1.0 + i, n) for i, n in enumerate(sizes)]
+    return axis, pairs, rules
+
+
+@pytest.mark.parametrize("sizes", [(7,), (5, 8), (4, 6, 5), (3, 5, 4, 6)],
+                         ids=["l1", "l2", "l3", "l4"])
+def test_tensor_real_tables_contracted_in_real_arithmetic(sizes, monkeypatch):
+    # complex tables whose imaginary parts are exactly 0 reach the
+    # contraction as floats; being >= 0 they need no sum |w f| contraction
+    axis, pairs, rules = _nonnegative_complex_factors(sizes)
+    ref = quadrature._contract([a * r.weights for a, r in zip(axis, rules)], pairs)
+    calls = _spy_contract(monkeypatch, len(sizes))
+    val = tensor_integrate(lambda *xs: (axis, pairs), rules)
+    assert len(calls) == 1
+    assert all(dtype == np.float64 for dtype in calls[0][0])
+    assert abs(val - ref.real) <= 1e-15 * abs(ref)
+
+
+def test_tensor_one_imaginary_entry_keeps_complex_path(monkeypatch):
+    axis, pairs, rules = _nonnegative_complex_factors((4, 6, 5))
+    pairs[0, 2][1, 3] += 1j
+    calls = _spy_contract(monkeypatch, 3)
+    with pytest.raises(NumericalConsistencyError, match="is not finite and real"):
+        tensor_integrate(lambda *xs: (axis, pairs), rules)
+    assert len(calls) == 2
+    assert all(dtype == np.complex128 for dtype in calls[0][0])
+
+
+def test_tensor_negative_real_entry_gets_its_own_magnitude(monkeypatch):
+    # one negative entry: sum |w f| is contracted separately and exceeds |sum w f|
+    axis, pairs, rules = _nonnegative_complex_factors((4, 6, 5))
+    pairs[0, 1][2, 3] = -5.0
+    calls = _spy_contract(monkeypatch, 3)
+    val = tensor_integrate(lambda *xs: (axis, pairs), rules)
+    assert len(calls) == 2
+    assert all(dtype == np.float64 for dtype in calls[0][0] + calls[1][0])
+    assert val == calls[0][1]
+    assert calls[1][1] / abs(val) > 1.0
 
 
 def test_tensor_rejects_complex_integrand():
