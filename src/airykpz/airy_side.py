@@ -29,7 +29,7 @@ from .quadrature import (QuadratureRule, cauchy_det, composite_legendre,
 from .specfun import SUPPORTED_RANGE, airy_both, logistic
 
 __all__ = [
-    "airy_kernel_matrix", "okounkov_integral", "laplace_R",
+    "airy_kernel_matrix", "laplace_R",
     "airy_h_moment", "airy_mult_stat", "default_mult_stat_grid", "tracy_widom_f2",
     "default_f2_grid", "newton_h",
 ]
@@ -62,19 +62,7 @@ def airy_kernel_matrix(points: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Laplace-transform building blocks
-
-def okounkov_integral(x: float, a: float, b: float) -> float:
-    """Closed form of the two-sided Laplace transform of Ai(z+a)Ai(z+b).
-
-    Equals (1/(2 sqrt(pi x))) exp(x^3/12 - (a+b)x/2 - (a-b)^2/(4x)) for
-    x > 0; symmetric in (a, b).
-    """
-    if not x > 0:
-        raise DomainError("okounkov_integral requires x > 0")
-    return float(np.exp(x ** 3 / 12.0 - 0.5 * (a + b) * x - (a - b) ** 2 / (4.0 * x))
-                 / (2.0 * np.sqrt(np.pi * x)))
-
+# Laplace-transformed correlation functions
 
 def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
     """Laplace transform of the n-point correlation function, n <= 4.

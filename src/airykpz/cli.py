@@ -75,24 +75,40 @@ class VerificationRow:
         return d
 
 
-def _error_row(labels: dict, exc: Exception) -> VerificationRow:
-    return VerificationRow(labels=labels, error=f"{type(exc).__name__}: {exc}",
-                           passed=False)
+def _row_or_error(labels: dict, cell, *args) -> VerificationRow:
+    """The row ``cell(labels, *args)`` builds, or the error row naming what
+    it raised, so one bad cell does not stop the grid.  ``math.exp`` of the
+    KPZ side's kT/24 or of tw-limit's -Ca can raise OverflowError."""
+    try:
+        return cell(labels, *args)
+    except (AiryKpzError, OverflowError) as exc:
+        return VerificationRow(labels=labels, error=f"{type(exc).__name__}: {exc}",
+                               passed=False)
 
 
 def _derive_grid(cfg: RunConfig) -> list[tuple[float, float]]:
-    """(C, T) pairs from whichever list was supplied."""
+    """(C, T) pairs from whichever list was supplied; a non-positive C or T
+    raises DomainError."""
     if bool(cfg.C_list) == bool(cfg.T_list):
         raise ConfigurationError("supply one nonempty list: either --C or --T")
     if cfg.C_list:
-        return [(C, 2.0 * C ** 3) for C in cfg.C_list]
-    return [((T / 2.0) ** (1.0 / 3.0), T) for T in cfg.T_list]
+        return [(C, ModelParams.from_C(C, 0.0).T) for C in cfg.C_list]
+    return [(ModelParams.from_T(T, 0.0).C, T) for T in cfg.T_list]
 
 
 def _check_u(cfg: RunConfig) -> None:
     """Laplace variables are non-negative; a negative one is a usage error."""
     if any(u < 0 for u in cfg.u_list):
         raise AiryKpzError("u values must be >= 0")
+
+
+def _check_overrides(cfg: RunConfig) -> None:
+    """--nodes and --tol are 0 for the command default or a finite positive
+    override; anything else is a usage error, raised before any cell runs."""
+    if cfg.nodes < 0:
+        raise ConfigurationError(f"--nodes must be >= 0 (0 = default), got {cfg.nodes}")
+    if not 0.0 <= cfg.tol < math.inf:
+        raise ConfigurationError(f"--tol must be finite and >= 0 (0 = default), got {cfg.tol}")
 
 
 def _no_cells(command: str) -> ConfigurationError:
@@ -102,46 +118,40 @@ def _no_cells(command: str) -> ConfigurationError:
 def run_verify_theorem2(cfg: RunConfig) -> list[VerificationRow]:
     """Moment identity: airy_h_moment(k, C) vs kpz_moment(k, T=2C^3)."""
     check_order("verify-theorem2 --k-max", cfg.k_max)
+    _check_overrides(cfg)
     nodes = cfg.nodes or None
-    rows = []
-    for C, T in _derive_grid(cfg):
-        for k in range(1, cfg.k_max + 1):
-            labels = {"C": C, "T": T, "k": k}
-            tol = cfg.tol or (1e-5 if k <= 3 else 1e-3)
-            try:
-                lhs = airy_h_moment(k, C, nodes_per_axis=nodes)
-                rhs = kpz_moment(k, T, nodes_per_axis=nodes)
-            except (AiryKpzError, OverflowError) as exc:
-                rows.append(_error_row(labels, exc))
-                continue
-            row = VerificationRow(labels=labels, lhs_value=lhs, rhs_value=rhs,
-                                  aux=f"tol={tol:g};nodes={cfg.nodes or 'auto'}")
-            row.passed = row.rel_diff < tol
-            rows.append(row)
-    return rows
+
+    def cell(labels, C, T, k):
+        tol = cfg.tol or (1e-5 if k <= 3 else 1e-3)
+        row = VerificationRow(labels=labels,
+                              lhs_value=airy_h_moment(k, C, nodes_per_axis=nodes),
+                              rhs_value=kpz_moment(k, T, nodes_per_axis=nodes),
+                              aux=f"tol={tol:g};nodes={cfg.nodes or 'auto'}")
+        row.passed = row.rel_diff < tol
+        return row
+
+    return [_row_or_error({"C": C, "T": T, "k": k}, cell, C, T, k)
+            for C, T in _derive_grid(cfg) for k in range(1, cfg.k_max + 1)]
 
 
 def run_verify_theorem1(cfg: RunConfig) -> list[VerificationRow]:
     """Laplace identity: airy_mult_stat(u, C) vs kpz_laplace(u, T=2C^3)."""
     _check_u(cfg)
+    _check_overrides(cfg)
     n = cfg.nodes or 80
-    rows = []
-    for C, T in _derive_grid(cfg):
-        for u in cfg.u_list:
-            labels = {"C": C, "T": T, "u": u}
-            tol = cfg.tol or 1e-6
-            try:
-                params = ModelParams.from_C(C, u)
-                lhs = airy_mult_stat(params, default_mult_stat_grid(params, n))
-                rhs = kpz_laplace(params, default_kpz_outer_rule(params, n))
-            except (AiryKpzError, OverflowError) as exc:
-                rows.append(_error_row(labels, exc))
-                continue
-            row = VerificationRow(labels=labels, lhs_value=lhs, rhs_value=rhs,
-                                  aux=f"tol={tol:g};nodes={n}")
-            row.passed = row.abs_diff < tol
-            rows.append(row)
-    return rows
+    tol = cfg.tol or 1e-6
+
+    def cell(labels, C, u):
+        params = ModelParams.from_C(C, u)
+        row = VerificationRow(labels=labels,
+                              lhs_value=airy_mult_stat(params, default_mult_stat_grid(params, n)),
+                              rhs_value=kpz_laplace(params, default_kpz_outer_rule(params, n)),
+                              aux=f"tol={tol:g};nodes={n}")
+        row.passed = row.abs_diff < tol
+        return row
+
+    return [_row_or_error({"C": C, "T": T, "u": u}, cell, C, u)
+            for C, T in _derive_grid(cfg) for u in cfg.u_list]
 
 
 def run_tw_limit(cfg: RunConfig) -> list[VerificationRow]:
@@ -150,32 +160,29 @@ def run_tw_limit(cfg: RunConfig) -> list[VerificationRow]:
     must shrink along the increasing T ladder."""
     if any(not -6.0 <= a <= 4.0 for a in cfg.a_list):
         raise AiryKpzError("a values must lie in [-6, 4]")
+    _check_overrides(cfg)
     T_list = cfg.T_list or [8.0, 64.0, 512.0]
     if any(t2 <= t1 for t1, t2 in zip(T_list, T_list[1:])):
         raise AiryKpzError("the T ladder must be increasing")
+    ladder = [(T, ModelParams.from_T(T, 0.0).C) for T in T_list]
     tol = cfg.tol or 0.05
+
+    def cell(labels, a, C, prev, last):
+        lhs = airy_mult_stat(ModelParams.from_C(C, math.exp(-C * a)))
+        row = VerificationRow(labels=labels, lhs_value=lhs, rhs_value=tracy_widom_f2(a))
+        ok_mono = prev is None or row.abs_diff <= prev + 1e-12
+        row.aux = f"tol={tol:g};nonincreasing={'na' if prev is None else str(ok_mono).lower()}"
+        row.passed = ok_mono and (not last or row.abs_diff < tol)
+        return row
+
     rows = []
     for a in cfg.a_list:
         prev = None
-        for i, T in enumerate(T_list):
-            C = (T / 2.0) ** (1.0 / 3.0)
-            labels = {"a": a, "T": T, "C": C}
-            try:
-                params = ModelParams.from_C(C, math.exp(-C * a))
-                lhs = airy_mult_stat(params)
-                rhs = tracy_widom_f2(a)
-            except (AiryKpzError, OverflowError) as exc:
-                rows.append(_error_row(labels, exc))
-                prev = None
-                continue
-            diff = abs(lhs - rhs)
-            ok_mono = prev is None or diff <= prev + 1e-12
-            mono = "na" if prev is None else str(ok_mono).lower()
-            passed = ok_mono and (i < len(T_list) - 1 or diff < tol)
-            rows.append(VerificationRow(labels=labels, lhs_value=lhs, rhs_value=rhs,
-                                        aux=f"tol={tol:g};nonincreasing={mono}",
-                                        passed=passed))
-            prev = diff
+        for i, (T, C) in enumerate(ladder):
+            row = _row_or_error({"a": a, "T": T, "C": C}, cell, a, C, prev,
+                                i == len(ladder) - 1)
+            prev = None if row.error else row.abs_diff
+            rows.append(row)
     return rows
 
 
@@ -197,41 +204,39 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
         raise ConfigurationError(f"mc-check supports --k-max <= {MAX_H_ORDER}; the h_k "
                                  f"estimator rejects higher orders")
     _check_u(cfg)
+    _check_overrides(cfg)
     grid = _derive_grid(cfg)
     if cfg.k_max < 1 and not cfg.u_list:
         raise _no_cells(cfg.command)
     samples = draw_edge_samples(cfg.matrix_size, cfg.keep_top, cfg.seed, cfg.samples)
+
+    def h_moment_cell(labels, k, C):
+        est = estimate_h_moment(samples, k, C)
+        ref = airy_h_moment(k, C)
+        tol = max(3.0 * est.stderr, (cfg.tol or 0.07) * abs(ref))
+        row = VerificationRow(labels=labels, lhs_value=est.mean, rhs_value=ref,
+                              aux=f"stderr={est.stderr:.6g};tol={tol:.6g}"
+                                  f";samples={est.n_samples}")
+        row.passed = row.abs_diff <= tol
+        return row
+
+    def mult_stat_cell(labels, u, C):
+        est = estimate_mult_stat(samples, u, C)
+        ref = airy_mult_stat(ModelParams.from_C(C, u))
+        tol = max(3.0 * est.stderr, cfg.tol or 0.03)
+        row = VerificationRow(labels=labels, lhs_value=est.mean, rhs_value=ref,
+                              aux=f"stderr={est.stderr:.6g};bias={est.bias_bound:.3g}"
+                                  f";flagged={str(est.flagged).lower()};tol={tol:.6g}"
+                                  f";samples={est.n_samples}")
+        row.passed = row.abs_diff <= tol and not est.flagged
+        return row
+
     rows = []
     for C, T in grid:
-        for k in range(1, cfg.k_max + 1):
-            labels = {"kind": "h_moment", "param": k, "C": C, "T": T}
-            try:
-                est = estimate_h_moment(samples, k, C)
-                ref = airy_h_moment(k, C)
-            except (AiryKpzError, OverflowError) as exc:
-                rows.append(_error_row(labels, exc))
-                continue
-            tol = max(3.0 * est.stderr, (cfg.tol or 0.07) * abs(ref))
-            row = VerificationRow(labels=labels, lhs_value=est.mean, rhs_value=ref,
-                                  aux=f"stderr={est.stderr:.6g};tol={tol:.6g}"
-                                      f";samples={est.n_samples}")
-            row.passed = row.abs_diff <= tol
-            rows.append(row)
-        for u in cfg.u_list:
-            labels = {"kind": "mult_stat", "param": u, "C": C, "T": T}
-            try:
-                est = estimate_mult_stat(samples, u, C)
-                ref = airy_mult_stat(ModelParams.from_C(C, u))
-            except (AiryKpzError, OverflowError) as exc:
-                rows.append(_error_row(labels, exc))
-                continue
-            tol = max(3.0 * est.stderr, cfg.tol or 0.03)
-            row = VerificationRow(labels=labels, lhs_value=est.mean, rhs_value=ref,
-                                  aux=f"stderr={est.stderr:.6g};bias={est.bias_bound:.3g}"
-                                      f";flagged={str(est.flagged).lower()};tol={tol:.6g}"
-                                      f";samples={est.n_samples}")
-            row.passed = row.abs_diff <= tol and not est.flagged
-            rows.append(row)
+        rows += [_row_or_error({"kind": "h_moment", "param": k, "C": C, "T": T},
+                               h_moment_cell, k, C) for k in range(1, cfg.k_max + 1)]
+        rows += [_row_or_error({"kind": "mult_stat", "param": u, "C": C, "T": T},
+                               mult_stat_cell, u, C) for u in cfg.u_list]
     return rows
 
 

@@ -31,8 +31,7 @@ from .specfun import SUPPORTED_RANGE, airy_both, logistic
 
 __all__ = [
     "Partition", "ContourSpec", "partitions", "symmetry_factor",
-    "bose_exponent", "interaction_det",
-    "kpz_moment", "kpz_moment_nested", "ku_kernel", "kpz_laplace",
+    "interaction_det", "kpz_moment", "kpz_moment_nested", "kpz_laplace",
     "default_kpz_outer_rule", "default_ku_inner_rule",
 ]
 
@@ -95,18 +94,6 @@ def symmetry_factor(lam: Partition) -> int:
     for count in lam.multiplicities.values():
         f *= math.factorial(count)
     return f
-
-
-def bose_exponent(w: complex, part: int, T: float) -> complex:
-    """(T/2) * sum_{m=0}^{part-1} (w + m)^2, summed term by term."""
-    if not T > 0:
-        raise DomainError("bose_exponent requires T > 0")
-    if part < 1:
-        raise DomainError("part must be a positive integer")
-    total = 0.0 + 0.0j
-    for m in range(part):
-        total += (w + m) ** 2
-    return (T / 2.0) * total
 
 
 def interaction_det(w, lam: Partition):
@@ -334,22 +321,6 @@ def _ku_matrix(xs: np.ndarray, params: ModelParams,
             f"K_u truncation-sensitive at node pair ({i}, {j}): edge nodes "
             f"contribute {edge[i, j]:.3e} against value {M[i, j]:.3e}")
     return 0.5 * (M + M.T)
-
-
-def ku_kernel(x: float, x_prime: float, params: ModelParams) -> float:
-    """Kernel of the Laplace-transform determinant:
-    K_u(x, x') = int dr Ai(x-r) Ai(x'-r) / (1 + u^{-1} exp((T/2)^{1/3} r)).
-
-    Symmetric in (x, x'); x, x' >= 0, u > 0.  The [0, 1] entry of the
-    grid evaluation that :func:`kpz_laplace` runs on its default inner
-    rule, truncation check included.
-    """
-    if not (x >= 0 and x_prime >= 0):
-        raise DomainError("ku_kernel requires x, x' >= 0")
-    if not params.u > 0:
-        raise DomainError("ku_kernel requires u > 0")
-    inner_rule = default_ku_inner_rule(params, max(x, x_prime))
-    return float(_ku_matrix(np.array([x, x_prime]), params, inner_rule)[0, 1])
 
 
 def kpz_laplace(params: ModelParams, outer_rule: QuadratureRule | None = None,

@@ -29,9 +29,7 @@ __all__ = [
     "QuadratureRule",
     "gauss_legendre", "gauss_hermite", "legendre_on",
     "composite_legendre", "scaled_gauss_hermite", "hermite_axis_count",
-    "cauchy_det", "cauchy_det_direct",
-    "fredholm_det_matrix", "tensor_integrate",
-    "TENSOR_NODE_BUDGET",
+    "cauchy_det", "fredholm_det_matrix", "tensor_integrate",
 ]
 
 MAX_LEGENDRE = 512
@@ -178,13 +176,6 @@ def cauchy_det(a, b):
                       / (denom(i, j) * denom(j, i).T))
              for i in range(n) for j in range(i + 1, n)}
     return diag, pairs
-
-
-def cauchy_det_direct(a, b) -> complex:
-    """Same determinant for 1-d ``a``, ``b`` by pivoted elimination; the test oracle."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return complex(np.linalg.det(1.0 / (a[:, None] + b[None, :])))
 
 
 def fredholm_det_matrix(kmat: np.ndarray, weights: np.ndarray) -> float:

@@ -1,10 +1,14 @@
-"""Brute-force references.  For product-form integrands each factor is
-read at every point of the full grid through ``np.meshgrid`` of the node
-indices, with no contraction; the Airy kernel is summed from its
-half-line integral."""
+"""Brute-force references and the closed forms the tests compare against.
+For product-form integrands each factor is read at every point of the full
+grid through ``np.meshgrid`` of the node indices, with no contraction; the
+Airy kernel is summed from its half-line integral.  No pipeline calls these,
+so they live here and not in the library."""
 
 import numpy as np
 
+from airykpz.errors import DomainError
+from airykpz.kpz_side import _ku_matrix, default_ku_inner_rule
+from airykpz.params import ModelParams
 from airykpz.specfun import airy_both
 
 
@@ -39,3 +43,50 @@ def half_line_kernel(xs, ys, rule):
     ax, _ = airy_both(np.add.outer(np.atleast_1d(xs), rule.nodes))
     ay, _ = airy_both(np.add.outer(np.atleast_1d(ys), rule.nodes))
     return np.sum(rule.weights * (ax[:, None, :] * ay[None, :, :]), axis=-1)
+
+
+def cauchy_det_direct(a, b) -> complex:
+    """det[1/(a_i + b_j)] for 1-d ``a``, ``b`` by pivoted elimination."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return complex(np.linalg.det(1.0 / (a[:, None] + b[None, :])))
+
+
+def bose_exponent(w: complex, part: int, T: float) -> complex:
+    """(T/2) * sum_{m=0}^{part-1} (w + m)^2, summed term by term."""
+    if not T > 0:
+        raise DomainError("bose_exponent requires T > 0")
+    if part < 1:
+        raise DomainError("part must be a positive integer")
+    total = 0.0 + 0.0j
+    for m in range(part):
+        total += (w + m) ** 2
+    return (T / 2.0) * total
+
+
+def okounkov_integral(x: float, a: float, b: float) -> float:
+    """Closed form of the two-sided Laplace transform of Ai(z+a)Ai(z+b).
+
+    Equals (1/(2 sqrt(pi x))) exp(x^3/12 - (a+b)x/2 - (a-b)^2/(4x)) for
+    x > 0; symmetric in (a, b).
+    """
+    if not x > 0:
+        raise DomainError("okounkov_integral requires x > 0")
+    return float(np.exp(x ** 3 / 12.0 - 0.5 * (a + b) * x - (a - b) ** 2 / (4.0 * x))
+                 / (2.0 * np.sqrt(np.pi * x)))
+
+
+def ku_kernel(x: float, x_prime: float, params: ModelParams) -> float:
+    """Kernel of the Laplace-transform determinant:
+    K_u(x, x') = int dr Ai(x-r) Ai(x'-r) / (1 + u^{-1} exp((T/2)^{1/3} r)).
+
+    Symmetric in (x, x'); x, x' >= 0, u > 0.  The [0, 1] entry of the
+    grid evaluation that ``kpz_laplace`` runs on its default inner rule,
+    truncation check included.
+    """
+    if not (x >= 0 and x_prime >= 0):
+        raise DomainError("ku_kernel requires x, x' >= 0")
+    if not params.u > 0:
+        raise DomainError("ku_kernel requires u > 0")
+    inner_rule = default_ku_inner_rule(params, max(x, x_prime))
+    return float(_ku_matrix(np.array([x, x_prime]), params, inner_rule)[0, 1])

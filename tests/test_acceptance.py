@@ -13,15 +13,16 @@ import pytest
 
 from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix,
                                airy_mult_stat, default_mult_stat_grid,
-                               laplace_R, okounkov_integral, tracy_widom_f2)
-from airykpz.kpz_side import (ContourSpec, bose_exponent, kpz_laplace, kpz_moment,
-                              kpz_moment_nested, partitions, symmetry_factor)
+                               laplace_R, tracy_widom_f2)
+from airykpz.kpz_side import (ContourSpec, kpz_laplace, kpz_moment, kpz_moment_nested,
+                              partitions, symmetry_factor)
 from airykpz.montecarlo import estimate_h_moment, estimate_mult_stat
 from airykpz.params import ModelParams
-from airykpz.quadrature import cauchy_det, cauchy_det_direct, composite_legendre
+from airykpz.quadrature import cauchy_det, composite_legendre
 from airykpz.specfun import airy_both
 
-from pointwise import factor_grid, half_line_kernel
+from pointwise import (bose_exponent, cauchy_det_direct, factor_grid, half_line_kernel,
+                       okounkov_integral)
 
 
 def _report(name: str, ok: bool, detail: str):

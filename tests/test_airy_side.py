@@ -6,14 +6,14 @@ import pytest
 from airykpz import airy_side
 from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix,
                                airy_mult_stat, default_mult_stat_grid,
-                               laplace_R, okounkov_integral, tracy_widom_f2)
+                               laplace_R, tracy_widom_f2)
 from airykpz.errors import ConfigurationError, DomainError, SingularityError
 from airykpz.params import ModelParams
-from airykpz.quadrature import (cauchy_det, cauchy_det_direct, composite_legendre,
-                                scaled_gauss_hermite)
+from airykpz.quadrature import cauchy_det, composite_legendre, scaled_gauss_hermite
 from airykpz.specfun import airy_both
 
-from pointwise import factor_grid, half_line_kernel, pointwise_sum
+from pointwise import (cauchy_det_direct, factor_grid, half_line_kernel, okounkov_integral,
+                       pointwise_sum)
 
 AIP0_SQ = 0.06698748377966397414  # Ai'(0)^2, 30-digit evaluation
 R1 = 0.3066099715278760013815    # e^(1/12)/(2 sqrt(pi))

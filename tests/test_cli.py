@@ -50,6 +50,37 @@ def test_grid_without_cells_is_a_usage_error(argv, capsys, monkeypatch):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify-theorem2", "--C", "1", "--k-max", "2", "--nodes", "-5"], "--nodes must be >= 0"),
+    (["verify-theorem1", "--C", "1", "--u", "1", "--nodes", "-1"], "--nodes must be >= 0"),
+    (["verify-theorem2", "--C", "1", "--k-max", "1", "--tol", "-1"], "--tol must be finite"),
+    (["verify-theorem1", "--C", "1", "--u", "1", "--tol", "nan"], "--tol must be finite"),
+    (["tw-limit", "--a", "0", "--T", "8,64", "--tol", "inf"], "--tol must be finite"),
+    (["tw-limit", "--a", "0", "--T", "8,64", "--tol", "-1"], "--tol must be finite"),
+    (["mc-check", "--C", "0.5", "--u", "1", "--k-max", "1", "--tol", "nan"],
+     "--tol must be finite"),
+    (["verify-theorem2", "--T", "0", "--k-max", "1"], "ModelParams requires T > 0"),
+    (["verify-theorem1", "--C=-1", "--u", "1"], "ModelParams requires C > 0"),
+    (["tw-limit", "--a", "0", "--T=-8,64"], "ModelParams requires T > 0"),
+    (["mc-check", "--C", "0", "--u", "1", "--k-max", "1"], "ModelParams requires C > 0"),
+], ids=["nodes-thm2", "nodes-thm1", "tol-negative", "tol-nan", "tol-inf", "tol-negative-tw",
+        "tol-nan-mc", "T-zero", "C-negative", "T-negative-tw", "C-zero-mc"])
+def test_bad_override_or_grid_value_is_a_usage_error(argv, message, capsys, monkeypatch):
+    # rejected before any cell builds a row, and for mc-check before any draw
+    from airykpz import cli, montecarlo
+    monkeypatch.setattr(cli, "VerificationRow", lambda *a, **k: pytest.fail("built a row"))
+    monkeypatch.setattr(montecarlo, "draw_edge_samples", lambda *a: pytest.fail("drew"))
+    code, out, err = _run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+def test_zero_override_means_command_default(capsys):
+    argv = ["verify-theorem2", "--C", "1", "--k-max", "1"]
+    assert _run_main(argv + ["--nodes", "0", "--tol", "0"], capsys) == _run_main(argv, capsys)
+
+
 def test_theorem2_rows_in_C_k_order_and_pass(capsys):
     code, out, err = _run_main(
         ["verify-theorem2", "--C", "1.0,1.2", "--k-max", "2", "--format", "json"],
@@ -75,6 +106,24 @@ def test_tw_limit_ladder(capsys):
         assert "nonincreasing=na" in first["aux"]
         assert "nonincreasing=true" in second["aux"]
         assert second["abs_diff"] < first["abs_diff"]
+
+
+def test_tw_limit_error_row_restarts_the_ladder(monkeypatch):
+    # the row after an error row has no predecessor to be compared with
+    from airykpz import cli
+    from airykpz.errors import DomainError
+    real = cli.airy_mult_stat
+
+    def fails_at_T64(params):
+        if params.T == pytest.approx(64.0):
+            raise DomainError("injected")
+        return real(params)
+
+    monkeypatch.setattr(cli, "airy_mult_stat", fails_at_T64)
+    rows = cli.run_tw_limit(RunConfig(command="tw-limit", a_list=[0.0],
+                                      T_list=[8.0, 64.0, 512.0]))
+    assert [r.status for r in rows] == ["ok", "error: DomainError: injected", "ok"]
+    assert "nonincreasing=na" in rows[2].aux
 
 
 def test_tw_limit_right_tail(capsys):
@@ -172,7 +221,7 @@ def test_pipelines_make_no_blas_product():
     # are read instead: no `@`, no dot/matmul/tensordot/inner/vdot call
     # and no einsum(..., optimize=...).  Out of scope: specfun, whose
     # Taylor-step products run once at import, and the LAPACK
-    # np.linalg.det of the Fredholm and Cauchy determinants.
+    # np.linalg.det of the Fredholm determinants.
     blas_calls = {"dot", "matmul", "tensordot", "inner", "vdot"}
     src = Path(airykpz.__file__).resolve().parent
     found = []

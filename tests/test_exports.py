@@ -133,3 +133,46 @@ def test_only_montecarlo_imports_scipy_and_nothing_imports_it_at_module_level():
                 eager.append((path.name, node.lineno))
     assert scipy_users == [], f"scipy imported outside montecarlo.py: {scipy_users}"
     assert eager == [], f"montecarlo imported at module level (loads scipy): {eager}"
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+# module-level assignments that only list a module's exports: each
+# __all__, and the package root's names resolved lazily from montecarlo
+_EXPORT_LISTS = {"__all__", "_MONTECARLO_NAMES"}
+
+
+def _references(tree):
+    """Names a module reads: Name loads, attribute names and string
+    constants (a bench step names its function by string).  Export lists
+    are left out, and so is each top-level def's name inside that def;
+    import lists bind aliases, which are no reference."""
+    refs = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in _EXPORT_LISTS for t in stmt.targets):
+            continue
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name != own:
+                refs.add(name)
+    return refs
+
+
+def test_every_exported_name_has_a_caller_in_src_or_bench():
+    # library surface that no pipeline and no benchmark step uses belongs
+    # in the tests, with the other references (tests/pointwise.py)
+    refs = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        refs |= _references(ast.parse(path.read_text()))
+    unused = sorted({(name, attr) for name in MODULES
+                     for attr in getattr(importlib.import_module(name), "__all__", ())
+                     if attr not in refs})
+    assert unused == [], f"exported but called only from tests: {unused}"

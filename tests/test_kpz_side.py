@@ -7,15 +7,14 @@ import pytest
 from airykpz.airy_side import airy_h_moment, airy_mult_stat
 from airykpz.errors import (ConfigurationError, DomainError, NumericalConsistencyError,
                             SingularityError)
-from airykpz.kpz_side import (ContourSpec, Partition, bose_exponent,
-                              default_kpz_outer_rule, default_ku_inner_rule,
-                              interaction_det, kpz_laplace, kpz_moment, kpz_moment_nested,
-                              ku_kernel, partitions, symmetry_factor)
+from airykpz.kpz_side import (ContourSpec, Partition, default_kpz_outer_rule,
+                              default_ku_inner_rule, interaction_det, kpz_laplace,
+                              kpz_moment, kpz_moment_nested, partitions, symmetry_factor)
 from airykpz import kpz_side
 from airykpz.params import ModelParams
 from airykpz.quadrature import composite_legendre
 
-from pointwise import factor_grid, pointwise_sum
+from pointwise import bose_exponent, factor_grid, ku_kernel, pointwise_sum
 
 
 # ----------------------------------------------------------------------
