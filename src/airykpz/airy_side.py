@@ -24,14 +24,13 @@ from .errors import (ConfigurationError, DomainError, check_order, check_positiv
                      check_probability)
 from .params import ModelParams
 from .quadrature import (QuadratureRule, cauchy_det, composite_legendre,
-                         fredholm_det_matrix, hermite_axis_count, legendre_on,
+                         fredholm_det_matrix, gram, hermite_axis_count, legendre_on,
                          scaled_gauss_hermite, tensor_integrate)
 from .specfun import SUPPORTED_RANGE, airy_both, logistic
 
 __all__ = [
     "airy_kernel_matrix", "laplace_R",
-    "airy_h_moment", "airy_mult_stat", "default_mult_stat_grid", "tracy_widom_f2",
-    "default_f2_grid", "newton_h",
+    "airy_h_moment", "airy_mult_stat", "tracy_widom_f2", "default_f2_grid", "newton_h",
 ]
 
 _CONFLUENT_EPS = 1e-5     # |x - y| below which the confluent diagonal form is used
@@ -129,22 +128,6 @@ def newton_h(p: list) -> list:
     return h
 
 
-_SQUARE_ROWS = 32       # 16 to 64 rows per block time alike at n = 210-352
-
-
-def _symmetric_square(S: np.ndarray) -> np.ndarray:
-    """S^2 of a bitwise symmetric S: the upper triangle in blocks of rows,
-    (S^2)_ij = sum_l S_il S_jl, then mirrored.  Entry (i, j) is summed as in
-    one full ``np.einsum("il,jl->ij", S, S)``, so the bits are the same."""
-    n = S.shape[0]
-    sq = np.empty_like(S)
-    for i0 in range(0, n, _SQUARE_ROWS):
-        sq[i0:i0 + _SQUARE_ROWS, i0:] = np.einsum("il,jl->ij", S[i0:i0 + _SQUARE_ROWS], S[i0:])
-    lower = np.tril_indices(n, -1)
-    sq[lower] = sq.T[lower]
-    return sq
-
-
 def _h_series(rule: QuadratureRule, C: float, k: int) -> list[float]:
     """E h_1, ..., E h_k from the Nystrom discretization of det(I - K f_u).
 
@@ -158,17 +141,16 @@ def _h_series(rule: QuadratureRule, C: float, k: int) -> list[float]:
 
     For k <= 4 a word has at most two positive exponents, so a rotation
     makes it S^p G^c S^q G^b and its trace one O(n^2) sum over S or S^2.
-    S is bitwise symmetric, so S^2 is built from its upper triangle
-    (:func:`_symmetric_square`).  Products and sums run through
-    ``np.einsum`` without ``optimize``: no BLAS call, so no dependence on
-    its thread count.
+    S is bitwise symmetric, so S^2 = S S^T comes from :func:`gram`.
+    Products and sums run through ``np.einsum`` without ``optimize``: no
+    BLAS call, so no dependence on its thread count.
     """
     g = np.exp(C * rule.nodes)
     s = np.sqrt(rule.weights * g)
     # s_i s_j K_ij: both factors are bitwise symmetric, so S is too
     S = airy_kernel_matrix(rule.nodes)
     S *= np.multiply.outer(s, s)
-    powers = [None, S, _symmetric_square(S) if k > 2 else None]
+    powers = [None, S, gram(S) if k > 2 else None]
 
     def trace(a):
         # rotate the first positive exponent to the end, then split after
@@ -213,27 +195,19 @@ def airy_h_moment(k: int, C: float, nodes_per_axis: int | None = None) -> float:
 # ----------------------------------------------------------------------
 # multiplicative statistics and the Tracy-Widom law
 
-def default_mult_stat_grid(params: ModelParams, n: int = 80) -> QuadratureRule:
-    """Two-sided truncation for the weighted-kernel determinant.
-
-    The weight dies like u e^{C r} to the left (shifted by log u for
-    u > 1), the kernel superexponentially to the right.
-    """
-    left = -(16.0 + math.log(max(params.u, 1.0))) / params.C - 4.0
-    return legendre_on(left, 12.0, n)
-
-
-def airy_mult_stat(params: ModelParams, grid: QuadratureRule | None = None) -> float:
+def airy_mult_stat(params: ModelParams, nodes: int = 80) -> float:
     """E prod_k 1/(1 + u exp(C a_k)) as a Fredholm determinant.
 
-    Discretizes det(1 - sqrt(f) K sqrt(f)) with f(r) = 1/(1 + u^{-1} e^{-Cr});
-    the symmetrized split leaves the determinant unchanged and keeps the
-    matrix symmetric.  u = 0 gives exactly 1.
+    Discretizes det(1 - sqrt(f) K sqrt(f)) with f(r) = 1/(1 + u^{-1} e^{-Cr})
+    on ``nodes`` Gauss-Legendre nodes; the symmetrized split leaves the
+    determinant unchanged and keeps the matrix symmetric.  u = 0 gives
+    exactly 1.
     """
     if params.u == 0:
         return 1.0
-    if grid is None:
-        grid = default_mult_stat_grid(params)
+    # the weight dies like u e^{Cr} to the left (shifted by log u for
+    # u > 1), the kernel superexponentially to the right
+    grid = legendre_on(-(16.0 + math.log(max(params.u, 1.0))) / params.C - 4.0, 12.0, nodes)
     kmat = airy_kernel_matrix(grid.nodes)
     f = logistic(params.C * grid.nodes + math.log(params.u))
     return check_probability("airy_mult_stat", fredholm_det_matrix(kmat, grid.weights * f))

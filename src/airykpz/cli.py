@@ -14,10 +14,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .airy_side import (airy_h_moment, airy_mult_stat, default_mult_stat_grid,
-                        tracy_widom_f2)
+from .airy_side import airy_h_moment, airy_mult_stat, tracy_widom_f2
 from .errors import AiryKpzError, ConfigurationError, check_order
-from .kpz_side import default_kpz_outer_rule, kpz_laplace, kpz_moment
+from .kpz_side import kpz_laplace, kpz_moment
 from .params import ModelParams
 
 __all__ = ["RunConfig", "VerificationRow", "main",
@@ -86,6 +85,22 @@ def _row_or_error(labels: dict, cell, *args) -> VerificationRow:
                                passed=False)
 
 
+def _outcome(fn, *args):
+    """fn(*args), or the exception that would make a cell using it an error
+    row: a value computed once for several cells, each of which reads it
+    with :func:`_value` and so raises that exception again."""
+    try:
+        return fn(*args)
+    except (AiryKpzError, OverflowError) as exc:
+        return exc
+
+
+def _value(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def _derive_grid(cfg: RunConfig) -> list[tuple[float, float]]:
     """(C, T) pairs from whichever list was supplied; a non-positive C or T
     raises DomainError."""
@@ -99,7 +114,7 @@ def _derive_grid(cfg: RunConfig) -> list[tuple[float, float]]:
 def _check_u(cfg: RunConfig) -> None:
     """Laplace variables are non-negative; a negative one is a usage error."""
     if any(u < 0 for u in cfg.u_list):
-        raise AiryKpzError("u values must be >= 0")
+        raise ConfigurationError("u values must be >= 0")
 
 
 def _check_overrides(cfg: RunConfig) -> None:
@@ -144,8 +159,8 @@ def run_verify_theorem1(cfg: RunConfig) -> list[VerificationRow]:
     def cell(labels, C, u):
         params = ModelParams.from_C(C, u)
         row = VerificationRow(labels=labels,
-                              lhs_value=airy_mult_stat(params, default_mult_stat_grid(params, n)),
-                              rhs_value=kpz_laplace(params, default_kpz_outer_rule(params, n)),
+                              lhs_value=airy_mult_stat(params, n),
+                              rhs_value=kpz_laplace(params, n),
                               aux=f"tol={tol:g};nodes={n}")
         row.passed = row.abs_diff < tol
         return row
@@ -159,17 +174,17 @@ def run_tw_limit(cfg: RunConfig) -> list[VerificationRow]:
     u = exp(-(T/2)^(1/3) a) against the Tracy-Widom law F2(a); the gap
     must shrink along the increasing T ladder."""
     if any(not -6.0 <= a <= 4.0 for a in cfg.a_list):
-        raise AiryKpzError("a values must lie in [-6, 4]")
+        raise ConfigurationError("a values must lie in [-6, 4]")
     _check_overrides(cfg)
     T_list = cfg.T_list or [8.0, 64.0, 512.0]
     if any(t2 <= t1 for t1, t2 in zip(T_list, T_list[1:])):
-        raise AiryKpzError("the T ladder must be increasing")
+        raise ConfigurationError("the T ladder must be increasing")
     ladder = [(T, ModelParams.from_T(T, 0.0).C) for T in T_list]
     tol = cfg.tol or 0.05
 
-    def cell(labels, a, C, prev, last):
+    def cell(labels, a, C, f2, prev, last):
         lhs = airy_mult_stat(ModelParams.from_C(C, math.exp(-C * a)))
-        row = VerificationRow(labels=labels, lhs_value=lhs, rhs_value=tracy_widom_f2(a))
+        row = VerificationRow(labels=labels, lhs_value=lhs, rhs_value=_value(f2))
         ok_mono = prev is None or row.abs_diff <= prev + 1e-12
         row.aux = f"tol={tol:g};nonincreasing={'na' if prev is None else str(ok_mono).lower()}"
         row.passed = ok_mono and (not last or row.abs_diff < tol)
@@ -177,9 +192,10 @@ def run_tw_limit(cfg: RunConfig) -> list[VerificationRow]:
 
     rows = []
     for a in cfg.a_list:
+        f2 = _outcome(tracy_widom_f2, a)     # one F2(a) for the whole ladder
         prev = None
         for i, (T, C) in enumerate(ladder):
-            row = _row_or_error({"a": a, "T": T, "C": C}, cell, a, C, prev,
+            row = _row_or_error({"a": a, "T": T, "C": C}, cell, a, C, f2, prev,
                                 i == len(ladder) - 1)
             prev = None if row.error else row.abs_diff
             rows.append(row)
@@ -190,11 +206,11 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
     """Monte Carlo estimates against the analytic Airy-side pipeline."""
     # imported here, not at module level: montecarlo loads scipy, which no
     # other subcommand needs
-    from .montecarlo import (MAX_H_ORDER, MIN_KEPT, draw_edge_samples, estimate_h_moment,
-                             estimate_mult_stat)
+    from .montecarlo import (MAX_H_ORDER, MIN_KEPT, _check_draw, draw_edge_samples,
+                             estimate_h_moment, estimate_mult_stat)
 
     if cfg.samples < 100:
-        raise AiryKpzError("mc-check needs at least 100 samples")
+        raise ConfigurationError("mc-check needs at least 100 samples")
     # known before any draw: every estimator row would reject the samples,
     # some row would reject its u, or the grid would yield no row at all
     if cfg.keep_top < MIN_KEPT:
@@ -208,11 +224,13 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
     grid = _derive_grid(cfg)
     if cfg.k_max < 1 and not cfg.u_list:
         raise _no_cells(cfg.command)
-    samples = draw_edge_samples(cfg.matrix_size, cfg.keep_top, cfg.seed, cfg.samples)
+    # the draw's own argument check: a bad --seed stays a usage error even
+    # when no cell needs samples
+    _check_draw(cfg.matrix_size, cfg.keep_top, cfg.seed, 0)
 
-    def h_moment_cell(labels, k, C):
+    def h_moment_cell(labels, ref, k, C):
+        ref = _value(ref)
         est = estimate_h_moment(samples, k, C)
-        ref = airy_h_moment(k, C)
         tol = max(3.0 * est.stderr, (cfg.tol or 0.07) * abs(ref))
         row = VerificationRow(labels=labels, lhs_value=est.mean, rhs_value=ref,
                               aux=f"stderr={est.stderr:.6g};tol={tol:.6g}"
@@ -220,9 +238,9 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
         row.passed = row.abs_diff <= tol
         return row
 
-    def mult_stat_cell(labels, u, C):
+    def mult_stat_cell(labels, ref, u, C):
+        ref = _value(ref)
         est = estimate_mult_stat(samples, u, C)
-        ref = airy_mult_stat(ModelParams.from_C(C, u))
         tol = max(3.0 * est.stderr, cfg.tol or 0.03)
         row = VerificationRow(labels=labels, lhs_value=est.mean, rhs_value=ref,
                               aux=f"stderr={est.stderr:.6g};bias={est.bias_bound:.3g}"
@@ -231,13 +249,18 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
         row.passed = row.abs_diff <= tol and not est.flagged
         return row
 
-    rows = []
+    # every deterministic reference comes before the draw: a cell whose
+    # reference raises is an error row that needs no samples
+    cells = []
     for C, T in grid:
-        rows += [_row_or_error({"kind": "h_moment", "param": k, "C": C, "T": T},
-                               h_moment_cell, k, C) for k in range(1, cfg.k_max + 1)]
-        rows += [_row_or_error({"kind": "mult_stat", "param": u, "C": C, "T": T},
-                               mult_stat_cell, u, C) for u in cfg.u_list]
-    return rows
+        cells += [({"kind": "h_moment", "param": k, "C": C, "T": T}, h_moment_cell,
+                   _outcome(airy_h_moment, k, C), k, C) for k in range(1, cfg.k_max + 1)]
+        cells += [({"kind": "mult_stat", "param": u, "C": C, "T": T}, mult_stat_cell,
+                   _outcome(airy_mult_stat, ModelParams.from_C(C, u)), u, C)
+                  for u in cfg.u_list]
+    samples = (draw_edge_samples(cfg.matrix_size, cfg.keep_top, cfg.seed, cfg.samples)
+               if any(not isinstance(cell[2], Exception) for cell in cells) else None)
+    return [_row_or_error(labels, cell, ref, param, C) for labels, cell, ref, param, C in cells]
 
 
 # per subcommand: its runner, its label columns and the flags the runner

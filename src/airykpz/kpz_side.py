@@ -24,7 +24,7 @@ from .errors import (ConfigurationError, DomainError, NumericalConsistencyError,
                      check_order, check_positive, check_probability)
 from .params import ModelParams
 from .quadrature import (HERMITE_AXIS_CAP_BY_DIM, QuadratureRule, cauchy_det,
-                         composite_legendre, fredholm_det_matrix, gauss_legendre,
+                         composite_legendre, fredholm_det_matrix, gauss_legendre, gram,
                          hermite_axis_count, legendre_on, scaled_gauss_hermite,
                          tensor_integrate)
 from .specfun import SUPPORTED_RANGE, airy_both, logistic
@@ -32,7 +32,6 @@ from .specfun import SUPPORTED_RANGE, airy_both, logistic
 __all__ = [
     "Partition", "ContourSpec", "partitions", "symmetry_factor",
     "interaction_det", "kpz_moment", "kpz_moment_nested", "kpz_laplace",
-    "default_kpz_outer_rule", "default_ku_inner_rule",
 ]
 
 MAX_PARTITION_WEIGHT = 20
@@ -261,14 +260,7 @@ def kpz_moment_nested(k: int, T: float, spec: ContourSpec | None = None,
 # ----------------------------------------------------------------------
 # Laplace transform side
 
-def default_kpz_outer_rule(params: ModelParams, n: int = 80) -> QuadratureRule:
-    """Truncation of [0, inf) for the Fredholm grid: the kernel trace
-    decays like u e^{-Cx}."""
-    x_max = (22.0 + math.log(max(params.u, 1.0))) / params.C
-    return legendre_on(0.0, x_max, n)
-
-
-def default_ku_inner_rule(params: ModelParams, x_max: float) -> QuadratureRule:
+def _ku_inner_rule(params: ModelParams, x_max: float) -> QuadratureRule:
     """Composite rule over the r-integration of the kernel.
 
     Left of -(12 + x_max) the shifted Airy factors have decayed
@@ -280,62 +272,51 @@ def default_ku_inner_rule(params: ModelParams, x_max: float) -> QuadratureRule:
     hi = (20.0 + abs(math.log(params.u))) / params.C + x_max
     if hi > SUPPORTED_RANGE:
         raise ConfigurationError(
-            f"default kernel rule needs the Airy function beyond its supported range (inner "
-            f"domain reaches {hi:.1f}); supply explicit rules or use C >= "
+            f"the kernel rule needs the Airy function beyond its supported range (inner "
+            f"domain reaches {hi:.1f}); use C >= "
             f"{((20.0 + abs(math.log(params.u))) / (SUPPORTED_RANGE - x_max)):.2f}")
     return composite_legendre(lo, hi, int(math.ceil(hi - lo)), 10)
-
-
-def _airy_factor_matrix(xs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Ai(x_i - r_m); arguments beyond +60 contribute < 1e-132 and are zeroed,
-    arguments below -60 raise DomainError from airy_both."""
-    args = xs[:, None] - r[None, :]
-    out = np.zeros_like(args)
-    inside = args <= SUPPORTED_RANGE
-    vals, _ = airy_both(args[inside])
-    out[inside] = vals
-    return out
 
 
 def _ku_matrix(xs: np.ndarray, params: ModelParams,
                inner_rule: QuadratureRule) -> np.ndarray:
     """K_u(x_i, x_j) on a grid, sharing Airy evaluations across pairs.
 
-    The r-sums run through ``np.einsum`` rather than a BLAS product, so the
-    result does not depend on the BLAS thread count.  Raises
-    NumericalConsistencyError when the outermost 5 inner nodes at either
-    end contribute more than max(1e-10, 1e-10 |K_ij|) to some entry: the
-    inner rule then truncates visibly.
+    K_u = X X^T with X_im = Ai(x_i - r_m) (f_m w_m)^{1/2}, from :func:`gram`:
+    bitwise symmetric, with no BLAS call, so it does not depend on the BLAS
+    thread count.  Raises NumericalConsistencyError when the outermost 5
+    inner nodes at either end contribute more than max(1e-10, 1e-10 |K_ij|)
+    to some entry: the inner rule then truncates visibly.
     """
     r = inner_rule.nodes
     f = logistic(math.log(params.u) - params.C * r)
-    A = _airy_factor_matrix(np.asarray(xs, dtype=float), r)
-    B = A * (f * inner_rule.weights)[None, :]
-    M = np.einsum("im,jm->ij", B, A)
-    edge = (np.abs(np.einsum("im,jm->ij", B[:, :5], A[:, :5]))
-            + np.abs(np.einsum("im,jm->ij", B[:, -5:], A[:, -5:])))
+    # Ai(x_i - r_m): arguments beyond +60 contribute < 1e-132 and are
+    # zeroed, arguments below -60 raise DomainError from airy_both
+    args = np.subtract.outer(np.asarray(xs, dtype=float), r)
+    X = np.zeros_like(args)
+    inside = args <= SUPPORTED_RANGE
+    X[inside] = airy_both(args[inside])[0]
+    X *= np.sqrt(f * inner_rule.weights)
+    M = gram(X)
+    edge = np.abs(gram(X[:, :5])) + np.abs(gram(X[:, -5:]))
     bad = edge > np.maximum(1e-10, 1e-10 * np.abs(M))
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise NumericalConsistencyError(
             f"K_u truncation-sensitive at node pair ({i}, {j}): edge nodes "
             f"contribute {edge[i, j]:.3e} against value {M[i, j]:.3e}")
-    return 0.5 * (M + M.T)
+    return M
 
 
-def kpz_laplace(params: ModelParams, outer_rule: QuadratureRule | None = None,
-                inner_rule: QuadratureRule | None = None) -> float:
+def kpz_laplace(params: ModelParams, nodes: int = 80) -> float:
     """E exp(-u Z(T,0) e^{T/24}) as the Fredholm determinant of K_u on
-    [0, inf); equals the Airy-side multiplicative statistic at C = (T/2)^(1/3).
-    An inner rule that truncates K_u visibly raises NumericalConsistencyError.
+    [0, inf), on ``nodes`` Gauss-Legendre nodes; equals the Airy-side
+    multiplicative statistic at C = (T/2)^(1/3).  A visibly truncated K_u
+    raises NumericalConsistencyError.
     """
     if params.u == 0:
         return 1.0
-    if outer_rule is None:
-        outer_rule = default_kpz_outer_rule(params)
-    if np.min(outer_rule.nodes) < 0:
-        raise DomainError("kpz_laplace requires an outer rule on [0, inf)")
-    if inner_rule is None:
-        inner_rule = default_ku_inner_rule(params, float(np.max(outer_rule.nodes)))
-    kmat = _ku_matrix(outer_rule.nodes, params, inner_rule)
-    return check_probability("kpz_laplace", fredholm_det_matrix(kmat, outer_rule.weights))
+    # [0, inf) is cut where the kernel trace, which decays like u e^{-Cx}, is roundoff
+    outer = legendre_on(0.0, (22.0 + math.log(max(params.u, 1.0))) / params.C, nodes)
+    kmat = _ku_matrix(outer.nodes, params, _ku_inner_rule(params, float(outer.nodes[-1])))
+    return check_probability("kpz_laplace", fredholm_det_matrix(kmat, outer.weights))

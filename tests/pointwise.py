@@ -7,7 +7,7 @@ so they live here and not in the library."""
 import numpy as np
 
 from airykpz.errors import DomainError
-from airykpz.kpz_side import _ku_matrix, default_ku_inner_rule
+from airykpz.kpz_side import _ku_inner_rule, _ku_matrix
 from airykpz.params import ModelParams
 from airykpz.specfun import airy_both
 
@@ -88,5 +88,5 @@ def ku_kernel(x: float, x_prime: float, params: ModelParams) -> float:
         raise DomainError("ku_kernel requires x, x' >= 0")
     if not params.u > 0:
         raise DomainError("ku_kernel requires u > 0")
-    inner_rule = default_ku_inner_rule(params, max(x, x_prime))
+    inner_rule = _ku_inner_rule(params, max(x, x_prime))
     return float(_ku_matrix(np.array([x, x_prime]), params, inner_rule)[0, 1])

@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix,
-                               airy_mult_stat, default_mult_stat_grid,
+from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix, airy_mult_stat,
                                laplace_R, tracy_widom_f2)
 from airykpz.kpz_side import (ContourSpec, kpz_laplace, kpz_moment, kpz_moment_nested,
                               partitions, symmetry_factor)
@@ -71,7 +70,7 @@ def test_criterion_3_theorem1_agreement():
     for u in (0.1, 1.0, 10.0):
         for C in (0.8, 1.0, 1.6):
             p = ModelParams.from_C(C, u)
-            lhs = airy_mult_stat(p, default_mult_stat_grid(p, 80))
+            lhs = airy_mult_stat(p, nodes=80)
             rhs = kpz_laplace(p)   # 80-node outer Fredholm grid by default
             worst = max(worst, abs(lhs - rhs))
     dt = time.time() - t0
@@ -245,11 +244,10 @@ def _check_node_doubling():
     v = kpz_moment(2, 2.0, nodes_per_axis=64)
     checks.append(abs(kpz_moment(2, 2.0, nodes_per_axis=128) - v) < 1e-9)
     p = ModelParams.from_C(1.0, 1.0)
-    v = airy_mult_stat(p, default_mult_stat_grid(p, 80))
-    checks.append(abs(airy_mult_stat(p, default_mult_stat_grid(p, 160)) - v) < 1e-7)
-    from airykpz.kpz_side import default_kpz_outer_rule
-    v = kpz_laplace(p, default_kpz_outer_rule(p, 80))
-    checks.append(abs(kpz_laplace(p, default_kpz_outer_rule(p, 160)) - v) < 1e-7)
+    v = airy_mult_stat(p, nodes=80)
+    checks.append(abs(airy_mult_stat(p, nodes=160) - v) < 1e-7)
+    v = kpz_laplace(p, nodes=80)
+    checks.append(abs(kpz_laplace(p, nodes=160) - v) < 1e-7)
     from airykpz.airy_side import default_f2_grid
     v = tracy_widom_f2(-2.0, default_f2_grid(-2.0, 80))
     checks.append(abs(tracy_widom_f2(-2.0, default_f2_grid(-2.0, 160)) - v) < 1e-9)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from airykpz import airy_side
-from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix,
-                               airy_mult_stat, default_mult_stat_grid,
+from airykpz import quadrature
+from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix, airy_mult_stat,
                                laplace_R, tracy_widom_f2)
 from airykpz.errors import ConfigurationError, DomainError, SingularityError
 from airykpz.params import ModelParams
@@ -291,11 +291,11 @@ def test_airy_h_moment_contraction_matches_pointwise_sum(monkeypatch):
 def test_h_series_square_from_upper_triangle(monkeypatch):
     # k = 3 at C = 0.6: n = 330 nodes, so the last block of rows is partial
     seen = []
-    square = airy_side._symmetric_square
-    monkeypatch.setattr(airy_side, "_symmetric_square", lambda S: seen.append(S) or square(S))
+    square = airy_side.gram
+    monkeypatch.setattr(airy_side, "gram", lambda S: seen.append(S) or square(S))
     airy_h_moment(3, 0.6)
     (S,) = seen
-    assert S.shape[0] % airy_side._SQUARE_ROWS != 0
+    assert S.shape[0] % quadrature._GRAM_ROWS != 0
     assert np.array_equal(S, S.T)
     assert np.array_equal(square(S), np.einsum("il,jl->ij", S, S))
 
@@ -350,8 +350,8 @@ def test_mult_stat_monotone_in_u():
 
 def test_mult_stat_grid_doubling():
     p = ModelParams.from_C(0.8, 10.0)
-    v80 = airy_mult_stat(p, default_mult_stat_grid(p, 80))
-    v160 = airy_mult_stat(p, default_mult_stat_grid(p, 160))
+    v80 = airy_mult_stat(p, nodes=80)
+    v160 = airy_mult_stat(p, nodes=160)
     assert abs(v80 - v160) < 1e-7
 
 

@@ -9,7 +9,8 @@ import pytest
 
 import airykpz
 from airykpz.cli import (RunConfig, build_parser, config_from_args, main,
-                         render, run, run_verify_theorem2)
+                         render, run, run_verify_theorem1, run_verify_theorem2)
+from airykpz.params import ModelParams
 
 
 def _run_main(argv, capsys):
@@ -126,6 +127,27 @@ def test_tw_limit_error_row_restarts_the_ladder(monkeypatch):
     assert "nonincreasing=na" in rows[2].aux
 
 
+def test_tw_limit_computes_f2_once_per_a(monkeypatch):
+    # one F2(a) serves the whole T ladder; one that raises makes each of
+    # its a's rows an error row that names it
+    from airykpz import cli
+    from airykpz.errors import DomainError
+    real, calls = cli.tracy_widom_f2, []
+
+    def counted(a):
+        calls.append(a)
+        if a == 0.0:
+            raise DomainError("injected")
+        return real(a)
+
+    monkeypatch.setattr(cli, "tracy_widom_f2", counted)
+    rows = cli.run_tw_limit(RunConfig(command="tw-limit", a_list=[-1.0, 0.0],
+                                      T_list=[8.0, 64.0, 512.0]))
+    assert calls == [-1.0, 0.0]
+    assert [r.rhs_value for r in rows[:3]] == [real(-1.0)] * 3
+    assert [r.status for r in rows] == ["ok"] * 3 + ["error: DomainError: injected"] * 3
+
+
 def test_tw_limit_right_tail(capsys):
     # at a = 4 both columns sit within 2e-3 of 1
     code, out, err = _run_main(
@@ -183,6 +205,18 @@ def test_moment_lost_to_cancellation_is_an_error_row():
     assert [r.status for r in rows[:2]] == ["ok", "ok"]
     assert rows[2].status.startswith("error: NumericalConsistencyError")
     assert not rows[2].passed
+
+
+def test_verify_theorem1_nodes_set_both_fredholm_grids():
+    from airykpz.airy_side import airy_mult_stat
+    from airykpz.kpz_side import kpz_laplace
+    rows = run_verify_theorem1(RunConfig(command="verify-theorem1", C_list=[1.0],
+                                         u_list=[0.5, 4.0], nodes=120))
+    for row in rows:
+        p = ModelParams.from_C(1.0, row.labels["u"])
+        assert row.lhs_value == airy_mult_stat(p, 120)
+        assert row.rhs_value == kpz_laplace(p, 120)
+        assert row.aux == "tol=1e-06;nodes=120"
 
 
 def test_output_file_and_byte_stability(tmp_path, capsys):
@@ -260,9 +294,9 @@ def test_mc_check_seed_reproducibility():
 
 
 def test_mc_check_rejects_few_samples():
-    from airykpz.errors import AiryKpzError
+    from airykpz.errors import ConfigurationError
     cfg = RunConfig(command="mc-check", C_list=[0.5], u_list=[], k_max=1, samples=50)
-    with pytest.raises(AiryKpzError):
+    with pytest.raises(ConfigurationError):
         run(cfg)
 
 
@@ -270,6 +304,22 @@ def test_mc_check_negative_seed_is_a_usage_error(capsys):
     code, out, err = _run_main(
         ["mc-check", "--C", "0.5", "--u", "1", "--k-max", "1", "--samples", "100",
          "--matrix-size", "100", "--keep-top", "32", "--seed", "-1"], capsys)
+    assert code == 2
+    assert err.startswith("error: seed must be a non-negative integer")
+    assert out == ""
+
+
+def test_mc_check_cells_without_a_reference_make_no_draw(capsys, monkeypatch):
+    # at C = 0.2 neither Airy-side reference exists, so every row is an
+    # error row and nothing is drawn; a bad --seed is still a usage error
+    from airykpz import montecarlo
+    monkeypatch.setattr(montecarlo, "draw_edge_samples", lambda *a: pytest.fail("drew"))
+    argv = ["mc-check", "--C", "0.2", "--u", "1", "--k-max", "2", "--samples", "2000"]
+    code, out, err = _run_main(argv + ["--seed", "9"], capsys)
+    assert code == 1
+    rows = out.splitlines()[1:]
+    assert len(rows) == 3 and all(",error: DomainError: " in row for row in rows)
+    code, out, err = _run_main(argv + ["--seed", "-1"], capsys)
     assert code == 2
     assert err.startswith("error: seed must be a non-negative integer")
     assert out == ""

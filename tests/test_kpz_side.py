@@ -7,12 +7,12 @@ import pytest
 from airykpz.airy_side import airy_h_moment, airy_mult_stat
 from airykpz.errors import (ConfigurationError, DomainError, NumericalConsistencyError,
                             SingularityError)
-from airykpz.kpz_side import (ContourSpec, Partition, default_kpz_outer_rule,
-                              default_ku_inner_rule, interaction_det, kpz_laplace,
-                              kpz_moment, kpz_moment_nested, partitions, symmetry_factor)
+from airykpz.kpz_side import (ContourSpec, Partition, _ku_matrix, interaction_det,
+                              kpz_laplace, kpz_moment, kpz_moment_nested, partitions,
+                              symmetry_factor)
 from airykpz import kpz_side
 from airykpz.params import ModelParams
-from airykpz.quadrature import composite_legendre
+from airykpz.quadrature import composite_legendre, legendre_on
 
 from pointwise import bose_exponent, factor_grid, ku_kernel, pointwise_sum
 
@@ -368,8 +368,8 @@ def test_ku_kernel_domain_errors():
 
 
 def test_default_inner_rule_rejects_tiny_C():
-    with pytest.raises(ConfigurationError):
-        default_ku_inner_rule(ModelParams.from_C(0.3, 1.0), 40.0)
+    with pytest.raises(ConfigurationError, match="beyond its supported range"):
+        kpz_laplace(ModelParams.from_C(0.3, 1.0))
 
 
 def test_kpz_laplace_u0():
@@ -392,9 +392,13 @@ def test_theorem1_point_match():
 
 def test_kpz_laplace_outer_doubling():
     p = ModelParams.from_C(1.0, 1.0)
-    v80 = kpz_laplace(p, default_kpz_outer_rule(p, 80))
-    v160 = kpz_laplace(p, default_kpz_outer_rule(p, 160))
+    v80 = kpz_laplace(p, nodes=80)
+    v160 = kpz_laplace(p, nodes=160)
     assert abs(v80 - v160) < 1e-9
+
+
+# kpz_laplace's 80-node outer rule at C = 1, u = 1: [0, 22/C]
+OUTER_C1_U1 = legendre_on(0.0, 22.0, 80)
 
 
 def test_kpz_laplace_truncated_inner_rule_raises():
@@ -402,7 +406,7 @@ def test_kpz_laplace_truncated_inner_rule_raises():
     # unchecked, the determinant reads 0.79488 against the true 0.79069
     p = ModelParams.from_C(1.0, 1.0)
     with pytest.raises(NumericalConsistencyError):
-        kpz_laplace(p, default_kpz_outer_rule(p), composite_legendre(-30.0, 5.0, 35, 10))
+        _ku_matrix(OUTER_C1_U1.nodes, p, composite_legendre(-30.0, 5.0, 35, 10))
 
 
 def test_kpz_laplace_inner_rule_beyond_airy_range_raises():
@@ -410,4 +414,4 @@ def test_kpz_laplace_inner_rule_beyond_airy_range_raises():
     # range check is airy_both's, reached through the K_u grid
     p = ModelParams.from_C(1.0, 1.0)
     with pytest.raises(DomainError, match="airy argument outside"):
-        kpz_laplace(p, default_kpz_outer_rule(p), composite_legendre(-30.0, 65.0, 95, 10))
+        _ku_matrix(OUTER_C1_U1.nodes, p, composite_legendre(-30.0, 65.0, 95, 10))

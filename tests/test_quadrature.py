@@ -7,7 +7,7 @@ import pytest
 from airykpz import quadrature
 from airykpz.errors import ConfigurationError, EvaluationError, NumericalConsistencyError
 from airykpz.quadrature import (QuadratureRule, composite_legendre,
-                                fredholm_det_matrix, gauss_hermite, gauss_legendre,
+                                fredholm_det_matrix, gauss_hermite, gauss_legendre, gram,
                                 hermite_axis_count, legendre_on, scaled_gauss_hermite,
                                 tensor_integrate)
 
@@ -176,6 +176,16 @@ def test_fredholm_nan_kernel_reports_node_pair():
 
 def _ones(*xs):
     return [np.ones(x.size) for x in xs], {}
+
+
+def test_gram_is_one_full_einsum_and_bitwise_symmetric():
+    # the shape of K_u's Airy factor matrix: 80 outer by ~950 inner nodes,
+    # so the last block of rows is partial
+    X = np.random.default_rng(3).standard_normal((80, 950))
+    assert 80 % quadrature._GRAM_ROWS != 0
+    G = gram(X)
+    assert np.array_equal(G, np.einsum("il,jl->ij", X, X))
+    assert np.array_equal(G, G.T)
 
 
 def test_tensor_constant_on_square():
