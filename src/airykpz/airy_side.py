@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (ConfigurationError, DomainError, check_order, check_positive,
-                     check_probability)
+                     check_probability, checked_exp)
 from .params import ModelParams
 from .quadrature import (QuadratureRule, cauchy_det, composite_legendre,
                          fredholm_det_matrix, gram, hermite_axis_count, legendre_on,
@@ -93,6 +94,8 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
         raise ConfigurationError("at most 4 Laplace exponents are supported")
     c = np.sort(c)[::-1]
     n = c.size
+    pref = checked_exp(f"laplace_R at exponents {c.tolist()}: its prefactor",
+                       float(np.sum(c ** 3)) / 12.0) / (2.0 * math.pi) ** n
     if nodes_per_axis is None:
         d_min = min((math.sqrt(c[i]) * (c[i] + c[j]) / 2.0
                      for i in range(n) for j in range(n) if i != j), default=math.inf)
@@ -103,7 +106,6 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
         return cauchy_det([-1j * z + ci / 2.0 for z, ci in zip(zs, c)],
                           [1j * z + ci / 2.0 for z, ci in zip(zs, c)])
 
-    pref = math.exp(np.sum(c ** 3) / 12.0) / (2.0 * math.pi) ** n
     return pref * tensor_integrate(integrand, rules)
 
 
@@ -116,6 +118,7 @@ _H_ORDER = 30          # default Gauss-Legendre order per panel
 _H_PANEL_WIDTH = 8.0
 _H_LEFT_DECAY = 37.0
 _H_RIGHT_MARGIN = 22.0
+_LOG_DBL_MAX = math.log(sys.float_info.max)     # e^{Cr} overflows past C r = 709.78
 
 
 def newton_h(p: list) -> list:
@@ -177,15 +180,20 @@ def airy_h_moment(k: int, C: float, nodes_per_axis: int | None = None) -> float:
     ``nodes_per_axis`` is the Gauss-Legendre order per panel of the grid
     (default 30).  Supported on integer 1 <= k <= 4 (ConfigurationError
     otherwise), C >= 0.4 and (kC)^2/4 + 22 <= 60, where the grid stays
-    inside the Airy range; other C raise DomainError.  The moment is
-    analytically positive; a value that is not positive has been lost to
-    cancellation and raises NumericalConsistencyError.
+    inside the Airy range, and C((kC)^2/4 + 22) <= log(DBL_MAX), where
+    e^{Cr} stays finite (binding only at k = 1, C > 12.1); other C raise
+    DomainError.  The moment is analytically positive; a value that is not
+    positive has been lost to cancellation and raises
+    NumericalConsistencyError.
     """
     check_order("airy_h_moment", k)
     right = (k * C) ** 2 / 4.0 + _H_RIGHT_MARGIN
     if not (C >= 0.4 and right <= SUPPORTED_RANGE):
         raise DomainError(f"airy_h_moment supports C >= 0.4 and (kC)^2/4 + "
                           f"{_H_RIGHT_MARGIN:g} <= {SUPPORTED_RANGE:g}; got k = {k}, C = {C}")
+    if C * right > _LOG_DBL_MAX:
+        raise DomainError(f"airy_h_moment({k}, {C}): e^(Cr) at the grid's right edge "
+                          f"r = {right:.6g} overflows double precision")
     left = max(-SUPPORTED_RANGE, -_H_LEFT_DECAY / C)
     rule = composite_legendre(left, right, math.ceil((right - left) / _H_PANEL_WIDTH),
                               nodes_per_axis or _H_ORDER)

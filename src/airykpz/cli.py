@@ -76,8 +76,8 @@ class VerificationRow:
 
 def _row_or_error(labels: dict, cell, *args) -> VerificationRow:
     """The row ``cell(labels, *args)`` builds, or the error row naming what
-    it raised, so one bad cell does not stop the grid.  ``math.exp`` of the
-    KPZ side's kT/24 or of tw-limit's -Ca can raise OverflowError."""
+    it raised, so one bad cell does not stop the grid.  ``math.exp`` of
+    tw-limit's -Ca can raise OverflowError."""
     try:
         return cell(labels, *args)
     except (AiryKpzError, OverflowError) as exc:
@@ -112,9 +112,9 @@ def _derive_grid(cfg: RunConfig) -> list[tuple[float, float]]:
 
 
 def _check_u(cfg: RunConfig) -> None:
-    """Laplace variables are non-negative; a negative one is a usage error."""
-    if any(u < 0 for u in cfg.u_list):
-        raise ConfigurationError("u values must be >= 0")
+    """Laplace variables are finite and non-negative; any other is a usage error."""
+    if any(not 0 <= u < math.inf for u in cfg.u_list):
+        raise ConfigurationError("u values must be >= 0 and finite")
 
 
 def _check_overrides(cfg: RunConfig) -> None:

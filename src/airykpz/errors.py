@@ -1,6 +1,7 @@
 """Exception taxonomy shared by all modules, and the guards on moment
 orders and on computed moments and probabilities that raise from it."""
 
+import math
 import numbers
 
 
@@ -56,10 +57,19 @@ def check_order(name: str, k, k_max: int = 4) -> None:
 
 
 def check_positive(name: str, value: float) -> float:
-    """value, a moment; one that is not positive was lost to cancellation and raises."""
-    if not value > 0:
-        raise NumericalConsistencyError(f"{name} = {value!r} is not positive")
+    """value, a moment; one that is not positive was lost to cancellation,
+    and one that is infinite overflowed: both raise."""
+    if not 0 < value < math.inf:
+        raise NumericalConsistencyError(f"{name} = {value!r} is not positive and finite")
     return value
+
+
+def checked_exp(what: str, x: float) -> float:
+    """math.exp(x); past log(DBL_MAX) it raises DomainError naming ``what``."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DomainError(f"{what} exp({x:.6g}) overflows double precision") from None
 
 
 def check_probability(name: str, value: float) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, DomainError, NumericalConsistencyError,
-                     check_order, check_positive, check_probability)
+                     check_order, check_positive, check_probability, checked_exp)
 from .params import ModelParams
 from .quadrature import (HERMITE_AXIS_CAP_BY_DIM, QuadratureRule, cauchy_det,
                          composite_legendre, fredholm_det_matrix, gauss_legendre, gram,
@@ -136,11 +136,7 @@ def _partition_moment_integral(lam: Partition, T: float, n_axis: int) -> float:
     lamv = np.asarray(lam.parts, dtype=float)
     rules = [scaled_gauss_hermite(T * p / 2.0, n_axis) for p in lam.parts]
     log_const = float(np.sum((T / 2.0) * lamv * (lamv - 1) * (2 * lamv - 1) / 6.0))
-    try:
-        const = math.exp(log_const)
-    except OverflowError:
-        raise DomainError(f"partition {lam.parts} at T = {T}: its prefactor "
-                          f"exp({log_const:.6g}) overflows double precision") from None
+    const = checked_exp(f"partition {lam.parts} at T = {T}: its prefactor", log_const)
 
     def integrand(*ts):
         diag, pairs = interaction_det([1j * t for t in ts], lam)
@@ -163,11 +159,12 @@ def kpz_moment(k: int, T: float, nodes_per_axis: int | None = None) -> float:
     check_order("kpz_moment", k)
     if not T > 0:
         raise DomainError("kpz_moment requires T > 0")
+    norm = checked_exp(f"kpz_moment({k}, {T}): its normalization", k * T / 24.0)
     total = 0.0
     for lam in partitions(k):
         n_axis = _partition_axis_nodes(lam, T, nodes_per_axis)
         total += _partition_moment_integral(lam, T, n_axis) / symmetry_factor(lam)
-    return check_positive(f"kpz_moment({k}, {T})", math.exp(k * T / 24.0) * total)
+    return check_positive(f"kpz_moment({k}, {T})", norm * total)
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +213,7 @@ def kpz_moment_nested(k: int, T: float, spec: ContourSpec | None = None,
     check_order("kpz_moment_nested", k, k_max=3)
     if not T > 0:
         raise DomainError("kpz_moment_nested requires T > 0")
+    norm = checked_exp(f"kpz_moment_nested({k}, {T}): its normalization", k * T / 24.0)
     if spec is None:
         spec = ContourSpec.default(k, T)
     if len(spec.offsets) != k:
@@ -253,8 +251,7 @@ def kpz_moment_nested(k: int, T: float, spec: ContourSpec | None = None,
         raise NumericalConsistencyError(
             f"nested contour integral is truncation-sensitive: outer band "
             f"contributes {abs(edge):.3e} of {abs(total):.3e}")
-    return check_positive(f"kpz_moment_nested({k}, {T})",
-                          math.exp(k * T / 24.0) * total / math.factorial(k))
+    return check_positive(f"kpz_moment_nested({k}, {T})", norm * total / math.factorial(k))
 
 
 # ----------------------------------------------------------------------
@@ -263,12 +260,12 @@ def kpz_moment_nested(k: int, T: float, spec: ContourSpec | None = None,
 def _ku_inner_rule(params: ModelParams, x_max: float) -> QuadratureRule:
     """Composite rule over the r-integration of the kernel.
 
-    Left of -(12 + x_max) the shifted Airy factors have decayed
-    superexponentially; right of (20 + |log u|)/C + x_max the Fermi
-    factor has.  Panels of unit width with 10 nodes resolve the Airy
-    oscillation at ~4 points per shortest wavelength.
+    Every outer node has x >= 0, so left of -12 each shifted Airy factor
+    Ai(x - r) is below Ai(12) ~ 1.4e-13; right of (20 + |log u|)/C + x_max
+    the Fermi factor has decayed.  Panels of unit width with 10 nodes
+    resolve the Airy oscillation at ~4 points per shortest wavelength.
     """
-    lo = -(12.0 + x_max)
+    lo = -12.0
     hi = (20.0 + abs(math.log(params.u))) / params.C + x_max
     if hi > SUPPORTED_RANGE:
         raise ConfigurationError(
@@ -284,18 +281,14 @@ def _ku_matrix(xs: np.ndarray, params: ModelParams,
 
     K_u = X X^T with X_im = Ai(x_i - r_m) (f_m w_m)^{1/2}, from :func:`gram`:
     bitwise symmetric, with no BLAS call, so it does not depend on the BLAS
-    thread count.  Raises NumericalConsistencyError when the outermost 5
+    thread count.  An argument x_i - r_m outside [-60, 60] raises DomainError
+    from :func:`airy_both`; NumericalConsistencyError when the outermost 5
     inner nodes at either end contribute more than max(1e-10, 1e-10 |K_ij|)
     to some entry: the inner rule then truncates visibly.
     """
     r = inner_rule.nodes
     f = logistic(math.log(params.u) - params.C * r)
-    # Ai(x_i - r_m): arguments beyond +60 contribute < 1e-132 and are
-    # zeroed, arguments below -60 raise DomainError from airy_both
-    args = np.subtract.outer(np.asarray(xs, dtype=float), r)
-    X = np.zeros_like(args)
-    inside = args <= SUPPORTED_RANGE
-    X[inside] = airy_both(args[inside])[0]
+    X = airy_both(np.subtract.outer(np.asarray(xs, dtype=float), r))[0]
     X *= np.sqrt(f * inner_rule.weights)
     M = gram(X)
     edge = np.abs(gram(X[:, :5])) + np.abs(gram(X[:, -5:]))

@@ -250,6 +250,9 @@ def test_laplace_R_validation():
         laplace_R([])
     with pytest.raises(ConfigurationError):
         laplace_R([1.0] * 5)
+    # each exponent is <= 20, but exp(sum c^3/12) = exp(843.75) overflows
+    with pytest.raises(DomainError, match="overflows double precision"):
+        laplace_R([15.0] * 3)
 
 
 def test_laplace_R_node_doubling_self_convergence():
@@ -332,6 +335,9 @@ def test_airy_h_moment_validation():
         airy_h_moment(1, 0.39)
     with pytest.raises(DomainError):
         airy_h_moment(4, 3.2)
+    # inside the Airy range, but e^{Cr} overflows at the right edge r = 59.21
+    with pytest.raises(DomainError, match="overflows double precision"):
+        airy_h_moment(1, 12.2)
 
 
 # ----------------------------------------------------------------------

@@ -64,8 +64,15 @@ def test_grid_without_cells_is_a_usage_error(argv, capsys, monkeypatch):
     (["verify-theorem1", "--C=-1", "--u", "1"], "ModelParams requires C > 0"),
     (["tw-limit", "--a", "0", "--T=-8,64"], "ModelParams requires T > 0"),
     (["mc-check", "--C", "0", "--u", "1", "--k-max", "1"], "ModelParams requires C > 0"),
+    (["verify-theorem1", "--C", "inf", "--u", "1"], "ModelParams requires C > 0 and finite"),
+    (["verify-theorem1", "--T", "inf", "--u", "1"], "ModelParams requires T > 0 and finite"),
+    (["verify-theorem1", "--C", "1", "--u", "inf"], "u values must be >= 0 and finite"),
+    (["tw-limit", "--a", "0", "--T", "8,inf"], "ModelParams requires T > 0 and finite"),
+    (["mc-check", "--C", "0.5", "--u", "inf", "--k-max", "1"],
+     "u values must be >= 0 and finite"),
 ], ids=["nodes-thm2", "nodes-thm1", "tol-negative", "tol-nan", "tol-inf", "tol-negative-tw",
-        "tol-nan-mc", "T-zero", "C-negative", "T-negative-tw", "C-zero-mc"])
+        "tol-nan-mc", "T-zero", "C-negative", "T-negative-tw", "C-zero-mc", "C-inf", "T-inf",
+        "u-inf", "T-inf-tw", "u-inf-mc"])
 def test_bad_override_or_grid_value_is_a_usage_error(argv, message, capsys, monkeypatch):
     # rejected before any cell builds a row, and for mc-check before any draw
     from airykpz import cli, montecarlo

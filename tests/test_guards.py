@@ -41,6 +41,6 @@ def test_order_check():
 
 def test_positivity_check():
     assert check_positive("m", 2.5) == 2.5
-    for val in (0.0, -1.0, math.nan):
+    for val in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(NumericalConsistencyError, match="m = .* is not positive"):
             check_positive("m", val)

@@ -12,7 +12,7 @@ from airykpz.kpz_side import (ContourSpec, Partition, _ku_matrix, interaction_de
                               symmetry_factor)
 from airykpz import kpz_side
 from airykpz.params import ModelParams
-from airykpz.quadrature import composite_legendre, legendre_on
+from airykpz.quadrature import QuadratureRule, composite_legendre, legendre_on
 
 from pointwise import bose_exponent, factor_grid, ku_kernel, pointwise_sum
 
@@ -279,6 +279,11 @@ def test_kpz_moment_prefactor_overflow_is_a_domain_error():
     # the (4,) term's prefactor at T = 128 is exp(896), beyond double precision
     with pytest.raises(DomainError, match=r"partition \(4,\) at T = 128"):
         kpz_moment(4, 128.0)
+    # so is the normalization exp(kT/24) at k = 1, T = 2e4: exp(833)
+    with pytest.raises(DomainError, match=r"kpz_moment\(1, 20000.0\): its normalization"):
+        kpz_moment(1, 2e4)
+    with pytest.raises(DomainError, match=r"kpz_moment_nested\(1, 20000.0\)"):
+        kpz_moment_nested(1, 2e4)
 
 
 # ----------------------------------------------------------------------
@@ -410,8 +415,66 @@ def test_kpz_laplace_truncated_inner_rule_raises():
 
 
 def test_kpz_laplace_inner_rule_beyond_airy_range_raises():
-    # r up to 65 puts x - r below -60 at the outer nodes near x = 0; the
-    # range check is airy_both's, reached through the K_u grid
+    # r up to 65 puts x - r below -60 at the outer nodes near x = 0, and r
+    # down to -45 puts it above +60 at the outer nodes near x = 22; the
+    # range check on both sides is airy_both's, reached through the K_u grid
     p = ModelParams.from_C(1.0, 1.0)
-    with pytest.raises(DomainError, match="airy argument outside"):
-        _ku_matrix(OUTER_C1_U1.nodes, p, composite_legendre(-30.0, 65.0, 95, 10))
+    for lo, hi in ((-30.0, 65.0), (-45.0, 42.0)):
+        with pytest.raises(DomainError, match="airy argument outside"):
+            _ku_matrix(OUTER_C1_U1.nodes, p, composite_legendre(lo, hi, int(hi - lo), 10))
+
+
+def _ku_grids(monkeypatch, cells):
+    """(params, outer nodes, inner rule) of every K_u that kpz_laplace
+    builds over ``cells`` of (C, u, nodes), the cells it rejects left out."""
+    seen = []
+
+    def spy(xs, params, inner_rule):
+        seen.append((params, xs, inner_rule))
+        return real(xs, params, inner_rule)
+
+    real = kpz_side._ku_matrix
+    monkeypatch.setattr(kpz_side, "_ku_matrix", spy)
+    for C, u, nodes in cells:
+        try:
+            kpz_laplace(ModelParams.from_C(C, u), nodes)
+        except ConfigurationError:
+            pass
+    return seen
+
+
+def test_ku_inner_rule_starts_at_minus_12_inside_the_airy_range(monkeypatch):
+    # for x >= 0 and r < -12, Ai(x - r) < Ai(12) ~ 1.4e-13; with the left
+    # edge at -12 every argument the accepted cells need lies in [-60, 60]
+    cells = list(itertools.product((0.5, 0.8, 1.0, 1.6, 4.0), (1e-4, 1.0, 1e4), (40, 120)))
+    grids = _ku_grids(monkeypatch, cells)
+    assert len(grids) >= 18
+    assert max(xs[-1] for _, xs, _ in grids) > 24.0     # where -(12 + x_max) would leave it
+    for params, xs, inner in grids:
+        assert -12.0 < inner.nodes[0] < -11.9
+        assert np.sum(inner.weights) == pytest.approx(
+            (20.0 + abs(math.log(params.u))) / params.C + xs[-1] + 12.0, rel=1e-13)
+        args = np.subtract.outer(xs, inner.nodes)
+        assert -60.0 <= args.min() and args.max() <= 60.0
+
+
+def test_ku_matrix_left_edge_at_minus_12_loses_nothing(monkeypatch):
+    # the same rule with unit panels prepended down to -(12 + x_max): every
+    # entry moves by at most 1e-14 of its Gram bound sqrt(K_ii K_jj), which
+    # on the diagonal is the entry itself.  Off the diagonal some entries
+    # cancel to ~1e-28 from terms ~1e-13, so a bare relative gap there
+    # measures roundoff, not truncation
+    cells = [(1.0, 1e-3, 80), (1.0, 1.0, 120), (1.6, 0.1, 80), (1.6, 1e3, 40),
+             (3.0, 10.0, 120)]
+    grids = _ku_grids(monkeypatch, cells)
+    assert len(grids) == len(cells)
+    for params, xs, inner in grids:
+        assert -12.0 < inner.nodes[0] < -11.9
+        m = math.ceil(xs[-1])
+        left = composite_legendre(-12.0 - m, -12.0, m, 10)
+        extended = QuadratureRule(np.concatenate([left.nodes, inner.nodes]),
+                                  np.concatenate([left.weights, inner.weights]))
+        K = _ku_matrix(xs, params, inner)
+        K_ext = _ku_matrix(xs, params, extended)
+        scale = np.sqrt(np.outer(np.diag(K_ext), np.diag(K_ext)))
+        assert np.all(np.abs(K - K_ext) <= 1e-14 * scale)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -43,3 +44,9 @@ def test_validation():
         ModelParams.from_T(-2.0, 0.0)
     with pytest.raises(DomainError):
         ModelParams(0.0, 1.0)
+    # C = 1e200 is finite, but T = 2C^3 is not
+    for C, u in ((math.inf, 1.0), (1e200, 1.0), (1.0, math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            ModelParams(C, u)
+    with pytest.raises(DomainError, match="requires T > 0 and finite"):
+        ModelParams.from_T(math.inf, 1.0)
