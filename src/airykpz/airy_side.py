@@ -14,9 +14,7 @@ counterpart lives in :mod:`airykpz.montecarlo`, the KPZ counterpart in
 
 from __future__ import annotations
 
-import itertools
 import math
-import sys
 from typing import Sequence
 
 import numpy as np
@@ -87,9 +85,6 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
         raise DomainError("need a nonempty vector of Laplace exponents")
     if np.any(c <= 0):
         raise DomainError("Laplace exponents must be strictly positive")
-    if np.any(c > 20.0):
-        raise DomainError("Laplace exponent above 20: exp(c^3/12) overflows "
-                          "double precision")
     if c.size > 4:
         raise ConfigurationError("at most 4 Laplace exponents are supported")
     c = np.sort(c)[::-1]
@@ -118,7 +113,6 @@ _H_ORDER = 30          # default Gauss-Legendre order per panel
 _H_PANEL_WIDTH = 8.0
 _H_LEFT_DECAY = 37.0
 _H_RIGHT_MARGIN = 22.0
-_LOG_DBL_MAX = math.log(sys.float_info.max)     # e^{Cr} overflows past C r = 709.78
 
 
 def newton_h(p: list) -> list:
@@ -138,38 +132,36 @@ def _h_series(rule: QuadratureRule, C: float, k: int) -> list[float]:
     K f_u is similar to P(u) = sum_m (-1)^{m+1} u^m S G^{m-1}, G = diag(g).
     From log det(I - P) = -sum_j tr(P^j)/j, (-1)^n times its u^n
     coefficient is l_n = sum_j (-1)^{j+1}/j sum_a tr(S G^{a_1} ... S G^{a_j})
-    over the exponents a_i >= 0 with sum a_i = n - j.  E h_n is the
-    coefficient of v^n in det(I - P) = exp(sum_n l_n v^n), v = -u, so it
-    is :func:`newton_h` of the power sums p_i = i l_i.
-
-    For k <= 4 a word has at most two positive exponents, so a rotation
-    makes it S^p G^c S^q G^b and its trace one O(n^2) sum over S or S^2.
-    S is bitwise symmetric, so S^2 = S S^T comes from :func:`gram`.
-    Products and sums run through ``np.einsum`` without ``optimize``: no
-    BLAS call, so no dependence on its thread count.
+    over a_i >= 0 with sum a_i = n - j; merging the rotations of each word,
+    l_1 = tr S, l_2 = tr SG - tr S^2/2, l_3 = tr SG^2 - tr S^2 G + tr S^3/3,
+    l_4 = tr SG^3 - tr S^2 G^2 - tr (SG)^2/2 + tr S^3 G - tr S^4/4, each
+    trace one O(n^2) sum over S or S^2 = S S^T (from :func:`gram`, S being
+    bitwise symmetric).  E h_n is the coefficient of v^n in
+    det(I - P) = exp(sum_n l_n v^n), v = -u: :func:`newton_h` of the power
+    sums p_i = i l_i.  Sums run through ``np.einsum`` without ``optimize``:
+    no BLAS call, so no dependence on its thread count.
     """
     g = np.exp(C * rule.nodes)
     s = np.sqrt(rule.weights * g)
     # s_i s_j K_ij: both factors are bitwise symmetric, so S is too
     S = airy_kernel_matrix(rule.nodes)
     S *= np.multiply.outer(s, s)
-    powers = [None, S, gram(S) if k > 2 else None]
 
-    def trace(a):
-        # rotate the first positive exponent to the end, then split after
-        # the other positive one, or mid-word
-        j = len(a)
-        nz = [i for i, e in enumerate(a) if e]
-        a = a[nz[0] + 1:] + a[:nz[0] + 1] if nz else a
-        if j == 1:
-            return np.einsum("ii,i->", powers[1], g ** a[0])
-        p = nz[1] - nz[0] if len(nz) == 2 else (j + 1) // 2
-        diag = np.einsum("il,l,li->i", powers[p], g ** a[p - 1], powers[j - p])
-        return np.einsum("i,i->", diag, g ** a[-1])
+    def tr(x, a):       # sum_i x_i g_i^a
+        return np.einsum("i,i->", x, g ** a)
 
-    ell = [sum((-1) ** (j + 1) * trace(a) / j for j in range(1, n + 1)
-               for a in itertools.product(range(n - j + 1), repeat=j) if sum(a) == n - j)
-           for n in range(1, k + 1)]
+    d = np.einsum("ii->i", S)
+    ell = [tr(d, 0)]
+    if k > 1:
+        q = np.einsum("il,li->i", S, S)
+        ell.append(tr(d, 1) - tr(q, 0) / 2)
+    if k > 2:
+        S2 = gram(S)
+        c = np.einsum("il,li->i", S2, S)
+        ell.append(tr(d, 2) - tr(q, 1) + tr(c, 0) / 3)
+    if k > 3:
+        ell.append(tr(d, 3) - tr(q, 2) - np.einsum("i,il,li,l->", g, S, S, g) / 2
+                   + tr(c, 1) - np.einsum("il,li->", S2, S2) / 4)
     return newton_h([i * l for i, l in enumerate(ell, start=1)])[1:]
 
 
@@ -191,12 +183,11 @@ def airy_h_moment(k: int, C: float, nodes_per_axis: int | None = None) -> float:
     if not (C >= 0.4 and right <= SUPPORTED_RANGE):
         raise DomainError(f"airy_h_moment supports C >= 0.4 and (kC)^2/4 + "
                           f"{_H_RIGHT_MARGIN:g} <= {SUPPORTED_RANGE:g}; got k = {k}, C = {C}")
-    if C * right > _LOG_DBL_MAX:
-        raise DomainError(f"airy_h_moment({k}, {C}): e^(Cr) at the grid's right edge "
-                          f"r = {right:.6g} overflows double precision")
+    checked_exp(f"airy_h_moment({k}, {C}): e^(Cr) at the grid's right edge r = {right:.6g},",
+                C * right)
     left = max(-SUPPORTED_RANGE, -_H_LEFT_DECAY / C)
     rule = composite_legendre(left, right, math.ceil((right - left) / _H_PANEL_WIDTH),
-                              nodes_per_axis or _H_ORDER)
+                              _H_ORDER if nodes_per_axis is None else nodes_per_axis)
     return check_positive(f"airy_h_moment({k}, {C})", float(_h_series(rule, C, k)[-1]))
 
 

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .airy_side import airy_h_moment, airy_mult_stat, tracy_widom_f2
-from .errors import AiryKpzError, ConfigurationError, check_order
+from .errors import AiryKpzError, ConfigurationError, check_order, checked_exp
 from .kpz_side import kpz_laplace, kpz_moment
 from .params import ModelParams
 
@@ -76,11 +76,10 @@ class VerificationRow:
 
 def _row_or_error(labels: dict, cell, *args) -> VerificationRow:
     """The row ``cell(labels, *args)`` builds, or the error row naming what
-    it raised, so one bad cell does not stop the grid.  ``math.exp`` of
-    tw-limit's -Ca can raise OverflowError."""
+    it raised, so one bad cell does not stop the grid."""
     try:
         return cell(labels, *args)
-    except (AiryKpzError, OverflowError) as exc:
+    except AiryKpzError as exc:
         return VerificationRow(labels=labels, error=f"{type(exc).__name__}: {exc}",
                                passed=False)
 
@@ -91,7 +90,7 @@ def _outcome(fn, *args):
     with :func:`_value` and so raises that exception again."""
     try:
         return fn(*args)
-    except (AiryKpzError, OverflowError) as exc:
+    except AiryKpzError as exc:
         return exc
 
 
@@ -183,7 +182,8 @@ def run_tw_limit(cfg: RunConfig) -> list[VerificationRow]:
     tol = cfg.tol or 0.05
 
     def cell(labels, a, C, f2, prev, last):
-        lhs = airy_mult_stat(ModelParams.from_C(C, math.exp(-C * a)))
+        u = checked_exp(f"tw-limit at a = {a}, C = {C}: u =", -C * a)
+        lhs = airy_mult_stat(ModelParams.from_C(C, u))
         row = VerificationRow(labels=labels, lhs_value=lhs, rhs_value=_value(f2))
         ok_mono = prev is None or row.abs_diff <= prev + 1e-12
         row.aux = f"tol={tol:g};nonincreasing={'na' if prev is None else str(ok_mono).lower()}"

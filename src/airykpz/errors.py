@@ -65,7 +65,10 @@ def check_positive(name: str, value: float) -> float:
 
 
 def checked_exp(what: str, x: float) -> float:
-    """math.exp(x); past log(DBL_MAX) it raises DomainError naming ``what``."""
+    """math.exp(x); past log(DBL_MAX), at +inf or at NaN it raises DomainError
+    naming ``what``.  The package's one overflow guard."""
+    if not x < math.inf:
+        raise DomainError(f"{what} exp({x}) is not finite")
     try:
         return math.exp(x)
     except OverflowError:

@@ -221,6 +221,10 @@ def kpz_moment_nested(k: int, T: float, spec: ContourSpec | None = None,
     if nodes_per_axis is None:
         nodes_per_axis = {1: 96, 2: 128, 3: 128}[k]
     a = np.asarray(spec.offsets, dtype=float)
+    # |exp((T/2) z^2)| on z = a + it peaks at exp((T/2) a^2), taken out here, so
+    # each factor exp((T/2)(z^2 - a^2)) = exp((T/2) it(2a + it)) has modulus <= 1
+    pref = checked_exp(f"kpz_moment_nested({k}, {T}): its contour prefactor",
+                       (T / 2.0) * float(np.sum(a ** 2))) / (2.0 * math.pi) ** k
     hw = spec.half_width
     base = gauss_legendre(nodes_per_axis)
     axis = QuadratureRule(hw * base.nodes, hw * base.weights)
@@ -234,7 +238,7 @@ def kpz_moment_nested(k: int, T: float, spec: ContourSpec | None = None,
             for B in range(A + 1, k):
                 d = np.subtract.outer(zs[A], zs[B])
                 pairs[A, B] = d / (d - 1.0)
-        return [np.exp((T / 2.0) * z ** 2) for z in zs], pairs
+        return [np.exp((T / 2.0) * 1j * t * (2.0 * aj + 1j * t)) for aj, t in zip(a, ts)], pairs
 
     # t -> -t conjugates the integrand and the Legendre nodes are symmetric,
     # so the sum is real; the tensor driver returns its real part.  The
@@ -244,9 +248,8 @@ def kpz_moment_nested(k: int, T: float, spec: ContourSpec | None = None,
     if band.any():
         band_rule = QuadratureRule(axis.nodes[band], axis.weights[band])
         edge = tensor_integrate(f, [band_rule] + [axis] * (k - 1))
-    total = tensor_integrate(f, [core_rule] + [axis] * (k - 1)) + edge
-    total = total / (2.0 * math.pi) ** k
-    edge = edge / (2.0 * math.pi) ** k
+    total = (tensor_integrate(f, [core_rule] + [axis] * (k - 1)) + edge) * pref
+    edge = edge * pref
     if abs(edge) > 1e-8 * (abs(total) + 1e-300):
         raise NumericalConsistencyError(
             f"nested contour integral is truncation-sensitive: outer band "
@@ -266,12 +269,14 @@ def _ku_inner_rule(params: ModelParams, x_max: float) -> QuadratureRule:
     resolve the Airy oscillation at ~4 points per shortest wavelength.
     """
     lo = -12.0
-    hi = (20.0 + abs(math.log(params.u))) / params.C + x_max
+    log_u = math.log(params.u)
+    hi = (20.0 + abs(log_u)) / params.C + x_max
     if hi > SUPPORTED_RANGE:
+        # kpz_laplace's x_max < (22 + log max(u, 1))/C, so this C keeps hi < 60
+        c_min = (42.0 + abs(log_u) + max(log_u, 0.0)) / SUPPORTED_RANGE
         raise ConfigurationError(
             f"the kernel rule needs the Airy function beyond its supported range (inner "
-            f"domain reaches {hi:.1f}); use C >= "
-            f"{((20.0 + abs(math.log(params.u))) / (SUPPORTED_RANGE - x_max)):.2f}")
+            f"domain reaches {hi:.1f}); use C >= {math.ceil(100.0 * c_min) / 100.0:.2f}")
     return composite_legendre(lo, hi, int(math.ceil(hi - lo)), 10)
 
 

@@ -4,6 +4,8 @@ grid through ``np.meshgrid`` of the node indices, with no contraction; the
 Airy kernel is summed from its half-line integral.  No pipeline calls these,
 so they live here and not in the library."""
 
+import itertools
+
 import numpy as np
 
 from airykpz.errors import DomainError
@@ -43,6 +45,32 @@ def half_line_kernel(xs, ys, rule):
     ax, _ = airy_both(np.add.outer(np.atleast_1d(xs), rule.nodes))
     ay, _ = airy_both(np.add.outer(np.atleast_1d(ys), rule.nodes))
     return np.sum(rule.weights * (ax[:, None, :] * ay[None, :, :]), axis=-1)
+
+
+def log_det_series_by_compositions(S, g, k):
+    """l_1, ..., l_k of the u-series of det(I - K f_u) in the notation of
+    ``airy_side._h_series``: l_n = sum_j (-1)^{j+1}/j sum_a
+    tr(S G^{a_1} ... S G^{a_j}), one trace per composition a, summed as
+    listed.  For k <= 4 a word has at most two positive exponents, so a
+    rotation makes it S^p G^c S^q G^b and its trace one sum over S or S^2.
+    """
+    powers = [None, S, np.einsum("il,jl->ij", S, S)]
+
+    def trace(a):
+        # rotate the first positive exponent to the end, then split after
+        # the other positive one, or mid-word
+        j = len(a)
+        nz = [i for i, e in enumerate(a) if e]
+        a = a[nz[0] + 1:] + a[:nz[0] + 1] if nz else a
+        if j == 1:
+            return np.einsum("ii,i->", powers[1], g ** a[0])
+        p = nz[1] - nz[0] if len(nz) == 2 else (j + 1) // 2
+        diag = np.einsum("il,l,li->i", powers[p], g ** a[p - 1], powers[j - p])
+        return np.einsum("i,i->", diag, g ** a[-1])
+
+    return [sum((-1) ** (j + 1) * trace(a) / j for j in range(1, n + 1)
+                for a in itertools.product(range(n - j + 1), repeat=j) if sum(a) == n - j)
+            for n in range(1, k + 1)]
 
 
 def cauchy_det_direct(a, b) -> complex:

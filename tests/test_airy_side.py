@@ -12,8 +12,8 @@ from airykpz.params import ModelParams
 from airykpz.quadrature import cauchy_det, composite_legendre, scaled_gauss_hermite
 from airykpz.specfun import airy_both
 
-from pointwise import (cauchy_det_direct, factor_grid, half_line_kernel, okounkov_integral,
-                       pointwise_sum)
+from pointwise import (cauchy_det_direct, factor_grid, half_line_kernel,
+                       log_det_series_by_compositions, okounkov_integral, pointwise_sum)
 
 AIP0_SQ = 0.06698748377966397414  # Ai'(0)^2, 30-digit evaluation
 R1 = 0.3066099715278760013815    # e^(1/12)/(2 sqrt(pi))
@@ -253,6 +253,14 @@ def test_laplace_R_validation():
     # each exponent is <= 20, but exp(sum c^3/12) = exp(843.75) overflows
     with pytest.raises(DomainError, match="overflows double precision"):
         laplace_R([15.0] * 3)
+    # the prefactor alone bounds the exponents: exp(20.2^3/12) = exp(686.9)
+    # is finite, exp(20.5^3/12) = exp(717.9) is not
+    assert closed_R1(20.2) == pytest.approx(laplace_R([20.2]), rel=1e-12)
+    with pytest.raises(DomainError, match=r"exp\(717.927\) overflows double precision"):
+        laplace_R([20.5])
+    for c in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="is not finite"):
+            laplace_R([1.0, c])
 
 
 def test_laplace_R_node_doubling_self_convergence():
@@ -303,6 +311,50 @@ def test_h_series_square_from_upper_triangle(monkeypatch):
     assert np.array_equal(square(S), np.einsum("il,jl->ij", S, S))
 
 
+def _traced_log_det_series(monkeypatch):
+    """A list that collects l_1, ..., l_k from each ``_h_series`` call: the
+    power sums p_i = i l_i it hands to Newton's recursion, divided by i."""
+    seen = []
+    newton_h = airy_side.newton_h
+    monkeypatch.setattr(airy_side, "newton_h", lambda p: seen.append(
+        [pi / i for i, pi in enumerate(p, start=1)]) or newton_h(p))
+    return seen
+
+
+def _compositions_on(K, rule, C, k):
+    # the oracle on _h_series's S and g
+    g = np.exp(C * rule.nodes)
+    s = np.sqrt(rule.weights * g)
+    return log_det_series_by_compositions(K * np.multiply.outer(s, s), g, k)
+
+
+@pytest.mark.parametrize("C", [0.6, 1.0, 1.4])
+def test_h_series_table_matches_compositions(C, monkeypatch):
+    # l_1..l_k as written out against one trace per composition, on the
+    # grid airy_h_moment builds for each k
+    ells, rules = _traced_log_det_series(monkeypatch), []
+    monkeypatch.setattr(airy_side, "composite_legendre",
+                        lambda *args: rules.append(composite_legendre(*args)) or rules[-1])
+    for k in range(1, 5):
+        airy_h_moment(k, C)
+        expect = _compositions_on(airy_kernel_matrix(rules[-1].nodes), rules[-1], C, k)
+        assert len(ells[-1]) == k
+        for got, want in zip(ells[-1], expect):
+            assert abs(got / want - 1.0) <= 1e-13
+
+
+def test_h_series_table_on_a_random_matrix(monkeypatch):
+    # a symmetric S with no kernel structure, and a positive g
+    B = np.random.default_rng(7).normal(size=(40, 40))
+    K = B + B.T
+    rule, C = composite_legendre(-2.0, 2.0, 2, 20), 0.8
+    ells = _traced_log_det_series(monkeypatch)
+    monkeypatch.setattr(airy_side, "airy_kernel_matrix", lambda nodes: K.copy())
+    airy_side._h_series(rule, C, 4)
+    for got, want in zip(ells[-1], _compositions_on(K, rule, C, 4)):
+        assert abs(got / want - 1.0) <= 1e-13
+
+
 @pytest.mark.parametrize("C", [0.4, 0.5, 0.6, 1.0, 1.4, 2.0, 2.5])
 def test_airy_h_moment_closed_forms(C):
     # at C = 0.4 the left edge of the grid, the kernel range -60, binds
@@ -338,6 +390,9 @@ def test_airy_h_moment_validation():
     # inside the Airy range, but e^{Cr} overflows at the right edge r = 59.21
     with pytest.raises(DomainError, match="overflows double precision"):
         airy_h_moment(1, 12.2)
+    # no order per panel is no grid, as in every other pipeline
+    with pytest.raises(ConfigurationError):
+        airy_h_moment(1, 1.0, nodes_per_axis=0)
 
 
 # ----------------------------------------------------------------------

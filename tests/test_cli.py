@@ -155,6 +155,17 @@ def test_tw_limit_computes_f2_once_per_a(monkeypatch):
     assert [r.status for r in rows] == ["ok"] * 3 + ["error: DomainError: injected"] * 3
 
 
+def test_tw_limit_overflowing_u_is_a_domain_error_row(capsys):
+    # at T = 4e6, C = 126 and u = exp(-Ca) = exp(756) overflows: that row is
+    # an error row naming the cause, and the ladder's other row still runs
+    code, out, err = _run_main(["tw-limit", "--a=-6", "--T", "8,4e6"], capsys)
+    assert code == 1
+    rows = out.splitlines()[1:]
+    assert rows[0].endswith(",ok")
+    assert rows[1].endswith("error: DomainError: tw-limit at a = -6.0, "
+                            "C = 125.99210498948729: u = exp(755.953) overflows double precision")
+
+
 def test_tw_limit_right_tail(capsys):
     # at a = 4 both columns sit within 2e-3 of 1
     code, out, err = _run_main(

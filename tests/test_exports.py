@@ -135,6 +135,29 @@ def test_only_montecarlo_imports_scipy_and_nothing_imports_it_at_module_level():
     assert eager == [], f"montecarlo imported at module level (loads scipy): {eager}"
 
 
+def _reads_dbl_max(node):
+    return any((isinstance(n, ast.Attribute) and n.attr == "float_info")
+               or (isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "finfo")
+               for n in ast.walk(node))
+
+
+def test_only_errors_guards_overflow():
+    # errors.checked_exp is the one overflow guard: a module that catches
+    # OverflowError or compares against its own log(DBL_MAX) duplicates it
+    guards = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = isinstance(node, ast.Name) and node.id == "OverflowError"
+            log_max = (isinstance(node, ast.Call)
+                       and getattr(node.func, "attr", getattr(node.func, "id", None)) == "log"
+                       and any(_reads_dbl_max(arg) for arg in node.args))
+            if named or log_max:
+                guards.append((path.name, node.lineno))
+    assert guards == [], f"overflow guarded outside errors.checked_exp: {guards}"
+
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 # module-level assignments that only list a module's exports: each
 # __all__, and the package root's names resolved lazily from montecarlo

@@ -284,6 +284,16 @@ def test_kpz_moment_prefactor_overflow_is_a_domain_error():
         kpz_moment(1, 2e4)
     with pytest.raises(DomainError, match=r"kpz_moment_nested\(1, 20000.0\)"):
         kpz_moment_nested(1, 2e4)
+    # T = inf passes T > 0, but its normalization exp(inf) is not a number
+    with pytest.raises(DomainError, match=r"kpz_moment\(1, inf\): its normalization"):
+        kpz_moment(1, math.inf)
+    # the nested integrand peaks at exp((T/2) sum a_j^2) on its contours:
+    # exp(1000) at k = 1, T = 8000 and exp(742.5) at k = 3, T = 90 (default
+    # offsets 0.5 and 3.5, 2, 0.5), while the normalizations stay finite
+    with pytest.raises(DomainError, match=r"nested\(1, 8000.0\): its contour prefactor"):
+        kpz_moment_nested(1, 8000.0)
+    with pytest.raises(DomainError, match=r"nested\(3, 90.0\): its contour prefactor"):
+        kpz_moment_nested(3, 90.0)
 
 
 # ----------------------------------------------------------------------
@@ -373,8 +383,13 @@ def test_ku_kernel_domain_errors():
 
 
 def test_default_inner_rule_rejects_tiny_C():
-    with pytest.raises(ConfigurationError, match="beyond its supported range"):
-        kpz_laplace(ModelParams.from_C(0.3, 1.0))
+    # the hinted C is accepted at any node count
+    for C, u, hint in [(0.3, 1.0, 0.7), (0.5, 10.0, 0.78), (0.2, 1e-5, 0.9), (0.1, 1e5, 1.09)]:
+        with pytest.raises(ConfigurationError, match=f"beyond its supported range.*"
+                                                     f"use C >= {hint:.2f}"):
+            kpz_laplace(ModelParams.from_C(C, u))
+        for nodes in (80, 200):
+            assert 0.0 < kpz_laplace(ModelParams.from_C(hint, u), nodes) <= 1.0
 
 
 def test_kpz_laplace_u0():
