@@ -16,8 +16,8 @@ import importlib
 from .airy_side import airy_h_moment, airy_mult_stat, laplace_R, tracy_widom_f2
 from .errors import (AiryKpzError, ConfigurationError, DomainError,
                      EvaluationError, NumericalConsistencyError, SingularityError)
-from .kpz_side import (ContourSpec, Partition, interaction_det, kpz_laplace, kpz_moment,
-                       kpz_moment_nested, partitions, symmetry_factor)
+from .kpz_side import (ContourSpec, Partition, kpz_laplace, kpz_moment, kpz_moment_nested,
+                       partitions, symmetry_factor)
 from .params import ModelParams
 from .quadrature import (QuadratureRule, cauchy_det, gauss_hermite, gauss_legendre,
                          tensor_integrate)
@@ -31,7 +31,7 @@ __all__ = [
     "airy_h_moment", "airy_mult_stat",
     "cauchy_det", "draw_edge_samples",
     "estimate_h_moment", "estimate_mult_stat",
-    "gauss_hermite", "gauss_legendre", "interaction_det",
+    "gauss_hermite", "gauss_legendre",
     "kpz_laplace", "kpz_moment", "kpz_moment_nested", "laplace_R",
     "partitions", "sample_gue_edge",
     "symmetry_factor", "tensor_integrate", "tracy_widom_f2",

@@ -22,9 +22,8 @@ import numpy as np
 from .errors import (ConfigurationError, DomainError, check_order, check_positive,
                      check_probability, checked_exp)
 from .params import ModelParams
-from .quadrature import (QuadratureRule, cauchy_det, composite_legendre,
-                         fredholm_det_matrix, gram, hermite_axis_count, legendre_on,
-                         scaled_gauss_hermite, tensor_integrate)
+from .quadrature import (QuadratureRule, composite_legendre, fredholm_det_matrix,
+                         gaussian_cauchy_factors, gram, legendre_on, tensor_integrate)
 from .specfun import SUPPORTED_RANGE, airy_both, logistic
 
 __all__ = [
@@ -67,14 +66,13 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
 
     Evaluates
         exp(sum c_i^3/12)/(2 pi)^n * int exp(-sum c_i z_i^2)
-            det[1/((-i z_i + c_i/2) + (i z_j + c_j/2))] dz
-    with per-axis Gauss-Hermite scaled by 1/sqrt(c_i) and the determinant
-    in its Cauchy product form, whose factors the tensor driver contracts.
-    The matrix 1/(a_i + b_j) is the Gram matrix of the functions
+            det[1/((-i z_i + c_i/2) + (i z_j + c_j/2))] dz,
+    the Gaussian-Cauchy integral of :func:`gaussian_cauchy_factors` with
+    s = c, alpha = beta = c/2 and no phase, which also sets the Hermite
+    order.  The matrix 1/(a_i + b_j) is the Gram matrix of the functions
     exp(-s(c_i/2 - i z_i)) on s > 0, so its determinant is real and
     non-negative at every node; the driver returns the real part of the
-    sum and checks that the imaginary part is roundoff.  n = 1 has no
-    interaction pole and gets the floor order.
+    sum and checks that the imaginary part is roundoff.
 
     The value is symmetric in ``c`` (the correlation function is symmetric
     in its arguments); ``c`` is sorted in descending order, so every order
@@ -88,19 +86,10 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
     if c.size > 4:
         raise ConfigurationError("at most 4 Laplace exponents are supported")
     c = np.sort(c)[::-1]
-    n = c.size
     pref = checked_exp(f"laplace_R at exponents {c.tolist()}: its prefactor",
-                       float(np.sum(c ** 3)) / 12.0) / (2.0 * math.pi) ** n
-    if nodes_per_axis is None:
-        d_min = min((math.sqrt(c[i]) * (c[i] + c[j]) / 2.0
-                     for i in range(n) for j in range(n) if i != j), default=math.inf)
-        nodes_per_axis = hermite_axis_count(d_min, n)
-    rules = [scaled_gauss_hermite(ci, nodes_per_axis) for ci in c]
-
-    def integrand(*zs):
-        return cauchy_det([-1j * z + ci / 2.0 for z, ci in zip(zs, c)],
-                          [1j * z + ci / 2.0 for z, ci in zip(zs, c)])
-
+                       float(np.sum(c ** 3)) / 12.0) / (2.0 * math.pi) ** c.size
+    rules, integrand = gaussian_cauchy_factors(c, c / 2.0, c / 2.0, np.zeros(c.size),
+                                               nodes_per_axis)
     return pref * tensor_integrate(integrand, rules)
 
 

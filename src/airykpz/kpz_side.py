@@ -23,15 +23,14 @@ import numpy as np
 from .errors import (ConfigurationError, DomainError, NumericalConsistencyError,
                      check_order, check_positive, check_probability, checked_exp)
 from .params import ModelParams
-from .quadrature import (HERMITE_AXIS_CAP_BY_DIM, QuadratureRule, cauchy_det,
-                         composite_legendre, fredholm_det_matrix, gauss_legendre, gram,
-                         hermite_axis_count, legendre_on, scaled_gauss_hermite,
+from .quadrature import (QuadratureRule, composite_legendre, fredholm_det_matrix,
+                         gauss_legendre, gaussian_cauchy_factors, gram, legendre_on,
                          tensor_integrate)
 from .specfun import SUPPORTED_RANGE, airy_both, logistic
 
 __all__ = [
     "Partition", "ContourSpec", "partitions", "symmetry_factor",
-    "interaction_det", "kpz_moment", "kpz_moment_nested", "kpz_laplace",
+    "kpz_moment", "kpz_moment_nested", "kpz_laplace",
 ]
 
 MAX_PARTITION_WEIGHT = 20
@@ -95,57 +94,27 @@ def symmetry_factor(lam: Partition) -> int:
     return f
 
 
-def interaction_det(w, lam: Partition):
-    """det[1/(w_j + lambda_j - w_i)] as the factors of its Cauchy product
-    form (see :func:`cauchy_det`), with a_i = -w_i and b_j = w_j + lambda_j.
-
-    Entry j of ``w`` is a scalar or a 1-d array over the nodes of axis j.
-    """
-    if np.isscalar(w) or len(w) != lam.length:
-        raise ConfigurationError("need one w per partition part")
-    w = [np.asarray(x, dtype=complex) for x in w]
-    return cauchy_det([-x for x in w], [x + p for x, p in zip(w, lam.parts)])
-
-
 # ----------------------------------------------------------------------
 # moments via the partition expansion
 
-def _oscillation_floor(part: int, T: float) -> int:
-    # the phase exp(i T part(part-1) t/2) needs n > (scaled frequency)^2/2
-    return int(math.ceil(T * part * (part - 1) ** 2 / 4.0)) + 16
+def _partition_term(lam: Partition, T: float, nodes_per_axis: int | None = None) -> float:
+    """(2 pi)^{-l} times the contour integral of one partition, w_j = i t_j.
 
-
-def _partition_axis_nodes(lam: Partition, T: float, nodes_per_axis: int | None) -> int:
-    ell = lam.length
-    osc = max(_oscillation_floor(p, T) for p in lam.parts)
-    if nodes_per_axis is not None:
-        # an explicit budget binds the tensor grids; 1-d integrals are cheap
-        # and still must resolve their oscillatory phase
-        if ell == 1:
-            return min(max(nodes_per_axis, osc), HERMITE_AXIS_CAP_BY_DIM[1])
-        return nodes_per_axis
-    lamv = lam.parts
-    d_min = min((lamv[j] * math.sqrt(T * lamv[i] / 2.0)
-                 for i in range(ell) for j in range(ell) if i != j), default=math.inf)
-    return hermite_axis_count(d_min, ell, extra_floor=osc)
-
-
-def _partition_moment_integral(lam: Partition, T: float, n_axis: int) -> float:
-    """(2 pi)^{-l} * contour integral for one partition, w_j = i t_j."""
-    ell = lam.length
+    det[1/(w_j + lambda_j - w_i)] is then the Cauchy determinant of
+    a_i = -i t_i, b_j = lambda_j + i t_j, and the Bose-gas exponent of part
+    p is -(T p/2) t^2 + i (T p(p-1)/2) t plus a constant: the
+    Gaussian-Cauchy integral of :func:`gaussian_cauchy_factors` with
+    s = T lambda/2, alpha = 0, beta = lambda, w = T lambda(lambda-1)/2.
+    """
     lamv = np.asarray(lam.parts, dtype=float)
-    rules = [scaled_gauss_hermite(T * p / 2.0, n_axis) for p in lam.parts]
     log_const = float(np.sum((T / 2.0) * lamv * (lamv - 1) * (2 * lamv - 1) / 6.0))
     const = checked_exp(f"partition {lam.parts} at T = {T}: its prefactor", log_const)
-
-    def integrand(*ts):
-        diag, pairs = interaction_det([1j * t for t in ts], lam)
-        phases = [np.exp(1j * (T * p * (p - 1) / 2.0) * t) for p, t in zip(lam.parts, ts)]
-        return [d * ph for d, ph in zip(diag, phases)], pairs
-
+    rules, integrand = gaussian_cauchy_factors(
+        [T * p / 2.0 for p in lam.parts], [0.0] * lam.length, lam.parts,
+        [T * p * (p - 1) / 2.0 for p in lam.parts], nodes_per_axis)
     # t -> -t conjugates the integrand and the Hermite nodes are symmetric,
     # so the sum is real; the tensor driver returns its real part
-    return tensor_integrate(integrand, rules) * const / (2.0 * math.pi) ** ell
+    return tensor_integrate(integrand, rules) * const / (2.0 * math.pi) ** lam.length
 
 
 def kpz_moment(k: int, T: float, nodes_per_axis: int | None = None) -> float:
@@ -162,8 +131,7 @@ def kpz_moment(k: int, T: float, nodes_per_axis: int | None = None) -> float:
     norm = checked_exp(f"kpz_moment({k}, {T}): its normalization", k * T / 24.0)
     total = 0.0
     for lam in partitions(k):
-        n_axis = _partition_axis_nodes(lam, T, nodes_per_axis)
-        total += _partition_moment_integral(lam, T, n_axis) / symmetry_factor(lam)
+        total += _partition_term(lam, T, nodes_per_axis) / symmetry_factor(lam)
     return check_positive(f"kpz_moment({k}, {T})", norm * total)
 
 

@@ -28,8 +28,8 @@ from .errors import (ConfigurationError, EvaluationError, NumericalConsistencyEr
 __all__ = [
     "QuadratureRule",
     "gauss_legendre", "gauss_hermite", "legendre_on",
-    "composite_legendre", "scaled_gauss_hermite", "hermite_axis_count",
-    "cauchy_det", "fredholm_det_matrix", "gram", "tensor_integrate",
+    "composite_legendre", "scaled_gauss_hermite", "hermite_axis_count", "cauchy_det",
+    "gaussian_cauchy_factors", "fredholm_det_matrix", "gram", "tensor_integrate",
 ]
 
 MAX_LEGENDRE = 512
@@ -176,6 +176,40 @@ def cauchy_det(a, b):
                       / (denom(i, j) * denom(j, i).T))
              for i in range(n) for j in range(i + 1, n)}
     return diag, pairs
+
+
+def gaussian_cauchy_factors(scales, alpha, beta, freqs, nodes_per_axis: int | None = None):
+    """Rules and factor integrand, for :func:`tensor_integrate`, of
+
+        int over R^l of prod_i e^{-s_i x_i^2 + i w_i x_i}
+            det[1/(alpha_i - i x_i + beta_j + i x_j)] dx
+
+    (s = ``scales`` > 0, w = ``freqs``, l <= 4): Gauss-Hermite scaled to
+    e^{-s_i x_i^2} per axis, the determinant as :func:`cauchy_det` factors,
+    the phases on its diagonal.  Default order: :func:`hermite_axis_count`
+    at the nearest pole, scaled distance sqrt(s_i)(alpha_i + beta_j), i != j,
+    floored by the phase floor ceil(w^2/(2s)) + 16 (Hermite resolves the
+    frequency w/sqrt(s) once n > (w/sqrt(s))^2/2).  An explicit
+    ``nodes_per_axis`` binds the tensor grids; a 1-d integral is cheap and
+    still takes the phase floor, held at the 1-d cap.  An order above
+    MAX_HERMITE raises.
+    """
+    ell = len(scales)
+    osc = max(math.ceil(w * w / (2.0 * s)) for s, w in zip(scales, freqs)) + 16
+    if nodes_per_axis is None:
+        d_min = min((math.sqrt(scales[i]) * (alpha[i] + beta[j])
+                     for i in range(ell) for j in range(ell) if i != j), default=math.inf)
+        nodes_per_axis = hermite_axis_count(d_min, ell, extra_floor=osc)
+    elif ell == 1:
+        nodes_per_axis = max(nodes_per_axis, min(osc, HERMITE_AXIS_CAP_BY_DIM[1]))
+    rules = [scaled_gauss_hermite(s, nodes_per_axis) for s in scales]
+
+    def integrand(*xs):
+        diag, pairs = cauchy_det([a - 1j * x for a, x in zip(alpha, xs)],
+                                 [b + 1j * x for b, x in zip(beta, xs)])
+        return [d * np.exp(1j * w * x) for d, w, x in zip(diag, freqs, xs)], pairs
+
+    return rules, integrand
 
 
 def fredholm_det_matrix(kmat: np.ndarray, weights: np.ndarray) -> float:

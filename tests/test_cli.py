@@ -225,6 +225,14 @@ def test_moment_lost_to_cancellation_is_an_error_row():
     assert not rows[2].passed
 
 
+def test_nodes_above_the_hermite_cap_fail_every_moment_row():
+    # the k = 1 row used to report nodes=300 while computing at 256
+    rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[1.0], k_max=2,
+                                         nodes=300))
+    assert [r.status[:len("error: ConfigurationError")] for r in rows] == [
+        "error: ConfigurationError"] * 2
+
+
 def test_verify_theorem1_nodes_set_both_fredholm_grids():
     from airykpz.airy_side import airy_mult_stat
     from airykpz.kpz_side import kpz_laplace

@@ -158,6 +158,23 @@ def test_only_errors_guards_overflow():
     assert guards == [], f"overflow guarded outside errors.checked_exp: {guards}"
 
 
+def test_only_quadrature_knows_the_hermite_node_model():
+    # quadrature.gaussian_cauchy_factors builds the Hermite rules, their
+    # order and the Cauchy factors for laplace_R and the KPZ partition
+    # terms alike: a module that reads these names keeps a second copy
+    owned = {"hermite_axis_count", "HERMITE_AXIS_CAP_BY_DIM", "scaled_gauss_hermite",
+             "cauchy_det"}
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in owned:
+                users.append((path.name, node.lineno, name))
+    assert users == [], f"Hermite node model used outside quadrature: {users}"
+
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 # module-level assignments that only list a module's exports: each
 # __all__, and the package root's names resolved lazily from montecarlo

@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from airykpz.airy_side import airy_h_moment, airy_mult_stat
+from airykpz.airy_side import airy_h_moment, airy_mult_stat, laplace_R
 from airykpz.errors import (ConfigurationError, DomainError, NumericalConsistencyError,
                             SingularityError)
-from airykpz.kpz_side import (ContourSpec, Partition, _ku_matrix, interaction_det,
+from airykpz.kpz_side import (ContourSpec, Partition, _ku_matrix, _partition_term,
                               kpz_laplace, kpz_moment, kpz_moment_nested, partitions,
                               symmetry_factor)
 from airykpz import kpz_side
 from airykpz.params import ModelParams
-from airykpz.quadrature import QuadratureRule, composite_legendre, legendre_on
+from airykpz.quadrature import (QuadratureRule, cauchy_det, composite_legendre, legendre_on,
+                                tensor_integrate)
 
 from pointwise import bose_exponent, factor_grid, ku_kernel, pointwise_sum
 
@@ -129,11 +130,13 @@ def test_exponent_identity_transported():
 
 
 # ----------------------------------------------------------------------
-# interaction determinant
+# interaction determinant det[1/(w_j + lambda_j - w_i)]: the Cauchy
+# determinant of a_i = -w_i, b_j = w_j + lambda_j
 
 def det_value(w, lam):
     """The determinant at the single point w."""
-    return factor_grid(*interaction_det(w, lam)).item()
+    w = np.asarray(w, dtype=complex)
+    return factor_grid(*cauchy_det(-w, w + lam.parts)).item()
 
 
 def test_interaction_det_single():
@@ -181,9 +184,11 @@ def test_interaction_det_against_cofactor_expansion():
 
 
 def test_interaction_det_singularity():
+    # entry (1, 0) is 1/(w_0 + 2 - w_1) = 1/0 at w = (0, 2), parts (2, 2)
+    w = np.array([0.0, 2.0])
     with pytest.raises(SingularityError) as err:
-        interaction_det([0.0, 2.0], Partition((2, 2)))  # w2 + 2 - w1 = 4, w1 + 2 - w2 = 0
-    assert err.value.indices is not None
+        cauchy_det(-w, w + Partition((2, 2)).parts)
+    assert err.value.indices == (1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -264,6 +269,69 @@ def test_kpz_moment_contraction_matches_pointwise_sum(monkeypatch):
     monkeypatch.setattr(kpz_side, "tensor_integrate", full_grid)
     assert fast == pytest.approx(kpz_moment(3, T, nodes_per_axis=64), rel=1e-13)
     assert dims == [1, 2, 3]
+
+
+def _record_orders(monkeypatch):
+    """Per-axis Hermite order of each tensor integral kpz_side runs, in call order."""
+    orders = []
+
+    def spy(f, rules):
+        rules = list(rules)
+        assert len({len(r) for r in rules}) == 1
+        orders.append(len(rules[0]))
+        return tensor_integrate(f, rules)
+
+    monkeypatch.setattr(kpz_side, "tensor_integrate", spy)
+    return orders
+
+
+def _term_orders(orders, k, T, nodes_per_axis=None):
+    orders.clear()
+    kpz_moment(k, T, nodes_per_axis)
+    return dict(zip((lam.parts for lam in partitions(k)), orders))
+
+
+def test_hermite_orders_of_the_readme_grid_and_the_bench_k4_terms(monkeypatch):
+    orders = _record_orders(monkeypatch)
+    # verify-theorem2 --C 0.6,1.0,1.4 --k-max 3: the pole rule lifts these
+    # terms above the floor of 48 (C = 0.6 to the cap of 256)
+    lifted = {0.6: {(1, 1): 256, (2, 1): 186, (1, 1, 1): 256},
+              1.0: {(1, 1): 81, (1, 1, 1): 81}, 1.4: {}}
+    for C, special in lifted.items():
+        for k in (1, 2, 3):
+            assert _term_orders(orders, k, 2.0 * C ** 3) == {
+                lam.parts: special.get(lam.parts, 48) for lam in partitions(k)}
+    # k = 4 at 32 nodes: the 1-d (4,) term takes its phase floor ceil(9T) + 16
+    for C, n4 in ((0.6, 32), (1.0, 34), (1.4, 66)):
+        assert _term_orders(orders, 4, 2.0 * C ** 3, 32) == {
+            lam.parts: n4 if lam.parts == (4,) else 32 for lam in partitions(4)}
+
+
+def test_explicit_order_above_the_hermite_cap_raises_on_every_term(monkeypatch):
+    # the 1-d terms used to drop an explicit 300 to 256 silently while the
+    # tensor terms raised; up to 256 an explicit order is kept or lifted
+    # to the phase floor as before
+    orders = _record_orders(monkeypatch)
+    assert _term_orders(orders, 4, 16.0, 100) == {(4,): 160, (3, 1): 100, (2, 2): 100,
+                                                  (2, 1, 1): 100, (1, 1, 1, 1): 100}
+    assert _term_orders(orders, 3, 16.0, 256) == {(3,): 256, (2, 1): 256, (1, 1, 1): 256}
+    for k in (1, 2):
+        with pytest.raises(ConfigurationError, match=r"order must be in \[1, 256\], got 300"):
+            kpz_moment(k, 2.0, nodes_per_axis=300)
+
+
+@pytest.mark.parametrize("C", [0.6, 1.0, 1.4])
+def test_partition_term_matches_laplace_R(C):
+    # the paper's per-partition match: the KPZ residue term of lambda at
+    # T = 2C^3, times e^{kT/24}, is R_l(C lambda) (worst measured gap
+    # 2.75e-10, at (2, 1), C = 1).  An all-ones term agrees by construction
+    # (within 7.5e-16): z = C t maps its integral onto laplace_R's, so both
+    # sides evaluate one discrete sum, and its agreement shows no convergence
+    T = 2.0 * C ** 3
+    for k in (1, 2, 3):
+        for lam in partitions(k):
+            assert _partition_term(lam, T) * math.exp(k * T / 24.0) == pytest.approx(
+                laplace_R([C * p for p in lam.parts]), rel=1e-9)
 
 
 def test_kpz_moment_validation():
