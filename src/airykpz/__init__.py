@@ -15,21 +15,19 @@ import importlib
 
 from .airy_side import airy_h_moment, airy_mult_stat, laplace_R, tracy_widom_f2
 from .errors import (AiryKpzError, ConfigurationError, DomainError,
-                     EvaluationError, NumericalConsistencyError, SingularityError)
-from .kpz_side import (ContourSpec, Partition, kpz_laplace, kpz_moment, kpz_moment_nested,
-                       partitions, symmetry_factor)
+                     EvaluationError, NumericalConsistencyError)
+from .kpz_side import (Partition, kpz_laplace, kpz_moment, kpz_moment_nested, partitions,
+                       symmetry_factor)
 from .params import ModelParams
-from .quadrature import (QuadratureRule, cauchy_det, gauss_hermite, gauss_legendre,
-                         tensor_integrate)
+from .quadrature import QuadratureRule, gauss_hermite, gauss_legendre, tensor_integrate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AiryKpzError", "ConfigurationError", "ContourSpec", "DomainError",
+    "AiryKpzError", "ConfigurationError", "DomainError",
     "EstimatorResult", "EvaluationError", "ModelParams",
-    "NumericalConsistencyError", "Partition", "QuadratureRule", "SingularityError",
-    "airy_h_moment", "airy_mult_stat",
-    "cauchy_det", "draw_edge_samples",
+    "NumericalConsistencyError", "Partition", "QuadratureRule",
+    "airy_h_moment", "airy_mult_stat", "draw_edge_samples",
     "estimate_h_moment", "estimate_mult_stat",
     "gauss_hermite", "gauss_legendre",
     "kpz_laplace", "kpz_moment", "kpz_moment_nested", "laplace_R",

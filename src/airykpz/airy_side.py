@@ -71,8 +71,8 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
     s = c, alpha = beta = c/2 and no phase, which also sets the Hermite
     order.  The matrix 1/(a_i + b_j) is the Gram matrix of the functions
     exp(-s(c_i/2 - i z_i)) on s > 0, so its determinant is real and
-    non-negative at every node; the driver returns the real part of the
-    sum and checks that the imaginary part is roundoff.
+    non-negative at every node: alpha = beta makes every factor a float64
+    table >= 0, and the sum is real from the start.
 
     The value is symmetric in ``c`` (the correlation function is symmetric
     in its arguments); ``c`` is sorted in descending order, so every order

@@ -22,17 +22,6 @@ class NumericalConsistencyError(AiryKpzError, ArithmeticError):
     non-positive moment, truncation sensitivity)."""
 
 
-class SingularityError(AiryKpzError, ArithmeticError):
-    """A denominator came too close to zero.
-
-    Carries the offending matrix indices when available.
-    """
-
-    def __init__(self, message, indices=None):
-        super().__init__(message)
-        self.indices = indices
-
-
 class EvaluationError(AiryKpzError, ArithmeticError):
     """An integrand or kernel produced a non-finite value.
 

@@ -29,7 +29,7 @@ from .quadrature import (QuadratureRule, composite_legendre, fredholm_det_matrix
 from .specfun import SUPPORTED_RANGE, airy_both, logistic
 
 __all__ = [
-    "Partition", "ContourSpec", "partitions", "symmetry_factor",
+    "Partition", "partitions", "symmetry_factor",
     "kpz_moment", "kpz_moment_nested", "kpz_laplace",
 ]
 
@@ -138,40 +138,17 @@ def kpz_moment(k: int, T: float, nodes_per_axis: int | None = None) -> float:
 # ----------------------------------------------------------------------
 # nested-contour oracle
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Vertical contours Re z_j = offsets[j], truncated at +-half_width.
-
-    Consecutive offsets must be more than 1 apart so the interaction
-    poles z_A - z_B = 1 stay strictly off-contour.
-    """
-
-    offsets: tuple[float, ...]
-    half_width: float
-
-    def __post_init__(self):
-        offs = tuple(float(a) for a in self.offsets)
-        object.__setattr__(self, "offsets", offs)
-        if len(offs) == 0:
-            raise ConfigurationError("need at least one contour offset")
-        if any(a - b <= 1.0 for a, b in zip(offs, offs[1:])):
-            raise ConfigurationError(
-                "contour offsets must decrease by more than 1 between neighbours")
-        if not self.half_width > 0:
-            raise ConfigurationError("half_width must be positive")
-
-    @classmethod
-    def default(cls, k: int, T: float) -> "ContourSpec":
-        # smallest offset 0.5, spacing 1.5: keeps exp((T/2) a^2) moderate,
-        # which keeps the oscillatory cancellation within double precision
-        offs = tuple(0.5 + 1.5 * (k - j) for j in range(1, k + 1))
-        return cls(offsets=offs, half_width=offs[0] + 8.0 / math.sqrt(T))
-
-
-def kpz_moment_nested(k: int, T: float, spec: ContourSpec | None = None,
+def kpz_moment_nested(k: int, T: float, offsets=None,
                       nodes_per_axis: int | None = None) -> float:
     """exp(kT/24) E[Z(T,0)^k / k!] by direct quadrature of the
     nested-contour formula (no residue expansion); k <= 3.
+
+    The contours are the vertical lines Re z_j = offsets[j], truncated at
+    |Im z| <= offsets[0] + 8/sqrt(T).  There must be exactly k offsets,
+    each more than 1 below its predecessor, so the interaction poles
+    z_A - z_B = 1 stay strictly off-contour; by default the smallest is
+    0.5 and the spacing 1.5, which keeps exp((T/2) a^2) moderate and the
+    oscillatory cancellation within double precision.
 
     The result must be independent of admissible contour offsets; the
     outermost 10% band of the first axis is monitored and a visible
@@ -182,18 +159,20 @@ def kpz_moment_nested(k: int, T: float, spec: ContourSpec | None = None,
     if not T > 0:
         raise DomainError("kpz_moment_nested requires T > 0")
     norm = checked_exp(f"kpz_moment_nested({k}, {T}): its normalization", k * T / 24.0)
-    if spec is None:
-        spec = ContourSpec.default(k, T)
-    if len(spec.offsets) != k:
+    if offsets is None:
+        offsets = [0.5 + 1.5 * (k - j) for j in range(1, k + 1)]
+    a = np.asarray(offsets, dtype=float)
+    if a.shape != (k,):
         raise ConfigurationError(f"need exactly {k} contour offsets")
+    if np.any(a[:-1] - a[1:] <= 1.0):
+        raise ConfigurationError("contour offsets must decrease by more than 1 between neighbours")
     if nodes_per_axis is None:
         nodes_per_axis = {1: 96, 2: 128, 3: 128}[k]
-    a = np.asarray(spec.offsets, dtype=float)
     # |exp((T/2) z^2)| on z = a + it peaks at exp((T/2) a^2), taken out here, so
     # each factor exp((T/2)(z^2 - a^2)) = exp((T/2) it(2a + it)) has modulus <= 1
     pref = checked_exp(f"kpz_moment_nested({k}, {T}): its contour prefactor",
                        (T / 2.0) * float(np.sum(a ** 2))) / (2.0 * math.pi) ** k
-    hw = spec.half_width
+    hw = a[0] + 8.0 / math.sqrt(T)
     base = gauss_legendre(nodes_per_axis)
     axis = QuadratureRule(hw * base.nodes, hw * base.weights)
     band = np.abs(axis.nodes) > 0.9 * hw

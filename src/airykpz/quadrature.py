@@ -1,17 +1,19 @@
 """Quadrature rules, tensor-product integration of product-form
-integrands, the Cauchy determinant and the quadrature (Nystrom)
-approximation of Fredholm determinants.
+integrands, the Gaussian-Cauchy integrals of both moment pipelines and
+the quadrature (Nystrom) approximation of Fredholm determinants.
 
 Rule construction is delegated to numpy's Gauss node/weight generators,
-once per order: each order's rule is cached and shared, with read-only
-arrays.  Everything downstream (interval maps, composite panels,
+once per integer order: each order's rule is cached and shared, with
+read-only arrays.  Everything downstream (interval maps, composite panels,
 determinants, tensor sums) is built here.  All reductions run in a fixed
 deterministic order.
 
 Every tensor integrand here is a product of per-axis factors and pair
-factors (the Cauchy determinant in its product form is one), so the
-tensor driver takes those factors as small tables and sums the axes out
-one by one, in place of evaluating the integrand at each grid point.
+factors, so the tensor driver takes those factors as small tables and
+sums the axes out one by one, in place of evaluating the integrand at
+each grid point.  The Gaussian-Cauchy integrand writes its Cauchy
+determinant so, in closed form, with a float64 table wherever the factor
+is real.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, EvaluationError, NumericalConsistencyError,
-                     SingularityError)
+from .errors import (ConfigurationError, DomainError, EvaluationError,
+                     NumericalConsistencyError, is_integer)
 
 __all__ = [
     "QuadratureRule",
     "gauss_legendre", "gauss_hermite", "legendre_on",
-    "composite_legendre", "scaled_gauss_hermite", "hermite_axis_count", "cauchy_det",
+    "composite_legendre", "scaled_gauss_hermite", "hermite_axis_count",
     "gaussian_cauchy_factors", "fredholm_det_matrix", "gram", "tensor_integrate",
 ]
 
@@ -69,21 +71,27 @@ def _shared_rule(nodes, weights) -> QuadratureRule:
     return QuadratureRule(nodes, weights)
 
 
-# the orders are bounded by MAX_LEGENDRE and MAX_HERMITE, so the caches are too
-@functools.lru_cache(maxsize=None)
+def _check_rule_order(name: str, n, n_max: int) -> None:
+    if not is_integer(n):
+        raise ConfigurationError(f"{name} order must be an integer, got {n!r}")
+    if not 1 <= n <= n_max:
+        raise ConfigurationError(f"{name} order must be in [1, {n_max}], got {n}")
+
+
+# the orders are bounded by MAX_LEGENDRE and MAX_HERMITE, so the caches are too;
+# typed, so that 2.0 or True misses the entry of 2 and 1 and is refused
+@functools.lru_cache(maxsize=None, typed=True)
 def gauss_legendre(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [-1, 1]; built once per order and shared."""
-    if not 1 <= n <= MAX_LEGENDRE:
-        raise ConfigurationError(f"gauss_legendre order must be in [1, {MAX_LEGENDRE}], got {n}")
+    _check_rule_order("gauss_legendre", n, MAX_LEGENDRE)
     return _shared_rule(*np.polynomial.legendre.leggauss(int(n)))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def gauss_hermite(n: int) -> QuadratureRule:
     """n-point Gauss-Hermite rule for the weight e^{-t^2} on the real line;
     built once per order and shared."""
-    if not 1 <= n <= MAX_HERMITE:
-        raise ConfigurationError(f"gauss_hermite order must be in [1, {MAX_HERMITE}], got {n}")
+    _check_rule_order("gauss_hermite", n, MAX_HERMITE)
     return _shared_rule(*np.polynomial.hermite.hermgauss(int(n)))
 
 
@@ -142,72 +150,65 @@ def hermite_axis_count(d_min: float, dim: int, extra_floor: int = 0) -> int:
     return int(min(max(n, floor), cap))
 
 
-def cauchy_det(a, b):
-    """det[1/(a_i + b_j)] in the Cauchy product form
-
-        prod_i 1/(a_i + b_i) * prod_{i<j} (a_i - a_j)(b_i - b_j) / ((a_i + b_j)(a_j + b_i)),
-
-    returned as its factors, in the form :func:`tensor_integrate`'s
-    integrands return them.  Entry i of ``a`` and of ``b`` is a scalar or a
-    1-d array over the nodes of axis i.  The result is ``(diag, pairs)``:
-    ``diag[i]`` is the array 1/(a_i + b_i) and ``pairs[i, j]`` (i < j) the
-    (n_i, n_j) table of the pair factor, axis i along its rows.  At each
-    grid point the product of all factors is the determinant there.
-    Raises :class:`SingularityError` with indices (i, j) when some
-    a_i + b_j comes within 1e-12 of zero.
-    """
-    if len(a) != len(b) or len(a) == 0:
-        raise ConfigurationError("cauchy_det needs two nonempty sequences of equal length")
-    a = [np.atleast_1d(np.asarray(x, dtype=complex)) for x in a]
-    b = [np.atleast_1d(np.asarray(x, dtype=complex)) for x in b]
-    if any(x.ndim != 1 or x.shape != y.shape for x, y in zip(a, b)):
-        raise ConfigurationError("cauchy_det entries must be 1-d and match between a and b")
-
-    def denom(i, j):
-        d = a[i] + b[j] if i == j else np.add.outer(a[i], b[j])
-        if np.any(np.abs(d) < 1e-12):
-            raise SingularityError(f"a[{i}] + b[{j}] is within 1e-12 of zero",
-                                   indices=(i, j))
-        return d
-
-    n = len(a)
-    diag = [1.0 / denom(i, i) for i in range(n)]
-    pairs = {(i, j): (np.subtract.outer(a[i], a[j]) * np.subtract.outer(b[i], b[j])
-                      / (denom(i, j) * denom(j, i).T))
-             for i in range(n) for j in range(i + 1, n)}
-    return diag, pairs
-
-
 def gaussian_cauchy_factors(scales, alpha, beta, freqs, nodes_per_axis: int | None = None):
     """Rules and factor integrand, for :func:`tensor_integrate`, of
 
         int over R^l of prod_i e^{-s_i x_i^2 + i w_i x_i}
             det[1/(alpha_i - i x_i + beta_j + i x_j)] dx
 
-    (s = ``scales`` > 0, w = ``freqs``, l <= 4): Gauss-Hermite scaled to
-    e^{-s_i x_i^2} per axis, the determinant as :func:`cauchy_det` factors,
-    the phases on its diagonal.  Default order: :func:`hermite_axis_count`
-    at the nearest pole, scaled distance sqrt(s_i)(alpha_i + beta_j), i != j,
-    floored by the phase floor ceil(w^2/(2s)) + 16 (Hermite resolves the
-    frequency w/sqrt(s) once n > (w/sqrt(s))^2/2).  An explicit
-    ``nodes_per_axis`` binds the tensor grids; a 1-d integral is cheap and
-    still takes the phase floor, held at the 1-d cap.  An order above
-    MAX_HERMITE raises.
+    (s = ``scales`` > 0, w = ``freqs``, l <= 4), with every
+    sigma_ij = alpha_i + beta_j > 0, so that each entry's denominator stays
+    at least sigma_ij from zero; a sigma_ij <= 0 raises DomainError naming
+    (i, j).  The determinant is written in its Cauchy product form: axis i
+    carries e^{i w_i x_i}/sigma_ii and pair (i, j) the factor
+
+        (da db + d^2 + i e d)/(sigma_ij sigma_ji + d^2 + i e d),
+
+    d = x_i - x_j, da = alpha_i - alpha_j, db = beta_i - beta_j, e = da - db.
+    A table is float64 where it is real: an axis with w_i = 0, a pair with
+    e = 0.  Gauss-Hermite is scaled to e^{-s_i x_i^2} per axis.  Default
+    order: :func:`hermite_axis_count` at the nearest pole, scaled distance
+    sqrt(s_i) sigma_ij, i != j, floored by the phase floor
+    ceil(w^2/(2s)) + 16 (Hermite resolves the frequency w/sqrt(s) once
+    n > (w/sqrt(s))^2/2).  An explicit ``nodes_per_axis``, an integer >= 1,
+    binds the tensor grids; a 1-d integral is cheap and still takes the
+    phase floor, held at the 1-d cap.  An order above MAX_HERMITE raises.
     """
     ell = len(scales)
+    sigma = np.add.outer(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
+    if not np.all(sigma > 0):
+        i, j = np.argwhere(~(sigma > 0))[0]
+        raise DomainError(f"alpha[{i}] + beta[{j}] = {float(sigma[i, j])!r} must be positive "
+                          f"(pair ({i}, {j}) of the Cauchy determinant)")
     osc = max(math.ceil(w * w / (2.0 * s)) for s, w in zip(scales, freqs)) + 16
     if nodes_per_axis is None:
-        d_min = min((math.sqrt(scales[i]) * (alpha[i] + beta[j])
+        d_min = min((math.sqrt(scales[i]) * sigma[i, j]
                      for i in range(ell) for j in range(ell) if i != j), default=math.inf)
         nodes_per_axis = hermite_axis_count(d_min, ell, extra_floor=osc)
+    elif not (is_integer(nodes_per_axis) and nodes_per_axis >= 1):
+        raise ConfigurationError(f"nodes_per_axis must be an integer >= 1, got {nodes_per_axis!r}")
     elif ell == 1:
         nodes_per_axis = max(nodes_per_axis, min(osc, HERMITE_AXIS_CAP_BY_DIM[1]))
     rules = [scaled_gauss_hermite(s, nodes_per_axis) for s in scales]
 
     def integrand(*xs):
-        diag, pairs = cauchy_det([a - 1j * x for a, x in zip(alpha, xs)],
-                                 [b + 1j * x for b, x in zip(beta, xs)])
-        return [d * np.exp(1j * w * x) for d, w, x in zip(diag, freqs, xs)], pairs
+        inv = 1.0 / np.diag(sigma)
+        axis = [np.exp(1j * w * x) * inv[i] if w else np.full(x.shape, inv[i])
+                for i, (w, x) in enumerate(zip(freqs, xs))]
+        pairs = {}
+        for i in range(ell):
+            for j in range(i + 1, ell):
+                d = np.subtract.outer(xs[i], xs[j])
+                da, db = alpha[i] - alpha[j], beta[i] - beta[j]
+                num, den = da * db + d * d, sigma[i, j] * sigma[j, i] + d * d
+                if da == db:
+                    # num * (1/den) is how numpy's complex division rounds a real
+                    # quotient, so a pair has the same bits in a real or complex table
+                    pairs[i, j] = num * (1.0 / den)
+                else:
+                    ied = 1j * (da - db) * d
+                    pairs[i, j] = (num + ied) / (den + ied)
+        return axis, pairs
 
     return rules, integrand
 

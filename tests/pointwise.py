@@ -11,6 +11,7 @@ import numpy as np
 from airykpz.errors import DomainError
 from airykpz.kpz_side import _ku_inner_rule, _ku_matrix
 from airykpz.params import ModelParams
+from airykpz.quadrature import gaussian_cauchy_factors
 from airykpz.specfun import airy_both
 
 
@@ -78,6 +79,16 @@ def cauchy_det_direct(a, b) -> complex:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     return complex(np.linalg.det(1.0 / (a[:, None] + b[None, :])))
+
+
+def cauchy_factors(alpha, beta, xs, freqs=None):
+    """The axis factors and pair tables of ``gaussian_cauchy_factors`` on the
+    node arrays ``xs`` (entry i a scalar or 1-d array): at each grid point
+    their product is e^{i sum w_i x_i} det[1/(alpha_i - i x_i + beta_j + i x_j)]."""
+    n = len(alpha)
+    _, integrand = gaussian_cauchy_factors([1.0] * n, alpha, beta,
+                                           [0.0] * n if freqs is None else freqs, 1)
+    return integrand(*(np.atleast_1d(np.asarray(x, dtype=float)) for x in xs))
 
 
 def bose_exponent(w: complex, part: int, T: float) -> complex:

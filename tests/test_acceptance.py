@@ -13,15 +13,15 @@ import pytest
 
 from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix, airy_mult_stat,
                                laplace_R, tracy_widom_f2)
-from airykpz.kpz_side import (ContourSpec, kpz_laplace, kpz_moment, kpz_moment_nested,
-                              partitions, symmetry_factor)
+from airykpz.kpz_side import (kpz_laplace, kpz_moment, kpz_moment_nested, partitions,
+                              symmetry_factor)
 from airykpz.montecarlo import estimate_h_moment, estimate_mult_stat
 from airykpz.params import ModelParams
-from airykpz.quadrature import cauchy_det, composite_legendre
+from airykpz.quadrature import composite_legendre
 from airykpz.specfun import airy_both
 
-from pointwise import (bose_exponent, cauchy_det_direct, factor_grid, half_line_kernel,
-                       okounkov_integral)
+from pointwise import (bose_exponent, cauchy_det_direct, cauchy_factors, factor_grid,
+                       half_line_kernel, okounkov_integral)
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -83,8 +83,7 @@ def test_criterion_4_nested_contour_oracle():
     closed = math.exp(2.0 / 24.0) / math.sqrt(4.0 * math.pi)
     vals1 = []
     for a1 in (0.5, 1.0, 2.0):
-        spec = ContourSpec(offsets=(a1,), half_width=a1 + 8.0 / math.sqrt(2.0))
-        vals1.append(kpz_moment_nested(1, 2.0, spec))
+        vals1.append(kpz_moment_nested(1, 2.0, (a1,)))
     spread = max(vals1) - min(vals1)
     rel2 = abs(kpz_moment_nested(2, 2.0) - kpz_moment(2, 2.0)) / kpz_moment(2, 2.0)
     rel3 = abs(kpz_moment_nested(3, 2.0) - kpz_moment(3, 2.0)) / kpz_moment(3, 2.0)
@@ -150,13 +149,16 @@ def _check_cauchy_identity():
     worst = 0.0
     done = 0
     while done < 100:
+        # a point of the Gaussian-Cauchy family: a = alpha - i x, b = beta + i x
         n = int(rng.integers(1, 6))
-        a = rng.uniform(0.3, 2.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
-        b = rng.uniform(0.3, 2.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+        alpha, beta = rng.uniform(0.3, 2.0, n), rng.uniform(0.3, 2.0, n)
+        x = rng.uniform(-1.0, 1.0, n)
+        a, b = alpha - 1j * x, beta + 1j * x
         if _cauchy_amplification(a, b) > 1e4:
             continue
         direct = cauchy_det_direct(a, b)
-        worst = max(worst, abs(factor_grid(*cauchy_det(a, b)).item() - direct) / abs(direct))
+        prod = factor_grid(*cauchy_factors(alpha, beta, x)).item()
+        worst = max(worst, abs(prod - direct) / abs(direct))
         done += 1
     return worst, worst <= 1e-10
 
@@ -251,10 +253,9 @@ def _check_node_doubling():
     from airykpz.airy_side import default_f2_grid
     v = tracy_widom_f2(-2.0, default_f2_grid(-2.0, 80))
     checks.append(abs(tracy_widom_f2(-2.0, default_f2_grid(-2.0, 160)) - v) < 1e-9)
-    spec = ContourSpec.default(2, 2.0)
-    v = kpz_moment_nested(2, 2.0, spec, nodes_per_axis=128)
+    v = kpz_moment_nested(2, 2.0, nodes_per_axis=128)
     # nested contours advertise 1e-5; the doubling residue sits near 1e-8
-    checks.append(abs(kpz_moment_nested(2, 2.0, spec, nodes_per_axis=256) - v) < 1e-6)
+    checks.append(abs(kpz_moment_nested(2, 2.0, nodes_per_axis=256) - v) < 1e-6)
     return checks, all(checks)
 
 

@@ -7,12 +7,13 @@ from airykpz import airy_side
 from airykpz import quadrature
 from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix, airy_mult_stat,
                                laplace_R, tracy_widom_f2)
-from airykpz.errors import ConfigurationError, DomainError, SingularityError
+from airykpz.errors import ConfigurationError, DomainError
 from airykpz.params import ModelParams
-from airykpz.quadrature import cauchy_det, composite_legendre, scaled_gauss_hermite
+from airykpz.quadrature import (composite_legendre, gaussian_cauchy_factors,
+                                scaled_gauss_hermite)
 from airykpz.specfun import airy_both
 
-from pointwise import (cauchy_det_direct, factor_grid, half_line_kernel,
+from pointwise import (cauchy_det_direct, cauchy_factors, factor_grid, half_line_kernel,
                        log_det_series_by_compositions, okounkov_integral, pointwise_sum)
 
 AIP0_SQ = 0.06698748377966397414  # Ai'(0)^2, 30-digit evaluation
@@ -115,20 +116,32 @@ def test_okounkov_domain_error():
         okounkov_integral(-1.0, 0.0, 0.0)
 
 
-def det_value(a, b):
-    """The determinant at the single point whose entries are ``a``, ``b``."""
-    return factor_grid(*cauchy_det(a, b)).item()
+# ----------------------------------------------------------------------
+# the Cauchy factors of gaussian_cauchy_factors: at x they multiply to
+# det[1/(a_i + b_j)], a_i = alpha_i - i x_i, b_j = beta_j + i x_j
+
+def det_value(alpha, beta, x):
+    """The determinant at the single point x, as the product of the factors."""
+    return factor_grid(*cauchy_factors(alpha, beta, x)).item()
 
 
 def test_cauchy_det_n1():
-    assert det_value([2.0 + 1j], [1.0 - 0.5j]) == pytest.approx(1.0 / (3.0 + 0.5j))
+    # a_0 + b_0 = alpha_0 + beta_0 at every x: one real factor
+    axis, pairs = cauchy_factors([2.0], [1.0], [0.7])
+    assert axis[0].dtype == np.float64 and pairs == {}
+    assert det_value([2.0], [1.0], [0.7]) == 1.0 / 3.0
 
 
 def test_cauchy_det_hermitian_positive():
+    # alpha = beta makes b = conj(a), a Gram determinant: real tables >= 0
     a = np.array([0.5, 1.1, 2.3])
-    val = det_value(a, a)
-    assert abs(val.imag) < 1e-15
-    assert val.real > 0
+    axis, pairs = cauchy_factors(a, a, [0.4, -1.3, 2.2])
+    assert all(t.dtype == np.float64 and np.all(t >= 0) for t in [*axis, *pairs.values()])
+    val = det_value(a, a, [0.4, -1.3, 2.2])
+    assert val.real > 0 and val.imag == 0
+    direct = cauchy_det_direct(a - 1j * np.array([0.4, -1.3, 2.2]),
+                               a + 1j * np.array([0.4, -1.3, 2.2]))
+    assert abs(val - direct) <= 1e-12 * abs(direct)
 
 
 def test_cauchy_det_random_against_direct():
@@ -136,8 +149,9 @@ def test_cauchy_det_random_against_direct():
     done = 0
     while done < 100:
         n = rng.integers(1, 6)
-        a = rng.uniform(0.3, 2.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
-        b = rng.uniform(0.3, 2.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+        alpha, beta = rng.uniform(0.3, 2.0, n), rng.uniform(0.3, 2.0, n)
+        x = rng.uniform(-1.0, 1.0, n)
+        a, b = alpha - 1j * x, beta + 1j * x
         # skip draws whose determinant is too ill-conditioned for the
         # double-precision oracle to carry 10 digits
         amp = 1.0
@@ -147,27 +161,48 @@ def test_cauchy_det_random_against_direct():
                         / (abs(a[i] - a[j]) * abs(b[i] - b[j])))
         if amp > 1e4:
             continue
-        prod = det_value(a, b)
+        prod = det_value(alpha, beta, x)
         direct = cauchy_det_direct(a, b)
         assert abs(prod - direct) <= 1e-10 * abs(direct)
         done += 1
-    # tensor grids: entry i holds axis i's values, one determinant per grid point
-    a = [x + 0.4j * rng.normal(size=m) for x, m in zip((0.9 + 0.2j, 1.4 - 0.3j, 0.6), (4, 5, 3))]
-    b = [x + 0.4j * rng.normal(size=m) for x, m in zip((1.1, 0.7 + 0.1j, 1.6 - 0.2j), (4, 5, 3))]
-    diag, pairs = cauchy_det(a, b)
-    assert [d.shape for d in diag] == [(4,), (5,), (3,)]
+    # tensor grids: entry i holds axis i's nodes, one determinant per grid point
+    alpha, beta = np.array([0.9, 1.4, 0.6]), np.array([1.1, 0.7, 1.6])
+    x = [0.4 * rng.normal(size=m) for m in (4, 5, 3)]
+    axis, pairs = cauchy_factors(alpha, beta, x)
+    assert [d.shape for d in axis] == [(4,), (5,), (3,)]
     assert {k: t.shape for k, t in pairs.items()} == {(0, 1): (4, 5), (0, 2): (4, 3),
                                                       (1, 2): (5, 3)}
-    grid = factor_grid(diag, pairs)
+    grid = factor_grid(axis, pairs)
     for idx in np.ndindex(4, 5, 3):
-        direct = cauchy_det_direct([x[i] for x, i in zip(a, idx)], [x[i] for x, i in zip(b, idx)])
+        xs = np.array([t[i] for t, i in zip(x, idx)])
+        direct = cauchy_det_direct(alpha - 1j * xs, beta + 1j * xs)
         assert abs(grid[idx] - direct) <= 1e-12 * abs(direct)
 
 
-def test_cauchy_det_singularity_reported():
-    with pytest.raises(SingularityError) as err:
-        cauchy_det([1.0, 2.0], [3.0, -2.0 + 1e-14j])
-    assert err.value.indices == (1, 1)
+def test_cauchy_det_phases_on_the_axes():
+    # e^{i w_i x_i} rides on axis i; a pair with alpha_i - alpha_j != beta_i - beta_j
+    # is complex, one with them equal is real
+    alpha, beta, w, x = [0.2, 0.5], [1.0, 0.7], [0.0, 3.0], [0.3, -0.8]
+    axis, pairs = cauchy_factors(alpha, beta, x, w)
+    assert axis[0].dtype == np.float64 and axis[1].dtype == np.complex128
+    assert pairs[0, 1].dtype == np.complex128
+    a, b = np.array(alpha) - 1j * np.array(x), np.array(beta) + 1j * np.array(x)
+    direct = np.exp(3.0j * -0.8) * cauchy_det_direct(a, b)
+    assert abs(factor_grid(axis, pairs).item() - direct) <= 1e-14 * abs(direct)
+    assert cauchy_factors([0.25, 0.5], [1.0, 1.25], x)[1][0, 1].dtype == np.float64
+
+
+@pytest.mark.parametrize("alpha, beta, pair", [
+    pytest.param([1.0, 2.0], [3.0, -2.0], (0, 1), id="off-diagonal"),
+    pytest.param([1.0, 2.0], [-1.0, 3.0], (0, 0), id="diagonal"),
+    # the interaction determinant of parts (2, 2) at w = (0, 2): a_i = -w_i,
+    # b_j = w_j + 2, so alpha = -Re w and beta = Re w + 2, and entry (1, 0) is 1/0
+    pytest.param([0.0, -2.0], [2.0, 4.0], (1, 0), id="interaction"),
+])
+def test_cauchy_nonpositive_sigma_raises(alpha, beta, pair):
+    # alpha_i + beta_j <= 0 lets the pole of entry (i, j) reach the real axes
+    with pytest.raises(DomainError, match=rf"pair \({pair[0]}, {pair[1]}\)"):
+        gaussian_cauchy_factors([1.0, 1.0], alpha, beta, [0.0, 0.0])
 
 
 # ----------------------------------------------------------------------
@@ -224,15 +259,19 @@ def test_laplace_R_product_vs_direct_determinant():
 
 def test_laplace_R_integrand_real_and_positive():
     # det[1/(a_i + b_j)] with a_i = c_i/2 - i z_i, b_j = conj(a_j) is a Gram
-    # determinant, so the sum laplace_R takes is real
+    # determinant: laplace_R's factors are float64 tables >= 0 from the start
     rng = np.random.default_rng(11)
     for n in range(1, 6):
         c = rng.uniform(0.3, 2.0, n)
         z = [rng.normal(0.0, 3.0, 6) for _ in range(n)]
-        val = factor_grid(*cauchy_det([-1j * zi + ci / 2.0 for zi, ci in zip(z, c)],
-                                      [1j * zi + ci / 2.0 for zi, ci in zip(z, c)]))
-        assert np.all(val.real > 0)
-        assert np.all(np.abs(val.imag) <= 1e-14 * val.real)
+        axis, pairs = cauchy_factors(c / 2.0, c / 2.0, z)
+        assert all(t.dtype == np.float64 and np.all(t >= 0) for t in [*axis, *pairs.values()])
+        val = factor_grid(axis, pairs)
+        assert np.all(val.real > 0) and not np.any(val.imag)
+        for idx in list(np.ndindex(val.shape))[::97]:
+            zs = np.array([t[i] for t, i in zip(z, idx)])
+            direct = cauchy_det_direct(c / 2.0 - 1j * zs, c / 2.0 + 1j * zs)
+            assert abs(val[idx] - direct) <= 1e-10 * abs(direct)
 
 
 def test_laplace_R_order_symmetry():

@@ -162,8 +162,7 @@ def test_only_quadrature_knows_the_hermite_node_model():
     # quadrature.gaussian_cauchy_factors builds the Hermite rules, their
     # order and the Cauchy factors for laplace_R and the KPZ partition
     # terms alike: a module that reads these names keeps a second copy
-    owned = {"hermite_axis_count", "HERMITE_AXIS_CAP_BY_DIM", "scaled_gauss_hermite",
-             "cauchy_det"}
+    owned = {"hermite_axis_count", "HERMITE_AXIS_CAP_BY_DIM", "scaled_gauss_hermite"}
     users = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "quadrature.py":

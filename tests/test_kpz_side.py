@@ -5,17 +5,15 @@ import numpy as np
 import pytest
 
 from airykpz.airy_side import airy_h_moment, airy_mult_stat, laplace_R
-from airykpz.errors import (ConfigurationError, DomainError, NumericalConsistencyError,
-                            SingularityError)
-from airykpz.kpz_side import (ContourSpec, Partition, _ku_matrix, _partition_term,
-                              kpz_laplace, kpz_moment, kpz_moment_nested, partitions,
-                              symmetry_factor)
+from airykpz.errors import ConfigurationError, DomainError, NumericalConsistencyError
+from airykpz.kpz_side import (Partition, _ku_matrix, _partition_term, kpz_laplace, kpz_moment,
+                              kpz_moment_nested, partitions, symmetry_factor)
 from airykpz import kpz_side
 from airykpz.params import ModelParams
-from airykpz.quadrature import (QuadratureRule, cauchy_det, composite_legendre, legendre_on,
-                                tensor_integrate)
+from airykpz.quadrature import QuadratureRule, composite_legendre, legendre_on, tensor_integrate
 
-from pointwise import bose_exponent, factor_grid, ku_kernel, pointwise_sum
+from pointwise import (bose_exponent, cauchy_det_direct, cauchy_factors, factor_grid, ku_kernel,
+                       pointwise_sum)
 
 
 # ----------------------------------------------------------------------
@@ -131,12 +129,13 @@ def test_exponent_identity_transported():
 
 # ----------------------------------------------------------------------
 # interaction determinant det[1/(w_j + lambda_j - w_i)]: the Cauchy
-# determinant of a_i = -w_i, b_j = w_j + lambda_j
+# determinant of a_i = -w_i, b_j = w_j + lambda_j, so the factors of
+# gaussian_cauchy_factors at alpha = -Re w, beta = Re w + lambda, x = Im w
 
 def det_value(w, lam):
     """The determinant at the single point w."""
     w = np.asarray(w, dtype=complex)
-    return factor_grid(*cauchy_det(-w, w + lam.parts)).item()
+    return factor_grid(*cauchy_factors(-w.real, w.real + lam.parts, w.imag)).item()
 
 
 def test_interaction_det_single():
@@ -181,14 +180,35 @@ def test_interaction_det_against_cofactor_expansion():
         ref = _cofactor_det(mat)
         val = det_value(w, lam)
         assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert abs(val - cauchy_det_direct(-w, w + parts)) <= 1e-12 * max(1.0, abs(ref))
 
 
-def test_interaction_det_singularity():
-    # entry (1, 0) is 1/(w_0 + 2 - w_1) = 1/0 at w = (0, 2), parts (2, 2)
-    w = np.array([0.0, 2.0])
-    with pytest.raises(SingularityError) as err:
-        cauchy_det(-w, w + Partition((2, 2)).parts)
-    assert err.value.indices == (1, 0)
+def _partition_tables(monkeypatch, parts, T=2.0, nodes=12):
+    """The factor tables _partition_term hands to the tensor driver."""
+    seen = []
+
+    def spy(f, rules):
+        seen.append(f(*(r.nodes for r in rules)))
+        return 1.0
+
+    monkeypatch.setattr(kpz_side, "tensor_integrate", spy)
+    _partition_term(Partition(parts), T, nodes)
+    return seen[0]
+
+
+@pytest.mark.parametrize("parts", [(1, 1), (1, 1, 1), (1, 1, 1, 1)])
+def test_all_ones_tables_real_and_non_negative(monkeypatch, parts):
+    # no phase on any axis and the pair factor d^2/(1 + d^2): the
+    # contraction is real from the start
+    axis, pairs = _partition_tables(monkeypatch, parts)
+    assert all(t.dtype == np.float64 and np.all(t >= 0) for t in [*axis, *pairs.values()])
+
+
+def test_mixed_part_tables_complex_equal_part_pairs_real(monkeypatch):
+    axis, pairs = _partition_tables(monkeypatch, (2, 2, 1))
+    assert all(t.dtype == np.complex128 for t in axis[:2]) and axis[2].dtype == np.float64
+    assert pairs[0, 1].dtype == np.float64
+    assert pairs[0, 2].dtype == pairs[1, 2].dtype == np.complex128
 
 
 # ----------------------------------------------------------------------
@@ -320,6 +340,16 @@ def test_explicit_order_above_the_hermite_cap_raises_on_every_term(monkeypatch):
             kpz_moment(k, 2.0, nodes_per_axis=300)
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_explicit_order_below_one_raises_on_every_term(n):
+    # refused before a 1-d term's lift to its phase floor, which would hide it
+    for call in (lambda: kpz_moment(1, 2.0, nodes_per_axis=n),
+                 lambda: kpz_moment(2, 2.0, nodes_per_axis=n),
+                 lambda: laplace_R([1.0], n), lambda: laplace_R([1.0, 2.0], n)):
+        with pytest.raises(ConfigurationError, match="nodes_per_axis must be an integer >= 1"):
+            call()
+
+
 @pytest.mark.parametrize("C", [0.6, 1.0, 1.4])
 def test_partition_term_matches_laplace_R(C):
     # the paper's per-partition match: the KPZ residue term of lambda at
@@ -367,23 +397,12 @@ def test_kpz_moment_prefactor_overflow_is_a_domain_error():
 # ----------------------------------------------------------------------
 # nested contours
 
-def test_contour_spec_validation():
-    with pytest.raises(ConfigurationError):
-        ContourSpec(offsets=(2.0, 1.5), half_width=5.0)   # spacing 0.5 <= 1
-    with pytest.raises(ConfigurationError):
-        ContourSpec(offsets=(2.0,), half_width=0.0)
-    spec = ContourSpec.default(3, 2.0)
-    assert len(spec.offsets) == 3
-    assert all(a - b > 1.0 for a, b in zip(spec.offsets, spec.offsets[1:]))
-
-
 def test_nested_k1_offset_independence():
     T = 2.0
     closed = math.exp(T / 24.0) / math.sqrt(2.0 * math.pi * T)
     vals = []
     for a1 in (0.5, 1.0, 2.0):
-        spec = ContourSpec(offsets=(a1,), half_width=a1 + 8.0 / math.sqrt(T))
-        vals.append(kpz_moment_nested(1, T, spec))
+        vals.append(kpz_moment_nested(1, T, (a1,)))
     assert max(vals) - min(vals) < 1e-9
     for v in vals:
         assert abs(v - closed) <= 1e-8 * closed
@@ -399,8 +418,11 @@ def test_nested_validation():
     for k in (0, 4, 2.0, True):
         with pytest.raises(ConfigurationError):
             kpz_moment_nested(k, 2.0)
-    with pytest.raises(ConfigurationError):
-        kpz_moment_nested(2, 2.0, ContourSpec(offsets=(2.0,), half_width=8.0))
+    # exactly k offsets, each more than 1 below its predecessor
+    for offsets in [(2.0,), (3.5, 2.0, 0.5), (2.0, 1.5), (0.5, 2.0), [[2.0, 0.5]]]:
+        with pytest.raises(ConfigurationError):
+            kpz_moment_nested(2, 2.0, offsets)
+    assert kpz_moment_nested(2, 2.0, [2.0, 0.5]) == kpz_moment_nested(2, 2.0)
 
 
 @pytest.mark.parametrize("k, T", [(3, 2.0 * 1.4 ** 3), (2, 16.0)])

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from airykpz import quadrature
+from airykpz.airy_side import airy_h_moment
 from airykpz.errors import ConfigurationError, EvaluationError, NumericalConsistencyError
 from airykpz.quadrature import (QuadratureRule, composite_legendre,
                                 fredholm_det_matrix, gauss_hermite, gauss_legendre, gram,
                                 hermite_axis_count, legendre_on, scaled_gauss_hermite,
                                 tensor_integrate)
+
+from airykpz.kpz_side import kpz_moment
 
 from pointwise import pointwise_sum
 
@@ -101,6 +104,23 @@ def test_rules_built_once_per_order_and_read_only(make):
         rule.weights[:] = 1.0
     with pytest.raises(ValueError):
         rule.nodes *= 2.0
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: gauss_hermite(2.5), id="gauss_hermite-2.5"),
+    pytest.param(lambda: gauss_legendre(3.7), id="gauss_legendre-3.7"),
+    pytest.param(lambda: gauss_legendre(2.0), id="gauss_legendre-2.0"),
+    pytest.param(lambda: gauss_hermite(True), id="gauss_hermite-True"),
+    pytest.param(lambda: kpz_moment(2, 2.0, nodes_per_axis=40.5), id="kpz_moment-40.5"),
+    pytest.param(lambda: kpz_moment(1, 2.0, nodes_per_axis=10.5), id="kpz_moment-1d-10.5"),
+    pytest.param(lambda: airy_h_moment(1, 1.0, nodes_per_axis=2.5), id="airy_h_moment-2.5"),
+])
+def test_rule_orders_must_be_integers(call):
+    # refused, not truncated (2.5 would build 2 nodes); the integer orders
+    # 1 and 2 are cached first, so 2.0 and True must not hit their entries
+    gauss_legendre(2), gauss_hermite(1)
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        call()
 
 
 def test_derived_rules_bit_identical_to_uncached(monkeypatch):
