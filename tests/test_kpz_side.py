@@ -397,6 +397,16 @@ def test_kpz_moment_prefactor_overflow_is_a_domain_error():
 # ----------------------------------------------------------------------
 # nested contours
 
+def test_contour_spec_validation():
+    # the contours are given as exactly k offsets, each more than 1 below its
+    # predecessor, so the interaction poles z_A - z_B = 1 stay off-contour
+    for offsets in [(3.5, 2.0, 0.5), (2.0, 1.5), (0.5, 2.0), [[2.0, 0.5]]]:
+        with pytest.raises(ConfigurationError):
+            kpz_moment_nested(2, 2.0, offsets)
+    # the default contours are the admissible offsets (2.0, 0.5) at k = 2
+    assert kpz_moment_nested(2, 2.0, [2.0, 0.5]) == kpz_moment_nested(2, 2.0)
+
+
 def test_nested_k1_offset_independence():
     T = 2.0
     closed = math.exp(T / 24.0) / math.sqrt(2.0 * math.pi * T)
@@ -418,11 +428,8 @@ def test_nested_validation():
     for k in (0, 4, 2.0, True):
         with pytest.raises(ConfigurationError):
             kpz_moment_nested(k, 2.0)
-    # exactly k offsets, each more than 1 below its predecessor
-    for offsets in [(2.0,), (3.5, 2.0, 0.5), (2.0, 1.5), (0.5, 2.0), [[2.0, 0.5]]]:
-        with pytest.raises(ConfigurationError):
-            kpz_moment_nested(2, 2.0, offsets)
-    assert kpz_moment_nested(2, 2.0, [2.0, 0.5]) == kpz_moment_nested(2, 2.0)
+    with pytest.raises(ConfigurationError):
+        kpz_moment_nested(2, 2.0, (2.0,))
 
 
 @pytest.mark.parametrize("k, T", [(3, 2.0 * 1.4 ** 3), (2, 16.0)])
