@@ -14,10 +14,8 @@ when one of them is used.
 import importlib
 
 from .airy_side import airy_h_moment, airy_mult_stat, laplace_R, tracy_widom_f2
-from .errors import (AiryKpzError, ConfigurationError, DomainError,
-                     EvaluationError, NumericalConsistencyError)
-from .kpz_side import (Partition, kpz_laplace, kpz_moment, kpz_moment_nested, partitions,
-                       symmetry_factor)
+from .errors import AiryKpzError, ConfigurationError, DomainError, NumericalConsistencyError
+from .kpz_side import kpz_laplace, kpz_moment, kpz_moment_nested, partitions, symmetry_factor
 from .params import ModelParams
 from .quadrature import QuadratureRule, gauss_hermite, gauss_legendre, tensor_integrate
 
@@ -25,8 +23,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AiryKpzError", "ConfigurationError", "DomainError",
-    "EstimatorResult", "EvaluationError", "ModelParams",
-    "NumericalConsistencyError", "Partition", "QuadratureRule",
+    "EstimatorResult", "ModelParams",
+    "NumericalConsistencyError", "QuadratureRule",
     "airy_h_moment", "airy_mult_stat", "draw_edge_samples",
     "estimate_h_moment", "estimate_mult_stat",
     "gauss_hermite", "gauss_legendre",

@@ -19,18 +19,7 @@ class ConfigurationError(AiryKpzError, ValueError):
 
 class NumericalConsistencyError(AiryKpzError, ArithmeticError):
     """A computed quantity violates a self-check (out-of-range determinant,
-    non-positive moment, truncation sensitivity)."""
-
-
-class EvaluationError(AiryKpzError, ArithmeticError):
-    """An integrand or kernel produced a non-finite value.
-
-    Carries the offending node pair when available.
-    """
-
-    def __init__(self, message, where=None):
-        super().__init__(message)
-        self.where = where
+    non-positive moment, truncation sensitivity, non-finite value)."""
 
 
 def is_integer(val) -> bool:

@@ -1,6 +1,7 @@
-"""KPZ side: partition combinatorics, delta-Bose-gas contour integrals for
-the moments of the stochastic-heat-equation solution at the origin, the
-nested-contour oracle, and the Laplace-transform Fredholm determinant.
+"""KPZ side: the partitions of k as tuples of parts, delta-Bose-gas
+contour integrals for the moments of the stochastic-heat-equation solution
+at the origin, the nested-contour oracle, and the Laplace-transform
+Fredholm determinant.
 
 Moments are computed from the partition-expanded residue formula
 
@@ -16,7 +17,6 @@ moment of h_k at C = (T/2)^(1/3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,53 +29,22 @@ from .quadrature import (QuadratureRule, composite_legendre, fredholm_det_matrix
 from .specfun import SUPPORTED_RANGE, airy_both, logistic
 
 __all__ = [
-    "Partition", "partitions", "symmetry_factor",
+    "partitions", "symmetry_factor",
     "kpz_moment", "kpz_moment_nested", "kpz_laplace",
 ]
 
 MAX_PARTITION_WEIGHT = 20
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Integer partition: nonincreasing positive parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
-        if len(parts) == 0:
-            raise DomainError("empty partition")
-        if any(p <= 0 for p in parts):
-            raise DomainError("partition parts must be positive")
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise DomainError("partition parts must be nonincreasing")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    @property
-    def multiplicities(self) -> dict[int, int]:
-        mult: dict[int, int] = {}
-        for p in self.parts:
-            mult[p] = mult.get(p, 0) + 1
-        return mult
-
-
-def partitions(k: int) -> list[Partition]:
-    """All partitions of k, descending lexicographic in the parts."""
+def partitions(k: int) -> list[tuple[int, ...]]:
+    """All partitions of k, each a tuple of nonincreasing positive parts,
+    descending lexicographic."""
     check_order("partitions", k, MAX_PARTITION_WEIGHT)
-    out: list[Partition] = []
+    out: list[tuple[int, ...]] = []
 
     def rec(remaining: int, largest: int, prefix: list[int]):
         if remaining == 0:
-            out.append(Partition(tuple(prefix)))
+            out.append(tuple(prefix))
             return
         for p in range(min(remaining, largest), 0, -1):
             prefix.append(p)
@@ -86,35 +55,35 @@ def partitions(k: int) -> list[Partition]:
     return out
 
 
-def symmetry_factor(lam: Partition) -> int:
+def symmetry_factor(parts: tuple[int, ...]) -> int:
     """Product of factorials of the part multiplicities."""
-    f = 1
-    for count in lam.multiplicities.values():
-        f *= math.factorial(count)
-    return f
+    return math.prod(math.factorial(parts.count(p)) for p in set(parts))
 
 
 # ----------------------------------------------------------------------
 # moments via the partition expansion
 
-def _partition_term(lam: Partition, T: float, nodes_per_axis: int | None = None) -> float:
-    """(2 pi)^{-l} times the contour integral of one partition, w_j = i t_j.
+def _partition_term(parts: tuple[int, ...], T: float, nodes_per_axis: int | None = None) -> float:
+    """(2 pi)^{-l} times the contour integral of the partition with these
+    parts, w_j = i t_j.
 
     det[1/(w_j + lambda_j - w_i)] is then the Cauchy determinant of
     a_i = -i t_i, b_j = lambda_j + i t_j, and the Bose-gas exponent of part
     p is -(T p/2) t^2 + i (T p(p-1)/2) t plus a constant: the
     Gaussian-Cauchy integral of :func:`gaussian_cauchy_factors` with
     s = T lambda/2, alpha = 0, beta = lambda, w = T lambda(lambda-1)/2.
+    A part that is not positive makes some sigma_ij = lambda_j <= 0, which
+    that routine refuses with DomainError.
     """
-    lamv = np.asarray(lam.parts, dtype=float)
+    lamv = np.asarray(parts, dtype=float)
     log_const = float(np.sum((T / 2.0) * lamv * (lamv - 1) * (2 * lamv - 1) / 6.0))
-    const = checked_exp(f"partition {lam.parts} at T = {T}: its prefactor", log_const)
+    const = checked_exp(f"partition {parts} at T = {T}: its prefactor", log_const)
     rules, integrand = gaussian_cauchy_factors(
-        [T * p / 2.0 for p in lam.parts], [0.0] * lam.length, lam.parts,
-        [T * p * (p - 1) / 2.0 for p in lam.parts], nodes_per_axis)
+        [T * p / 2.0 for p in parts], [0.0] * len(parts), parts,
+        [T * p * (p - 1) / 2.0 for p in parts], nodes_per_axis)
     # t -> -t conjugates the integrand and the Hermite nodes are symmetric,
     # so the sum is real; the tensor driver returns its real part
-    return tensor_integrate(integrand, rules) * const / (2.0 * math.pi) ** lam.length
+    return tensor_integrate(integrand, rules) * const / (2.0 * math.pi) ** len(parts)
 
 
 def kpz_moment(k: int, T: float, nodes_per_axis: int | None = None) -> float:
@@ -214,6 +183,8 @@ def _ku_inner_rule(params: ModelParams, x_max: float) -> QuadratureRule:
     Ai(x - r) is below Ai(12) ~ 1.4e-13; right of (20 + |log u|)/C + x_max
     the Fermi factor has decayed.  Panels of unit width with 10 nodes
     resolve the Airy oscillation at ~4 points per shortest wavelength.
+    A right edge past the Airy range raises DomainError, naming the C
+    that keeps it inside.
     """
     lo = -12.0
     log_u = math.log(params.u)
@@ -221,7 +192,7 @@ def _ku_inner_rule(params: ModelParams, x_max: float) -> QuadratureRule:
     if hi > SUPPORTED_RANGE:
         # kpz_laplace's x_max < (22 + log max(u, 1))/C, so this C keeps hi < 60
         c_min = (42.0 + abs(log_u) + max(log_u, 0.0)) / SUPPORTED_RANGE
-        raise ConfigurationError(
+        raise DomainError(
             f"the kernel rule needs the Airy function beyond its supported range (inner "
             f"domain reaches {hi:.1f}); use C >= {math.ceil(100.0 * c_min) / 100.0:.2f}")
     return composite_legendre(lo, hi, int(math.ceil(hi - lo)), 10)
@@ -256,8 +227,9 @@ def _ku_matrix(xs: np.ndarray, params: ModelParams,
 def kpz_laplace(params: ModelParams, nodes: int = 80) -> float:
     """E exp(-u Z(T,0) e^{T/24}) as the Fredholm determinant of K_u on
     [0, inf), on ``nodes`` Gauss-Legendre nodes; equals the Airy-side
-    multiplicative statistic at C = (T/2)^(1/3).  A visibly truncated K_u
-    raises NumericalConsistencyError.
+    multiplicative statistic at C = (T/2)^(1/3).  A C too small for the
+    kernel rule's Airy range raises DomainError, a visibly truncated K_u
+    NumericalConsistencyError.
     """
     if params.u == 0:
         return 1.0

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, DomainError, EvaluationError,
-                     NumericalConsistencyError, is_integer)
+from .errors import ConfigurationError, DomainError, NumericalConsistencyError, is_integer
 
 __all__ = [
     "QuadratureRule",
@@ -219,12 +218,12 @@ def fredholm_det_matrix(kmat: np.ndarray, weights: np.ndarray) -> float:
 
     det(I - M) with M_ij = sqrt(w_i) k(x_i, x_j) sqrt(w_j), by pivoted LU
     elimination; spectrally convergent for analytic kernels.  A non-finite
-    entry raises :class:`EvaluationError` with its indices (i, j).
+    entry raises :class:`NumericalConsistencyError` naming its node pair (i, j).
     """
     kmat = np.asarray(kmat, dtype=float)
     if not np.all(np.isfinite(kmat)):
         i, j = np.argwhere(~np.isfinite(kmat))[0]
-        raise EvaluationError(f"kernel not finite at node pair ({i}, {j})", where=(int(i), int(j)))
+        raise NumericalConsistencyError(f"kernel not finite at node pair ({i}, {j})")
     sq = np.sqrt(weights)
     n = kmat.shape[0]
     return float(np.linalg.det(np.eye(n) - sq[:, None] * kmat * sq[None, :]))

@@ -206,7 +206,7 @@ def _check_partition_expansion():
     C = 1.0
     worst = 0.0
     for k in (1, 2, 3):
-        expansion = sum(laplace_R([C * p for p in lam.parts]) / symmetry_factor(lam)
+        expansion = sum(laplace_R([C * p for p in lam]) / symmetry_factor(lam)
                         for lam in partitions(k))
         worst = max(worst, abs(airy_h_moment(k, C) - expansion) / expansion)
     return worst, worst <= 1e-10
@@ -220,9 +220,9 @@ def _check_h_monomial_expansion():
                      for q in itertools.combinations_with_replacement(xs, k))
         total = 0.0
         for p in partitions(k):
-            if p.length > len(xs):
+            if len(p) > len(xs):
                 continue
-            exps = tuple(p.parts) + (0,) * (len(xs) - p.length)
+            exps = p + (0,) * (len(xs) - len(p))
             total += sum(math.prod(x ** e for x, e in zip(xs, perm))
                          for perm in set(itertools.permutations(exps)))
         worst = max(worst, abs(direct - total))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import airykpz
-from airykpz import montecarlo
+from airykpz import errors, montecarlo
 
 MODULES = ["airykpz"] + [f"airykpz.{m.name}" for m in pkgutil.iter_modules(airykpz.__path__)]
 SRC = Path(airykpz.__file__).resolve().parent
@@ -158,6 +158,29 @@ def test_only_errors_guards_overflow():
     assert guards == [], f"overflow guarded outside errors.checked_exp: {guards}"
 
 
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_errors_owns_the_exception_taxonomy_and_raises_every_class():
+    # every exception class is defined in errors.py, and each AiryKpzError
+    # subclass there is raised somewhere in src/: a class whose last raiser
+    # is gone must leave the taxonomy with it
+    defined, raised = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            bases = [_name(b) or "" for b in getattr(node, "bases", ())]
+            if path.name != "errors.py" and any(b.endswith(("Error", "Exception")) for b in bases):
+                defined.append((path.name, node.lineno, node.name))
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(_name(exc))
+    assert defined == [], f"exception classes defined outside errors.py: {defined}"
+    taxonomy = {name for name, cls in vars(errors).items() if isinstance(cls, type)
+                and issubclass(cls, errors.AiryKpzError) and cls is not errors.AiryKpzError}
+    assert taxonomy and sorted(taxonomy - raised) == []
+
+
 def test_only_quadrature_knows_the_hermite_node_model():
     # quadrature.gaussian_cauchy_factors builds the Hermite rules, their
     # order and the Cauchy factors for laplace_R and the KPZ partition
@@ -168,7 +191,7 @@ def test_only_quadrature_knows_the_hermite_node_model():
         if path.name == "quadrature.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            name = _name(node)
             if isinstance(node, (ast.Name, ast.Attribute)) and name in owned:
                 users.append((path.name, node.lineno, name))
     assert users == [], f"Hermite node model used outside quadrature: {users}"

@@ -6,7 +6,7 @@ import pytest
 
 from airykpz.airy_side import airy_h_moment, airy_mult_stat, laplace_R
 from airykpz.errors import ConfigurationError, DomainError, NumericalConsistencyError
-from airykpz.kpz_side import (Partition, _ku_matrix, _partition_term, kpz_laplace, kpz_moment,
+from airykpz.kpz_side import (_ku_matrix, _partition_term, kpz_laplace, kpz_moment,
                               kpz_moment_nested, partitions, symmetry_factor)
 from airykpz import kpz_side
 from airykpz.params import ModelParams
@@ -20,11 +20,11 @@ from pointwise import (bose_exponent, cauchy_det_direct, cauchy_factors, factor_
 # partitions
 
 def test_partitions_k1():
-    assert [p.parts for p in partitions(1)] == [(1,)]
+    assert partitions(1) == [(1,)]
 
 
 def test_partitions_k4_descending_lex():
-    assert [p.parts for p in partitions(4)] == [
+    assert partitions(4) == [
         (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
@@ -59,19 +59,22 @@ def test_partitions_counts_match_pentagonal_recurrence():
 
 
 def test_partition_invariants():
-    lam = Partition((3, 2, 2, 1))
-    assert lam.weight == 8
-    assert lam.length == 4
-    assert lam.multiplicities == {3: 1, 2: 2, 1: 1}
-    assert sum(size * cnt for size, cnt in lam.multiplicities.items()) == lam.weight
-    assert sum(lam.multiplicities.values()) == lam.length
+    # partitions builds only valid tuples: distinct, of nonincreasing
+    # positive int parts that sum to k
+    for k in range(1, 21):
+        parts = partitions(k)
+        assert len(set(parts)) == len(parts)
+        for lam in parts:
+            assert type(lam) is tuple and all(type(p) is int and p > 0 for p in lam)
+            assert list(lam) == sorted(lam, reverse=True)
+            assert sum(lam) == k
 
 
 def test_partition_validation():
-    with pytest.raises(DomainError):
-        Partition((1, 2))
-    with pytest.raises(DomainError):
-        Partition((2, 0))
+    # a part that is not positive is refused by the Gaussian-Cauchy
+    # integral's sigma_ij = lambda_j > 0 check
+    with pytest.raises(DomainError, match=r"pair \(0, 1\)"):
+        _partition_term((2, 0), 2.0)
     with pytest.raises(ConfigurationError):
         partitions(0)
     with pytest.raises(ConfigurationError):
@@ -79,9 +82,10 @@ def test_partition_validation():
 
 
 def test_symmetry_factor():
-    assert symmetry_factor(Partition((3, 1))) == 1
-    assert symmetry_factor(Partition((1, 1, 1, 1))) == 24
-    assert symmetry_factor(Partition((2, 2, 1))) == 2
+    assert symmetry_factor((3, 1)) == 1
+    assert symmetry_factor((1, 1, 1, 1)) == 24
+    assert symmetry_factor((2, 2, 1)) == 2
+    assert symmetry_factor((3, 3, 2, 2, 2, 1)) == 12
 
 
 # ----------------------------------------------------------------------
@@ -132,24 +136,24 @@ def test_exponent_identity_transported():
 # determinant of a_i = -w_i, b_j = w_j + lambda_j, so the factors of
 # gaussian_cauchy_factors at alpha = -Re w, beta = Re w + lambda, x = Im w
 
-def det_value(w, lam):
+def det_value(w, parts):
     """The determinant at the single point w."""
     w = np.asarray(w, dtype=complex)
-    return factor_grid(*cauchy_factors(-w.real, w.real + lam.parts, w.imag)).item()
+    return factor_grid(*cauchy_factors(-w.real, w.real + parts, w.imag)).item()
 
 
 def test_interaction_det_single():
-    assert det_value([0.5j], Partition((3,))) == pytest.approx(1.0 / 3.0)
+    assert det_value([0.5j], (3,)) == pytest.approx(1.0 / 3.0)
 
 
 def test_interaction_det_equal_w_is_zero():
     # rows coincide when the w's do
-    val = det_value([0.0, 0.0], Partition((2, 1)))
+    val = det_value([0.0, 0.0], (2, 1))
     assert abs(val) < 1e-15
 
 
 def test_interaction_det_shift_invariance():
-    lam = Partition((3, 2))
+    lam = (3, 2)
     w = np.array([0.4j, -1.1j])
     v0 = det_value(w, lam)
     v1 = det_value(w + 0.77j, lam)
@@ -170,15 +174,14 @@ def _cofactor_det(M):
 def test_interaction_det_against_cofactor_expansion():
     rng = np.random.default_rng(13)
     for parts in [(2,), (2, 1), (3, 2), (3, 2, 1), (2, 2, 2)]:
-        lam = Partition(parts)
-        ell = lam.length
+        ell = len(parts)
         w = 1j * rng.normal(size=ell) + rng.normal(size=ell) * 0.1
         mat = np.empty((ell, ell), dtype=complex)
         for i in range(ell):
             for j in range(ell):
                 mat[i, j] = 1.0 / (w[j] + parts[j] - w[i])
         ref = _cofactor_det(mat)
-        val = det_value(w, lam)
+        val = det_value(w, parts)
         assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
         assert abs(val - cauchy_det_direct(-w, w + parts)) <= 1e-12 * max(1.0, abs(ref))
 
@@ -192,7 +195,7 @@ def _partition_tables(monkeypatch, parts, T=2.0, nodes=12):
         return 1.0
 
     monkeypatch.setattr(kpz_side, "tensor_integrate", spy)
-    _partition_term(Partition(parts), T, nodes)
+    _partition_term(parts, T, nodes)
     return seen[0]
 
 
@@ -233,7 +236,7 @@ def _monomial_sym(xs, lam):
 def test_h_equals_sum_of_monomials(k):
     xs = (0.9, 0.5, 0.2)
     direct = _h_direct(xs, k)
-    expanded = sum(_monomial_sym(xs, p.parts) for p in partitions(k))
+    expanded = sum(_monomial_sym(xs, p) for p in partitions(k))
     assert abs(direct - expanded) <= 1e-12 * max(1.0, abs(direct))
 
 
@@ -308,7 +311,7 @@ def _record_orders(monkeypatch):
 def _term_orders(orders, k, T, nodes_per_axis=None):
     orders.clear()
     kpz_moment(k, T, nodes_per_axis)
-    return dict(zip((lam.parts for lam in partitions(k)), orders))
+    return dict(zip(partitions(k), orders))
 
 
 def test_hermite_orders_of_the_readme_grid_and_the_bench_k4_terms(monkeypatch):
@@ -320,11 +323,11 @@ def test_hermite_orders_of_the_readme_grid_and_the_bench_k4_terms(monkeypatch):
     for C, special in lifted.items():
         for k in (1, 2, 3):
             assert _term_orders(orders, k, 2.0 * C ** 3) == {
-                lam.parts: special.get(lam.parts, 48) for lam in partitions(k)}
+                lam: special.get(lam, 48) for lam in partitions(k)}
     # k = 4 at 32 nodes: the 1-d (4,) term takes its phase floor ceil(9T) + 16
     for C, n4 in ((0.6, 32), (1.0, 34), (1.4, 66)):
         assert _term_orders(orders, 4, 2.0 * C ** 3, 32) == {
-            lam.parts: n4 if lam.parts == (4,) else 32 for lam in partitions(4)}
+            lam: n4 if lam == (4,) else 32 for lam in partitions(4)}
 
 
 def test_explicit_order_above_the_hermite_cap_raises_on_every_term(monkeypatch):
@@ -361,7 +364,7 @@ def test_partition_term_matches_laplace_R(C):
     for k in (1, 2, 3):
         for lam in partitions(k):
             assert _partition_term(lam, T) * math.exp(k * T / 24.0) == pytest.approx(
-                laplace_R([C * p for p in lam.parts]), rel=1e-9)
+                laplace_R([C * p for p in lam]), rel=1e-9)
 
 
 def test_kpz_moment_validation():
@@ -432,6 +435,23 @@ def test_nested_validation():
         kpz_moment_nested(2, 2.0, (2.0,))
 
 
+def test_nested_truncation_check_raises(monkeypatch):
+    # the first axis splits into its outer band |t| > 0.9 hw (36 of the 128
+    # nodes at k = 2, T = 2) and its core; a band that carries as much as
+    # the core is a visibly truncated contour, which must raise
+    sizes = []
+
+    def spy(f, rules):
+        sizes.append(len(rules[0]))
+        return 1.0
+
+    monkeypatch.setattr(kpz_side, "tensor_integrate", spy)
+    with pytest.raises(NumericalConsistencyError, match="truncation-sensitive: outer band "
+                                                        r"contributes .* of "):
+        kpz_moment_nested(2, 2.0)
+    assert sizes == [36, 92]
+
+
 @pytest.mark.parametrize("k, T", [(3, 2.0 * 1.4 ** 3), (2, 16.0)])
 def test_nested_lost_to_cancellation_raises(k, T):
     # the nested sums cancel to -6.0e11 and -3.27 here, against Airy-side
@@ -482,7 +502,7 @@ def test_ku_kernel_domain_errors():
 def test_default_inner_rule_rejects_tiny_C():
     # the hinted C is accepted at any node count
     for C, u, hint in [(0.3, 1.0, 0.7), (0.5, 10.0, 0.78), (0.2, 1e-5, 0.9), (0.1, 1e5, 1.09)]:
-        with pytest.raises(ConfigurationError, match=f"beyond its supported range.*"
+        with pytest.raises(DomainError, match=f"beyond its supported range.*"
                                                      f"use C >= {hint:.2f}"):
             kpz_laplace(ModelParams.from_C(C, u))
         for nodes in (80, 200):
@@ -550,7 +570,7 @@ def _ku_grids(monkeypatch, cells):
     for C, u, nodes in cells:
         try:
             kpz_laplace(ModelParams.from_C(C, u), nodes)
-        except ConfigurationError:
+        except DomainError:
             pass
     return seen
 
