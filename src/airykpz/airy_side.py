@@ -68,8 +68,8 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
         exp(sum c_i^3/12)/(2 pi)^n * int exp(-sum c_i z_i^2)
             det[1/((-i z_i + c_i/2) + (i z_j + c_j/2))] dz,
     the Gaussian-Cauchy integral of :func:`gaussian_cauchy_factors` with
-    s = c, alpha = beta = c/2 and no phase, which also sets the Hermite
-    order.  The matrix 1/(a_i + b_j) is the Gram matrix of the functions
+    s = c, alpha = beta = c/2 and no phase, which also sets the trapezoid
+    rule.  The matrix 1/(a_i + b_j) is the Gram matrix of the functions
     exp(-s(c_i/2 - i z_i)) on s > 0, so its determinant is real and
     non-negative at every node: alpha = beta makes every factor a float64
     table >= 0, and the sum is real from the start.

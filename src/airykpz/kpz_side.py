@@ -81,7 +81,7 @@ def _partition_term(parts: tuple[int, ...], T: float, nodes_per_axis: int | None
     rules, integrand = gaussian_cauchy_factors(
         [T * p / 2.0 for p in parts], [0.0] * len(parts), parts,
         [T * p * (p - 1) / 2.0 for p in parts], nodes_per_axis)
-    # t -> -t conjugates the integrand and the Hermite nodes are symmetric,
+    # t -> -t conjugates the integrand and the trapezoid nodes are symmetric,
     # so the sum is real; the tensor driver returns its real part
     return tensor_integrate(integrand, rules) * const / (2.0 * math.pi) ** len(parts)
 

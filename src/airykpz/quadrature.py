@@ -2,9 +2,12 @@
 integrands, the Gaussian-Cauchy integrals of both moment pipelines and
 the quadrature (Nystrom) approximation of Fredholm determinants.
 
-Rule construction is delegated to numpy's Gauss node/weight generators,
-once per integer order: each order's rule is cached and shared, with
-read-only arrays.  Everything downstream (interval maps, composite panels,
+Gauss-Legendre rules come from numpy's generator, once per integer
+order: each order's rule is cached and shared, with read-only arrays.
+The Gaussian-Cauchy integrals take the trapezoidal rule on each real
+axis, with the Gaussian in its weights: it needs no rule construction,
+and for factors analytic in a strip it converges geometrically in the
+step.  Everything downstream (interval maps, composite panels,
 determinants, tensor sums) is built here.  All reductions run in a fixed
 deterministic order.
 
@@ -28,13 +31,11 @@ from .errors import ConfigurationError, DomainError, NumericalConsistencyError, 
 
 __all__ = [
     "QuadratureRule",
-    "gauss_legendre", "gauss_hermite", "legendre_on",
-    "composite_legendre", "scaled_gauss_hermite", "hermite_axis_count",
+    "gauss_legendre", "legendre_on", "composite_legendre",
     "gaussian_cauchy_factors", "fredholm_det_matrix", "gram", "tensor_integrate",
 ]
 
 MAX_LEGENDRE = 512
-MAX_HERMITE = 256
 TENSOR_NODE_BUDGET = 10 ** 8
 
 
@@ -63,35 +64,20 @@ class QuadratureRule:
         return self.nodes.size
 
 
-def _shared_rule(nodes, weights) -> QuadratureRule:
-    """A rule every caller of one order receives: its arrays are read-only."""
+# bounded by MAX_LEGENDRE, so the cache is too; typed, so that 2.0 or True
+# misses the entries of 2 and 1 and is refused
+@functools.lru_cache(maxsize=None, typed=True)
+def gauss_legendre(n: int) -> QuadratureRule:
+    """n-point Gauss-Legendre rule on [-1, 1]; built once per order and
+    shared, so its arrays are read-only."""
+    if not is_integer(n):
+        raise ConfigurationError(f"gauss_legendre order must be an integer, got {n!r}")
+    if not 1 <= n <= MAX_LEGENDRE:
+        raise ConfigurationError(f"gauss_legendre order must be in [1, {MAX_LEGENDRE}], got {n}")
+    nodes, weights = np.polynomial.legendre.leggauss(int(n))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes, weights)
-
-
-def _check_rule_order(name: str, n, n_max: int) -> None:
-    if not is_integer(n):
-        raise ConfigurationError(f"{name} order must be an integer, got {n!r}")
-    if not 1 <= n <= n_max:
-        raise ConfigurationError(f"{name} order must be in [1, {n_max}], got {n}")
-
-
-# the orders are bounded by MAX_LEGENDRE and MAX_HERMITE, so the caches are too;
-# typed, so that 2.0 or True misses the entry of 2 and 1 and is refused
-@functools.lru_cache(maxsize=None, typed=True)
-def gauss_legendre(n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [-1, 1]; built once per order and shared."""
-    _check_rule_order("gauss_legendre", n, MAX_LEGENDRE)
-    return _shared_rule(*np.polynomial.legendre.leggauss(int(n)))
-
-
-@functools.lru_cache(maxsize=None, typed=True)
-def gauss_hermite(n: int) -> QuadratureRule:
-    """n-point Gauss-Hermite rule for the weight e^{-t^2} on the real line;
-    built once per order and shared."""
-    _check_rule_order("gauss_hermite", n, MAX_HERMITE)
-    return _shared_rule(*np.polynomial.hermite.hermgauss(int(n)))
 
 
 def legendre_on(a: float, b: float, n: int) -> QuadratureRule:
@@ -118,35 +104,47 @@ def composite_legendre(a: float, b: float, n_panels: int, n_per_panel: int) -> Q
     return QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
 
 
-def scaled_gauss_hermite(c: float, n: int) -> QuadratureRule:
-    """Rule for integrals of exp(-c z^2) f(z) over the real line.
-
-    Substitutes z = t/sqrt(c) into the e^{-t^2} Gauss-Hermite rule.
-    """
-    if not c > 0:
-        raise ConfigurationError("Gaussian exponent c must be positive")
-    base = gauss_hermite(n)
-    s = 1.0 / math.sqrt(c)
-    return QuadratureRule(base.nodes * s, base.weights * s)
-
-
-# A factor analytic in a strip of half-width d around the real axis is
-# integrated by n-point Gauss-Hermite with error ~ K exp(-2 d sqrt(2n)),
-# K = O(10..100) (measured).  Invert for n with two digits of headroom.
-_HERMITE_AXIS_TOL = 1e-9
-_HERMITE_AXIS_FLOOR = 48
-HERMITE_AXIS_CAP_BY_DIM = {1: 256, 2: 256, 3: 256, 4: 56}
+# The trapezoidal rule h sum_k g(hk) for a g analytic in the strip
+# |Im x| < a errs by about max |g| on the strip's edges times e^{-2 pi a/h}
+# (Trefethen & Weideman, SIAM Rev. 56 (2014), Thm 5.1).  For the axis
+# factor e^{-s x^2 + i w x} the edges cost e^{s a^2 + |w| a}; the Gaussian
+# factor alone errs by its aliased Fourier mode e^{-(2 pi/h - |w|)^2/(4s)},
+# and cutting the sum at |x| <= X costs e^{-s X^2}.  The step meets both
+# discretization bounds (the aliasing one alone lets the pair factors,
+# which grow toward their poles, cost up to 1e-12 at laplace_R([5] * 3)).
+# The integral is as small as e^{-kappa}, kappa = w^2/(4s), against the
+# integral of |g|, so each error is held to e^{-(L + kappa)}, L = ln 1e16.
+_LOG_TOL = math.log(1e16)
+# 56^4 = 9.8e6 grid nodes: the default counts reach ~165 per axis at C = 0.6,
+# and 165^4 is past TENSOR_NODE_BUDGET
+_AXIS_CAP_4D = 56
 
 
-def hermite_axis_count(d_min: float, dim: int, extra_floor: int = 0) -> int:
-    """Per-axis Gauss-Hermite order for a pole at scaled distance d_min;
-    d_min = math.inf (no pole) gives the floor."""
-    if not d_min > 0:
-        raise ConfigurationError("pole distance must be positive")
-    n = math.ceil((math.log(100.0 / _HERMITE_AXIS_TOL) / (2.0 * d_min)) ** 2 / 2.0)
-    cap = HERMITE_AXIS_CAP_BY_DIM[dim]
-    floor = min(max(_HERMITE_AXIS_FLOOR, extra_floor), cap)
-    return int(min(max(n, floor), cap))
+def _default_axis(s: float, w: float, a: float) -> tuple[int, float]:
+    """Node count and step of the default trapezoid rule on an axis with
+    Gaussian scale s, frequency |w| and strip half-width a (inf: no pole)."""
+    kappa = w * w / (4.0 * s)
+    h = 2.0 * math.pi / (w + math.sqrt(w * w + 4.0 * s * _LOG_TOL))
+    if a < math.inf:
+        h = min(h, 2.0 * math.pi * a / (_LOG_TOL + kappa + s * a * a + w * a))
+    # four more than the target: a margin for the prefactor of the cut tail
+    half_width = math.sqrt((_LOG_TOL + kappa + 4.0) / s)
+    return 2 * math.ceil(half_width / h) + 1, h
+
+
+def _balanced_step(s: float, w: float, a: float, n: int) -> float:
+    """Step at which n nodes balance the truncation exponent s (hm)^2, with
+    hm = h (n + 1)/2 the first node left out, against the smaller of the
+    aliasing exponent (2 pi/h - w)^2/(4s) and the strip exponent
+    2 pi a/h - s a^2 - w a: a quadratic and a cubic in h, in closed form."""
+    m = (n + 1) / 2.0
+    h = 4.0 * math.pi / (w + math.sqrt(w * w + 16.0 * math.pi * s * m))
+    if a < math.inf:
+        # h^3 + p h - q = 0 with p > 0: one real root, in its sinh form
+        p, q = (s * a * a + w * a) / (s * m * m), 2.0 * math.pi * a / (s * m * m)
+        h = min(h, 2.0 * math.sqrt(p / 3.0)
+                * math.sinh(math.asinh(1.5 * q / p * math.sqrt(3.0 / p)) / 3.0))
+    return h
 
 
 def gaussian_cauchy_factors(scales, alpha, beta, freqs, nodes_per_axis: int | None = None):
@@ -165,13 +163,19 @@ def gaussian_cauchy_factors(scales, alpha, beta, freqs, nodes_per_axis: int | No
 
     d = x_i - x_j, da = alpha_i - alpha_j, db = beta_i - beta_j, e = da - db.
     A table is float64 where it is real: an axis with w_i = 0, a pair with
-    e = 0.  Gauss-Hermite is scaled to e^{-s_i x_i^2} per axis.  Default
-    order: :func:`hermite_axis_count` at the nearest pole, scaled distance
-    sqrt(s_i) sigma_ij, i != j, floored by the phase floor
-    ceil(w^2/(2s)) + 16 (Hermite resolves the frequency w/sqrt(s) once
-    n > (w/sqrt(s))^2/2).  An explicit ``nodes_per_axis``, an integer >= 1,
-    binds the tensor grids; a 1-d integral is cheap and still takes the
-    phase floor, held at the 1-d cap.  An order above MAX_HERMITE raises.
+    e = 0.  Pair (i, j) has its nearest pole at |Im d| =
+    a_ij = (sqrt(e^2 + 4 sigma_ij sigma_ji) - |e|)/2, so axis i is analytic
+    in the strip of half-width a_i = min over j != i of a_ij (no pole when
+    l = 1).  Each axis takes the trapezoidal rule on the symmetric nodes
+    h_i (k - (n_i - 1)/2), k < n_i, with e^{-s_i x_i^2} in its weights.
+    By default its step and count hold the aliasing, strip and truncation
+    errors to e^{-(L + kappa_i)}, L = ln 1e16, kappa_i = w_i^2/(4 s_i); in
+    four dimensions an axis is capped at 56 nodes, at the balanced step of
+    :func:`_balanced_step`.  An explicit ``nodes_per_axis`` n, an integer
+    >= 1, gives every axis of a tensor grid exactly n nodes at the balanced
+    step; a 1-d integral is cheap and takes at least its default count.  A
+    grid of more than TENSOR_NODE_BUDGET nodes raises in
+    :func:`tensor_integrate`.
     """
     ell = len(scales)
     sigma = np.add.outer(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
@@ -179,16 +183,23 @@ def gaussian_cauchy_factors(scales, alpha, beta, freqs, nodes_per_axis: int | No
         i, j = np.argwhere(~(sigma > 0))[0]
         raise DomainError(f"alpha[{i}] + beta[{j}] = {float(sigma[i, j])!r} must be positive "
                           f"(pair ({i}, {j}) of the Cauchy determinant)")
-    osc = max(math.ceil(w * w / (2.0 * s)) for s, w in zip(scales, freqs)) + 16
-    if nodes_per_axis is None:
-        d_min = min((math.sqrt(scales[i]) * sigma[i, j]
-                     for i in range(ell) for j in range(ell) if i != j), default=math.inf)
-        nodes_per_axis = hermite_axis_count(d_min, ell, extra_floor=osc)
-    elif not (is_integer(nodes_per_axis) and nodes_per_axis >= 1):
+    if nodes_per_axis is not None and not (is_integer(nodes_per_axis) and nodes_per_axis >= 1):
         raise ConfigurationError(f"nodes_per_axis must be an integer >= 1, got {nodes_per_axis!r}")
-    elif ell == 1:
-        nodes_per_axis = max(nodes_per_axis, min(osc, HERMITE_AXIS_CAP_BY_DIM[1]))
-    rules = [scaled_gauss_hermite(s, nodes_per_axis) for s in scales]
+    e = np.abs(sigma - sigma.T)         # e_ij = sigma_ij - sigma_ji = da - db
+    # a_ij, written without the cancellation of sqrt(e^2 + 4 sigma_ij sigma_ji) - e
+    pole = 2.0 * sigma * sigma.T / (np.sqrt(e * e + 4.0 * sigma * sigma.T) + e)
+    np.fill_diagonal(pole, np.inf)
+    rules = []
+    for s, w, a in zip(scales, np.abs(freqs), pole.min(axis=1)):
+        n, h = _default_axis(s, w, a)
+        if nodes_per_axis is None:
+            want = min(n, _AXIS_CAP_4D) if ell == 4 else n
+        else:
+            want = max(nodes_per_axis, n) if ell == 1 else nodes_per_axis
+        if want != n:
+            n, h = want, _balanced_step(s, w, a, want)
+        x = h * (np.arange(n) - (n - 1) / 2.0)
+        rules.append(QuadratureRule(x, h * np.exp(-s * x * x)))
 
     def integrand(*xs):
         inv = 1.0 / np.diag(sigma)
@@ -264,6 +275,10 @@ def _contract(u, pairs):
                for x, ux in enumerate(u[0]))
 
 
+_EPS = float(np.finfo(float).eps)
+_CANCELLATION_TOL = 1e-3
+
+
 def tensor_integrate(f, rules) -> float:
     """Tensor-product quadrature of an integrand given by its factors.
 
@@ -284,7 +299,10 @@ def tensor_integrate(f, rules) -> float:
     gives sum |w f|; when every table is real and non-negative, that sum
     is the total itself and is not contracted again.  An imaginary part
     above 1e-12 of sum |w f|, or a non-finite sum, raises
-    :class:`NumericalConsistencyError`.  The reduction order is fixed, so
+    :class:`NumericalConsistencyError`; so does a total lost to
+    cancellation, one whose roundoff bound eps sum |w f| exceeds 1e-3 of
+    it, the loosest tolerance a moment is checked to (k = 4 in
+    ``verify-theorem2``).  The reduction order is fixed, so
     the result is deterministic and independent of the BLAS thread count.
     """
     rules = list(rules)
@@ -323,4 +341,8 @@ def tensor_integrate(f, rules) -> float:
         raise NumericalConsistencyError(
             f"tensor sum {val!r} is not finite and real: sum |w f| = {mag:.3e}, "
             "and |Im| may not exceed 1e-12 of it")
+    if not _EPS * mag <= _CANCELLATION_TOL * abs(val.real):
+        raise NumericalConsistencyError(
+            f"tensor sum {val.real!r} is lost to cancellation: its roundoff bound "
+            f"eps sum |w f| = {_EPS * mag:.3e} exceeds {_CANCELLATION_TOL:g} of it")
     return val.real

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import erfcx
 
 from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix, airy_mult_stat,
                                laplace_R, tracy_widom_f2)
@@ -50,18 +51,36 @@ def test_criterion_1_theorem2_agreement():
             f"< 1e-3; {dt:.1f}s")
 
 
+def _r1(c):
+    """R_1(c) = E sum_i e^{c a_i}, the Laplace transform of the Airy density."""
+    return math.exp(c ** 3 / 12.0) / (2.0 * math.sqrt(math.pi) * c ** 1.5)
+
+
 def test_criterion_2_closed_form_anchor():
     worst = 0.0
     for C in (0.6, 1.0, 1.4):
         T = 2.0 * C ** 3
-        closed = math.exp(C ** 3 / 12.0) / (2.0 * math.sqrt(math.pi) * C ** 1.5)
+        closed = _r1(C)
         assert closed == pytest.approx(
             math.exp(T / 24.0) / math.sqrt(2.0 * math.pi * T), rel=1e-14)
         worst = max(worst,
                     abs(airy_h_moment(1, C) - closed) / closed,
                     abs(kpz_moment(1, T) - closed) / closed)
-    _report("criterion 2 (k=1 closed-form anchor)", worst < 1e-8,
-            f"worst rel {worst:.2e} < 1e-8")
+    # k = 2: E h_2 = R_1(2C) + (R_1(C)^2 - X)/2, X the Okounkov kernel's
+    # trace of Q_1^2, e^{C^3/6} sqrt(2 pi C) erfcx(sqrt(C^3/2))/(8 pi C^2).
+    # airy_h_moment's clipped left edge costs it 3e-10 at C = 0.4
+    worst_kpz2 = worst_airy2 = 0.0
+    for C in (0.4, 0.5, 0.6, 1.0, 1.4, 2.0, 2.5):
+        X = (math.exp(C ** 3 / 6.0) * math.sqrt(2.0 * math.pi * C)
+             * erfcx(math.sqrt(C ** 3 / 2.0)) / (8.0 * math.pi * C ** 2))
+        closed = _r1(2.0 * C) + (_r1(C) ** 2 - X) / 2.0
+        worst_kpz2 = max(worst_kpz2, abs(kpz_moment(2, 2.0 * C ** 3) - closed) / closed)
+        if C >= 0.5:
+            worst_airy2 = max(worst_airy2, abs(airy_h_moment(2, C) - closed) / closed)
+    _report("criterion 2 (k=1 and k=2 closed-form anchors)",
+            worst < 1e-8 and worst_kpz2 < 1e-13 and worst_airy2 < 1e-12,
+            f"k=1 worst rel {worst:.2e} < 1e-8; k=2 kpz worst rel {worst_kpz2:.2e} < 1e-13, "
+            f"airy (C >= 0.5) {worst_airy2:.2e} < 1e-12")
 
 
 def test_criterion_3_theorem1_agreement():

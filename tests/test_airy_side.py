@@ -9,8 +9,7 @@ from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix, airy_mult_stat
                                laplace_R, tracy_widom_f2)
 from airykpz.errors import ConfigurationError, DomainError
 from airykpz.params import ModelParams
-from airykpz.quadrature import (composite_legendre, gaussian_cauchy_factors,
-                                scaled_gauss_hermite)
+from airykpz.quadrature import composite_legendre, gaussian_cauchy_factors
 from airykpz.specfun import airy_both
 
 from pointwise import (cauchy_det_direct, cauchy_factors, factor_grid, half_line_kernel,
@@ -247,7 +246,7 @@ def test_laplace_R_product_vs_direct_determinant():
     # the same Gaussian integral, summed point by point over the full grid
     # with the determinant by pivoted elimination
     for c in (np.array([0.9, 1.4]), np.array([1.0, 0.8, 1.3])):
-        rules = [scaled_gauss_hermite(ci, 64) for ci in c]
+        rules = gaussian_cauchy_factors(c, c / 2.0, c / 2.0, np.zeros(c.size), 64)[0]
         z = np.stack(np.meshgrid(*(r.nodes for r in rules), indexing="ij"), axis=-1)
         w = math.prod(np.meshgrid(*(r.weights for r in rules), indexing="ij"))
         a, b = -1j * z + c / 2.0, 1j * z + c / 2.0

@@ -217,20 +217,23 @@ def test_per_row_error_capture():
 
 
 def test_moment_lost_to_cancellation_is_an_error_row():
-    # at C = 2.5 the k = 3 KPZ sum cancels to a negative number (~ -1.8e18);
-    # a moment is positive, so the row must be an error, not a value
+    # at C = 2.5 the k = 3 KPZ sum is lost to cancellation: the single-part
+    # (3,) term's roundoff bound eps sum |w f| is ~4 times the term itself,
+    # so the tensor driver refuses it and the row must be an error, not a value
     rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[2.5], k_max=3))
     assert [r.status for r in rows[:2]] == ["ok", "ok"]
     assert rows[2].status.startswith("error: NumericalConsistencyError")
     assert not rows[2].passed
 
 
-def test_nodes_above_the_hermite_cap_fail_every_moment_row():
-    # the k = 1 row used to report nodes=300 while computing at 256
-    rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[1.0], k_max=2,
-                                         nodes=300))
-    assert [r.status[:len("error: ConfigurationError")] for r in rows] == [
-        "error: ConfigurationError"] * 2
+def test_nodes_above_the_node_budget_fail_the_moment_row():
+    # 101^4 nodes exceed TENSOR_NODE_BUDGET: the k = 4 row is an error that
+    # names the budget, and the rows below it run at 101 nodes per axis
+    rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[1.0], k_max=4,
+                                         nodes=101))
+    assert [r.status for r in rows[:3]] == ["ok"] * 3
+    assert rows[3].status.startswith("error: ConfigurationError")
+    assert "exceeds the 100000000 budget" in rows[3].status
 
 
 def test_verify_theorem1_nodes_set_both_fredholm_grids():

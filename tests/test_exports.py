@@ -181,11 +181,11 @@ def test_errors_owns_the_exception_taxonomy_and_raises_every_class():
     assert taxonomy and sorted(taxonomy - raised) == []
 
 
-def test_only_quadrature_knows_the_hermite_node_model():
-    # quadrature.gaussian_cauchy_factors builds the Hermite rules, their
-    # order and the Cauchy factors for laplace_R and the KPZ partition
-    # terms alike: a module that reads these names keeps a second copy
-    owned = {"hermite_axis_count", "HERMITE_AXIS_CAP_BY_DIM", "scaled_gauss_hermite"}
+def test_only_quadrature_knows_the_trapezoid_node_model():
+    # quadrature.gaussian_cauchy_factors builds the trapezoid rules, their
+    # steps and counts, and the Cauchy factors for laplace_R and the KPZ
+    # partition terms alike: a module that reads these names keeps a second copy
+    owned = {"_default_axis", "_balanced_step", "_LOG_TOL", "_AXIS_CAP_4D"}
     users = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "quadrature.py":
@@ -194,7 +194,7 @@ def test_only_quadrature_knows_the_hermite_node_model():
             name = _name(node)
             if isinstance(node, (ast.Name, ast.Attribute)) and name in owned:
                 users.append((path.name, node.lineno, name))
-    assert users == [], f"Hermite node model used outside quadrature: {users}"
+    assert users == [], f"trapezoid node model used outside quadrature: {users}"
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

@@ -294,53 +294,63 @@ def test_kpz_moment_contraction_matches_pointwise_sum(monkeypatch):
     assert dims == [1, 2, 3]
 
 
-def _record_orders(monkeypatch):
-    """Per-axis Hermite order of each tensor integral kpz_side runs, in call order."""
-    orders = []
+def _record_counts(monkeypatch):
+    """Per-axis node counts of each tensor integral kpz_side runs, in call order."""
+    counts = []
 
     def spy(f, rules):
         rules = list(rules)
-        assert len({len(r) for r in rules}) == 1
-        orders.append(len(rules[0]))
+        counts.append([len(r) for r in rules])
         return tensor_integrate(f, rules)
 
     monkeypatch.setattr(kpz_side, "tensor_integrate", spy)
-    return orders
+    return counts
 
 
-def _term_orders(orders, k, T, nodes_per_axis=None):
-    orders.clear()
+def _term_counts(counts, k, T, nodes_per_axis=None):
+    counts.clear()
     kpz_moment(k, T, nodes_per_axis)
-    return dict(zip(partitions(k), orders))
+    return dict(zip(partitions(k), counts))
 
 
-def test_hermite_orders_of_the_readme_grid_and_the_bench_k4_terms(monkeypatch):
-    orders = _record_orders(monkeypatch)
-    # verify-theorem2 --C 0.6,1.0,1.4 --k-max 3: the pole rule lifts these
-    # terms above the floor of 48 (C = 0.6 to the cap of 256)
-    lifted = {0.6: {(1, 1): 256, (2, 1): 186, (1, 1, 1): 256},
-              1.0: {(1, 1): 81, (1, 1, 1): 81}, 1.4: {}}
-    for C, special in lifted.items():
+def test_trapezoid_counts_of_the_readme_grid_and_the_bench_k4_terms(monkeypatch):
+    counts = _record_counts(monkeypatch)
+    # verify-theorem2 --C 0.6,1.0,1.4 --k-max 3: each axis's count follows
+    # its Gaussian scale, its phase and its nearest pole, min(lambda_i, lambda_j)
+    readme = {0.6: {(1,): [27], (2,): [29], (1, 1): [165] * 2,
+                    (3,): [31], (2, 1): [119, 165], (1, 1, 1): [165] * 3},
+              1.0: {(1,): [27], (2,): [29], (1, 1): [79] * 2,
+                    (3,): [35], (2, 1): [61, 79], (1, 1, 1): [79] * 3},
+              1.4: {(1,): [27], (2,): [33], (1, 1): [51] * 2,
+                    (3,): [45], (2, 1): [45, 51], (1, 1, 1): [51] * 3}}
+    for C, expect in readme.items():
         for k in (1, 2, 3):
-            assert _term_orders(orders, k, 2.0 * C ** 3) == {
-                lam: special.get(lam, 48) for lam in partitions(k)}
-    # k = 4 at 32 nodes: the 1-d (4,) term takes its phase floor ceil(9T) + 16
-    for C, n4 in ((0.6, 32), (1.0, 34), (1.4, 66)):
-        assert _term_orders(orders, 4, 2.0 * C ** 3, 32) == {
-            lam: n4 if lam == (4,) else 32 for lam in partitions(4)}
+            assert _term_counts(counts, k, 2.0 * C ** 3) == {
+                lam: expect[lam] for lam in partitions(k)}
+    # k = 4 at 32 nodes: every tensor term takes exactly 32 per axis, the
+    # 1-d (4,) term at least its default count
+    for C, n4 in ((0.6, 33), (1.0, 45), (1.4, 69)):
+        assert _term_counts(counts, 4, 2.0 * C ** 3, 32) == {
+            lam: [n4] if lam == (4,) else [32] * len(lam) for lam in partitions(4)}
+    # by default only the four-axis term is capped, at 56
+    assert _term_counts(counts, 4, 2.0 * 0.6 ** 3) == {
+        (4,): [33], (3, 1): [103, 165], (2, 2): [63, 63], (2, 1, 1): [119, 165, 165],
+        (1, 1, 1, 1): [56] * 4}
 
 
-def test_explicit_order_above_the_hermite_cap_raises_on_every_term(monkeypatch):
-    # the 1-d terms used to drop an explicit 300 to 256 silently while the
-    # tensor terms raised; up to 256 an explicit order is kept or lifted
-    # to the phase floor as before
-    orders = _record_orders(monkeypatch)
-    assert _term_orders(orders, 4, 16.0, 100) == {(4,): 160, (3, 1): 100, (2, 2): 100,
-                                                  (2, 1, 1): 100, (1, 1, 1, 1): 100}
-    assert _term_orders(orders, 3, 16.0, 256) == {(3,): 256, (2, 1): 256, (1, 1, 1): 256}
-    for k in (1, 2):
-        with pytest.raises(ConfigurationError, match=r"order must be in \[1, 256\], got 300"):
-            kpz_moment(k, 2.0, nodes_per_axis=300)
+def test_explicit_order_binds_every_tensor_term_up_to_the_node_budget(monkeypatch):
+    # an explicit order is exactly the count of every tensor axis; a 1-d
+    # term is lifted to its default count.  A grid past TENSOR_NODE_BUDGET
+    # (10^8 nodes: 101^4, 465^3) raises on that term
+    counts = _record_counts(monkeypatch)
+    assert _term_counts(counts, 4, 2.0, 40) == {
+        (4,): [45], (3, 1): [40] * 2, (2, 2): [40] * 2, (2, 1, 1): [40] * 3,
+        (1, 1, 1, 1): [40] * 4}
+    assert _term_counts(counts, 1, 2.0, 300) == {(1,): [300]}
+    for k, n in ((4, 101), (3, 465)):
+        with pytest.raises(ConfigurationError, match="exceeds the 100000000 budget"):
+            kpz_moment(k, 2.0, nodes_per_axis=n)
+        assert counts[-1] == [n] * k
 
 
 @pytest.mark.parametrize("n", [0, -5])
@@ -357,7 +367,7 @@ def test_explicit_order_below_one_raises_on_every_term(n):
 def test_partition_term_matches_laplace_R(C):
     # the paper's per-partition match: the KPZ residue term of lambda at
     # T = 2C^3, times e^{kT/24}, is R_l(C lambda) (worst measured gap
-    # 2.75e-10, at (2, 1), C = 1).  An all-ones term agrees by construction
+    # 8.3e-14, at (3,), C = 1.4).  An all-ones term agrees by construction
     # (within 7.5e-16): z = C t maps its integral onto laplace_R's, so both
     # sides evaluate one discrete sum, and its agreement shows no convergence
     T = 2.0 * C ** 3
@@ -365,6 +375,16 @@ def test_partition_term_matches_laplace_R(C):
         for lam in partitions(k):
             assert _partition_term(lam, T) * math.exp(k * T / 24.0) == pytest.approx(
                 laplace_R([C * p for p in lam]), rel=1e-9)
+
+
+@pytest.mark.parametrize("k, T", [(2, 128.0), (3, 54.0)])
+def test_positive_kpz_moments_lost_to_cancellation_raise(k, T):
+    # C = 4, k = 2 and C = 3, k = 3: the single-part term's roundoff bound
+    # eps sum |w f| is 1.8e-2 and 1.3 of it.  These sums came out positive
+    # and wrong (2.45e-2 off, and 2.6e44 against 2.5e24), so only the
+    # tensor driver's cancellation gate refuses them
+    with pytest.raises(NumericalConsistencyError, match="lost to cancellation"):
+        kpz_moment(k, T)
 
 
 def test_kpz_moment_validation():
@@ -455,8 +475,10 @@ def test_nested_truncation_check_raises(monkeypatch):
 @pytest.mark.parametrize("k, T", [(3, 2.0 * 1.4 ** 3), (2, 16.0)])
 def test_nested_lost_to_cancellation_raises(k, T):
     # the nested sums cancel to -6.0e11 and -3.27 here, against Airy-side
-    # moments 15.75 and 7.31: a moment is positive, so these must raise
-    with pytest.raises(NumericalConsistencyError, match="is not positive"):
+    # moments 15.75 and 7.31: a moment is positive, so these must raise.
+    # At T = 16 the tensor driver refuses first: the core sum's roundoff
+    # bound eps sum |w f| is 2e-3 of it
+    with pytest.raises(NumericalConsistencyError, match="is not positive|lost to cancellation"):
         kpz_moment_nested(k, T)
 
 

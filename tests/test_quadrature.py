@@ -8,9 +8,8 @@ import pytest
 from airykpz import quadrature
 from airykpz.airy_side import airy_h_moment
 from airykpz.errors import ConfigurationError, NumericalConsistencyError
-from airykpz.quadrature import (QuadratureRule, composite_legendre,
-                                fredholm_det_matrix, gauss_hermite, gauss_legendre, gram,
-                                hermite_axis_count, legendre_on, scaled_gauss_hermite,
+from airykpz.quadrature import (QuadratureRule, composite_legendre, fredholm_det_matrix,
+                                gauss_legendre, gaussian_cauchy_factors, gram, legendre_on,
                                 tensor_integrate)
 
 from airykpz.kpz_side import kpz_moment
@@ -20,6 +19,13 @@ from pointwise import pointwise_sum
 
 def integrate(rule, f):
     return np.sum(rule.weights * f(rule.nodes))
+
+
+def _trapezoid_rules(scales, n=None):
+    """The Gaussian trapezoid rules of gaussian_cauchy_factors for these
+    scales, with no phase and every pole at distance 1."""
+    half = np.full(len(scales), 0.5)
+    return gaussian_cauchy_factors(scales, half, half, np.zeros(len(scales)), n)[0]
 
 
 def fredholm(kernel, rule):
@@ -55,31 +61,9 @@ def test_gauss_legendre_high_order_sanity(n):
     assert integrate(rule, lambda x: x ** 20) == pytest.approx(2 / 21, abs=1e-13)
 
 
-def test_gauss_hermite_n1():
-    rule = gauss_hermite(1)
-    assert rule.nodes.tolist() == [0.0]
-    assert rule.weights == pytest.approx([math.sqrt(math.pi)], rel=1e-15)
-
-
-def test_gauss_hermite_moments():
-    assert integrate(gauss_hermite(2), lambda t: t ** 2) == pytest.approx(
-        math.sqrt(math.pi) / 2, abs=1e-14)
-    assert integrate(gauss_hermite(8), lambda t: np.ones_like(t)) == pytest.approx(
-        math.sqrt(math.pi), abs=1e-14)
-
-
-@pytest.mark.parametrize("n", [64, 256])
-def test_gauss_hermite_high_order_sanity(n):
-    rule = gauss_hermite(n)
-    assert np.sum(rule.weights) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert integrate(rule, lambda t: t ** 4) == pytest.approx(
-        0.75 * math.sqrt(math.pi), rel=1e-13)
-
-
 def test_rule_invariants_and_validation():
-    for rule in (gauss_legendre(7), gauss_hermite(33),
-                 composite_legendre(-3.0, 2.0, 5, 8),
-                 scaled_gauss_hermite(0.37, 21)):
+    for rule in (gauss_legendre(7), composite_legendre(-3.0, 2.0, 5, 8),
+                 *_trapezoid_rules([0.37, 1.2], 21), *_trapezoid_rules([0.37, 1.2])):
         assert np.all(np.diff(rule.nodes) > 0)
         assert np.all(rule.weights > 0)
         assert len(rule.nodes) == len(rule.weights)
@@ -88,14 +72,12 @@ def test_rule_invariants_and_validation():
     with pytest.raises(ConfigurationError):
         gauss_legendre(513)
     with pytest.raises(ConfigurationError):
-        gauss_hermite(257)
-    with pytest.raises(ConfigurationError):
         QuadratureRule(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
     with pytest.raises(ConfigurationError):
         QuadratureRule(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
 
 
-@pytest.mark.parametrize("make", [gauss_legendre, gauss_hermite])
+@pytest.mark.parametrize("make", [gauss_legendre])
 def test_rules_built_once_per_order_and_read_only(make):
     rule = make(24)
     assert make(24) is rule
@@ -108,10 +90,9 @@ def test_rules_built_once_per_order_and_read_only(make):
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda: gauss_hermite(2.5), id="gauss_hermite-2.5"),
     pytest.param(lambda: gauss_legendre(3.7), id="gauss_legendre-3.7"),
     pytest.param(lambda: gauss_legendre(2.0), id="gauss_legendre-2.0"),
-    pytest.param(lambda: gauss_hermite(True), id="gauss_hermite-True"),
+    pytest.param(lambda: gauss_legendre(True), id="gauss_legendre-True"),
     pytest.param(lambda: kpz_moment(2, 2.0, nodes_per_axis=40.5), id="kpz_moment-40.5"),
     pytest.param(lambda: kpz_moment(1, 2.0, nodes_per_axis=10.5), id="kpz_moment-1d-10.5"),
     pytest.param(lambda: airy_h_moment(1, 1.0, nodes_per_axis=2.5), id="airy_h_moment-2.5"),
@@ -119,19 +100,17 @@ def test_rules_built_once_per_order_and_read_only(make):
 def test_rule_orders_must_be_integers(call):
     # refused, not truncated (2.5 would build 2 nodes); the integer orders
     # 1 and 2 are cached first, so 2.0 and True must not hit their entries
-    gauss_legendre(2), gauss_hermite(1)
+    gauss_legendre(2), gauss_legendre(1)
     with pytest.raises(ConfigurationError, match="must be an integer"):
         call()
 
 
 def test_derived_rules_bit_identical_to_uncached(monkeypatch):
     import airykpz.quadrature as quadrature
-    cases = [lambda: composite_legendre(-3.0, 2.0, 5, 8), lambda: legendre_on(0.0, 18.5, 80),
-             lambda: scaled_gauss_hermite(0.37, 21), lambda: scaled_gauss_hermite(1.0, 256)]
+    cases = [lambda: composite_legendre(-3.0, 2.0, 5, 8), lambda: legendre_on(0.0, 18.5, 80)]
     # the second round reads every base rule from the cache
     rounds = [[make() for make in cases] for _ in range(2)]
     monkeypatch.setattr(quadrature, "gauss_legendre", quadrature.gauss_legendre.__wrapped__)
-    monkeypatch.setattr(quadrature, "gauss_hermite", quadrature.gauss_hermite.__wrapped__)
     for make, *rules in zip(cases, *rounds):
         fresh = make()
         for rule in rules:
@@ -145,12 +124,26 @@ def test_map_affine_n1():
     assert mapped.weights == pytest.approx([2.0])
 
 
-def test_scaled_hermite_absorbs_gaussian():
-    c = 1.7
-    rule = scaled_gauss_hermite(c, 24)
+def test_gaussian_trapezoid_absorbs_the_gaussian():
+    # the default 1-d rule: symmetric nodes, e^{-c z^2} in the weights;
     # integral of exp(-c z^2) z^2 dz = sqrt(pi/c)/(2c)
+    c = 1.7
+    rule, = _trapezoid_rules([c])
+    assert np.array_equal(rule.nodes, -rule.nodes[::-1])
     assert integrate(rule, lambda z: z * z) == pytest.approx(
-        math.sqrt(math.pi / c) / (2 * c), rel=1e-13)
+        math.sqrt(math.pi / c) / (2 * c), rel=1e-14)
+
+
+@pytest.mark.parametrize("s, w, a", [(0.2, 0.0, 1.0), (1.0, 0.0, 1.0), (2.7, 8.2, 1.0),
+                                     (0.9, 2.6, math.inf), (0.5, 0.0, 0.3)])
+@pytest.mark.parametrize("n", [8, 32, 101])
+def test_balanced_step_equates_truncation_and_discretization(s, w, a, n):
+    # the closed-form step makes the truncation exponent s (h (n + 1)/2)^2
+    # equal the smaller of the aliasing and strip exponents
+    h = quadrature._balanced_step(s, w, a, n)
+    alias = (2.0 * math.pi / h - w) ** 2 / (4.0 * s)
+    strip = 2.0 * math.pi * a / h - s * a * a - w * a
+    assert s * (h * (n + 1) / 2.0) ** 2 == pytest.approx(min(alias, strip), rel=1e-12)
 
 
 def test_fredholm_zero_kernel_is_exactly_one():
@@ -216,7 +209,7 @@ def test_tensor_constant_on_square():
 
 
 def test_tensor_separable_gaussian():
-    rules = [gauss_hermite(20)] * 2
+    rules = _trapezoid_rules([1.0, 1.0])
     val = tensor_integrate(_ones, rules)
     assert val == pytest.approx(math.pi, rel=1e-14)
     trunc = [legendre_on(-8.0, 8.0, 60)] * 2
@@ -314,7 +307,7 @@ def test_tensor_blocks_match_full_grid(blocks, f):
     r = legendre_on(0.0, 1.5, 11)
     rules = []
     for b, m in enumerate(blocks):
-        rules += [r if b % 2 == 0 else gauss_hermite(9)] * m
+        rules += [r if b % 2 == 0 else legendre_on(-2.0, 0.5, 9)] * m
     assert sorted(f(*(q.nodes for q in rules))[1]) == _block_pairs(blocks)
     full = pointwise_sum(f, rules)
     assert abs(full.imag) == 0.0
@@ -396,9 +389,19 @@ def test_tensor_rejects_complex_integrand():
         math.sin(1.0), rel=1e-14)
 
 
+def test_tensor_refuses_a_total_lost_to_cancellation():
+    # eps sum |w f| above 1e-3 of |sum w f| raises: here the two nodes
+    # cancel to 1e-14 of their magnitude, so the roundoff bound is ~4e-2 of it
+    rule = legendre_on(-1.0, 1.0, 2)           # weights 1, 1
+    lost = lambda x: ([np.array([1.0, -1.0 + 1e-14])], {})
+    with pytest.raises(NumericalConsistencyError, match="lost to cancellation"):
+        tensor_integrate(lost, [rule])
+    kept = lambda x: ([np.array([1.0, -1.0 + 1e-11])], {})
+    assert tensor_integrate(kept, [rule]) == pytest.approx(1e-11, rel=1e-4)
+
+
 def test_tensor_blocks_deterministic():
-    rules = [scaled_gauss_hermite(0.7, 40), scaled_gauss_hermite(1.1, 40),
-             scaled_gauss_hermite(0.9, 40)]
+    rules = _trapezoid_rules([0.7, 1.1, 0.9], 40)
     d = lambda s, t: 1.0 / (1.0 + 1j * np.subtract.outer(s, t))
     for blocks in ([3], [2, 1]):
         def f(*xs):
@@ -440,11 +443,3 @@ def test_tensor_blocks_validation():
             tensor_integrate(lambda *xs: factors, [a, b])
     assert tensor_integrate(lambda *xs: (ones, {(0, 1): np.ones((5, 4))}), [a, b]) == (
         pytest.approx(2.0))
-
-
-def test_hermite_axis_count_floor_and_cap():
-    # no pole (d_min = inf) gives the floor; a near pole is capped per dimension
-    assert hermite_axis_count(math.inf, 1) == 48
-    assert hermite_axis_count(math.inf, 1, extra_floor=80) == 80
-    assert hermite_axis_count(0.465, 3) == 256
-    assert hermite_axis_count(0.465, 4) == 56
