@@ -181,10 +181,11 @@ def test_errors_owns_the_exception_taxonomy_and_raises_every_class():
     assert taxonomy and sorted(taxonomy - raised) == []
 
 
-def test_only_quadrature_knows_the_trapezoid_node_model():
-    # quadrature.gaussian_cauchy_factors builds the trapezoid rules, their
-    # steps and counts, and the Cauchy factors for laplace_R and the KPZ
-    # partition terms alike: a module that reads these names keeps a second copy
+def test_only_quadrature_knows_the_hermite_node_model():
+    # the node model of the Hermite-weight axes e^{-s x^2}: quadrature.
+    # gaussian_cauchy_factors builds their trapezoid rules, steps and counts,
+    # and the Cauchy factors for laplace_R and the KPZ partition terms alike:
+    # a module that reads these names keeps a second copy
     owned = {"_default_axis", "_balanced_step", "_LOG_TOL", "_AXIS_CAP_4D"}
     users = []
     for path in sorted(SRC.glob("*.py")):

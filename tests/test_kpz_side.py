@@ -313,7 +313,9 @@ def _term_counts(counts, k, T, nodes_per_axis=None):
     return dict(zip(partitions(k), counts))
 
 
-def test_trapezoid_counts_of_the_readme_grid_and_the_bench_k4_terms(monkeypatch):
+def test_hermite_orders_of_the_readme_grid_and_the_bench_k4_terms(monkeypatch):
+    # the orders (node counts) of the Hermite-weight axes e^{-s x^2}, each
+    # now a trapezoid rule
     counts = _record_counts(monkeypatch)
     # verify-theorem2 --C 0.6,1.0,1.4 --k-max 3: each axis's count follows
     # its Gaussian scale, its phase and its nearest pole, min(lambda_i, lambda_j)
