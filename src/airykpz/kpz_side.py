@@ -40,19 +40,15 @@ def partitions(k: int) -> list[tuple[int, ...]]:
     """All partitions of k, each a tuple of nonincreasing positive parts,
     descending lexicographic."""
     check_order("partitions", k, MAX_PARTITION_WEIGHT)
-    out: list[tuple[int, ...]] = []
 
-    def rec(remaining: int, largest: int, prefix: list[int]):
+    def rec(remaining: int, largest: int):
         if remaining == 0:
-            out.append(tuple(prefix))
-            return
+            yield ()
         for p in range(min(remaining, largest), 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p, prefix)
-            prefix.pop()
+            for rest in rec(remaining - p, p):
+                yield (p, *rest)
 
-    rec(k, k, [])
-    return out
+    return list(rec(k, k))
 
 
 def symmetry_factor(parts: tuple[int, ...]) -> int:
@@ -73,7 +69,8 @@ def _partition_term(parts: tuple[int, ...], T: float, nodes_per_axis: int | None
     Gaussian-Cauchy integral of :func:`gaussian_cauchy_factors` with
     s = T lambda/2, alpha = 0, beta = lambda, w = T lambda(lambda-1)/2.
     A part that is not positive makes some sigma_ij = lambda_j <= 0, which
-    that routine refuses with DomainError.
+    that routine refuses with DomainError.  A tensor sum the driver refuses
+    raises its NumericalConsistencyError with the partition and T in front.
     """
     lamv = np.asarray(parts, dtype=float)
     log_const = float(np.sum((T / 2.0) * lamv * (lamv - 1) * (2 * lamv - 1) / 6.0))
@@ -83,7 +80,11 @@ def _partition_term(parts: tuple[int, ...], T: float, nodes_per_axis: int | None
         [T * p * (p - 1) / 2.0 for p in parts], nodes_per_axis)
     # t -> -t conjugates the integrand and the trapezoid nodes are symmetric,
     # so the sum is real; the tensor driver returns its real part
-    return tensor_integrate(integrand, rules) * const / (2.0 * math.pi) ** len(parts)
+    try:
+        total = tensor_integrate(integrand, rules)
+    except NumericalConsistencyError as exc:
+        raise NumericalConsistencyError(f"partition {parts} at T = {T}: {exc}") from exc
+    return total * const / (2.0 * math.pi) ** len(parts)
 
 
 def kpz_moment(k: int, T: float, nodes_per_axis: int | None = None) -> float:

@@ -95,13 +95,9 @@ def composite_legendre(a: float, b: float, n_panels: int, n_per_panel: int) -> Q
         raise ConfigurationError("need at least one panel")
     edges = np.linspace(a, b, n_panels + 1)
     base = gauss_legendre(n_per_panel)
-    nodes = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo + half * (base.nodes + 1.0))
-        weights.append(half * base.weights)
-    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return QuadratureRule((edges[:-1, None] + half[:, None] * (base.nodes + 1.0)).ravel(),
+                          (half[:, None] * base.weights).ravel())
 
 
 # The trapezoidal rule h sum_k g(hk) for a g analytic in the strip
@@ -293,17 +289,16 @@ def tensor_integrate(f, rules) -> float:
     grid, which the contraction covers.
 
     The factors may be complex.  The result is the real part of the total:
-    each caller integrates an analytically real quantity.  When every
-    table's imaginary part is exactly zero, the real parts are contracted
-    in real arithmetic.  The same contraction of the absolute factors
-    gives sum |w f|; when every table is real and non-negative, that sum
-    is the total itself and is not contracted again.  An imaginary part
-    above 1e-12 of sum |w f|, or a non-finite sum, raises
-    :class:`NumericalConsistencyError`; so does a total lost to
-    cancellation, one whose roundoff bound eps sum |w f| exceeds 1e-3 of
-    it, the loosest tolerance a moment is checked to (k = 4 in
-    ``verify-theorem2``).  The reduction order is fixed, so
-    the result is deterministic and independent of the BLAS thread count.
+    each caller integrates an analytically real quantity.  The tables'
+    dtypes pick the arithmetic: real when no table is complex-typed.  The
+    same contraction of the absolute factors gives sum |w f|; when every
+    table is real and non-negative, that sum is the total itself and is
+    not contracted again.  An imaginary part above 1e-12 of sum |w f|, or
+    a non-finite sum, raises :class:`NumericalConsistencyError`; so does a
+    total lost to cancellation, one whose roundoff bound eps sum |w f|
+    exceeds 1e-3 of it, the loosest tolerance a moment is checked to
+    (k = 4 in ``verify-theorem2``).  The reduction order is fixed, so the
+    result is deterministic and independent of the BLAS thread count.
     """
     rules = list(rules)
     n = len(rules)
@@ -327,11 +322,7 @@ def tensor_integrate(f, rules) -> float:
     u = [np.asarray(v) * r.weights for v, r in zip(axis, rules)]
     full = {(i, j): np.asarray(pairs[i, j]) if (i, j) in pairs else np.ones((sizes[i], sizes[j]))
             for i in range(n) for j in range(i + 1, n)}
-    real = not any(np.iscomplexobj(t) and np.any(t.imag) for t in [*u, *full.values()])
-    if real:
-        # copied: einsum runs ~2.5x slower on the strided view .real gives
-        u = [np.ascontiguousarray(v.real) for v in u]
-        full = {k: np.ascontiguousarray(t.real) for k, t in full.items()}
+    real = not any(np.iscomplexobj(t) for t in [*u, *full.values()])
     val = complex(_contract(u, full))
     if real and all(np.all(t >= 0) for t in [*u, *full.values()]):
         mag = val.real      # every w f is >= 0, so sum |w f| is the sum itself

@@ -222,7 +222,8 @@ def test_moment_lost_to_cancellation_is_an_error_row():
     # so the tensor driver refuses it and the row must be an error, not a value
     rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[2.5], k_max=3))
     assert [r.status for r in rows[:2]] == ["ok", "ok"]
-    assert rows[2].status.startswith("error: NumericalConsistencyError")
+    assert rows[2].status.startswith("error: NumericalConsistencyError: "
+                                     "partition (3,) at T = 31.25: tensor sum ")
     assert not rows[2].passed
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -376,7 +377,7 @@ def test_partition_term_matches_laplace_R(C):
     for k in (1, 2, 3):
         for lam in partitions(k):
             assert _partition_term(lam, T) * math.exp(k * T / 24.0) == pytest.approx(
-                laplace_R([C * p for p in lam]), rel=1e-9)
+                laplace_R([C * p for p in lam]), rel=1e-12)
 
 
 @pytest.mark.parametrize("k, T", [(2, 128.0), (3, 54.0)])
@@ -384,8 +385,10 @@ def test_positive_kpz_moments_lost_to_cancellation_raise(k, T):
     # C = 4, k = 2 and C = 3, k = 3: the single-part term's roundoff bound
     # eps sum |w f| is 1.8e-2 and 1.3 of it.  These sums came out positive
     # and wrong (2.45e-2 off, and 2.6e44 against 2.5e24), so only the
-    # tensor driver's cancellation gate refuses them
-    with pytest.raises(NumericalConsistencyError, match="lost to cancellation"):
+    # tensor driver's cancellation gate refuses them, naming the term
+    with pytest.raises(NumericalConsistencyError,
+                       match=re.escape(f"partition ({k},) at T = {T}: tensor sum ")
+                       + ".* lost to cancellation"):
         kpz_moment(k, T)
 
 

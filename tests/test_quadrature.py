@@ -330,43 +330,65 @@ def _spy_contract(monkeypatch, n_axes):
     return calls
 
 
-def _nonnegative_complex_factors(sizes):
-    """Random factors >= 0 of complex dtype: every imaginary part is 0."""
+def _nonnegative_real_factors(sizes):
+    """Random float64 factors >= 0."""
     rng = np.random.default_rng(10 + len(sizes))
-    axis = [rng.random(n) + 0j for n in sizes]
-    pairs = {(i, j): rng.random((sizes[i], sizes[j])) + 0j
+    axis = [rng.random(n) for n in sizes]
+    pairs = {(i, j): rng.random((sizes[i], sizes[j]))
              for i in range(len(sizes)) for j in range(i + 1, len(sizes))}
     rules = [legendre_on(0.0, 1.0 + i, n) for i, n in enumerate(sizes)]
     return axis, pairs, rules
 
 
-@pytest.mark.parametrize("sizes", [(7,), (5, 8), (4, 6, 5), (3, 5, 4, 6)],
-                         ids=["l1", "l2", "l3", "l4"])
+_SIZES = pytest.mark.parametrize("sizes", [(7,), (5, 8), (4, 6, 5), (3, 5, 4, 6)],
+                                 ids=["l1", "l2", "l3", "l4"])
+
+
+@_SIZES
 def test_tensor_real_tables_contracted_in_real_arithmetic(sizes, monkeypatch):
-    # complex tables whose imaginary parts are exactly 0 reach the
-    # contraction as floats; being >= 0 they need no sum |w f| contraction
-    axis, pairs, rules = _nonnegative_complex_factors(sizes)
+    # float64 tables are contracted as floats; being >= 0 they need no
+    # sum |w f| contraction
+    axis, pairs, rules = _nonnegative_real_factors(sizes)
     ref = quadrature._contract([a * r.weights for a, r in zip(axis, rules)], pairs)
     calls = _spy_contract(monkeypatch, len(sizes))
     val = tensor_integrate(lambda *xs: (axis, pairs), rules)
     assert len(calls) == 1
     assert all(dtype == np.float64 for dtype in calls[0][0])
-    assert abs(val - ref.real) <= 1e-15 * abs(ref)
+    assert abs(val - ref) <= 1e-15 * abs(ref)
+
+
+@_SIZES
+def test_tensor_complex_typed_tables_take_complex_path(sizes, monkeypatch):
+    # the dtypes pick the arithmetic: complex tables whose imaginary parts
+    # are all 0 are contracted as complex, twice (the total and sum |w f|),
+    # and give the real path's total
+    axis, pairs, rules = _nonnegative_real_factors(sizes)
+    real = tensor_integrate(lambda *xs: (axis, pairs), rules)
+    axis = [a + 0j for a in axis]
+    pairs = {k: t + 0j for k, t in pairs.items()}
+    calls = _spy_contract(monkeypatch, len(sizes))
+    val = tensor_integrate(lambda *xs: (axis, pairs), rules)
+    assert len(calls) == 2
+    assert all(dtype == np.complex128 for dtype in calls[0][0])
+    assert abs(val - real) <= 1e-15 * abs(real)
 
 
 def test_tensor_one_imaginary_entry_keeps_complex_path(monkeypatch):
-    axis, pairs, rules = _nonnegative_complex_factors((4, 6, 5))
+    # one complex table, with one imaginary entry: it reaches the
+    # contraction as complex, beside the float ones, and the total is not real
+    axis, pairs, rules = _nonnegative_real_factors((4, 6, 5))
+    pairs[0, 2] = pairs[0, 2] + 0j
     pairs[0, 2][1, 3] += 1j
     calls = _spy_contract(monkeypatch, 3)
     with pytest.raises(NumericalConsistencyError, match="is not finite and real"):
         tensor_integrate(lambda *xs: (axis, pairs), rules)
     assert len(calls) == 2
-    assert all(dtype == np.complex128 for dtype in calls[0][0])
+    assert [dtype.kind for dtype in calls[0][0]] == ["f", "f", "f", "f", "c", "f"]
 
 
 def test_tensor_negative_real_entry_gets_its_own_magnitude(monkeypatch):
     # one negative entry: sum |w f| is contracted separately and exceeds |sum w f|
-    axis, pairs, rules = _nonnegative_complex_factors((4, 6, 5))
+    axis, pairs, rules = _nonnegative_real_factors((4, 6, 5))
     pairs[0, 1][2, 3] = -5.0
     calls = _spy_contract(monkeypatch, 3)
     val = tensor_integrate(lambda *xs: (axis, pairs), rules)
