@@ -24,8 +24,8 @@ from .errors import (ConfigurationError, DomainError, NumericalConsistencyError,
                      check_order, check_positive, check_probability, checked_exp)
 from .params import ModelParams
 from .quadrature import (QuadratureRule, composite_legendre, fredholm_det_matrix,
-                         gauss_legendre, gaussian_cauchy_factors, gram, legendre_on,
-                         tensor_integrate)
+                         gaussian_cauchy_factors, gram, legendre_on, tensor_integrate,
+                         trapezoid_axis)
 from .specfun import SUPPORTED_RANGE, airy_both, logistic
 
 __all__ = [
@@ -59,25 +59,31 @@ def symmetry_factor(parts: tuple[int, ...]) -> int:
 # ----------------------------------------------------------------------
 # moments via the partition expansion
 
+_CONTOUR_SHIFT = 0.9    # theta; at 1 each term would be laplace_R's own discrete sum
+
+
 def _partition_term(parts: tuple[int, ...], T: float, nodes_per_axis: int | None = None) -> float:
     """(2 pi)^{-l} times the contour integral of the partition with these
-    parts, w_j = i t_j.
+    parts, on w_j = -sigma_j + i t_j: each contour moved from the imaginary
+    axis toward its Gaussian's saddle, sigma_j = theta (lambda_j - 1)/2,
+    theta = _CONTOUR_SHIFT, crossing no pole (Borodin & Corwin, §6).
 
-    det[1/(w_j + lambda_j - w_i)] is then the Cauchy determinant of
-    a_i = -i t_i, b_j = lambda_j + i t_j, and the Bose-gas exponent of part
-    p is -(T p/2) t^2 + i (T p(p-1)/2) t plus a constant: the
-    Gaussian-Cauchy integral of :func:`gaussian_cauchy_factors` with
-    s = T lambda/2, alpha = 0, beta = lambda, w = T lambda(lambda-1)/2.
-    A part that is not positive makes some sigma_ij = lambda_j <= 0, which
-    that routine refuses with DomainError.  A tensor sum the driver refuses
-    raises its NumericalConsistencyError with the partition and T in front.
+    The Bose-gas exponent of part p is then -(T p/2) t^2 plus
+    i (1 - theta)(T p(p-1)/2) t plus a constant: the Gaussian-Cauchy
+    integral of :func:`gaussian_cauchy_factors` with s = T lambda/2,
+    alpha = sigma, beta = lambda - sigma and a phase, hence cancellation,
+    cut by 1 - theta.  A part that is not positive makes sigma_jj =
+    lambda_j <= 0: DomainError.  A refused tensor sum raises with the
+    partition and T in front.
     """
     lamv = np.asarray(parts, dtype=float)
-    log_const = float(np.sum((T / 2.0) * lamv * (lamv - 1) * (2 * lamv - 1) / 6.0))
+    sigma = _CONTOUR_SHIFT * (lamv - 1) / 2.0
+    log_const = float(np.sum((T / 2.0) * (lamv * (lamv - 1) * (2 * lamv - 1) / 6.0
+                                          + lamv * sigma ** 2 - lamv * (lamv - 1) * sigma)))
     const = checked_exp(f"partition {parts} at T = {T}: its prefactor", log_const)
     rules, integrand = gaussian_cauchy_factors(
-        [T * p / 2.0 for p in parts], [0.0] * len(parts), parts,
-        [T * p * (p - 1) / 2.0 for p in parts], nodes_per_axis)
+        T * lamv / 2.0, sigma, lamv - sigma,
+        (1.0 - _CONTOUR_SHIFT) * T * lamv * (lamv - 1) / 2.0, nodes_per_axis)
     # t -> -t conjugates the integrand and the trapezoid nodes are symmetric,
     # so the sum is real; the tensor driver returns its real part
     try:
@@ -108,70 +114,61 @@ def kpz_moment(k: int, T: float, nodes_per_axis: int | None = None) -> float:
 # ----------------------------------------------------------------------
 # nested-contour oracle
 
+# log of the default nested peak, from a sweep of k = 2, 3, 0.43 <= T <= 128:
+# each cell with g above its floor meets kpz_moment within 9e-14 (16: 5e-13)
+_NESTED_PEAK = 12.0
+
+
 def kpz_moment_nested(k: int, T: float, offsets=None,
                       nodes_per_axis: int | None = None) -> float:
     """exp(kT/24) E[Z(T,0)^k / k!] by direct quadrature of the
     nested-contour formula (no residue expansion); k <= 3.
 
-    The contours are the vertical lines Re z_j = offsets[j], truncated at
-    |Im z| <= offsets[0] + 8/sqrt(T).  There must be exactly k offsets,
-    each more than 1 below its predecessor, so the interaction poles
-    z_A - z_B = 1 stay strictly off-contour; by default the smallest is
-    0.5 and the spacing 1.5, which keeps exp((T/2) a^2) moderate and the
-    oscillatory cancellation within double precision.
-
-    The result must be independent of admissible contour offsets; the
-    outermost 10% band of the first axis is monitored and a visible
-    contribution there, or a value lost to cancellation (not positive),
-    raises NumericalConsistencyError.
+    The contours Re z_j = offsets[j], exactly k, each lie more than 1 below
+    the last, off the poles z_A - z_B = 1.  By default they are centred on
+    the saddle, a_j = g((k - 1)/2 - j), g the largest spacing <= 2 with
+    (T/2) sum a_j^2 <= _NESTED_PEAK, but at least 1.25.  On a_j + i t_j,
+    e^{(T/2) z_j^2} is the checked prefactor e^{(T/2) a_j^2} times
+    e^{-T t_j^2/2 + i T a_j t_j}: the :func:`trapezoid_axis` of s = T/2,
+    w = T a_j, strip a_A - a_B - 1 (the nearest neighbour's pole of
+    (z_A - z_B)/(z_A - z_B - 1)), with kpz_moment's ``nodes_per_axis``.
     """
     check_order("kpz_moment_nested", k, k_max=3)
     if not T > 0:
         raise DomainError("kpz_moment_nested requires T > 0")
-    norm = checked_exp(f"kpz_moment_nested({k}, {T}): its normalization", k * T / 24.0)
+    name = f"kpz_moment_nested({k}, {T})"
+    norm = checked_exp(f"{name}: its normalization", k * T / 24.0)
     if offsets is None:
-        offsets = [0.5 + 1.5 * (k - j) for j in range(1, k + 1)]
+        spread = sum(((k - 1) / 2.0 - j) ** 2 for j in range(k))
+        g = max(1.25, min(2.0, math.sqrt(2.0 * _NESTED_PEAK / (T * spread)))) if k > 1 else 0.0
+        offsets = [g * ((k - 1) / 2.0 - j) for j in range(k)]
     a = np.asarray(offsets, dtype=float)
     if a.shape != (k,):
         raise ConfigurationError(f"need exactly {k} contour offsets")
-    if np.any(a[:-1] - a[1:] <= 1.0):
+    gaps = a[:-1] - a[1:] - 1.0
+    if np.any(gaps <= 0.0):
         raise ConfigurationError("contour offsets must decrease by more than 1 between neighbours")
-    if nodes_per_axis is None:
-        nodes_per_axis = {1: 96, 2: 128, 3: 128}[k]
-    # |exp((T/2) z^2)| on z = a + it peaks at exp((T/2) a^2), taken out here, so
-    # each factor exp((T/2)(z^2 - a^2)) = exp((T/2) it(2a + it)) has modulus <= 1
-    pref = checked_exp(f"kpz_moment_nested({k}, {T}): its contour prefactor",
+    pref = checked_exp(f"{name}: its contour prefactor",
                        (T / 2.0) * float(np.sum(a ** 2))) / (2.0 * math.pi) ** k
-    hw = a[0] + 8.0 / math.sqrt(T)
-    base = gauss_legendre(nodes_per_axis)
-    axis = QuadratureRule(hw * base.nodes, hw * base.weights)
-    band = np.abs(axis.nodes) > 0.9 * hw
-    core_rule = QuadratureRule(axis.nodes[~band], axis.weights[~band])
+    strips = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    rules = [trapezoid_axis(T / 2.0, T * aj, strip, k, nodes_per_axis)
+             for aj, strip in zip(a, strips)]
 
     def f(*ts):
-        zs = [a[j] + 1j * t for j, t in enumerate(ts)]
         pairs = {}
         for A in range(k):
             for B in range(A + 1, k):
-                d = np.subtract.outer(zs[A], zs[B])
+                d = a[A] - a[B] + 1j * np.subtract.outer(ts[A], ts[B])
                 pairs[A, B] = d / (d - 1.0)
-        return [np.exp((T / 2.0) * 1j * t * (2.0 * aj + 1j * t)) for aj, t in zip(a, ts)], pairs
+        return [np.exp(1j * T * aj * t) for aj, t in zip(a, ts)], pairs
 
-    # t -> -t conjugates the integrand and the Legendre nodes are symmetric,
-    # so the sum is real; the tensor driver returns its real part.  The
-    # first axis splits into its core and its outer band |t| > 0.9 hw; the
-    # band's share is the truncation estimate
-    edge = 0.0
-    if band.any():
-        band_rule = QuadratureRule(axis.nodes[band], axis.weights[band])
-        edge = tensor_integrate(f, [band_rule] + [axis] * (k - 1))
-    total = (tensor_integrate(f, [core_rule] + [axis] * (k - 1)) + edge) * pref
-    edge = edge * pref
-    if abs(edge) > 1e-8 * (abs(total) + 1e-300):
-        raise NumericalConsistencyError(
-            f"nested contour integral is truncation-sensitive: outer band "
-            f"contributes {abs(edge):.3e} of {abs(total):.3e}")
-    return check_positive(f"kpz_moment_nested({k}, {T})", norm * total / math.factorial(k))
+    # t -> -t conjugates the integrand and the trapezoid nodes are symmetric,
+    # so the sum is real; the tensor driver returns its real part
+    try:
+        total = tensor_integrate(f, rules) * pref
+    except NumericalConsistencyError as exc:
+        raise NumericalConsistencyError(f"{name}: {exc}") from exc
+    return check_positive(name, norm * total / math.factorial(k))
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .errors import ConfigurationError, DomainError, NumericalConsistencyError, 
 __all__ = [
     "QuadratureRule",
     "gauss_legendre", "legendre_on", "composite_legendre",
-    "gaussian_cauchy_factors", "fredholm_det_matrix", "gram", "tensor_integrate",
+    "trapezoid_axis", "gaussian_cauchy_factors", "fredholm_det_matrix", "gram", "tensor_integrate",
 ]
 
 MAX_LEGENDRE = 512
@@ -116,18 +116,6 @@ _LOG_TOL = math.log(1e16)
 _AXIS_CAP_4D = 56
 
 
-def _default_axis(s: float, w: float, a: float) -> tuple[int, float]:
-    """Node count and step of the default trapezoid rule on an axis with
-    Gaussian scale s, frequency |w| and strip half-width a (inf: no pole)."""
-    kappa = w * w / (4.0 * s)
-    h = 2.0 * math.pi / (w + math.sqrt(w * w + 4.0 * s * _LOG_TOL))
-    if a < math.inf:
-        h = min(h, 2.0 * math.pi * a / (_LOG_TOL + kappa + s * a * a + w * a))
-    # four more than the target: a margin for the prefactor of the cut tail
-    half_width = math.sqrt((_LOG_TOL + kappa + 4.0) / s)
-    return 2 * math.ceil(half_width / h) + 1, h
-
-
 def _balanced_step(s: float, w: float, a: float, n: int) -> float:
     """Step at which n nodes balance the truncation exponent s (hm)^2, with
     hm = h (n + 1)/2 the first node left out, against the smaller of the
@@ -141,6 +129,36 @@ def _balanced_step(s: float, w: float, a: float, n: int) -> float:
         h = min(h, 2.0 * math.sqrt(p / 3.0)
                 * math.sinh(math.asinh(1.5 * q / p * math.sqrt(3.0 / p)) / 3.0))
     return h
+
+
+def trapezoid_axis(s: float, w: float, a: float, dims: int,
+                   nodes_per_axis: int | None = None) -> QuadratureRule:
+    """Trapezoid rule h (k - (n - 1)/2), k < n, with e^{-s x^2} in its
+    weights, for an axis of a ``dims``-dimensional integrand e^{-s x^2 + i w x}
+    g(x), g analytic in the strip |Im x| < a (a = inf: no pole).  By default
+    the aliasing, strip and truncation errors are held to e^{-(L + kappa)},
+    L = ln 1e16, kappa = w^2/(4 s), and a 4-d axis is capped at 56 nodes at
+    the :func:`_balanced_step`.  An explicit ``nodes_per_axis`` n, an integer
+    >= 1, gives n nodes at the balanced step; a cheap 1-d integral takes at
+    least its default count.
+    """
+    if nodes_per_axis is not None and not (is_integer(nodes_per_axis) and nodes_per_axis >= 1):
+        raise ConfigurationError(f"nodes_per_axis must be an integer >= 1, got {nodes_per_axis!r}")
+    w = abs(w)
+    kappa = w * w / (4.0 * s)
+    h = 2.0 * math.pi / (w + math.sqrt(w * w + 4.0 * s * _LOG_TOL))
+    if a < math.inf:
+        h = min(h, 2.0 * math.pi * a / (_LOG_TOL + kappa + s * a * a + w * a))
+    # four more than the target: a margin for the prefactor of the cut tail
+    n = 2 * math.ceil(math.sqrt((_LOG_TOL + kappa + 4.0) / s) / h) + 1
+    if nodes_per_axis is None:
+        want = min(n, _AXIS_CAP_4D) if dims == 4 else n
+    else:
+        want = max(nodes_per_axis, n) if dims == 1 else nodes_per_axis
+    if want != n:
+        n, h = want, _balanced_step(s, w, a, want)
+    x = h * (np.arange(n) - (n - 1) / 2.0)
+    return QuadratureRule(x, h * np.exp(-s * x * x))
 
 
 def gaussian_cauchy_factors(scales, alpha, beta, freqs, nodes_per_axis: int | None = None):
@@ -162,16 +180,9 @@ def gaussian_cauchy_factors(scales, alpha, beta, freqs, nodes_per_axis: int | No
     e = 0.  Pair (i, j) has its nearest pole at |Im d| =
     a_ij = (sqrt(e^2 + 4 sigma_ij sigma_ji) - |e|)/2, so axis i is analytic
     in the strip of half-width a_i = min over j != i of a_ij (no pole when
-    l = 1).  Each axis takes the trapezoidal rule on the symmetric nodes
-    h_i (k - (n_i - 1)/2), k < n_i, with e^{-s_i x_i^2} in its weights.
-    By default its step and count hold the aliasing, strip and truncation
-    errors to e^{-(L + kappa_i)}, L = ln 1e16, kappa_i = w_i^2/(4 s_i); in
-    four dimensions an axis is capped at 56 nodes, at the balanced step of
-    :func:`_balanced_step`.  An explicit ``nodes_per_axis`` n, an integer
-    >= 1, gives every axis of a tensor grid exactly n nodes at the balanced
-    step; a 1-d integral is cheap and takes at least its default count.  A
-    grid of more than TENSOR_NODE_BUDGET nodes raises in
-    :func:`tensor_integrate`.
+    l = 1), and takes the rule of :func:`trapezoid_axis` for (s_i, w_i, a_i)
+    and ``nodes_per_axis``.  A grid of more than TENSOR_NODE_BUDGET nodes
+    raises in :func:`tensor_integrate`.
     """
     ell = len(scales)
     sigma = np.add.outer(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
@@ -179,23 +190,12 @@ def gaussian_cauchy_factors(scales, alpha, beta, freqs, nodes_per_axis: int | No
         i, j = np.argwhere(~(sigma > 0))[0]
         raise DomainError(f"alpha[{i}] + beta[{j}] = {float(sigma[i, j])!r} must be positive "
                           f"(pair ({i}, {j}) of the Cauchy determinant)")
-    if nodes_per_axis is not None and not (is_integer(nodes_per_axis) and nodes_per_axis >= 1):
-        raise ConfigurationError(f"nodes_per_axis must be an integer >= 1, got {nodes_per_axis!r}")
     e = np.abs(sigma - sigma.T)         # e_ij = sigma_ij - sigma_ji = da - db
     # a_ij, written without the cancellation of sqrt(e^2 + 4 sigma_ij sigma_ji) - e
     pole = 2.0 * sigma * sigma.T / (np.sqrt(e * e + 4.0 * sigma * sigma.T) + e)
     np.fill_diagonal(pole, np.inf)
-    rules = []
-    for s, w, a in zip(scales, np.abs(freqs), pole.min(axis=1)):
-        n, h = _default_axis(s, w, a)
-        if nodes_per_axis is None:
-            want = min(n, _AXIS_CAP_4D) if ell == 4 else n
-        else:
-            want = max(nodes_per_axis, n) if ell == 1 else nodes_per_axis
-        if want != n:
-            n, h = want, _balanced_step(s, w, a, want)
-        x = h * (np.arange(n) - (n - 1) / 2.0)
-        rules.append(QuadratureRule(x, h * np.exp(-s * x * x)))
+    rules = [trapezoid_axis(s, w, a, ell, nodes_per_axis)
+             for s, w, a in zip(scales, freqs, pole.min(axis=1))]
 
     def integrand(*xs):
         inv = 1.0 / np.diag(sigma)

@@ -103,14 +103,14 @@ def test_criterion_4_nested_contour_oracle():
     vals1 = []
     for a1 in (0.5, 1.0, 2.0):
         vals1.append(kpz_moment_nested(1, 2.0, (a1,)))
-    spread = max(vals1) - min(vals1)
+    spread = (max(vals1) - min(vals1)) / closed
     rel2 = abs(kpz_moment_nested(2, 2.0) - kpz_moment(2, 2.0)) / kpz_moment(2, 2.0)
     rel3 = abs(kpz_moment_nested(3, 2.0) - kpz_moment(3, 2.0)) / kpz_moment(3, 2.0)
-    ok = spread < 1e-9 and all(abs(v - closed) < 1e-8 * closed for v in vals1) \
-        and rel2 < 1e-5 and rel3 < 1e-4
+    ok = spread < 1e-12 and all(abs(v - closed) < 1e-12 * closed for v in vals1) \
+        and rel2 < 1e-12 and rel3 < 1e-12
     _report("criterion 4 (nested vs expanded contours)", ok,
-            f"k=1 offset spread {spread:.2e} < 1e-9; k=2 rel {rel2:.2e} < 1e-5; "
-            f"k=3 rel {rel3:.2e} < 1e-4")
+            f"k=1 relative offset spread {spread:.2e} < 1e-12; k=2 rel {rel2:.2e} < 1e-12; "
+            f"k=3 rel {rel3:.2e} < 1e-12")
 
 
 def test_criterion_5_tracy_widom_limit():
@@ -273,8 +273,8 @@ def _check_node_doubling():
     v = tracy_widom_f2(-2.0, default_f2_grid(-2.0, 80))
     checks.append(abs(tracy_widom_f2(-2.0, default_f2_grid(-2.0, 160)) - v) < 1e-9)
     v = kpz_moment_nested(2, 2.0, nodes_per_axis=128)
-    # nested contours advertise 1e-5; the doubling residue sits near 1e-8
-    checks.append(abs(kpz_moment_nested(2, 2.0, nodes_per_axis=256) - v) < 1e-6)
+    # the doubling residue of the nested contours sits near 4e-16
+    checks.append(abs(kpz_moment_nested(2, 2.0, nodes_per_axis=256) - v) < 1e-12)
     return checks, all(checks)
 
 

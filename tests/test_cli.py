@@ -216,10 +216,13 @@ def test_per_row_error_capture():
     assert parsed[0]["lhs_value"] is None
 
 
-def test_moment_lost_to_cancellation_is_an_error_row():
-    # at C = 2.5 the k = 3 KPZ sum is lost to cancellation: the single-part
-    # (3,) term's roundoff bound eps sum |w f| is ~4 times the term itself,
-    # so the tensor driver refuses it and the row must be an error, not a value
+def test_moment_lost_to_cancellation_is_an_error_row(monkeypatch):
+    # on the unshifted contours (theta = 0) the k = 3 KPZ sum at C = 2.5 is
+    # lost to cancellation: the single-part (3,) term's roundoff bound
+    # eps sum |w f| is ~4 times the term itself, so the tensor driver
+    # refuses it and the row must be an error, not a value
+    from airykpz import kpz_side
+    monkeypatch.setattr(kpz_side, "_CONTOUR_SHIFT", 0.0)
     rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[2.5], k_max=3))
     assert [r.status for r in rows[:2]] == ["ok", "ok"]
     assert rows[2].status.startswith("error: NumericalConsistencyError: "

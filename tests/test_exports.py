@@ -181,12 +181,13 @@ def test_errors_owns_the_exception_taxonomy_and_raises_every_class():
     assert taxonomy and sorted(taxonomy - raised) == []
 
 
-def test_only_quadrature_knows_the_hermite_node_model():
+def test_only_quadrature_knows_the_hermite_node_model(monkeypatch):
     # the node model of the Hermite-weight axes e^{-s x^2}: quadrature.
-    # gaussian_cauchy_factors builds their trapezoid rules, steps and counts,
-    # and the Cauchy factors for laplace_R and the KPZ partition terms alike:
-    # a module that reads these names keeps a second copy
-    owned = {"_default_axis", "_balanced_step", "_LOG_TOL", "_AXIS_CAP_4D"}
+    # trapezoid_axis builds their trapezoid rules, steps and counts, for
+    # laplace_R and the KPZ partition terms (through gaussian_cauchy_factors)
+    # and for the nested contours alike: a module that reads these names
+    # keeps a second copy
+    owned = {"_balanced_step", "_LOG_TOL", "_AXIS_CAP_4D"}
     users = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "quadrature.py":
@@ -196,6 +197,30 @@ def test_only_quadrature_knows_the_hermite_node_model():
             if isinstance(node, (ast.Name, ast.Attribute)) and name in owned:
                 users.append((path.name, node.lineno, name))
     assert users == [], f"trapezoid node model used outside quadrature: {users}"
+    # the nested contours keep no Legendre axis of their own
+    tree = ast.parse((SRC / "kpz_side.py").read_text())
+    assert "gauss_legendre" not in {_name(n) or getattr(n, "name", None) for n in ast.walk(tree)}
+    # and both moment integrals integrate on the shared function's rules only
+    from airykpz import kpz_side, quadrature
+    built, used = [], []
+    shared, integrate = quadrature.trapezoid_axis, kpz_side.tensor_integrate
+
+    def axis(*args):
+        built.append(shared(*args))
+        return built[-1]
+
+    def spy(f, rules):
+        used.extend(rules)
+        return integrate(f, rules)
+
+    monkeypatch.setattr(quadrature, "trapezoid_axis", axis)
+    monkeypatch.setattr(kpz_side, "trapezoid_axis", axis)
+    monkeypatch.setattr(kpz_side, "tensor_integrate", spy)
+    for moment in (kpz_side.kpz_moment, kpz_side.kpz_moment_nested):
+        built.clear()
+        used.clear()
+        moment(3, 2.0)
+        assert used and all(any(r is b for b in built) for r in used), moment.__name__
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

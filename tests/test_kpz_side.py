@@ -73,8 +73,8 @@ def test_partition_invariants():
 
 def test_partition_validation():
     # a part that is not positive is refused by the Gaussian-Cauchy
-    # integral's sigma_ij = lambda_j > 0 check
-    with pytest.raises(DomainError, match=r"pair \(0, 1\)"):
+    # integral's sigma_ij > 0 check, at its diagonal sigma_jj = lambda_j
+    with pytest.raises(DomainError, match=r"pair \(1, 1\)"):
         _partition_term((2, 0), 2.0)
     with pytest.raises(ConfigurationError):
         partitions(0)
@@ -319,25 +319,27 @@ def test_hermite_orders_of_the_readme_grid_and_the_bench_k4_terms(monkeypatch):
     # now a trapezoid rule
     counts = _record_counts(monkeypatch)
     # verify-theorem2 --C 0.6,1.0,1.4 --k-max 3: each axis's count follows
-    # its Gaussian scale, its phase and its nearest pole, min(lambda_i, lambda_j)
-    readme = {0.6: {(1,): [27], (2,): [29], (1, 1): [165] * 2,
-                    (3,): [31], (2, 1): [119, 165], (1, 1, 1): [165] * 3},
-              1.0: {(1,): [27], (2,): [29], (1, 1): [79] * 2,
-                    (3,): [35], (2, 1): [61, 79], (1, 1, 1): [79] * 3},
-              1.4: {(1,): [27], (2,): [33], (1, 1): [51] * 2,
-                    (3,): [45], (2, 1): [45, 51], (1, 1, 1): [51] * 3}}
+    # its Gaussian scale, its phase and its nearest pole; on the shifted
+    # contours a single part's phase is a tenth of its unshifted one, so
+    # its count is the no-phase count 27
+    readme = {0.6: {(1,): [27], (2,): [27], (1, 1): [165] * 2,
+                    (3,): [27], (2, 1): [83, 115], (1, 1, 1): [165] * 3},
+              1.0: {(1,): [27], (2,): [27], (1, 1): [79] * 2,
+                    (3,): [27], (2, 1): [43, 57], (1, 1, 1): [79] * 3},
+              1.4: {(1,): [27], (2,): [27], (1, 1): [51] * 2,
+                    (3,): [27], (2, 1): [31, 39], (1, 1, 1): [51] * 3}}
     for C, expect in readme.items():
         for k in (1, 2, 3):
             assert _term_counts(counts, k, 2.0 * C ** 3) == {
                 lam: expect[lam] for lam in partitions(k)}
-    # k = 4 at 32 nodes: every tensor term takes exactly 32 per axis, the
-    # 1-d (4,) term at least its default count
-    for C, n4 in ((0.6, 33), (1.0, 45), (1.4, 69)):
+    # k = 4 at 32 nodes: every term takes exactly 32 per axis (the 1-d (4,)
+    # term takes at least its default count, 27)
+    for C in (0.6, 1.0, 1.4):
         assert _term_counts(counts, 4, 2.0 * C ** 3, 32) == {
-            lam: [n4] if lam == (4,) else [32] * len(lam) for lam in partitions(4)}
+            lam: [32] * len(lam) for lam in partitions(4)}
     # by default only the four-axis term is capped, at 56
     assert _term_counts(counts, 4, 2.0 * 0.6 ** 3) == {
-        (4,): [33], (3, 1): [103, 165], (2, 2): [63, 63], (2, 1, 1): [119, 165, 165],
+        (4,): [27], (3, 1): [55, 89], (2, 2): [61, 61], (2, 1, 1): [83, 165, 165],
         (1, 1, 1, 1): [56] * 4}
 
 
@@ -346,9 +348,9 @@ def test_explicit_order_binds_every_tensor_term_up_to_the_node_budget(monkeypatc
     # term is lifted to its default count.  A grid past TENSOR_NODE_BUDGET
     # (10^8 nodes: 101^4, 465^3) raises on that term
     counts = _record_counts(monkeypatch)
-    assert _term_counts(counts, 4, 2.0, 40) == {
-        (4,): [45], (3, 1): [40] * 2, (2, 2): [40] * 2, (2, 1, 1): [40] * 3,
-        (1, 1, 1, 1): [40] * 4}
+    assert _term_counts(counts, 4, 2.0, 20) == {
+        (4,): [27], (3, 1): [20] * 2, (2, 2): [20] * 2, (2, 1, 1): [20] * 3,
+        (1, 1, 1, 1): [20] * 4}
     assert _term_counts(counts, 1, 2.0, 300) == {(1,): [300]}
     for k, n in ((4, 101), (3, 465)):
         with pytest.raises(ConfigurationError, match="exceeds the 100000000 budget"):
@@ -366,26 +368,40 @@ def test_explicit_order_below_one_raises_on_every_term(n):
             call()
 
 
-@pytest.mark.parametrize("C", [0.6, 1.0, 1.4])
+@pytest.mark.parametrize("C", [0.6, 1.0, 1.4, 2.0, 2.5, 3.0, 4.0])
 def test_partition_term_matches_laplace_R(C):
     # the paper's per-partition match: the KPZ residue term of lambda at
-    # T = 2C^3, times e^{kT/24}, is R_l(C lambda) (worst measured gap
-    # 8.3e-14, at (3,), C = 1.4).  An all-ones term agrees by construction
-    # (within 7.5e-16): z = C t maps its integral onto laplace_R's, so both
-    # sides evaluate one discrete sum, and its agreement shows no convergence
+    # T = 2C^3, times e^{kT/24}, is R_l(C lambda).  A term with a part above
+    # 1 sits on shifted contours that laplace_R's discrete sum does not
+    # share (worst measured gap 1.9e-13, at (4,), C = 4).  An all-ones term
+    # agrees by construction: z = C t maps its integral onto laplace_R's, so
+    # both sides evaluate one discrete sum (within 7e-16), and its agreement
+    # shows no convergence
     T = 2.0 * C ** 3
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         for lam in partitions(k):
             assert _partition_term(lam, T) * math.exp(k * T / 24.0) == pytest.approx(
                 laplace_R([C * p for p in lam]), rel=1e-12)
 
 
+@pytest.mark.parametrize("C", [2.0, 2.5, 3.0, 4.0])
+def test_shifted_contours_meet_the_airy_side_at_large_C(C):
+    # on the shifted contours every cell airy_h_moment accepts (k = 4 at
+    # C = 4 is past its Airy range) is within 1.4e-13 of it; on the
+    # imaginary axis C = 2, k = 3 was 2.8e-6 off, and C = 2.5 and 3 at
+    # k >= 3 and C = 4 at k >= 2 were lost to cancellation
+    for k in range(1, 5 if C < 4.0 else 4):
+        assert kpz_moment(k, 2.0 * C ** 3) == pytest.approx(airy_h_moment(k, C), rel=1e-12)
+
+
 @pytest.mark.parametrize("k, T", [(2, 128.0), (3, 54.0)])
-def test_positive_kpz_moments_lost_to_cancellation_raise(k, T):
-    # C = 4, k = 2 and C = 3, k = 3: the single-part term's roundoff bound
-    # eps sum |w f| is 1.8e-2 and 1.3 of it.  These sums came out positive
-    # and wrong (2.45e-2 off, and 2.6e44 against 2.5e24), so only the
-    # tensor driver's cancellation gate refuses them, naming the term
+def test_positive_kpz_moments_lost_to_cancellation_raise(monkeypatch, k, T):
+    # C = 4, k = 2 and C = 3, k = 3 on the unshifted contours (theta = 0):
+    # the single-part term's roundoff bound eps sum |w f| is 1.8e-2 and 1.3
+    # of it.  These sums came out positive and wrong (2.45e-2 off, and
+    # 2.6e44 against 2.5e24), so only the tensor driver's cancellation gate
+    # refuses them, naming the term
+    monkeypatch.setattr(kpz_side, "_CONTOUR_SHIFT", 0.0)
     with pytest.raises(NumericalConsistencyError,
                        match=re.escape(f"partition ({k},) at T = {T}: tensor sum ")
                        + ".* lost to cancellation"):
@@ -402,9 +418,9 @@ def test_kpz_moment_validation():
 
 
 def test_kpz_moment_prefactor_overflow_is_a_domain_error():
-    # the (4,) term's prefactor at T = 128 is exp(896), beyond double precision
-    with pytest.raises(DomainError, match=r"partition \(4,\) at T = 128"):
-        kpz_moment(4, 128.0)
+    # the (4,) term's prefactor at T = 300 is exp(763.5), beyond double precision
+    with pytest.raises(DomainError, match=r"partition \(4,\) at T = 300"):
+        kpz_moment(4, 300.0)
     # so is the normalization exp(kT/24) at k = 1, T = 2e4: exp(833)
     with pytest.raises(DomainError, match=r"kpz_moment\(1, 20000.0\): its normalization"):
         kpz_moment(1, 2e4)
@@ -414,12 +430,12 @@ def test_kpz_moment_prefactor_overflow_is_a_domain_error():
     with pytest.raises(DomainError, match=r"kpz_moment\(1, inf\): its normalization"):
         kpz_moment(1, math.inf)
     # the nested integrand peaks at exp((T/2) sum a_j^2) on its contours:
-    # exp(1000) at k = 1, T = 8000 and exp(742.5) at k = 3, T = 90 (default
-    # offsets 0.5 and 3.5, 2, 0.5), while the normalizations stay finite
+    # exp(1000) at k = 1, T = 8000 on offset 0.5 and exp(742.5) at k = 3,
+    # T = 90 on offsets 3.5, 2, 0.5, while the normalizations stay finite
     with pytest.raises(DomainError, match=r"nested\(1, 8000.0\): its contour prefactor"):
-        kpz_moment_nested(1, 8000.0)
+        kpz_moment_nested(1, 8000.0, (0.5,))
     with pytest.raises(DomainError, match=r"nested\(3, 90.0\): its contour prefactor"):
-        kpz_moment_nested(3, 90.0)
+        kpz_moment_nested(3, 90.0, (3.5, 2.0, 0.5))
 
 
 # ----------------------------------------------------------------------
@@ -431,8 +447,8 @@ def test_contour_spec_validation():
     for offsets in [(3.5, 2.0, 0.5), (2.0, 1.5), (0.5, 2.0), [[2.0, 0.5]]]:
         with pytest.raises(ConfigurationError):
             kpz_moment_nested(2, 2.0, offsets)
-    # the default contours are the admissible offsets (2.0, 0.5) at k = 2
-    assert kpz_moment_nested(2, 2.0, [2.0, 0.5]) == kpz_moment_nested(2, 2.0)
+    # the default contours at k = 2, T = 2 are centred on the saddle, spaced 2
+    assert kpz_moment_nested(2, 2.0, [1.0, -1.0]) == kpz_moment_nested(2, 2.0)
 
 
 def test_nested_k1_offset_independence():
@@ -441,15 +457,15 @@ def test_nested_k1_offset_independence():
     vals = []
     for a1 in (0.5, 1.0, 2.0):
         vals.append(kpz_moment_nested(1, T, (a1,)))
-    assert max(vals) - min(vals) < 1e-9
+    assert max(vals) - min(vals) < 1e-12 * closed
     for v in vals:
-        assert abs(v - closed) <= 1e-8 * closed
+        assert abs(v - closed) <= 1e-12 * closed
 
 
 def test_nested_k2_matches_expansion():
     lhs = kpz_moment_nested(2, 2.0)
     rhs = kpz_moment(2, 2.0)
-    assert abs(lhs - rhs) <= 1e-5 * abs(rhs)
+    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_nested_validation():
@@ -460,30 +476,36 @@ def test_nested_validation():
         kpz_moment_nested(2, 2.0, (2.0,))
 
 
-def test_nested_truncation_check_raises(monkeypatch):
-    # the first axis splits into its outer band |t| > 0.9 hw (36 of the 128
-    # nodes at k = 2, T = 2) and its core; a band that carries as much as
-    # the core is a visibly truncated contour, which must raise
-    sizes = []
-
-    def spy(f, rules):
-        sizes.append(len(rules[0]))
-        return 1.0
-
-    monkeypatch.setattr(kpz_side, "tensor_integrate", spy)
-    with pytest.raises(NumericalConsistencyError, match="truncation-sensitive: outer band "
-                                                        r"contributes .* of "):
-        kpz_moment_nested(2, 2.0)
-    assert sizes == [36, 92]
+@pytest.mark.parametrize("k, T", [(1, 1000.0), (2, 16.0), (3, 2.0 * 1.4 ** 3), (3, 16.0)])
+def test_nested_large_T_cells_meet_the_airy_side(k, T):
+    # on the old offsets 0.5 + 1.5(k - j) these returned 2.79e70 against
+    # 1.57e16 at (1, 1000) and 2.5e52 against 1.26e6 at (3, 16), and were
+    # lost to cancellation at (2, 16) and (3, 5.488); the centred contours
+    # meet the closed form e^{T/24}/sqrt(2 pi T) and airy_h_moment within
+    # 1.2e-13
+    ref = (math.exp(T / 24.0) / math.sqrt(2.0 * math.pi * T) if k == 1
+           else airy_h_moment(k, (T / 2.0) ** (1.0 / 3.0)))
+    assert kpz_moment_nested(k, T) == pytest.approx(ref, rel=1e-12)
 
 
-@pytest.mark.parametrize("k, T", [(3, 2.0 * 1.4 ** 3), (2, 16.0)])
+def test_nested_offsets_near_a_pole_exceed_the_node_budget():
+    # offsets 1.1 apart leave the pole of (z_A - z_B)/(z_A - z_B - 1) 0.1
+    # from the contour: the strip half-width 0.1 asks a step the node budget
+    # does not allow, so the call raises (on Legendre nodes it returned a
+    # value 4.4e-2 off)
+    with pytest.raises(ConfigurationError, match="exceeds the 100000000 budget"):
+        kpz_moment_nested(3, 2.0, (1.1, 0.0, -1.1))
+
+
+@pytest.mark.parametrize("k, T", [(2, 250.0), (3, 70.0)])
 def test_nested_lost_to_cancellation_raises(k, T):
-    # the nested sums cancel to -6.0e11 and -3.27 here, against Airy-side
-    # moments 15.75 and 7.31: a moment is positive, so these must raise.
-    # At T = 16 the tensor driver refuses first: the core sum's roundoff
-    # bound eps sum |w f| is 2e-3 of it
-    with pytest.raises(NumericalConsistencyError, match="is not positive|lost to cancellation"):
+    # the centred contours' spacing is floored at 1.25 here, so the peak
+    # e^{(T/2) sum a_j^2} is e^{97.7} and e^{109.4}: the sums' roundoff
+    # bound eps sum |w f| is 0.07 and 2 times the sum, so the tensor driver
+    # refuses them
+    with pytest.raises(NumericalConsistencyError,
+                       match=re.escape(f"kpz_moment_nested({k}, {T}): tensor sum ")
+                       + ".* lost to cancellation"):
         kpz_moment_nested(k, T)
 
 
