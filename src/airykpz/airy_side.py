@@ -90,7 +90,11 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
                        float(np.sum(c ** 3)) / 12.0) / (2.0 * math.pi) ** c.size
     rules, integrand = gaussian_cauchy_factors(c, c / 2.0, c / 2.0, np.zeros(c.size),
                                                nodes_per_axis)
-    return pref * tensor_integrate(integrand, rules)
+    val = pref * tensor_integrate(integrand, rules)
+    if not math.isfinite(val):
+        raise DomainError(f"laplace_R at exponents {c.tolist()}: its prefactor {pref:.6g} "
+                          "times the sum overflows double precision")
+    return val
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .airy_side import airy_h_moment, airy_mult_stat, tracy_widom_f2
 from .errors import AiryKpzError, ConfigurationError, check_order, checked_exp
 from .kpz_side import kpz_laplace, kpz_moment
 from .params import ModelParams
+from .quadrature import MOMENT_RTOL
 
 __all__ = ["RunConfig", "VerificationRow", "main",
            "run_verify_theorem1", "run_verify_theorem2", "run_tw_limit", "run_mc_check"]
@@ -134,9 +135,9 @@ def run_verify_theorem2(cfg: RunConfig) -> list[VerificationRow]:
     check_order("verify-theorem2 --k-max", cfg.k_max)
     _check_overrides(cfg)
     nodes = cfg.nodes or None
+    tol = cfg.tol or MOMENT_RTOL
 
     def cell(labels, C, T, k):
-        tol = cfg.tol or (1e-5 if k <= 3 else 1e-3)
         row = VerificationRow(labels=labels,
                               lhs_value=airy_h_moment(k, C, nodes_per_axis=nodes),
                               rhs_value=kpz_moment(k, T, nodes_per_axis=nodes),

@@ -3,6 +3,7 @@ orders and on computed moments and probabilities that raise from it."""
 
 import math
 import numbers
+import sys
 
 
 class AiryKpzError(Exception):
@@ -54,7 +55,10 @@ def checked_exp(what: str, x: float) -> float:
 
 
 def check_probability(name: str, value: float) -> float:
-    """value, a probability det(1 - K), clipped to 1; outside (0, 1 + 1e-10] it raises."""
+    """value, a probability det(1 - K), clipped to 1; in [0, DBL_MIN) it
+    underflowed (DomainError), and outside (0, 1 + 1e-10] it raises."""
+    if 0.0 <= value < sys.float_info.min:
+        raise DomainError(f"{name} = {value!r} underflows double precision")
     if not 0.0 < value <= 1.0 + 1e-10:
         raise NumericalConsistencyError(f"{name} = {value!r} outside (0, 1]")
     return min(value, 1.0)

@@ -37,6 +37,8 @@ __all__ = [
 
 MAX_LEGENDRE = 512
 TENSOR_NODE_BUDGET = 10 ** 8
+# relative target of every moment, any order: the cancellation gate, verify-theorem2's default
+MOMENT_RTOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -272,7 +274,6 @@ def _contract(u, pairs):
 
 
 _EPS = float(np.finfo(float).eps)
-_CANCELLATION_TOL = 1e-3
 
 
 def tensor_integrate(f, rules) -> float:
@@ -296,8 +297,7 @@ def tensor_integrate(f, rules) -> float:
     not contracted again.  An imaginary part above 1e-12 of sum |w f|, or
     a non-finite sum, raises :class:`NumericalConsistencyError`; so does a
     total lost to cancellation, one whose roundoff bound eps sum |w f|
-    exceeds 1e-3 of it, the loosest tolerance a moment is checked to
-    (k = 4 in ``verify-theorem2``).  The reduction order is fixed, so the
+    exceeds MOMENT_RTOL of it.  The reduction order is fixed, so the
     result is deterministic and independent of the BLAS thread count.
     """
     rules = list(rules)
@@ -332,8 +332,8 @@ def tensor_integrate(f, rules) -> float:
         raise NumericalConsistencyError(
             f"tensor sum {val!r} is not finite and real: sum |w f| = {mag:.3e}, "
             "and |Im| may not exceed 1e-12 of it")
-    if not _EPS * mag <= _CANCELLATION_TOL * abs(val.real):
+    if not _EPS * mag <= MOMENT_RTOL * abs(val.real):
         raise NumericalConsistencyError(
             f"tensor sum {val.real!r} is lost to cancellation: its roundoff bound "
-            f"eps sum |w f| = {_EPS * mag:.3e} exceeds {_CANCELLATION_TOL:g} of it")
+            f"eps sum |w f| = {_EPS * mag:.3e} exceeds {MOMENT_RTOL:g} of it")
     return val.real

@@ -57,51 +57,42 @@ def _asym_coeffs(nmax=28):
 _U, _V = _asym_coeffs()
 
 
-def _airy_asym_pos(x):
-    zeta = (2.0 / 3.0) * x ** 1.5
-    sA = np.zeros_like(x)
-    sV = np.zeros_like(x)
-    term_prev = np.full_like(x, np.inf)
-    zk = np.ones_like(x)
-    live = np.ones_like(x, dtype=bool)
+def _asym_sums(zeta):
+    """S_u = sum_k (-1)^k u_k / zeta^k and S_v likewise (DLMF 9.7.5-6),
+    both cut at the smallest term of S_u; zeta real, or i times real for
+    the oscillatory side, whose even and odd terms (DLMF 9.7.9-10) are
+    then the real and imaginary parts."""
+    su, sv = np.zeros_like(zeta), np.zeros_like(zeta)
+    term_prev = np.full(zeta.shape, np.inf)
+    zk = np.ones_like(zeta)
+    live = np.ones(zeta.shape, dtype=bool)
     for k in range(len(_U)):
         ta = (-1.0) ** k * _U[k] / zk
         tv = (-1.0) ** k * _V[k] / zk
         live = live & (np.abs(ta) < term_prev)   # stop at the smallest term
         term_prev = np.where(live, np.abs(ta), term_prev)
-        sA = np.where(live, sA + ta, sA)
-        sV = np.where(live, sV + tv, sV)
+        su = np.where(live, su + ta, su)
+        sv = np.where(live, sv + tv, sv)
         zk = zk * zeta
+    return su, sv
+
+
+def _airy_asym_pos(x):
+    zeta = (2.0 / 3.0) * x ** 1.5
+    su, sv = _asym_sums(zeta)
     pref = np.exp(-zeta) / (2.0 * np.sqrt(np.pi) * x ** 0.25)
-    ai = pref * sA
-    aip = -np.exp(-zeta) * x ** 0.25 / (2.0 * np.sqrt(np.pi)) * sV
-    return ai, aip
+    return pref * su, -np.exp(-zeta) * x ** 0.25 / (2.0 * np.sqrt(np.pi)) * sv
 
 
 def _airy_asym_neg(x):
+    """Ai(-z) = Re[e^{-i(zeta - pi/4)} S_u(i zeta)]/(sqrt(pi) z^{1/4}) and
+    Ai'(-z) = -Im[e^{-i(zeta - pi/4)} S_v(i zeta)] z^{1/4}/sqrt(pi)."""
     z = -x
     zeta = (2.0 / 3.0) * z ** 1.5
-    c = np.cos(zeta - 0.25 * np.pi)
-    s = np.sin(zeta - 0.25 * np.pi)
-    Se = np.zeros_like(z); So = np.zeros_like(z)
-    Ve = np.zeros_like(z); Vo = np.zeros_like(z)
-    term_prev = np.full_like(z, np.inf)
-    live = np.ones_like(z, dtype=bool)
-    zk = np.ones_like(z)        # zeta^(2j)
-    for j in range(len(_U) // 2):
-        sgn = (-1.0) ** j
-        te = sgn * _U[2 * j] / zk
-        to = sgn * _U[2 * j + 1] / (zk * zeta)
-        live = live & (np.abs(te) < term_prev)
-        term_prev = np.where(live, np.abs(te), term_prev)
-        Se = np.where(live, Se + te, Se)
-        So = np.where(live, So + to, So)
-        Ve = np.where(live, Ve + sgn * _V[2 * j] / zk, Ve)
-        Vo = np.where(live, Vo + sgn * _V[2 * j + 1] / (zk * zeta), Vo)
-        zk = zk * zeta * zeta
-    ai = (c * Se + s * So) / (np.sqrt(np.pi) * z ** 0.25)
-    aip = (s * Ve - c * Vo) * z ** 0.25 / np.sqrt(np.pi)
-    return ai, aip
+    su, sv = _asym_sums(1j * zeta)
+    phase = np.exp(-1j * (zeta - 0.25 * np.pi))
+    return ((phase * su).real / (np.sqrt(np.pi) * z ** 0.25),
+            -(phase * sv).imag * z ** 0.25 / np.sqrt(np.pi))
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -296,6 +297,12 @@ def test_laplace_R_validation():
     assert closed_R1(20.2) == pytest.approx(laplace_R([20.2]), rel=1e-12)
     with pytest.raises(DomainError, match=r"exp\(717.927\) overflows double precision"):
         laplace_R([20.5])
+    # a finite prefactor times the sum can still overflow: e^{707.5}/(2 pi)^2
+    # is 4.5e305, and the c = 0.001 axis's sum 1.1e3
+    for c in ([20.4, 0.001], [20.42, 0.005]):
+        with pytest.raises(DomainError, match=re.escape(f"laplace_R at exponents {c}: its "
+                                                        "prefactor") + ".* overflows double"):
+            laplace_R(c)
     for c in (math.nan, math.inf):
         with pytest.raises(DomainError, match="is not finite"):
             laplace_R([1.0, c])

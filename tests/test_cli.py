@@ -240,6 +240,23 @@ def test_nodes_above_the_node_budget_fail_the_moment_row():
     assert "exceeds the 100000000 budget" in rows[3].status
 
 
+def test_k4_rows_are_held_to_the_one_moment_tolerance(capsys):
+    # every order is checked to quadrature.MOMENT_RTOL: at C = 0.4 and 32
+    # nodes per axis the k = 2, 3 and 4 rows are 1.3e-4, 1.1e-4 and 8.5e-5
+    # off, and the k = 4 row fails with them, where a default of 1e-3 for
+    # k = 4 passed it
+    code, out, err = _run_main(["verify-theorem2", "--C", "0.4", "--k-max", "4",
+                                "--nodes", "32", "--format", "json"], capsys)
+    rows = json.loads(out)
+    assert code == 1
+    assert [r["status"] for r in rows] == ["ok", "fail", "fail", "fail"]
+    assert [r["aux"] for r in rows] == ["tol=1e-05;nodes=32"] * 4
+    assert "'k': 4}" in err
+    # at the default grids the k = 4 row passes at the same tolerance
+    rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[1.0], k_max=4))
+    assert [(r.status, r.aux) for r in rows] == [("ok", "tol=1e-05;nodes=auto")] * 4
+
+
 def test_verify_theorem1_nodes_set_both_fredholm_grids():
     from airykpz.airy_side import airy_mult_stat
     from airykpz.kpz_side import kpz_laplace

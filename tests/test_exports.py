@@ -223,6 +223,31 @@ def test_only_quadrature_knows_the_hermite_node_model(monkeypatch):
         assert used and all(any(r is b for b in built) for r in used), moment.__name__
 
 
+def _function(module, name):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_only_quadrature_holds_the_moment_tolerance():
+    # one target for every moment order: quadrature.MOMENT_RTOL is both the
+    # tensor driver's cancellation gate and verify-theorem2's default --tol.
+    # A second definition, or a tolerance literal in the CLI (such as a
+    # k-dependent default), would split the contract again
+    from airykpz import quadrature
+    defs = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assign) and "MOMENT_RTOL" in map(_name, node.targets)]
+    assert [name for name, _ in defs] == ["quadrature.py"], defs
+    literals = [node.lineno for node in ast.walk(ast.parse((SRC / "quadrature.py").read_text()))
+                if isinstance(node, ast.Constant) and node.value == quadrature.MOMENT_RTOL]
+    assert len(literals) == 1, f"the moment tolerance written out again: {literals}"
+    for module, fn in (("quadrature", "tensor_integrate"), ("cli", "run_verify_theorem2")):
+        assert "MOMENT_RTOL" in {_name(n) for n in ast.walk(_function(module, fn))}, fn
+    cli_floats = [node.value for node in ast.walk(_function("cli", "run_verify_theorem2"))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, float)]
+    assert cli_floats == [], f"tolerance literals in run_verify_theorem2: {cli_floats}"
+
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 # module-level assignments that only list a module's exports: each
 # __all__, and the package root's names resolved lazily from montecarlo

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from airykpz import airy_side, kpz_side
-from airykpz.errors import (ConfigurationError, NumericalConsistencyError, check_order,
-                            check_positive)
+from airykpz.errors import (ConfigurationError, DomainError, NumericalConsistencyError,
+                            check_order, check_positive)
 from airykpz.params import ModelParams
 
 _P = ModelParams.from_C(1.0, 1.0)
@@ -19,15 +19,32 @@ _PIPELINES = {
 @pytest.mark.parametrize("pipeline", sorted(_PIPELINES))
 def test_fredholm_pipelines_share_the_probability_bound(pipeline, monkeypatch):
     # each det(1 - K) pipeline accepts (0, 1 + 1e-10], clips to 1, and raises
-    # outside; F2 once demanded (0, 1) and did not clip
+    # outside; F2 once demanded (0, 1) and did not clip.  A value in
+    # [0, DBL_MIN) underflowed, a domain limit, not a fault
     module, call = _PIPELINES[pipeline]
-    for det, expect in ((0.25, 0.25), (1.0, 1.0), (1.0 + 5e-11, 1.0)):
+    for det, expect in ((0.25, 0.25), (1.0, 1.0), (1.0 + 5e-11, 1.0), (2.3e-308, 2.3e-308)):
         monkeypatch.setattr(module, "fredholm_det_matrix", lambda *a, det=det: det)
         assert call() == expect
-    for det in (1.0 + 1e-9, 0.0, -0.1, math.nan):
+    for det in (1.0 + 1e-9, -0.1, -5e-324, math.nan):
         monkeypatch.setattr(module, "fredholm_det_matrix", lambda *a, det=det: det)
         with pytest.raises(NumericalConsistencyError, match=r"outside \(0, 1\]"):
             call()
+    for det in (0.0, -0.0, 5e-324, 2.2e-308):
+        monkeypatch.setattr(module, "fredholm_det_matrix", lambda *a, det=det: det)
+        with pytest.raises(DomainError, match=" = .* underflows double precision"):
+            call()
+
+
+def test_fredholm_pipelines_at_the_underflow_point():
+    # at C = 23.73, u = 1e300 the KPZ determinant's log is -856: LU returns
+    # exactly 0.0, an underflow.  The Airy side returns -1.75e-261 there,
+    # not an underflow: I - K_w on its 80-node grid has eigenvalues down to
+    # -0.9987, an under-resolved grid, so it stays a consistency fault
+    p = ModelParams.from_C(23.73, 1e300)
+    with pytest.raises(DomainError, match="kpz_laplace = 0.0 underflows double precision"):
+        kpz_side.kpz_laplace(p)
+    with pytest.raises(NumericalConsistencyError, match=r"airy_mult_stat = -1\.75\d*e-261 "):
+        airy_side.airy_mult_stat(p)
 
 
 def test_order_check():

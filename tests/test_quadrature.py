@@ -412,14 +412,18 @@ def test_tensor_rejects_complex_integrand():
 
 
 def test_tensor_refuses_a_total_lost_to_cancellation():
-    # eps sum |w f| above 1e-3 of |sum w f| raises: here the two nodes
-    # cancel to 1e-14 of their magnitude, so the roundoff bound is ~4e-2 of it
+    # eps sum |w f| above MOMENT_RTOL = 1e-5 of |sum w f| raises: the two
+    # nodes cancel to r of their magnitude, so the roundoff bound is
+    # 4.4e-16/r of the sum: 4e-2 at r = 1e-14, 4.4e-5 at 1e-11 (refused
+    # too, though the old gate of 1e-3 kept it) and 4.4e-7 at 1e-9
+    assert quadrature.MOMENT_RTOL == 1e-5
     rule = legendre_on(-1.0, 1.0, 2)           # weights 1, 1
-    lost = lambda x: ([np.array([1.0, -1.0 + 1e-14])], {})
-    with pytest.raises(NumericalConsistencyError, match="lost to cancellation"):
-        tensor_integrate(lost, [rule])
-    kept = lambda x: ([np.array([1.0, -1.0 + 1e-11])], {})
-    assert tensor_integrate(kept, [rule]) == pytest.approx(1e-11, rel=1e-4)
+    for r in (1e-14, 1e-11):
+        lost = lambda x, r=r: ([np.array([1.0, -1.0 + r])], {})
+        with pytest.raises(NumericalConsistencyError, match="exceeds 1e-05 of it"):
+            tensor_integrate(lost, [rule])
+    kept = lambda x: ([np.array([1.0, -1.0 + 1e-9])], {})
+    assert tensor_integrate(kept, [rule]) == pytest.approx(1e-9, rel=1e-6)
 
 
 def test_tensor_blocks_deterministic():
