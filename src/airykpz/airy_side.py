@@ -42,19 +42,25 @@ def airy_kernel_matrix(points: np.ndarray) -> np.ndarray:
 
     Christoffel-Darboux ratio form off the diagonal; the diagonal is the
     confluent limit Ai'(x)^2 - x Ai(x)^2, and the off-diagonal pairs with
-    |x_i - x_j| <= 1e-5 take that limit at their midpoint.
+    |x_i - x_j| <= 1e-5 take that limit at their midpoint; they are searched
+    for only when the sorted points have such a gap.  The numerator is
+    m - m^T, m = Ai Ai'^T: a product commutes, so these are the bits of
+    Ai Ai'^T - Ai' Ai^T.
     """
     pts = np.asarray(points, dtype=float)
     ai, aip = airy_both(pts)
+    m = np.multiply.outer(ai, aip)
+    kmat = m - m.T
     d = np.subtract.outer(pts, pts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        kmat = (np.multiply.outer(ai, aip) - np.multiply.outer(aip, ai)) / d
+        kmat /= d
     np.fill_diagonal(kmat, aip ** 2 - pts * ai ** 2)
-    i, j = np.nonzero(np.abs(d) <= _CONFLUENT_EPS)
-    i, j = i[i != j], j[i != j]
-    m = 0.5 * (pts[i] + pts[j])
-    am, apm = airy_both(m)
-    kmat[i, j] = apm ** 2 - m * am ** 2
+    if np.any(np.diff(np.sort(pts)) <= _CONFLUENT_EPS):
+        i, j = np.nonzero(np.abs(d) <= _CONFLUENT_EPS)
+        i, j = i[i != j], j[i != j]
+        mid = 0.5 * (pts[i] + pts[j])
+        am, apm = airy_both(mid)
+        kmat[i, j] = apm ** 2 - mid * am ** 2
     return kmat
 
 

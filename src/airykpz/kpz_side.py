@@ -26,7 +26,7 @@ from .params import ModelParams
 from .quadrature import (QuadratureRule, composite_legendre, fredholm_det_matrix,
                          gaussian_cauchy_factors, gram, legendre_on, tensor_integrate,
                          trapezoid_axis)
-from .specfun import SUPPORTED_RANGE, airy_both, logistic
+from .specfun import SUPPORTED_RANGE, airy_ai, logistic
 
 __all__ = [
     "partitions", "symmetry_factor",
@@ -202,14 +202,15 @@ def _ku_matrix(xs: np.ndarray, params: ModelParams,
 
     K_u = X X^T with X_im = Ai(x_i - r_m) (f_m w_m)^{1/2}, from :func:`gram`:
     bitwise symmetric, with no BLAS call, so it does not depend on the BLAS
-    thread count.  An argument x_i - r_m outside [-60, 60] raises DomainError
-    from :func:`airy_both`; NumericalConsistencyError when the outermost 5
-    inner nodes at either end contribute more than max(1e-10, 1e-10 |K_ij|)
-    to some entry: the inner rule then truncates visibly.
+    thread count.  The Airy factor is one :func:`airy_ai` call on the whole
+    argument grid, which raises DomainError for an x_i - r_m outside
+    [-60, 60]; NumericalConsistencyError when the outermost 5 inner nodes
+    at either end contribute more than max(1e-10, 1e-10 |K_ij|) to some
+    entry: the inner rule then truncates visibly.
     """
     r = inner_rule.nodes
     f = logistic(math.log(params.u) - params.C * r)
-    X = airy_both(np.subtract.outer(np.asarray(xs, dtype=float), r))[0]
+    X = airy_ai(np.subtract.outer(np.asarray(xs, dtype=float), r))
     X *= np.sqrt(f * inner_rule.weights)
     M = gram(X)
     edge = np.abs(gram(X[:, :5])) + np.abs(gram(X[:, -5:]))

@@ -243,15 +243,17 @@ _GRAM_ROWS = 32         # 16 to 64 rows per block time alike at n = 210-352
 
 def gram(X: np.ndarray) -> np.ndarray:
     """X X^T: the upper triangle in blocks of rows, (X X^T)_ij =
-    sum_l X_il X_jl, then mirrored, so the result is bitwise symmetric.
-    Entry (i, j) is summed as in one full ``np.einsum("il,jl->ij", X, X)``,
-    so the bits are the same; no BLAS call is made."""
+    sum_l X_il X_jl, each block row copied transposed into the block
+    column below it; a diagonal block is bitwise symmetric already, so the
+    result is too.  Entry (i, j) is summed as in one full
+    ``np.einsum("il,jl->ij", X, X)``, so the bits are the same; no BLAS
+    call is made."""
     n = X.shape[0]
     out = np.empty((n, n))
     for i0 in range(0, n, _GRAM_ROWS):
-        out[i0:i0 + _GRAM_ROWS, i0:] = np.einsum("il,jl->ij", X[i0:i0 + _GRAM_ROWS], X[i0:])
-    lower = np.tril_indices(n, -1)
-    out[lower] = out.T[lower]
+        i1 = i0 + _GRAM_ROWS
+        out[i0:i1, i0:] = np.einsum("il,jl->ij", X[i0:i1], X[i0:])
+        out[i1:, i0:i1] = out[i0:i1, i1:].T
     return out
 
 

@@ -6,9 +6,10 @@ supported range [-60, 60], Ai and Ai' come from one fixed table of
 degree-23 Taylor expansions of Ai about centres every 0.25 on
 [-60.25, 60.25], evaluated at the nearest centre (|h| <= 0.125): one
 Horner pass over the centre's coefficients yields the polynomial and its
-derivative, Ai and Ai'.  The coefficients follow from the Airy equation
-y'' = x y (DLMF 9.2.1): a_2 = x0 a_0 / 2 and
-(n+2)(n+1) a_{n+2} = x0 a_n + a_{n-1}.
+derivative, Ai and Ai' (:func:`airy_both`), or the polynomial alone,
+Ai (:func:`airy_ai`), with the same bits at half the work; both pass one
+range check.  The coefficients follow from the Airy equation y'' = x y
+(DLMF 9.2.1): a_2 = x0 a_0 / 2 and (n+2)(n+1) a_{n+2} = x0 a_n + a_{n-1}.
 
 The table is built once at import by Taylor steps of that equation:
 leftward from the asymptotic value (DLMF 9.7) at 60.25 down to 0
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalConsistencyError
 
-__all__ = ["airy_both", "logistic"]
+__all__ = ["airy_ai", "airy_both", "logistic"]
 
 SUPPORTED_RANGE = 60.0
 
@@ -106,14 +107,16 @@ def _taylor_coeffs(x0, ai, aip):
     return np.array(a)
 
 
-def _horner(table, j, h):
-    """p = sum table[n][j] * h**n and dp/dh from one Horner sweep,
-    gathering one coefficient row per step."""
+def _horner(table, j, h, derivative=True):
+    """p = sum table[n][j] * h**n and, with ``derivative``, dp/dh from one
+    Horner sweep, gathering one coefficient row per step; p's recurrence
+    never reads dp, so it has the same bits either way."""
     p = np.take(table[-1], j)
-    dp = np.zeros_like(p)
+    dp = np.zeros_like(p) if derivative else None
     for row in table[-2::-1]:
-        dp *= h
-        dp += p
+        if derivative:
+            dp *= h
+            dp += p
         p *= h
         p += np.take(row, j)
     return p, dp
@@ -155,9 +158,17 @@ _AI_T = _taylor_table()
 
 
 def _nearest_centre(x):
-    """Index j of the table centre nearest x, and the offset h of x from it."""
-    j = np.rint((x + _EDGE) / _STEP).astype(np.intp)
-    return j, x - (j * _STEP - _EDGE)
+    """Index j of the table centre nearest x, and the offset h of x from
+    it; DomainError unless every x is finite and |x| <= 60.  The one Airy
+    range check."""
+    arr = np.asarray(x, dtype=float)
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise DomainError("airy argument must be finite")
+    if arr.size and np.max(np.abs(arr)) > SUPPORTED_RANGE:
+        raise DomainError(
+            f"airy argument outside supported interval [-{SUPPORTED_RANGE:g}, {SUPPORTED_RANGE:g}]")
+    j = np.rint((arr + _EDGE) / _STEP).astype(np.intp)
+    return j, arr - (j * _STEP - _EDGE)
 
 
 # ----------------------------------------------------------------------
@@ -171,17 +182,17 @@ def airy_both(x):
     Ai' have zeros, 4.3e-15 of the local envelope (|x|^(-1/4)/sqrt(pi) for
     Ai, |x|^(1/4)/sqrt(pi) for Ai'); the tests hold 1e-12 and 1e-13.
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise DomainError("airy argument must be finite")
-    if arr.size and np.max(np.abs(arr)) > SUPPORTED_RANGE:
-        raise DomainError(
-            f"airy argument outside supported interval [-{SUPPORTED_RANGE:g}, {SUPPORTED_RANGE:g}]")
-    j, h = _nearest_centre(arr)
+    j, h = _nearest_centre(x)
     ai, aip = _horner(_AI_T, j, h)
-    if arr.ndim == 0:
-        return float(ai), float(aip)
-    return ai, aip
+    return (float(ai), float(aip)) if np.ndim(h) == 0 else (ai, aip)
+
+
+def airy_ai(x):
+    """Ai(x) for scalar or array x, |x| <= 60: the bits of
+    ``airy_both(x)[0]``, from the value half of its Horner sweep."""
+    j, h = _nearest_centre(x)
+    ai, _ = _horner(_AI_T, j, h, derivative=False)
+    return float(ai) if np.ndim(h) == 0 else ai
 
 
 def logistic(x):

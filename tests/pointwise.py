@@ -48,6 +48,20 @@ def half_line_kernel(xs, ys, rule):
     return np.sum(rule.weights * (ax[:, None, :] * ay[None, :, :]), axis=-1)
 
 
+def airy_kernel_two_outer(points):
+    """The Airy kernel matrix as (Ai Ai'^T - Ai' Ai^T)/(x_i - x_j), the two
+    outer products written out, with the confluent limit
+    Ai'(x)^2 - x Ai(x)^2 on the diagonal; points closer than
+    ``airy_kernel_matrix``'s confluent cut are not handled."""
+    pts = np.asarray(points, dtype=float)
+    ai, aip = airy_both(pts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kmat = ((np.multiply.outer(ai, aip) - np.multiply.outer(aip, ai))
+                / np.subtract.outer(pts, pts))
+    np.fill_diagonal(kmat, aip ** 2 - pts * ai ** 2)
+    return kmat
+
+
 def log_det_series_by_compositions(S, g, k):
     """l_1, ..., l_k of the u-series of det(I - K f_u) in the notation of
     ``airy_side._h_series``: l_n = sum_j (-1)^{j+1}/j sum_a

@@ -13,8 +13,9 @@ from airykpz.params import ModelParams
 from airykpz.quadrature import composite_legendre, gaussian_cauchy_factors
 from airykpz.specfun import airy_both
 
-from pointwise import (cauchy_det_direct, cauchy_factors, factor_grid, half_line_kernel,
-                       log_det_series_by_compositions, okounkov_integral, pointwise_sum)
+from pointwise import (airy_kernel_two_outer, cauchy_det_direct, cauchy_factors, factor_grid,
+                       half_line_kernel, log_det_series_by_compositions, okounkov_integral,
+                       pointwise_sum)
 
 AIP0_SQ = 0.06698748377966397414  # Ai'(0)^2, 30-digit evaluation
 R1 = 0.3066099715278760013815    # e^(1/12)/(2 sqrt(pi))
@@ -74,6 +75,31 @@ def test_kernel_near_diagonal_continuity():
     below = kernel_pair(x, x + 0.9999e-5)   # confluent side
     above = kernel_pair(x, x + 1.0001e-5)   # ratio side
     assert below == pytest.approx(above, abs=1e-8)
+
+
+def test_kernel_confluent_pair_found_in_any_order():
+    # the pair (1, 3) is confluent but not adjacent in input order; both of
+    # its entries take the limit at the midpoint, the rest the ratio form
+    pts = np.array([3.0, -1.3, 0.5, -1.3 + 5e-6])
+    kmat = airy_kernel_matrix(pts)
+    m = 0.5 * (pts[1] + pts[3])
+    am, apm = airy_both(m)
+    assert kmat[1, 3] == kmat[3, 1] == apm ** 2 - m * am ** 2
+    ratio = airy_kernel_two_outer(pts)
+    far = ~np.eye(4, dtype=bool)
+    far[1, 3] = far[3, 1] = False
+    assert np.array_equal(kmat[far], ratio[far])
+
+
+def test_kernel_matrix_is_the_two_outer_products_bitwise(monkeypatch):
+    # on the grid of airy_h_moment(3, 0.6), 330 nodes and no confluent pair
+    grids = []
+    monkeypatch.setattr(airy_side, "airy_kernel_matrix",
+                        lambda nodes: grids.append(nodes) or airy_kernel_matrix(nodes))
+    airy_h_moment(3, 0.6)
+    [nodes] = grids
+    assert nodes.size == 330
+    assert airy_kernel_matrix(nodes).tobytes() == airy_kernel_two_outer(nodes).tobytes()
 
 
 def test_kernel_domain_error():

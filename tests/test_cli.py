@@ -302,15 +302,21 @@ def test_output_independent_of_blas_threads():
 def test_pipelines_make_no_blas_product():
     # The thread-count test above cannot see a BLAS product that happens
     # to give the same bits at 1 and 2 threads, so the pipeline modules
-    # are read instead: no `@`, no dot/matmul/tensordot/inner/vdot call
-    # and no einsum(..., optimize=...).  Out of scope: specfun, whose
-    # Taylor-step products run once at import, and the LAPACK
-    # np.linalg.det of the Fredholm determinants.
+    # and the Airy evaluation they call are read instead: no `@`, no
+    # dot/matmul/tensordot/inner/vdot call and no einsum(..., optimize=...).
+    # Exempt: specfun._march, whose Taylor-step products build the table
+    # once at import, and the LAPACK np.linalg.det of the Fredholm
+    # determinants.
     blas_calls = {"dot", "matmul", "tensordot", "inner", "vdot"}
+    exempt = {("specfun", "_march")}
     src = Path(airykpz.__file__).resolve().parent
     found = []
-    for module in ("airy_side", "kpz_side", "quadrature"):
-        for node in ast.walk(ast.parse((src / f"{module}.py").read_text())):
+    for module in ("airy_side", "kpz_side", "quadrature", "specfun"):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        stmts = [stmt for stmt in tree.body if (module, getattr(stmt, "name", None)) not in exempt]
+        assert len(tree.body) - len(stmts) == sum(mod == module for mod, _ in exempt), \
+            "an exempt def is gone"
+        for node in (n for stmt in stmts for n in ast.walk(stmt)):
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
                 found.append((module, node.lineno, "@"))
             elif isinstance(node, ast.Call):

@@ -192,11 +192,18 @@ def _ones(*xs):
     return [np.ones(x.size) for x in xs], {}
 
 
-def test_gram_is_one_full_einsum_and_bitwise_symmetric():
-    # the shape of K_u's Airy factor matrix: 80 outer by ~950 inner nodes,
-    # so the last block of rows is partial
-    X = np.random.default_rng(3).standard_normal((80, 950))
-    assert 80 % quadrature._GRAM_ROWS != 0
+@pytest.mark.parametrize("shape,cols", [
+    ((80, 950), None),      # K_u's Airy factor matrix: 80 outer by ~950 inner nodes
+    ((330, 330), None),     # S at airy_h_moment's sizes, the last block full at 352
+    ((352, 352), None),
+    ((80, 950), 5),         # _ku_matrix's non-contiguous edge slice X[:, :5]
+    ((1, 4), None),
+], ids=["80x950", "330x330", "352x352", "80x950-cols5", "1x4"])
+def test_gram_is_one_full_einsum_and_bitwise_symmetric(shape, cols):
+    X = np.random.default_rng(3).standard_normal(shape)
+    if cols is not None:
+        X = X[:, :cols]
+        assert not X.flags.c_contiguous
     G = gram(X)
     assert np.array_equal(G, np.einsum("il,jl->ij", X, X))
     assert np.array_equal(G, G.T)

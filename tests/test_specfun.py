@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from airykpz import kpz_side
 from airykpz.errors import DomainError
-from airykpz.specfun import airy_both, logistic
+from airykpz.params import ModelParams
+from airykpz.specfun import airy_ai, airy_both, logistic
 
 # Reference values from a 30-digit arbitrary-precision evaluation
 # (independent algorithm), frozen: (x, Ai(x), Ai'(x)).
@@ -229,6 +231,31 @@ def test_airy_domain_errors():
         airy_both(-61.0)
     with pytest.raises(DomainError):
         airy_both(float("nan"))
+
+
+def test_airy_ai_is_the_value_of_airy_both_bit_for_bit(monkeypatch):
+    # the value half of the Horner sweep: the midpoints farthest from the
+    # centres, the ends of the range, and the argument grid of one K_u
+    xs = np.concatenate([np.arange(-59.875, 60.0, 0.25), [-60.0, 60.0]])
+    assert xs.size == 482
+    assert airy_ai(xs).tobytes() == airy_both(xs)[0].tobytes()
+    grids = []
+    monkeypatch.setattr(kpz_side, "airy_ai", lambda x: grids.append(x) or airy_ai(x))
+    kpz_side.kpz_laplace(ModelParams(C=0.8, u=10.0))
+    [grid] = grids
+    assert grid.shape[0] == 80 and grid.size > 50000
+    assert airy_ai(grid).tobytes() == airy_both(grid)[0].tobytes()
+    value = airy_ai(1.0)
+    assert isinstance(value, float) and value == airy_both(1.0)[0]
+
+
+@pytest.mark.parametrize("x", [60.5, -60.5, float("nan"), float("inf")])
+def test_airy_ai_refuses_what_airy_both_refuses(x):
+    with pytest.raises(DomainError) as both:
+        airy_both(x)
+    with pytest.raises(DomainError) as value:
+        airy_ai(np.array([0.0, x]))
+    assert str(value.value) == str(both.value)
 
 
 def test_logistic_overflow_safe():
