@@ -23,7 +23,7 @@ from .errors import (ConfigurationError, DomainError, check_order, check_positiv
                      check_probability, checked_exp)
 from .params import ModelParams
 from .quadrature import (QuadratureRule, composite_legendre, fredholm_det_matrix,
-                         gaussian_cauchy_factors, gram, legendre_on, tensor_integrate)
+                         gaussian_cauchy_factors, legendre_on, tensor_integrate)
 from .specfun import SUPPORTED_RANGE, airy_both, logistic
 
 __all__ = [
@@ -40,28 +40,45 @@ _CONFLUENT_EPS = 1e-5     # |x - y| below which the confluent diagonal form is u
 def airy_kernel_matrix(points: np.ndarray) -> np.ndarray:
     """Kernel matrix K(x_i, x_j) on a grid, one Airy evaluation per node.
 
-    Christoffel-Darboux ratio form off the diagonal; the diagonal is the
-    confluent limit Ai'(x)^2 - x Ai(x)^2, and the off-diagonal pairs with
+    Christoffel-Darboux ratio form (:func:`_cd_ratio` of the pair (Ai, Ai'))
+    off the diagonal; the diagonal is the confluent limit
+    Ai'(x)^2 - x Ai(x)^2, and the off-diagonal pairs with
     |x_i - x_j| <= 1e-5 take that limit at their midpoint; they are searched
-    for only when the sorted points have such a gap.  The numerator is
-    m - m^T, m = Ai Ai'^T: a product commutes, so these are the bits of
-    Ai Ai'^T - Ai' Ai^T.
+    for only when the sorted points have such a gap.
     """
     pts = np.asarray(points, dtype=float)
-    ai, aip = airy_both(pts)
-    m = np.multiply.outer(ai, aip)
-    kmat = m - m.T
-    d = np.subtract.outer(pts, pts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kmat /= d
+    return _kernel_from_airy(pts, *airy_both(pts))
+
+
+def _kernel_from_airy(pts: np.ndarray, ai: np.ndarray, aip: np.ndarray) -> np.ndarray:
+    """:func:`airy_kernel_matrix` from Ai and Ai' at the points."""
+    kmat = _cd_ratio(pts, [(ai, aip)])
     np.fill_diagonal(kmat, aip ** 2 - pts * ai ** 2)
     if np.any(np.diff(np.sort(pts)) <= _CONFLUENT_EPS):
-        i, j = np.nonzero(np.abs(d) <= _CONFLUENT_EPS)
+        i, j = np.nonzero(np.abs(np.subtract.outer(pts, pts)) <= _CONFLUENT_EPS)
         i, j = i[i != j], j[i != j]
         mid = 0.5 * (pts[i] + pts[j])
         am, apm = airy_both(mid)
         kmat[i, j] = apm ** 2 - mid * am ** 2
     return kmat
+
+
+def _cd_ratio(x: np.ndarray, pairs) -> np.ndarray:
+    """(m - m^T)_ij / (x_i - x_j) with m = sum over ``pairs`` of u v^T, in
+    that order; the diagonal is left to the caller (it holds nan).
+
+    A product commutes, so m - m^T is bitwise antisymmetric and the ratio
+    bitwise symmetric.  m is released before the division, so two n x n
+    arrays are live at a time.
+    """
+    m = np.multiply.outer(*pairs[0])
+    for u, v in pairs[1:]:
+        m += np.multiply.outer(u, v)
+    out = m - m.T
+    del m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= np.subtract.outer(x, x)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -128,40 +145,65 @@ def _h_series(rule: QuadratureRule, C: float, k: int) -> list[float]:
     """E h_1, ..., E h_k from the Nystrom discretization of det(I - K f_u).
 
     With g = e^{Cr} and S = (w g)^{1/2} K (w g)^{1/2}, the discretized
-    K f_u is similar to P(u) = sum_m (-1)^{m+1} u^m S G^{m-1}, G = diag(g).
-    From log det(I - P) = -sum_j tr(P^j)/j, (-1)^n times its u^n
-    coefficient is l_n = sum_j (-1)^{j+1}/j sum_a tr(S G^{a_1} ... S G^{a_j})
-    over a_i >= 0 with sum a_i = n - j; merging the rotations of each word,
-    l_1 = tr S, l_2 = tr SG - tr S^2/2, l_3 = tr SG^2 - tr S^2 G + tr S^3/3,
-    l_4 = tr SG^3 - tr S^2 G^2 - tr (SG)^2/2 + tr S^3 G - tr S^4/4, each
-    trace one O(n^2) sum over S or S^2 = S S^T (from :func:`gram`, S being
-    bitwise symmetric).  E h_n is the coefficient of v^n in
+    K f_u is similar to P(u) = sum_m (-1)^{m+1} u^m S G^{m-1}, G = diag(g);
+    :func:`_log_det_series` turns S and S^2 into the u-series of
+    log det(I - P), and E h_n is the coefficient of v^n in
     det(I - P) = exp(sum_n l_n v^n), v = -u: :func:`newton_h` of the power
-    sums p_i = i l_i.  Sums run through ``np.einsum`` without ``optimize``:
-    no BLAS call, so no dependence on its thread count.
+    sums p_i = i l_i.
+
+    S^2 (built only for k >= 3) costs O(n^2): the Airy kernel is
+    integrable, (x - y) K(x, y) = Ai(x) Ai'(y) - Ai'(x) Ai(y), and the
+    kernel matrix is built entry by entry from that ratio, so with
+    a = s Ai, b = s Ai' (s = (w g)^{1/2}), alpha = S a and beta = S b,
+        (r_i - r_j) (S^2)_ij = (m - m^T)_ij,  m = a beta^T + alpha b^T,
+    and S^2 is :func:`_cd_ratio` of those two pairs off the diagonal and
+    sum_l S_il S_li on it: two mat-vecs instead of a product.
+    Sums run through ``np.einsum`` without ``optimize``: no BLAS call, so
+    no dependence on its thread count.
     """
     g = np.exp(C * rule.nodes)
     s = np.sqrt(rule.weights * g)
+    ai, aip = airy_both(rule.nodes)
     # s_i s_j K_ij: both factors are bitwise symmetric, so S is too
-    S = airy_kernel_matrix(rule.nodes)
+    S = _kernel_from_airy(rule.nodes, ai, aip)
     S *= np.multiply.outer(s, s)
+    S2 = None
+    if k > 2:
+        a, b = s * ai, s * aip
+        S2 = _cd_ratio(rule.nodes, [(a, np.einsum("il,l->i", S, b)),
+                                    (np.einsum("il,l->i", S, a), b)])
+        np.fill_diagonal(S2, np.einsum("il,li->i", S, S))
+    ell = _log_det_series(S, S2, g, k)
+    return newton_h([i * l for i, l in enumerate(ell, start=1)])[1:]
 
+
+def _log_det_series(S, S2, g, k: int) -> list:
+    """l_1, ..., l_k: (-1)^n times the u^n coefficient of log det(I - P)
+    for P(u) = sum_m (-1)^{m+1} u^m S G^{m-1}, G = diag(g), S symmetric
+    and S2 = S^2 (None for k <= 2).
+
+    From log det(I - P) = -sum_j tr(P^j)/j,
+    l_n = sum_j (-1)^{j+1}/j sum_a tr(S G^{a_1} ... S G^{a_j}) over
+    a_i >= 0 with sum a_i = n - j; merging the rotations of each word,
+    l_1 = tr S, l_2 = tr SG - tr S^2/2, l_3 = tr SG^2 - tr S^2 G + tr S^3/3,
+    l_4 = tr SG^3 - tr S^2 G^2 - tr (SG)^2/2 + tr S^3 G - tr S^4/4, each
+    trace one O(n^2) sum over S or S^2.
+    """
     def tr(x, a):       # sum_i x_i g_i^a
         return np.einsum("i,i->", x, g ** a)
 
     d = np.einsum("ii->i", S)
     ell = [tr(d, 0)]
-    if k > 1:
-        q = np.einsum("il,li->i", S, S)
+    if k > 1:       # q = diag(S^2)
+        q = np.einsum("il,li->i", S, S) if S2 is None else np.diagonal(S2)
         ell.append(tr(d, 1) - tr(q, 0) / 2)
     if k > 2:
-        S2 = gram(S)
         c = np.einsum("il,li->i", S2, S)
         ell.append(tr(d, 2) - tr(q, 1) + tr(c, 0) / 3)
     if k > 3:
         ell.append(tr(d, 3) - tr(q, 2) - np.einsum("i,il,li,l->", g, S, S, g) / 2
                    + tr(c, 1) - np.einsum("il,li->", S2, S2) / 4)
-    return newton_h([i * l for i, l in enumerate(ell, start=1)])[1:]
+    return ell
 
 
 def airy_h_moment(k: int, C: float, nodes_per_axis: int | None = None) -> float:

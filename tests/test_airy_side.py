@@ -94,10 +94,10 @@ def test_kernel_confluent_pair_found_in_any_order():
 def test_kernel_matrix_is_the_two_outer_products_bitwise(monkeypatch):
     # on the grid of airy_h_moment(3, 0.6), 330 nodes and no confluent pair
     grids = []
-    monkeypatch.setattr(airy_side, "airy_kernel_matrix",
-                        lambda nodes: grids.append(nodes) or airy_kernel_matrix(nodes))
+    monkeypatch.setattr(airy_side, "composite_legendre",
+                        lambda *args: grids.append(composite_legendre(*args)) or grids[-1])
     airy_h_moment(3, 0.6)
-    [nodes] = grids
+    [nodes] = [rule.nodes for rule in grids]
     assert nodes.size == 330
     assert airy_kernel_matrix(nodes).tobytes() == airy_kernel_two_outer(nodes).tobytes()
 
@@ -370,16 +370,23 @@ def test_airy_h_moment_contraction_matches_pointwise_sum(monkeypatch):
     assert dims == [3]
 
 
-def test_h_series_square_from_upper_triangle(monkeypatch):
-    # k = 3 at C = 0.6: n = 330 nodes, so the last block of rows is partial
-    seen = []
-    square = airy_side.gram
-    monkeypatch.setattr(airy_side, "gram", lambda S: seen.append(S) or square(S))
-    airy_h_moment(3, 0.6)
-    (S,) = seen
-    assert S.shape[0] % quadrature._GRAM_ROWS != 0
-    assert np.array_equal(S, S.T)
-    assert np.array_equal(square(S), np.einsum("il,jl->ij", S, S))
+@pytest.mark.parametrize("k, C, order", [(3, 0.6, None), (4, 1.0, 32), (4, 3.0, 96)])
+def test_h_series_square_from_displacement(k, C, order, monkeypatch):
+    # S^2 from the kernel's displacement structure, not from a Gram product,
+    # against the Gram product: the README k = 3 grid at C = 0.6 (330
+    # nodes), the benchmark's k = 4 grid at 32 nodes per panel, and C = 3
+    # at 96, where the nodes are closest
+    square = quadrature.gram
+    monkeypatch.setattr(quadrature, "gram", lambda S: pytest.fail("_h_series called gram"))
+    seen, table = [], airy_side._log_det_series
+    monkeypatch.setattr(airy_side, "_log_det_series",
+                        lambda S, S2, g, k: seen.append((S, S2)) or table(S, S2, g, k))
+    airy_h_moment(k, C, order)
+    assert not hasattr(airy_side, "gram")
+    [(S, S2)] = seen
+    assert np.array_equal(S2, S2.T)
+    want = square(S)
+    assert np.max(np.abs(S2 - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _traced_log_det_series(monkeypatch):
@@ -414,15 +421,17 @@ def test_h_series_table_matches_compositions(C, monkeypatch):
             assert abs(got / want - 1.0) <= 1e-13
 
 
-def test_h_series_table_on_a_random_matrix(monkeypatch):
-    # a symmetric S with no kernel structure, and a positive g
+def test_h_series_table_on_a_random_matrix():
+    # a symmetric S with no kernel structure, its Gram square, and a
+    # positive g: the trace table alone
     B = np.random.default_rng(7).normal(size=(40, 40))
     K = B + B.T
     rule, C = composite_legendre(-2.0, 2.0, 2, 20), 0.8
-    ells = _traced_log_det_series(monkeypatch)
-    monkeypatch.setattr(airy_side, "airy_kernel_matrix", lambda nodes: K.copy())
-    airy_side._h_series(rule, C, 4)
-    for got, want in zip(ells[-1], _compositions_on(K, rule, C, 4)):
+    g = np.exp(C * rule.nodes)
+    s = np.sqrt(rule.weights * g)
+    S = K * np.multiply.outer(s, s)
+    ells = airy_side._log_det_series(S, quadrature.gram(S), g, 4)
+    for got, want in zip(ells, _compositions_on(K, rule, C, 4), strict=True):
         assert abs(got / want - 1.0) <= 1e-13
 
 
