@@ -13,7 +13,8 @@ when one of them is used.
 
 import importlib
 
-from .airy_side import airy_h_moment, airy_mult_stat, laplace_R, tracy_widom_f2
+from .airy_side import (airy_h_moment, airy_h_moments, airy_mult_stat, laplace_R,
+                        tracy_widom_f2)
 from .errors import AiryKpzError, ConfigurationError, DomainError, NumericalConsistencyError
 from .kpz_side import kpz_laplace, kpz_moment, kpz_moment_nested, partitions, symmetry_factor
 from .params import ModelParams
@@ -25,7 +26,7 @@ __all__ = [
     "AiryKpzError", "ConfigurationError", "DomainError",
     "EstimatorResult", "ModelParams",
     "NumericalConsistencyError", "QuadratureRule",
-    "airy_h_moment", "airy_mult_stat", "draw_edge_samples",
+    "airy_h_moment", "airy_h_moments", "airy_mult_stat", "draw_edge_samples",
     "estimate_h_moment", "estimate_mult_stat",
     "gauss_legendre",
     "kpz_laplace", "kpz_moment", "kpz_moment_nested", "laplace_R",

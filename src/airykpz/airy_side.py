@@ -27,8 +27,8 @@ from .quadrature import (QuadratureRule, composite_legendre, fredholm_det_matrix
 from .specfun import SUPPORTED_RANGE, airy_both, logistic
 
 __all__ = [
-    "airy_kernel_matrix", "laplace_R",
-    "airy_h_moment", "airy_mult_stat", "tracy_widom_f2", "default_f2_grid", "newton_h",
+    "airy_kernel_matrix", "laplace_R", "airy_h_moment", "airy_h_moments",
+    "airy_mult_stat", "tracy_widom_f2", "default_f2_grid", "newton_h",
 ]
 
 _CONFLUENT_EPS = 1e-5     # |x - y| below which the confluent diagonal form is used
@@ -157,9 +157,9 @@ def _h_series(rule: QuadratureRule, C: float, k: int) -> list[float]:
     a = s Ai, b = s Ai' (s = (w g)^{1/2}), alpha = S a and beta = S b,
         (r_i - r_j) (S^2)_ij = (m - m^T)_ij,  m = a beta^T + alpha b^T,
     and S^2 is :func:`_cd_ratio` of those two pairs off the diagonal and
-    sum_l S_il S_li on it: two mat-vecs instead of a product.
-    Sums run through ``np.einsum`` without ``optimize``: no BLAS call, so
-    no dependence on its thread count.
+    the row sums sum_l S_il^2 on it (S is bitwise symmetric): two mat-vecs
+    instead of a product.  Sums run through ``np.einsum`` without
+    ``optimize``: no BLAS call, so no dependence on its thread count.
     """
     g = np.exp(C * rule.nodes)
     s = np.sqrt(rule.weights * g)
@@ -172,22 +172,24 @@ def _h_series(rule: QuadratureRule, C: float, k: int) -> list[float]:
         a, b = s * ai, s * aip
         S2 = _cd_ratio(rule.nodes, [(a, np.einsum("il,l->i", S, b)),
                                     (np.einsum("il,l->i", S, a), b)])
-        np.fill_diagonal(S2, np.einsum("il,li->i", S, S))
+        np.fill_diagonal(S2, np.einsum("il,il->i", S, S))
     ell = _log_det_series(S, S2, g, k)
     return newton_h([i * l for i, l in enumerate(ell, start=1)])[1:]
 
 
 def _log_det_series(S, S2, g, k: int) -> list:
     """l_1, ..., l_k: (-1)^n times the u^n coefficient of log det(I - P)
-    for P(u) = sum_m (-1)^{m+1} u^m S G^{m-1}, G = diag(g), S symmetric
-    and S2 = S^2 (None for k <= 2).
+    for P(u) = sum_m (-1)^{m+1} u^m S G^{m-1}, G = diag(g), S bitwise
+    symmetric and S2 = S^2 (None for k <= 2), also bitwise symmetric.
 
     From log det(I - P) = -sum_j tr(P^j)/j,
     l_n = sum_j (-1)^{j+1}/j sum_a tr(S G^{a_1} ... S G^{a_j}) over
     a_i >= 0 with sum a_i = n - j; merging the rotations of each word,
     l_1 = tr S, l_2 = tr SG - tr S^2/2, l_3 = tr SG^2 - tr S^2 G + tr S^3/3,
     l_4 = tr SG^3 - tr S^2 G^2 - tr (SG)^2/2 + tr S^3 G - tr S^4/4, each
-    trace one O(n^2) sum over S or S^2.
+    trace one O(n^2) sum over S or S^2.  By symmetry every trace of a
+    product is a sum over rows, tr XY = sum_il X_il Y_il, which reads both
+    operands along their rows; tr (SG)^2 = sum_i g_i sum_l S_il^2 g_l.
     """
     def tr(x, a):       # sum_i x_i g_i^a
         return np.einsum("i,i->", x, g ** a)
@@ -195,20 +197,44 @@ def _log_det_series(S, S2, g, k: int) -> list:
     d = np.einsum("ii->i", S)
     ell = [tr(d, 0)]
     if k > 1:       # q = diag(S^2)
-        q = np.einsum("il,li->i", S, S) if S2 is None else np.diagonal(S2)
+        q = np.einsum("il,il->i", S, S) if S2 is None else np.diagonal(S2)
         ell.append(tr(d, 1) - tr(q, 0) / 2)
     if k > 2:
-        c = np.einsum("il,li->i", S2, S)
+        c = np.einsum("il,il->i", S2, S)
         ell.append(tr(d, 2) - tr(q, 1) + tr(c, 0) / 3)
     if k > 3:
-        ell.append(tr(d, 3) - tr(q, 2) - np.einsum("i,il,li,l->", g, S, S, g) / 2
-                   + tr(c, 1) - np.einsum("il,li->", S2, S2) / 4)
+        ell.append(tr(d, 3) - tr(q, 2) - tr(np.einsum("il,il,l->i", S, S, g), 1) / 2
+                   + tr(c, 1) - np.einsum("il,il->", S2, S2) / 4)
     return ell
+
+
+def airy_h_moments(k_max: int, C: float, nodes_per_axis: int | None = None) -> list[float]:
+    """[E h_1, ..., E h_kmax] over exp(C a_1), exp(C a_2), ...: the first
+    k_max coefficients of the u-series of det(I - K f_u), all from one grid.
+
+    The grid is the one order k_max needs, so E h_k for k < k_max comes
+    from a grid that reaches further right than its own order asks.
+    ``nodes_per_axis`` and the supported (k_max, C) are those of
+    :func:`airy_h_moment` at k = k_max, which raises the same errors.  The
+    entries are not checked for positivity.
+    """
+    check_order("airy_h_moments", k_max)
+    right = (k_max * C) ** 2 / 4.0 + _H_RIGHT_MARGIN
+    if not (C >= 0.4 and right <= SUPPORTED_RANGE):
+        raise DomainError(f"airy_h_moment supports C >= 0.4 and (kC)^2/4 + "
+                          f"{_H_RIGHT_MARGIN:g} <= {SUPPORTED_RANGE:g}; got k = {k_max}, C = {C}")
+    checked_exp(f"airy_h_moment({k_max}, {C}): e^(Cr) at the grid's right edge "
+                f"r = {right:.6g},", C * right)
+    left = max(-SUPPORTED_RANGE, -_H_LEFT_DECAY / C)
+    rule = composite_legendre(left, right, math.ceil((right - left) / _H_PANEL_WIDTH),
+                              _H_ORDER if nodes_per_axis is None else nodes_per_axis)
+    return [float(h) for h in _h_series(rule, C, k_max)]
 
 
 def airy_h_moment(k: int, C: float, nodes_per_axis: int | None = None) -> float:
     """Expectation of h_k over exp(C a_1), exp(C a_2), ...: (-1)^k times
-    the u^k coefficient of det(I - K f_u).
+    the u^k coefficient of det(I - K f_u), the last entry of
+    :func:`airy_h_moments` at k_max = k.
 
     ``nodes_per_axis`` is the Gauss-Legendre order per panel of the grid
     (default 30).  Supported on integer 1 <= k <= 4 (ConfigurationError
@@ -220,16 +246,7 @@ def airy_h_moment(k: int, C: float, nodes_per_axis: int | None = None) -> float:
     NumericalConsistencyError.
     """
     check_order("airy_h_moment", k)
-    right = (k * C) ** 2 / 4.0 + _H_RIGHT_MARGIN
-    if not (C >= 0.4 and right <= SUPPORTED_RANGE):
-        raise DomainError(f"airy_h_moment supports C >= 0.4 and (kC)^2/4 + "
-                          f"{_H_RIGHT_MARGIN:g} <= {SUPPORTED_RANGE:g}; got k = {k}, C = {C}")
-    checked_exp(f"airy_h_moment({k}, {C}): e^(Cr) at the grid's right edge r = {right:.6g},",
-                C * right)
-    left = max(-SUPPORTED_RANGE, -_H_LEFT_DECAY / C)
-    rule = composite_legendre(left, right, math.ceil((right - left) / _H_PANEL_WIDTH),
-                              _H_ORDER if nodes_per_axis is None else nodes_per_axis)
-    return check_positive(f"airy_h_moment({k}, {C})", float(_h_series(rule, C, k)[-1]))
+    return check_positive(f"airy_h_moment({k}, {C})", airy_h_moments(k, C, nodes_per_axis)[-1])
 
 
 # ----------------------------------------------------------------------

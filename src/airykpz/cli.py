@@ -14,8 +14,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .airy_side import airy_h_moment, airy_mult_stat, tracy_widom_f2
-from .errors import AiryKpzError, ConfigurationError, check_order, checked_exp
+from .airy_side import airy_h_moments, airy_mult_stat, tracy_widom_f2
+from .errors import (AiryKpzError, ConfigurationError, DomainError, check_order,
+                     check_positive, checked_exp)
 from .kpz_side import kpz_laplace, kpz_moment
 from .params import ModelParams
 from .quadrature import MOMENT_RTOL
@@ -101,6 +102,26 @@ def _value(outcome):
     return outcome
 
 
+def _airy_moment_outcomes(C: float, k_max: int, nodes=None) -> list:
+    """The outcome of airy_h_moment(k, C) for k = 1, ..., k_max, read off
+    one :func:`airy_h_moments` series at the largest order whose grid is
+    supported: each order above it keeps the DomainError that
+    airy_h_moment raises there, and each entry is checked for positivity
+    on its own."""
+    refused = []
+    for j in range(k_max, 0, -1):
+        try:
+            series = airy_h_moments(j, C, nodes)
+        except DomainError as exc:
+            refused.insert(0, exc)
+            continue
+        except AiryKpzError as exc:
+            return [exc] * j + refused
+        return [_outcome(check_positive, f"airy_h_moment({k}, {C})", h)
+                for k, h in enumerate(series, start=1)] + refused
+    return refused
+
+
 def _derive_grid(cfg: RunConfig) -> list[tuple[float, float]]:
     """(C, T) pairs from whichever list was supplied; a non-positive C or T
     raises DomainError."""
@@ -137,16 +158,17 @@ def run_verify_theorem2(cfg: RunConfig) -> list[VerificationRow]:
     nodes = cfg.nodes or None
     tol = cfg.tol or MOMENT_RTOL
 
-    def cell(labels, C, T, k):
-        row = VerificationRow(labels=labels,
-                              lhs_value=airy_h_moment(k, C, nodes_per_axis=nodes),
+    def cell(labels, lhs, T, k):
+        row = VerificationRow(labels=labels, lhs_value=_value(lhs),
                               rhs_value=kpz_moment(k, T, nodes_per_axis=nodes),
                               aux=f"tol={tol:g};nodes={cfg.nodes or 'auto'}")
         row.passed = row.rel_diff < tol
         return row
 
-    return [_row_or_error({"C": C, "T": T, "k": k}, cell, C, T, k)
-            for C, T in _derive_grid(cfg) for k in range(1, cfg.k_max + 1)]
+    # one Airy series per C, at the highest order its grid supports
+    return [_row_or_error({"C": C, "T": T, "k": k}, cell, lhs, T, k)
+            for C, T in _derive_grid(cfg)
+            for k, lhs in enumerate(_airy_moment_outcomes(C, cfg.k_max, nodes), start=1)]
 
 
 def run_verify_theorem1(cfg: RunConfig) -> list[VerificationRow]:
@@ -254,8 +276,8 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
     # reference raises is an error row that needs no samples
     cells = []
     for C, T in grid:
-        cells += [({"kind": "h_moment", "param": k, "C": C, "T": T}, h_moment_cell,
-                   _outcome(airy_h_moment, k, C), k, C) for k in range(1, cfg.k_max + 1)]
+        cells += [({"kind": "h_moment", "param": k, "C": C, "T": T}, h_moment_cell, ref, k, C)
+                  for k, ref in enumerate(_airy_moment_outcomes(C, cfg.k_max), start=1)]
         cells += [({"kind": "mult_stat", "param": u, "C": C, "T": T}, mult_stat_cell,
                    _outcome(airy_mult_stat, ModelParams.from_C(C, u)), u, C)
                   for u in cfg.u_list]

@@ -88,6 +88,28 @@ def log_det_series_by_compositions(S, g, k):
             for n in range(1, k + 1)]
 
 
+def log_det_series_transposed(S, S2, g, k):
+    """l_1, ..., l_k of ``airy_side._log_det_series`` with every trace of a
+    product summed down the columns of its second factor, tr XY =
+    sum_il X_il Y_li, and tr (SG)^2 as one four-operand sum: the same
+    table without the symmetry of S and S2."""
+    def tr(x, a):
+        return np.einsum("i,i->", x, g ** a)
+
+    d = np.einsum("ii->i", S)
+    ell = [tr(d, 0)]
+    if k > 1:
+        q = np.einsum("il,li->i", S, S) if S2 is None else np.diagonal(S2)
+        ell.append(tr(d, 1) - tr(q, 0) / 2)
+    if k > 2:
+        c = np.einsum("il,li->i", S2, S)
+        ell.append(tr(d, 2) - tr(q, 1) + tr(c, 0) / 3)
+    if k > 3:
+        ell.append(tr(d, 3) - tr(q, 2) - np.einsum("i,il,li,l->", g, S, S, g) / 2
+                   + tr(c, 1) - np.einsum("il,li->", S2, S2) / 4)
+    return ell
+
+
 def cauchy_det_direct(a, b) -> complex:
     """det[1/(a_i + b_j)] for 1-d ``a``, ``b`` by pivoted elimination."""
     a = np.asarray(a, dtype=complex)

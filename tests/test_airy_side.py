@@ -6,16 +6,16 @@ import pytest
 
 from airykpz import airy_side
 from airykpz import quadrature
-from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix, airy_mult_stat,
-                               laplace_R, tracy_widom_f2)
+from airykpz.airy_side import (airy_h_moment, airy_h_moments, airy_kernel_matrix,
+                               airy_mult_stat, laplace_R, tracy_widom_f2)
 from airykpz.errors import ConfigurationError, DomainError
 from airykpz.params import ModelParams
 from airykpz.quadrature import composite_legendre, gaussian_cauchy_factors
 from airykpz.specfun import airy_both
 
 from pointwise import (airy_kernel_two_outer, cauchy_det_direct, cauchy_factors, factor_grid,
-                       half_line_kernel, log_det_series_by_compositions, okounkov_integral,
-                       pointwise_sum)
+                       half_line_kernel, log_det_series_by_compositions,
+                       log_det_series_transposed, okounkov_integral, pointwise_sum)
 
 AIP0_SQ = 0.06698748377966397414  # Ai'(0)^2, 30-digit evaluation
 R1 = 0.3066099715278760013815    # e^(1/12)/(2 sqrt(pi))
@@ -433,6 +433,46 @@ def test_h_series_table_on_a_random_matrix():
     ells = airy_side._log_det_series(S, quadrature.gram(S), g, 4)
     for got, want in zip(ells, _compositions_on(K, rule, C, 4), strict=True):
         assert abs(got / want - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("C, order", [(0.6, 32), (1.0, 32), (1.4, 32), (3.0, 96)])
+def test_h_series_table_matches_transposed_sums(C, order, monkeypatch):
+    # the row sums over the symmetric S and S^2 against the same traces
+    # summed down columns, with tr (SG)^2 as one four-operand sum: the
+    # benchmark's k = 4 grids at 32 nodes per panel, and C = 3 at 96
+    seen, table = [], airy_side._log_det_series
+    monkeypatch.setattr(airy_side, "_log_det_series",
+                        lambda S, S2, g, k: seen.append((S, S2, g)) or table(S, S2, g, k))
+    airy_h_moment(4, C, order)
+    [(S, S2, g)] = seen
+    for got, want in zip(table(S, S2, g, 4), log_det_series_transposed(S, S2, g, 4),
+                         strict=True):
+        assert abs(got / want - 1.0) <= 1e-14
+
+
+def test_airy_h_moments_is_one_series(monkeypatch):
+    # every order from one _h_series call on the k_max grid, unchecked;
+    # airy_h_moment is its last entry and refuses what it refuses
+    calls = []
+    series = airy_side._h_series
+    monkeypatch.setattr(airy_side, "_h_series",
+                        lambda rule, C, k: calls.append(rule.nodes[-1]) or series(rule, C, k))
+    vals = airy_h_moments(3, 1.0)
+    assert len(calls) == 1 and len(vals) == 3
+    assert all(type(v) is float for v in vals)
+    assert airy_h_moment(3, 1.0) == vals[-1]
+    assert calls[1] == calls[0]
+    # the k = 2 grid ends further left, so its own E h_2 is a different sum
+    assert abs(airy_h_moment(2, 1.0) / vals[1] - 1.0) <= 1e-14
+    assert calls[2] < calls[0]
+    with pytest.raises(ConfigurationError, match="airy_h_moments supports integer"):
+        airy_h_moments(5, 1.0)
+    # the same refusal, word for word, as airy_h_moment at k = k_max
+    for k_max, C in [(4, 3.2), (1, 0.39), (1, 12.2)]:
+        with pytest.raises(DomainError) as want:
+            airy_h_moment(k_max, C)
+        with pytest.raises(DomainError, match=re.escape(str(want.value))):
+            airy_h_moments(k_max, C)
 
 
 @pytest.mark.parametrize("C", [0.4, 0.5, 0.6, 1.0, 1.4, 2.0, 2.5])

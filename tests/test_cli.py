@@ -230,6 +230,60 @@ def test_moment_lost_to_cancellation_is_an_error_row(monkeypatch):
     assert not rows[2].passed
 
 
+def _count_h_series(monkeypatch):
+    """A list that gets one C per Airy u-series built."""
+    from airykpz import airy_side
+    calls, series = [], airy_side._h_series
+    monkeypatch.setattr(airy_side, "_h_series",
+                        lambda rule, C, k: calls.append(C) or series(rule, C, k))
+    return calls
+
+
+def test_theorem2_reads_every_order_off_one_series_per_C(monkeypatch):
+    from airykpz.airy_side import airy_h_moments
+    want = {C: airy_h_moments(3, C) for C in (0.6, 1.0, 1.4)}
+    calls = _count_h_series(monkeypatch)
+    rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[0.6, 1.0, 1.4],
+                                         k_max=3))
+    assert calls == [0.6, 1.0, 1.4]
+    assert [r.status for r in rows] == ["ok"] * 9
+    assert [r.lhs_value for r in rows] == [h for C in (0.6, 1.0, 1.4) for h in want[C]]
+
+
+def test_theorem2_series_falls_back_to_the_largest_supported_order(monkeypatch):
+    # at C = 4 the k = 4 grid leaves the Airy range: the rows k <= 3 come
+    # from the k = 3 series and the k = 4 row is the refusal airy_h_moment
+    # raises there
+    from airykpz.airy_side import airy_h_moments
+    want = airy_h_moments(3, 4.0)
+    calls = _count_h_series(monkeypatch)
+    rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[4.0], k_max=4))
+    assert calls == [4.0]
+    assert [r.status for r in rows[:3]] == ["ok"] * 3
+    assert [r.lhs_value for r in rows[:3]] == want
+    assert rows[3].status == ("error: DomainError: airy_h_moment supports C >= 0.4 and "
+                              "(kC)^2/4 + 22 <= 60; got k = 4, C = 4.0")
+    # below C = 0.4 no order is supported, and every row names its own k
+    rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[0.3], k_max=2))
+    assert [r.status[-18:] for r in rows] == ["got k = 1, C = 0.3", "got k = 2, C = 0.3"]
+    assert calls == [4.0]
+    # any other refusal of the series is the refusal of every order below
+    rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[4.0], k_max=4,
+                                         nodes=100000))
+    assert [r.status.split(":")[1] for r in rows] == [" ConfigurationError"] * 3 + [" DomainError"]
+
+
+def test_theorem2_entry_lost_to_cancellation_is_its_own_error_row(monkeypatch):
+    # positivity is checked per order: a non-positive E h_2 fails that row only
+    from airykpz import cli
+    monkeypatch.setattr(cli, "airy_h_moments", lambda k, C, nodes: [0.3, -1e-17, 0.5][:k])
+    monkeypatch.setattr(cli, "kpz_moment", lambda k, T, nodes_per_axis: [0.3, 0.2, 0.5][k - 1])
+    rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[1.0], k_max=3))
+    assert [r.status for r in rows] == [
+        "ok", "error: NumericalConsistencyError: airy_h_moment(2, 1.0) = -1e-17 is not "
+              "positive and finite", "ok"]
+
+
 def test_nodes_above_the_node_budget_fail_the_moment_row():
     # 101^4 nodes exceed TENSOR_NODE_BUDGET: the k = 4 row is an error that
     # names the budget, and the rows below it run at 101 nodes per axis
@@ -339,6 +393,17 @@ def test_mc_check_small_run(capsys):
     u0 = rows[1]
     assert u0["lhs_value"] == 1.0 and u0["rhs_value"] == 1.0 and u0["abs_diff"] == 0.0
     assert all("stderr=" in r["aux"] for r in rows)
+
+
+def test_mc_check_builds_one_reference_series_per_C(monkeypatch):
+    from airykpz.airy_side import airy_h_moments
+    want = {C: airy_h_moments(3, C) for C in (0.5, 1.0)}
+    calls = _count_h_series(monkeypatch)
+    cfg = RunConfig(command="mc-check", C_list=[0.5, 1.0], k_max=3, samples=120,
+                    matrix_size=120, seed=7)
+    rows, _ = run(cfg)
+    assert calls == [0.5, 1.0]
+    assert [r.rhs_value for r in rows] == want[0.5] + want[1.0]
 
 
 def test_mc_check_seed_reproducibility():
