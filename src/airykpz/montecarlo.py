@@ -9,14 +9,16 @@ so estimates carry an edge bias: on the README mc-check grid it is -0.7%
 of E h_1 at N = 400, falls about as N^(-0.6), and sits well inside the
 mc-check tolerances (README, "Monte Carlo cross-check").
 
-Only the leading ``_edge_rows(N, m)`` rows of the matrix are solved.  Row j
+Only the leading ``_edge_rows(N, m)`` rows of the matrix are solved, by one
+LAPACK ``dsterf`` call (eigenvalues only, Pal-Walker-Kahan QL/QR).  Row j
 has off-diagonals near sqrt(N - j), so an eigenvalue lambda is classically
 allowed in rows j < N - lambda^2/4 and its eigenvector decays faster than
-exponentially past that turning row (Edelman & Sutton, J. Stat. Phys. 2007).
-The window reaches the turning row of the m-th kept eigenvalue plus a decay
-margin; the rows past it change no kept eigenvalue beyond roundoff.  Every
-draw uses the full-length variates, so a windowed draw is the full solve of
-the same (seed, index) to within ~4e-12 in rescaled units
+exponentially past that turning row (Edelman & Sutton, J. Stat. Phys. 2007),
+on the local Airy scale (lambda^2/4)^(1/3) rows.  The window reaches the
+turning row of the m-th kept eigenvalue plus a decay margin in that scale;
+the rows past it change no kept eigenvalue beyond roundoff.  Every draw
+uses the full-length variates, so a windowed draw is the full solve of the
+same (seed, index) to within ~4e-12 in rescaled units
 (``tests/test_montecarlo.py::test_window_matches_full_solve``).
 
 Draws are plain arrays: one draw is the 1-d array of its m rescaled points,
@@ -34,10 +36,11 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dsterf
 
 from .airy_side import newton_h
-from .errors import ConfigurationError, NumericalConsistencyError, is_integer
+from .errors import ConfigurationError, NumericalConsistencyError, checked_exp, is_integer
+from .specfun import logistic
 
 __all__ = [
     "EstimatorResult", "sample_gue_edge", "draw_edge_samples",
@@ -55,7 +58,8 @@ MIN_KEPT = 32
 #: highest k for which estimate_h_moment's tail truncation is controlled
 MAX_H_ORDER = 3
 
-#: rows solved past the m-th eigenvalue's turning row, in units of N^(1/3)
+#: rows solved past the m-th eigenvalue's turning row j_t, in units of the
+#: local Airy scale (N - j_t)^(1/3); at 8 units kept points move by up to 1.5e-8
 _EDGE_MARGIN = 10.0
 
 
@@ -91,14 +95,17 @@ def _edge_rows(N: int, m: int) -> int:
 
     The m-th eigenvalue sits near lambda_m = 2 sqrt(N) + z_m N^(-1/6), z_m the
     m-th zero of Ai (DLMF 9.9.6, leading term); its turning row is
-    N - lambda_m^2 / 4, which lies too deep at m ~ 48 for the linearised
-    |z_m| N^(1/3).  The window adds _EDGE_MARGIN N^(1/3) rows and is
+    j_t = N - lambda_m^2 / 4, which lies too deep at m ~ 48 for the
+    linearised |z_m| N^(1/3).  Past j_t the off-diagonals are near
+    sqrt(N - j) and the eigenvector decays like Ai on the local scale
+    (N - j_t)^(1/3) = (lambda_m / 2)^(2/3) rows, below N^(1/3) whenever
+    lambda_m < 2 sqrt(N).  The window adds _EDGE_MARGIN such units and is
     capped at N, where it is the whole matrix.
     """
     z_m = -(3.0 * math.pi * (4 * m - 1) / 8.0) ** (2.0 / 3.0)
     lam_m = max(2.0 * math.sqrt(N) + z_m * N ** (-1.0 / 6.0), 0.0)
-    turning = N - lam_m * lam_m / 4.0
-    return min(N, math.ceil(turning + _EDGE_MARGIN * N ** (1.0 / 3.0)))
+    depth = lam_m * lam_m / 4.0          # N - j_t
+    return min(N, math.ceil(N - depth + _EDGE_MARGIN * depth ** (1.0 / 3.0)))
 
 
 def _check_draw(N: int, m: int, seed: int, sample_index: int) -> None:
@@ -119,18 +126,18 @@ def sample_gue_edge(N: int, m: int, seed: int, sample_index: int = 0) -> np.ndar
 
     Deterministic given (N, m, seed, sample_index); the draw is row
     sample_index of draw_edge_samples(N, m, seed, count).  The variates are
-    drawn for the whole matrix; the eigensolve sees its leading
-    _edge_rows(N, m).
+    drawn for the whole matrix; one dsterf call solves its leading
+    _edge_rows(N, m), and a non-zero info from it raises
+    NumericalConsistencyError naming the draw.
     """
     _check_draw(N, m, seed, sample_index)
     diag, off = _tridiagonal(N, seed, sample_index)
     n = _edge_rows(N, m)
-    try:
-        eigs = eigh_tridiagonal(diag[:n], off[:n - 1], eigvals_only=True)
-    except np.linalg.LinAlgError as exc:
+    eigs, info = dsterf(diag[:n], off[:n - 1])
+    if info != 0:
         raise NumericalConsistencyError(
-            f"tridiagonal eigensolver failed (N={N}, seed={seed!r}, "
-            f"sample_index={sample_index!r}): {exc}") from exc
+            f"tridiagonal eigensolver dsterf returned info={info} (N={N}, "
+            f"seed={seed!r}, sample_index={sample_index!r})")
     top = eigs[-m:][::-1]
     return N ** (1.0 / 6.0) * (top - 2.0 * math.sqrt(N))
 
@@ -189,6 +196,11 @@ def _points_matrix(samples: np.ndarray) -> np.ndarray:
     return pts
 
 
+def _check_finite_C(estimator: str, C: float) -> None:
+    if not math.isfinite(C):
+        raise ConfigurationError(f"{estimator} needs a finite C, got C = {C!r}")
+
+
 def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     n = vals.size
     mean = float(np.mean(vals))
@@ -207,13 +219,23 @@ def complete_homogeneous(values: np.ndarray, k: int) -> np.ndarray:
 
 def estimate_h_moment(samples: np.ndarray, k: int, C: float) -> EstimatorResult:
     """Empirical E[h_k(exp(C a_1), exp(C a_2), ...)] over the kept points
-    of a (draws, kept) sample array."""
+    of a (draws, kept) sample array.
+
+    Each draw's h_k is at most binom(m + k - 1, k) exp(k C max a), and the
+    standard error sums the draws' squares; where that sum would overflow,
+    errors.checked_exp raises DomainError before any exp is formed.
+    """
     if not 0 <= k <= MAX_H_ORDER:
         raise ConfigurationError(f"estimate_h_moment supports 0 <= k <= {MAX_H_ORDER}")
+    _check_finite_C("estimate_h_moment", C)
     if not C >= 0.3:
         raise ConfigurationError("estimate_h_moment requires C >= 0.3 "
                                  "(tail truncation control)")
     pts = _points_matrix(samples)
+    draws, m = pts.shape
+    log_h = max(k, 1) * C * float(np.max(pts)) + math.log(math.comb(m + k - 1, k))
+    checked_exp(f"estimate_h_moment(k={k}, C={C!r}) squared h_k sum",
+                2.0 * log_h + math.log(draws))
     vals = complete_homogeneous(np.exp(C * pts), k)
     mean, stderr = _mean_stderr(vals)
     return EstimatorResult(mean=mean, stderr=stderr, n_samples=pts.shape[0])
@@ -227,12 +249,17 @@ def estimate_mult_stat(samples: np.ndarray, u: float, C: float) -> EstimatorResu
     kept point of its draw; the reported bias_bound is the worst per-factor
     gap u exp(C a_m) across draws, and the result is flagged when it
     exceeds BIAS_GUARD.  The N - m omitted factors together can move the
-    product by more than that gap.
+    product by more than that gap.  The factors are
+    logistic(-(C a_i + log u)), which overflows at no C; at u = 0 each is
+    exactly 1.
     """
     if not u >= 0:
         raise ConfigurationError("estimate_mult_stat requires u >= 0")
+    _check_finite_C("estimate_mult_stat", C)
     pts = _points_matrix(samples)
-    vals = np.prod(1.0 / (1.0 + u * np.exp(C * pts)), axis=1)
+    log_u = math.log(u) if u > 0 else -math.inf
+    y = -(C * pts + log_u)
+    vals = np.prod(logistic(y, out=y), axis=1)
     mean, stderr = _mean_stderr(vals)
     bias = float(np.max(u * np.exp(C * np.min(pts, axis=1))))
     return EstimatorResult(mean=mean, stderr=stderr, n_samples=pts.shape[0],

@@ -195,12 +195,18 @@ def airy_ai(x):
     return float(ai) if np.ndim(h) == 0 else ai
 
 
-def logistic(x):
-    """1/(1 + exp(-x)) for real array x, without overflow at any |x|."""
+def logistic(x, out=None):
+    """1/(1 + exp(-x)) for real array x, without overflow at any |x|:
+    1/(1 + t) for x > 0 and t/(1 + t) otherwise, t = exp(-|x|).  Written
+    into ``out`` when given, which may be x itself."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     pos = x > 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
+    if out is None:
+        out = np.empty_like(x)
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    den = 1.0 + out
+    np.copyto(out, 1.0, where=pos)
+    out /= den
     return out

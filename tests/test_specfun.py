@@ -265,3 +265,6 @@ def test_logistic_overflow_safe():
     assert f[0] == 0.0 and f[3] == 0.5 and f[-1] == 1.0
     assert f == pytest.approx(1.0 / (1.0 + np.exp(-np.clip(x, -700, 700))), rel=1e-15)
     assert f + logistic(-x) == pytest.approx(np.ones_like(x), abs=1e-15)
+    # written in place, the same bits
+    y = x.copy()
+    assert logistic(y, out=y) is y and np.array_equal(y, f)
