@@ -9,6 +9,8 @@ Output is byte-stable for identical configuration (including the seed).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -317,11 +319,13 @@ def render(rows: list[VerificationRow], command: str, fmt: str) -> str:
         payload = [{key: None if isinstance(val, float) and not math.isfinite(val) else val
                     for key, val in row.as_dict(labels).items()} for row in rows]
         return json.dumps(payload, indent=2) + "\n"
-    lines = [",".join(names)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")   # quotes the commas of error statuses
+    writer.writerow(names)
     for row in rows:
         d = row.as_dict(labels)
-        lines.append(",".join(_fmt(d[name]) for name in names))
-    return "\n".join(lines) + "\n"
+        writer.writerow([_fmt(d[name]) for name in names])
+    return out.getvalue()
 
 
 def _parse_float_list(text: str) -> list[float]:

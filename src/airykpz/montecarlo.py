@@ -256,6 +256,8 @@ def estimate_mult_stat(samples: np.ndarray, u: float, C: float) -> EstimatorResu
     if not u >= 0:
         raise ConfigurationError("estimate_mult_stat requires u >= 0")
     _check_finite_C("estimate_mult_stat", C)
+    if not C > 0:
+        raise ConfigurationError(f"estimate_mult_stat requires C > 0, got C = {C!r}")
     pts = _points_matrix(samples)
     log_u = math.log(u) if u > 0 else -math.inf
     y = -(C * pts + log_u)

@@ -228,11 +228,19 @@ def fredholm_det_matrix(kmat: np.ndarray, weights: np.ndarray) -> float:
     det(I - M) with M_ij = sqrt(w_i) k(x_i, x_j) sqrt(w_j), by pivoted LU
     elimination; spectrally convergent for analytic kernels.  A non-finite
     entry raises :class:`NumericalConsistencyError` naming its node pair (i, j).
+    So does M_ii >= 1, naming node i: each kernel here (Airy, K_u) is
+    positive semidefinite below 1, so M is positive semidefinite, and an
+    eigenvalue >= M_ii >= 1 of M is a grid too coarse for the kernel, not
+    a determinant near 0.
     """
     kmat = np.asarray(kmat, dtype=float)
     if not np.all(np.isfinite(kmat)):
         i, j = np.argwhere(~np.isfinite(kmat))[0]
         raise NumericalConsistencyError(f"kernel not finite at node pair ({i}, {j})")
+    diag = weights * np.diagonal(kmat)
+    if np.any(diag >= 1.0):
+        i = int(np.argmax(diag))
+        raise NumericalConsistencyError(f"grid too coarse: w k(x, x) = {diag[i]:.3g} >= 1 at node {i}")
     sq = np.sqrt(weights)
     n = kmat.shape[0]
     return float(np.linalg.det(np.eye(n) - sq[:, None] * kmat * sq[None, :]))

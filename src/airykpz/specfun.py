@@ -11,17 +11,19 @@ Ai (:func:`airy_ai`), with the same bits at half the work; both pass one
 range check.  The coefficients follow from the Airy equation y'' = x y
 (DLMF 9.2.1): a_2 = x0 a_0 / 2 and (n+2)(n+1) a_{n+2} = x0 a_n + a_{n-1}.
 
-The table is built once at import by Taylor steps of that equation:
-leftward from the asymptotic value (DLMF 9.7) at 60.25 down to 0
-(stable, because Ai is the solution recessive to the right), then from
-the closed-form Ai(0), Ai'(0) down to -60.25.  Import raises unless the
-leftward march reproduces the closed forms to 1e-13 relative and the
-march down lands on the asymptotic value at -60.25 to 1e-12 of the
-local envelope.  The asymptotic expansions serve only to seed and check
-the table.  Accuracy against a 40-digit reference is pinned by
-``tests/test_specfun.py::test_airy_against_mpmath``: 1e-12 relative on
-[0, 60] and 1e-13 of the local envelope on [-60, 0) (measured 4.8e-14
-and 4.3e-15).
+The table is built once at import by one march of Taylor steps of that
+equation, leftward from the asymptotic value (DLMF 9.7) at 60.25 to
+-60.25 (stable, because Ai is the solution recessive to the right), then
+scaled once so that its value at 0 is the closed-form Ai(0): the march
+is linear, and its seed carries the rounding of zeta ~ 311.8 (4.7e-14).
+Import raises unless the scaled Ai'(0) meets the closed form to 1e-14
+relative (measured 2.2e-16) and the march lands on the asymptotic value
+at -60.25 to 1e-12 of the local envelope (measured 1.5e-15 for Ai,
+7.0e-14 for Ai').  The asymptotic expansions serve only to seed and
+check the table.  Accuracy against a 40-digit reference is pinned by
+``tests/test_specfun.py::test_airy_against_mpmath``: 2e-14 relative on
+[0, 60] and 1e-14 of the local envelope on [-60, 0) (measured 4.2e-15
+and 2.7e-15).
 
 All entry points accept scalars or numpy arrays and are pure.
 """
@@ -41,7 +43,7 @@ _AI0 = 0.3550280538878172
 _AIP0 = -0.2588194037928068
 
 _STEP = 0.25
-_EDGE = SUPPORTED_RANGE + _STEP   # outermost centres; seeds of the marches
+_EDGE = SUPPORTED_RANGE + _STEP   # outermost centres: seed and landing of the march
 _DEGREE = 23
 
 
@@ -123,35 +125,31 @@ def _horner(table, j, h, derivative=True):
 
 
 def _march(x0, ai, aip, step, n):
-    """Coefficient rows about x0 + k*step, k = 0..n-1, and (Ai, Ai') at x0 + n*step."""
+    """Coefficient rows about x0 + k*step, k = 0..n-1, from Ai(x0), Ai'(x0)."""
     powers = step ** np.arange(_DEGREE + 1)
     rows = []
     for k in range(n):
         a = _taylor_coeffs(x0 + k * step, ai, aip)
         rows.append(a)
         ai, aip = a @ powers, (a[1:] * np.arange(1, _DEGREE + 1)) @ powers[:-1]
-    return rows, ai, aip
+    return rows
 
 
 def _taylor_table():
     n = round(_EDGE / _STEP)
     ai, aip = _airy_asym_pos(np.array([_EDGE]))
-    right, ai0, aip0 = _march(_EDGE, ai[0], aip[0], -_STEP, n)
-    if abs(ai0 / _AI0 - 1.0) > 1e-13 or abs(aip0 / _AIP0 - 1.0) > 1e-13:
+    rows = np.array(_march(_EDGE, ai[0], aip[0], -_STEP, 2 * n + 1))   # centres _EDGE .. -_EDGE
+    rows *= _AI0 / rows[n, 0]                            # the one normalization
+    if abs(rows[n, 1] / _AIP0 - 1.0) > 1e-14:
         raise NumericalConsistencyError(
-            f"Taylor march reached Ai(0) = {ai0!r}, Ai'(0) = {aip0!r}; "
-            f"closed forms {_AI0!r}, {_AIP0!r}")
-    left, _, _ = _march(0.0, _AI0, _AIP0, -_STEP, n + 1)
-    # the march down must land on the asymptotic value at -_EDGE, within
-    # 1e-12 of the local envelopes of Ai and Ai'
+            f"Taylor march scaled to Ai(0) reached Ai'(0) = {rows[n, 1]!r}; closed form {_AIP0!r}")
     ai, aip = _airy_asym_neg(np.array([-_EDGE]))
     env, env_p = 1.0 / (np.sqrt(np.pi) * _EDGE ** 0.25), _EDGE ** 0.25 / np.sqrt(np.pi)
-    if abs(left[-1][0] - ai[0]) > 1e-12 * env or abs(left[-1][1] - aip[0]) > 1e-12 * env_p:
+    if abs(rows[-1, 0] - ai[0]) > 1e-12 * env or abs(rows[-1, 1] - aip[0]) > 1e-12 * env_p:
         raise NumericalConsistencyError(
-            f"Taylor march reached Ai(-{_EDGE:g}) = {left[-1][0]!r}, "
-            f"Ai'(-{_EDGE:g}) = {left[-1][1]!r}; asymptotic values {ai[0]!r}, {aip[0]!r}")
-    coeffs = np.array(left[::-1] + right[::-1])          # centres -_EDGE .. _EDGE
-    return coeffs.T.copy()
+            f"Taylor march reached Ai(-{_EDGE:g}) = {rows[-1, 0]!r}, "
+            f"Ai'(-{_EDGE:g}) = {rows[-1, 1]!r}; asymptotic values {ai[0]!r}, {aip[0]!r}")
+    return rows[::-1].T.copy()                           # centres -_EDGE .. _EDGE
 
 
 _AI_T = _taylor_table()
@@ -178,9 +176,9 @@ def airy_both(x):
     """Return (Ai(x), Ai'(x)) for scalar or array x, |x| <= 60.
 
     One Taylor table serves the whole range.  Measured against a 40-digit
-    reference: 4.8e-14 relative on [0, 60], and on [-60, 0), where Ai and
-    Ai' have zeros, 4.3e-15 of the local envelope (|x|^(-1/4)/sqrt(pi) for
-    Ai, |x|^(1/4)/sqrt(pi) for Ai'); the tests hold 1e-12 and 1e-13.
+    reference: 4.2e-15 relative on [0, 60], and on [-60, 0), where Ai and
+    Ai' have zeros, 2.7e-15 of the local envelope (|x|^(-1/4)/sqrt(pi) for
+    Ai, |x|^(1/4)/sqrt(pi) for Ai'); the tests hold 2e-14 and 1e-14.
     """
     j, h = _nearest_centre(x)
     ai, aip = _horner(_AI_T, j, h)

@@ -1,4 +1,6 @@
 import ast
+import csv
+import io
 import json
 import os
 import subprocess
@@ -160,10 +162,10 @@ def test_tw_limit_overflowing_u_is_a_domain_error_row(capsys):
     # an error row naming the cause, and the ladder's other row still runs
     code, out, err = _run_main(["tw-limit", "--a=-6", "--T", "8,4e6"], capsys)
     assert code == 1
-    rows = out.splitlines()[1:]
-    assert rows[0].endswith(",ok")
-    assert rows[1].endswith("error: DomainError: tw-limit at a = -6.0, "
-                            "C = 125.99210498948729: u = exp(755.953) overflows double precision")
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert rows[0][-1] == "ok"
+    assert rows[1][-1] == ("error: DomainError: tw-limit at a = -6.0, "
+                           "C = 125.99210498948729: u = exp(755.953) overflows double precision")
 
 
 def test_tw_limit_right_tail(capsys):
@@ -214,6 +216,16 @@ def test_per_row_error_capture():
     text = render(rows, "verify-theorem2", "json")
     parsed = json.loads(text, parse_constant=lambda s: pytest.fail(f"non-literal {s}"))
     assert parsed[0]["lhs_value"] is None
+
+
+def test_error_row_with_commas_parses_to_the_header_width(capsys):
+    # the k = 4 row's status reads "...; got k = 4, C = 3.5": CSV quoting
+    # keeps it one field
+    code, out, err = _run_main(["verify-theorem2", "--C", "3.5", "--k-max", "4"], capsys)
+    assert code == 1
+    header, *rows = csv.reader(io.StringIO(out))
+    assert len(rows) == 4 and all(len(row) == len(header) for row in rows)
+    assert rows[3][-1].endswith("got k = 4, C = 3.5")
 
 
 def test_moment_lost_to_cancellation_is_an_error_row(monkeypatch):
@@ -438,8 +450,8 @@ def test_mc_check_cells_without_a_reference_make_no_draw(capsys, monkeypatch):
     argv = ["mc-check", "--C", "0.2", "--u", "1", "--k-max", "2", "--samples", "2000"]
     code, out, err = _run_main(argv + ["--seed", "9"], capsys)
     assert code == 1
-    rows = out.splitlines()[1:]
-    assert len(rows) == 3 and all(",error: DomainError: " in row for row in rows)
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 3 and all(row[-1].startswith("error: DomainError: ") for row in rows)
     code, out, err = _run_main(argv + ["--seed", "-1"], capsys)
     assert code == 2
     assert err.startswith("error: seed must be a non-negative integer")

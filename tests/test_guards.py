@@ -37,13 +37,14 @@ def test_fredholm_pipelines_share_the_probability_bound(pipeline, monkeypatch):
 
 def test_fredholm_pipelines_at_the_underflow_point():
     # at C = 23.73, u = 1e300 the KPZ determinant's log is -856: LU returns
-    # exactly 0.0, an underflow.  The Airy side returns -1.75e-261 there,
-    # not an underflow: I - K_w on its 80-node grid has eigenvalues down to
-    # -0.9987, an under-resolved grid, so it stays a consistency fault
+    # -0.0, an underflow.  The Airy side is no underflow but an
+    # under-resolved grid: w k(x, x) reaches 1.17 on its 80 nodes, so I - K_w
+    # has eigenvalues down to -0.9987 and its LU determinant is roundoff of
+    # either sign; the diagonal makes it a consistency fault whatever the sign
     p = ModelParams.from_C(23.73, 1e300)
-    with pytest.raises(DomainError, match="kpz_laplace = 0.0 underflows double precision"):
+    with pytest.raises(DomainError, match="kpz_laplace = -0.0 underflows double precision"):
         kpz_side.kpz_laplace(p)
-    with pytest.raises(NumericalConsistencyError, match=r"airy_mult_stat = -1\.75\d*e-261 "):
+    with pytest.raises(NumericalConsistencyError, match=r"grid too coarse: w k\(x, x\) = 1\.17 >= 1 "):
         airy_side.airy_mult_stat(p)
 
 

@@ -273,6 +273,13 @@ def test_estimators_refuse_non_finite_C(edge_samples, estimator, C):
         estimator(edge_samples[:10], 1, C)
 
 
+@pytest.mark.parametrize("C", [0.0, -1000.0])
+def test_mult_stat_refuses_C_not_positive(edge_samples, C):
+    # C = 0 would return 2^-m with bias 1, and C = -1000 overflow exp
+    with pytest.raises(ConfigurationError, match=rf"requires C > 0, got C = {C!r}"):
+        estimate_mult_stat(edge_samples[:20], 1.0, C)
+
+
 def test_mult_stat_factors_do_not_overflow(edge_samples):
     # 1/(1 + u e^{C a}) as a logistic: no overflow warning at C = 1000,
     # and u = 0 still gives exactly 1

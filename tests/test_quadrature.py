@@ -188,6 +188,19 @@ def test_fredholm_nan_kernel_reports_node_pair():
     assert rule.nodes[i] + rule.nodes[j] > 1.5
 
 
+def test_fredholm_coarse_grid_reports_node():
+    # k(x, y) = phi(x) phi(y) with integral of phi^2 = 0.9 (its one
+    # eigenvalue), on 4 nodes, one at the peak of phi^2: w phi^2 = 3.3 there,
+    # an eigenvalue of the Nystrom matrix that the operator does not have
+    rule = legendre_on(0.0, 1.0, 4)
+    c, s = rule.nodes[1], 0.05
+    phi = lambda x: np.sqrt(0.9 / (s * math.sqrt(math.pi))) * np.exp(-0.5 * ((x - c) / s) ** 2)
+    with pytest.raises(NumericalConsistencyError, match="grid too coarse") as err:
+        fredholm(lambda x, y: phi(x) * phi(y), rule)
+    assert int(re.search(r"at node (\d+)", str(err.value)).group(1)) == 1
+    assert rule.weights[1] * phi(c) ** 2 == pytest.approx(3.3, abs=0.05)
+
+
 def _ones(*xs):
     return [np.ones(x.size) for x in xs], {}
 

@@ -119,32 +119,46 @@ def test_table_asymptotic_agreement():
 
 
 def test_taylor_march_reproduces_closed_forms():
-    # the table's right half is marched leftward from the asymptotic value
-    # at 60.25; it must land on the closed-form Ai(0), Ai'(0)
-    from airykpz.specfun import _AI0, _AIP0, _EDGE, _STEP, _airy_asym_pos, _march
+    # one march from the asymptotic value at 60.25, scaled once so that its
+    # centre-0 row holds the closed-form Ai(0); Ai'(0) then checks it, the
+    # import gate at 1e-14 (measured 2.2e-16)
+    from airykpz.specfun import _AI0, _AI_T, _AIP0, _EDGE, _STEP
     assert _EDGE == 60.25
-    ai, aip = _airy_asym_pos(np.array([_EDGE]))
-    _, ai0, aip0 = _march(_EDGE, ai[0], aip[0], -_STEP, round(_EDGE / _STEP))
-    assert ai0 == pytest.approx(3 ** (-2 / 3) / math.gamma(2 / 3), rel=1e-13)
-    assert aip0 == pytest.approx(-(3 ** (-1 / 3)) / math.gamma(1 / 3), rel=1e-13)
-    assert ai0 == pytest.approx(_AI0, rel=1e-13)
-    assert aip0 == pytest.approx(_AIP0, rel=1e-13)
+    j = round(_EDGE / _STEP)
+    assert _AI_T[0, j] == pytest.approx(3 ** (-2 / 3) / math.gamma(2 / 3), rel=1e-15)
+    assert _AI_T[1, j] == pytest.approx(-(3 ** (-1 / 3)) / math.gamma(1 / 3), rel=1e-14)
+    assert _AI_T[0, j] == pytest.approx(_AI0, rel=1e-15)
+    assert _AI_T[1, j] == pytest.approx(_AIP0, rel=1e-14)
 
 
 def test_taylor_march_lands_on_negative_asymptotic():
-    # the table's left half is marched from the closed forms down to
-    # -60.25; it must land on the asymptotic value there, within 1e-12 of
-    # the local envelope (measured 3e-15 for Ai, 7.4e-14 for Ai')
-    from airykpz.specfun import _AI0, _AIP0, _EDGE, _STEP, _airy_asym_neg, _march
-    rows, _, _ = _march(0.0, _AI0, _AIP0, -_STEP, round(_EDGE / _STEP) + 1)
-    assert len(rows) == 242
+    # the same march lands on the asymptotic value at -60.25, within 1e-12
+    # of the local envelope (measured 1.5e-15 for Ai, 7.0e-14 for Ai')
+    from airykpz.specfun import _AI_T, _EDGE, _airy_asym_neg
     ai, aip = _airy_asym_neg(np.array([-_EDGE]))
-    assert abs(rows[-1][0] - ai[0]) <= 1e-12 / (np.sqrt(np.pi) * _EDGE ** 0.25)
-    assert abs(rows[-1][1] - aip[0]) <= 1e-12 * _EDGE ** 0.25 / np.sqrt(np.pi)
+    assert abs(_AI_T[0, 0] - ai[0]) <= 1e-12 / (np.sqrt(np.pi) * _EDGE ** 0.25)
+    assert abs(_AI_T[1, 0] - aip[0]) <= 1e-12 * _EDGE ** 0.25 / np.sqrt(np.pi)
+
+
+def test_taylor_table_adjacent_centres_agree_at_midpoints():
+    # at each of the 482 midpoints the two nearest centres' polynomials give
+    # Ai and Ai' within 1e-14, relative on x >= 0 and of the local envelope
+    # on x < 0 (measured 2.6e-15)
+    from airykpz.specfun import _AI_T, _EDGE, _STEP, _horner
+    j = np.arange(_AI_T.shape[1] - 1)
+    assert j.size == 482
+    mid = j * _STEP - _EDGE + _STEP / 2
+    left = _horner(_AI_T, j, np.full(j.size, _STEP / 2))
+    right = _horner(_AI_T, j + 1, np.full(j.size, -_STEP / 2))
+    z = np.maximum(np.abs(mid), 1.0)
+    envs = (1.0 / (np.sqrt(np.pi) * z ** 0.25), z ** 0.25 / np.sqrt(np.pi))
+    for a, b, env in zip(left, right, envs):
+        gap = np.abs(a - b) / np.where(mid >= 0, np.abs(a), env)
+        assert gap.max() <= 1e-14, mid[gap > 1e-14]
 
 
 def _assert_documented_accuracy(xs):
-    # against 40-digit mpmath: 1e-12 relative on x >= 0; 1e-13 of the
+    # against 40-digit mpmath: 2e-14 relative on x >= 0; 1e-14 of the
     # local envelope on x < 0, where Ai and Ai' have zeros
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
@@ -155,14 +169,14 @@ def _assert_documented_accuracy(xs):
     neg = xs < 0
     for val, r, env in ((ai, ref, 1.0 / (np.sqrt(np.pi) * z ** 0.25)),
                         (aip, ref_p, z ** 0.25 / np.sqrt(np.pi))):
-        bound = np.where(neg, 1e-13 * env, 1e-12 * np.abs(r))
+        bound = np.where(neg, 1e-14 * env, 2e-14 * np.abs(r))
         ok = np.abs(val - r) <= bound
         assert ok.all(), xs[~ok]
 
 
 def test_airy_against_mpmath():
     # the documented accuracy of the one table on [-60, 60]; measured worst
-    # 4.8e-14 relative on x >= 0 and 4.3e-15 of the envelope on x < 0.  The
+    # 4.2e-15 relative on x >= 0 and 2.4e-15 of the envelope on x < 0.  The
     # asymptotic expansions fail the envelope bound (3.3e-13 near -7.2)
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261018)
@@ -177,7 +191,7 @@ def test_airy_against_mpmath():
 
 def test_airy_taylor_table_against_mpmath():
     # the stretch |x| <= 7.2 that carries the zeros nearest the origin, held
-    # to the same bounds; measured worst 4.4e-14 relative and 5e-16 of the
+    # to the same bounds; measured worst 6.4e-16 relative and 6.2e-16 of the
     # envelope
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261019)
