@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .airy_side import airy_h_moments, airy_mult_stat, tracy_widom_f2
 from .errors import (AiryKpzError, ConfigurationError, DomainError, check_order,
                      check_positive, checked_exp)
-from .kpz_side import kpz_laplace, kpz_moment
+from .kpz_side import kpz_laplaces, kpz_moment
 from .params import ModelParams
 from .quadrature import MOMENT_RTOL
 
@@ -180,17 +180,18 @@ def run_verify_theorem1(cfg: RunConfig) -> list[VerificationRow]:
     n = cfg.nodes or 80
     tol = cfg.tol or 1e-6
 
-    def cell(labels, C, u):
-        params = ModelParams.from_C(C, u)
+    def cell(labels, C, u, rhs):
         row = VerificationRow(labels=labels,
-                              lhs_value=airy_mult_stat(params, n),
-                              rhs_value=kpz_laplace(params, n),
+                              lhs_value=airy_mult_stat(ModelParams.from_C(C, u), n),
+                              rhs_value=_value(rhs),
                               aux=f"tol={tol:g};nodes={n}")
         row.passed = row.abs_diff < tol
         return row
 
-    return [_row_or_error({"C": C, "T": T, "u": u}, cell, C, u)
-            for C, T in _derive_grid(cfg) for u in cfg.u_list]
+    # one K_u Airy matrix per C, on the grid of its largest u that fits
+    return [_row_or_error({"C": C, "T": T, "u": u}, cell, C, u, rhs)
+            for C, T in _derive_grid(cfg)
+            for u, rhs in zip(cfg.u_list, kpz_laplaces(C, cfg.u_list, n))]
 
 
 def run_tw_limit(cfg: RunConfig) -> list[VerificationRow]:

@@ -1,7 +1,8 @@
 """KPZ side: the partitions of k as tuples of parts, delta-Bose-gas
 contour integrals for the moments of the stochastic-heat-equation solution
 at the origin, the nested-contour oracle, and the Laplace-transform
-Fredholm determinant.
+Fredholm determinant, whose kernel K_u shares one Airy matrix among the u
+of one C.
 
 Moments are computed from the partition-expanded residue formula
 
@@ -30,7 +31,7 @@ from .specfun import SUPPORTED_RANGE, airy_ai, logistic
 
 __all__ = [
     "partitions", "symmetry_factor",
-    "kpz_moment", "kpz_moment_nested", "kpz_laplace",
+    "kpz_moment", "kpz_moment_nested", "kpz_laplace", "kpz_laplaces",
 ]
 
 MAX_PARTITION_WEIGHT = 20
@@ -178,40 +179,59 @@ def _ku_inner_rule(params: ModelParams, x_max: float) -> QuadratureRule:
     """Composite rule over the r-integration of the kernel.
 
     Every outer node has x >= 0, so left of -12 each shifted Airy factor
-    Ai(x - r) is below Ai(12) ~ 1.4e-13; right of (20 + |log u|)/C + x_max
-    the Fermi factor has decayed.  Panels of unit width with 10 nodes
-    resolve the Airy oscillation at ~4 points per shortest wavelength.
-    A right edge past the Airy range raises DomainError, naming the C
-    that keeps it inside.
+    Ai(x - r) is below Ai(12) ~ 1.4e-13; right of (20 + log+ u)/C + x_max,
+    log+ u = log max(u, 1), the Fermi factor, at most u e^{-Cr}, is below
+    e^{-20}.  Both edges are nondecreasing in u, as is the outer edge, so
+    the grid of one u contains that of every smaller u.  Panels of unit
+    width with 10 nodes resolve the Airy oscillation at ~4 points per
+    shortest wavelength.  A right edge past the Airy range raises
+    DomainError, naming the C that keeps it inside.
     """
     lo = -12.0
-    log_u = math.log(params.u)
-    hi = (20.0 + abs(log_u)) / params.C + x_max
+    log_u = math.log(max(params.u, 1.0))
+    hi = (20.0 + log_u) / params.C + x_max
     if hi > SUPPORTED_RANGE:
-        # kpz_laplace's x_max < (22 + log max(u, 1))/C, so this C keeps hi < 60
-        c_min = (42.0 + abs(log_u) + max(log_u, 0.0)) / SUPPORTED_RANGE
+        # kpz_laplace's x_max < (22 + log+ u)/C, so this C keeps hi < 60
+        c_min = (42.0 + 2.0 * log_u) / SUPPORTED_RANGE
         raise DomainError(
             f"the kernel rule needs the Airy function beyond its supported range (inner "
             f"domain reaches {hi:.1f}); use C >= {math.ceil(100.0 * c_min) / 100.0:.2f}")
     return composite_legendre(lo, hi, int(math.ceil(hi - lo)), 10)
 
 
-def _ku_matrix(xs: np.ndarray, params: ModelParams,
-               inner_rule: QuadratureRule) -> np.ndarray:
-    """K_u(x_i, x_j) on a grid, sharing Airy evaluations across pairs.
+def _ku_grid(params: ModelParams, nodes: int) -> tuple[QuadratureRule, QuadratureRule,
+                                                       np.ndarray]:
+    """The own grid of this u: the outer rule on [0, (22 + log+ u)/C] with
+    ``nodes`` Gauss-Legendre nodes, its :func:`_ku_inner_rule`, and the
+    Airy factor Ai(x_i - r_m) on their product grid, one :func:`airy_ai`
+    call, which every u of this C up to this one can share.
 
-    K_u = X X^T with X_im = Ai(x_i - r_m) (f_m w_m)^{1/2}, from :func:`gram`:
-    bitwise symmetric, with no BLAS call, so it does not depend on the BLAS
-    thread count.  The Airy factor is one :func:`airy_ai` call on the whole
-    argument grid, which raises DomainError for an x_i - r_m outside
-    [-60, 60]; NumericalConsistencyError when the outermost 5 inner nodes
-    at either end contribute more than max(1e-10, 1e-10 |K_ij|) to some
-    entry: the inner rule then truncates visibly.
+    [0, inf) is cut where the kernel's diagonal, which decays like
+    u e^{C^3/12 - Cx}/(2 sqrt(pi C)), is about e^{C^3/12 - 22}: not
+    roundoff, and the cut leaves out the C^3/12.  Against an
+    extended-precision reference this edge leaves 5e-12 to 8e-11 of error
+    at C = 0.8 to 1.6, u = 0.1 to 10; against a wider, finer grid, 1.7e-9
+    at C = 4 and 1.1e-5 at C = 8 (u = 1).
     """
-    r = inner_rule.nodes
-    f = logistic(math.log(params.u) - params.C * r)
-    X = airy_ai(np.subtract.outer(np.asarray(xs, dtype=float), r))
-    X *= np.sqrt(f * inner_rule.weights)
+    outer = legendre_on(0.0, (22.0 + math.log(max(params.u, 1.0))) / params.C, nodes)
+    inner = _ku_inner_rule(params, float(outer.nodes[-1]))
+    return outer, inner, airy_ai(np.subtract.outer(outer.nodes, inner.nodes))
+
+
+def _ku_matrix(airy: np.ndarray, params: ModelParams, inner_rule: QuadratureRule,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """K_u(x_i, x_j) on a grid from its Airy factor airy[i, m] = Ai(x_i - r_m),
+    which depends on u only through the grid's edges.
+
+    K_u = X X^T with X_im = airy_im (f_m w_m)^{1/2}, written into ``out``
+    when given, from :func:`gram`: bitwise symmetric, with no BLAS call,
+    so it does not depend on the BLAS thread count.
+    NumericalConsistencyError when the outermost 5 inner nodes at either
+    end contribute more than max(1e-10, 1e-10 |K_ij|) to some entry: the
+    inner rule then truncates visibly.
+    """
+    f = logistic(math.log(params.u) - params.C * inner_rule.nodes)
+    X = np.multiply(airy, np.sqrt(f * inner_rule.weights), out=out)
     M = gram(X)
     edge = np.abs(gram(X[:, :5])) + np.abs(gram(X[:, -5:]))
     bad = edge > np.maximum(1e-10, 1e-10 * np.abs(M))
@@ -223,18 +243,56 @@ def _ku_matrix(xs: np.ndarray, params: ModelParams,
     return M
 
 
+def kpz_laplaces(C: float, us, nodes: int = 80) -> list:
+    """kpz_laplace at this C for each u of ``us``, from one K_u Airy matrix:
+    each entry is the value, or the error that refuses that u.
+
+    The matrix is on the own grid (:func:`_ku_grid`) of the largest u whose
+    grid stays in the Airy range; each larger u keeps the DomainError of
+    its own grid.  Both edges grow with u, so the shared grid contains every
+    smaller u's own grid: a smaller u sits on a wider outer rule than it
+    would alone, and its value depends on the largest u requested at its C.
+    The outer edge is this side's error, so the wider rule moves the value
+    toward the limit (README, Laplace identity).  Each u then only scales
+    the matrix into one reused buffer and runs its own truncation check,
+    determinant and probability check, whose refusals name that u.  A u = 0
+    is exactly 1 and builds nothing, so a node count no rule takes refuses
+    every other u; a bad C or u raises for the whole call.
+    """
+    params = [ModelParams.from_C(C, u) for u in us]
+    out: list = [1.0] * len(params)
+    todo = sorted((p.u, i) for i, p in enumerate(params) if p.u > 0)
+    while todo:
+        try:
+            outer, inner, airy = _ku_grid(params[todo[-1][1]], nodes)
+            break
+        except DomainError as exc:       # the largest u's own grid leaves the Airy range
+            out[todo.pop()[1]] = exc
+        except ConfigurationError as exc:   # a node count no rule takes
+            for _, i in todo:
+                out[i] = exc
+            return out
+    if not todo:
+        return out
+    scaled = np.empty_like(airy)
+    for u, i in todo:
+        try:
+            kmat = _ku_matrix(airy, params[i], inner, scaled)
+            out[i] = check_probability("kpz_laplace", fredholm_det_matrix(kmat, outer.weights))
+        except (DomainError, NumericalConsistencyError) as exc:
+            out[i] = type(exc)(f"u = {u!r}: {exc}")
+    return out
+
+
 def kpz_laplace(params: ModelParams, nodes: int = 80) -> float:
     """E exp(-u Z(T,0) e^{T/24}) as the Fredholm determinant of K_u on
     [0, inf), on ``nodes`` Gauss-Legendre nodes; equals the Airy-side
-    multiplicative statistic at C = (T/2)^(1/3).  A C too small for the
-    kernel rule's Airy range raises DomainError, a visibly truncated K_u
+    multiplicative statistic at C = (T/2)^(1/3).  The one-u case of
+    :func:`kpz_laplaces`, on u's own grid.  A C too small for the kernel
+    rule's Airy range raises DomainError, a visibly truncated K_u
     NumericalConsistencyError.
     """
-    if params.u == 0:
-        return 1.0
-    # [0, inf) is cut where the kernel trace, which decays like u e^{-Cx}, is
-    # e^-22 ~ 2.8e-10, not roundoff: against an extended-precision reference
-    # this edge leaves 5e-12 to 8e-11 of error at C = 0.8 to 1.6, u = 0.1 to 10
-    outer = legendre_on(0.0, (22.0 + math.log(max(params.u, 1.0))) / params.C, nodes)
-    kmat = _ku_matrix(outer.nodes, params, _ku_inner_rule(params, float(outer.nodes[-1])))
-    return check_probability("kpz_laplace", fredholm_det_matrix(kmat, outer.weights))
+    [value] = kpz_laplaces(params.C, [params.u], nodes)
+    if isinstance(value, Exception):
+        raise value
+    return value

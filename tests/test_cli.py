@@ -324,15 +324,42 @@ def test_k4_rows_are_held_to_the_one_moment_tolerance(capsys):
 
 
 def test_verify_theorem1_nodes_set_both_fredholm_grids():
+    # the KPZ side of a C is one kpz_laplaces call over its u, on the grid of u = 4
     from airykpz.airy_side import airy_mult_stat
-    from airykpz.kpz_side import kpz_laplace
+    from airykpz.kpz_side import kpz_laplaces
     rows = run_verify_theorem1(RunConfig(command="verify-theorem1", C_list=[1.0],
                                          u_list=[0.5, 4.0], nodes=120))
+    assert [row.rhs_value for row in rows] == kpz_laplaces(1.0, [0.5, 4.0], 120)
     for row in rows:
         p = ModelParams.from_C(1.0, row.labels["u"])
         assert row.lhs_value == airy_mult_stat(p, 120)
-        assert row.rhs_value == kpz_laplace(p, 120)
         assert row.aux == "tol=1e-06;nodes=120"
+
+
+def test_verify_theorem1_builds_one_ku_airy_matrix_per_C(monkeypatch):
+    # the README grid: one airy_ai call per C on the K_u argument grid, not
+    # one per (C, u) cell
+    from airykpz import kpz_side
+    real, calls = kpz_side.airy_ai, []
+    monkeypatch.setattr(kpz_side, "airy_ai", lambda x: calls.append(x.shape) or real(x))
+    rows = run_verify_theorem1(RunConfig(command="verify-theorem1", C_list=[0.8, 1.0, 1.6],
+                                         u_list=[0.1, 1.0, 10.0]))
+    assert len(calls) == 3
+    assert [row.status for row in rows] == ["ok"] * 9
+
+
+def test_verify_theorem1_refused_u_keeps_its_own_row(capsys):
+    # at C = 0.8 the K_u grid of u = 1e6 leaves the Airy range: that u stays
+    # out of its C's shared grid, so u = 1 keeps the bits it has alone, and
+    # the u = 1e6 row is an error row of its own (the Airy side raises first)
+    code, out, _ = _run_main(["verify-theorem1", "--C", "0.8", "--u", "1,1e6"], capsys)
+    alone_code, alone, _ = _run_main(["verify-theorem1", "--C", "0.8", "--u", "1"], capsys)
+    assert (code, alone_code) == (1, 0)
+    lines = out.splitlines()
+    assert lines[:2] == alone.splitlines()
+    assert lines[2] == ('0.80000000000000004,1.0240000000000002,1000000,nan,nan,nan,nan,,'
+                        '"error: NumericalConsistencyError: grid too coarse: '
+                        'w k(x, x) = 1.15 >= 1 at node 40"')
 
 
 def test_output_file_and_byte_stability(tmp_path, capsys):

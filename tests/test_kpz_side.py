@@ -7,14 +7,15 @@ import pytest
 
 from airykpz.airy_side import airy_h_moment, airy_mult_stat, laplace_R
 from airykpz.errors import ConfigurationError, DomainError, NumericalConsistencyError
-from airykpz.kpz_side import (_ku_matrix, _partition_term, kpz_laplace, kpz_moment,
-                              kpz_moment_nested, partitions, symmetry_factor)
+from airykpz.kpz_side import (_partition_term, kpz_laplace, kpz_moment, kpz_moment_nested,
+                              partitions, symmetry_factor)
 from airykpz import kpz_side
 from airykpz.params import ModelParams
-from airykpz.quadrature import QuadratureRule, composite_legendre, legendre_on, tensor_integrate
+from airykpz.quadrature import (QuadratureRule, composite_legendre, fredholm_det_matrix,
+                                legendre_on, tensor_integrate)
 
 from pointwise import (bose_exponent, cauchy_det_direct, cauchy_factors, factor_grid, ku_kernel,
-                       pointwise_sum)
+                       ku_matrix_on, kpz_laplace_reference, pointwise_sum)
 
 
 # ----------------------------------------------------------------------
@@ -552,7 +553,7 @@ def test_ku_kernel_domain_errors():
 
 def test_default_inner_rule_rejects_tiny_C():
     # the hinted C is accepted at any node count
-    for C, u, hint in [(0.3, 1.0, 0.7), (0.5, 10.0, 0.78), (0.2, 1e-5, 0.9), (0.1, 1e5, 1.09)]:
+    for C, u, hint in [(0.3, 1.0, 0.7), (0.5, 10.0, 0.78), (0.2, 1e-5, 0.7), (0.1, 1e5, 1.09)]:
         with pytest.raises(DomainError, match=f"beyond its supported range.*"
                                                      f"use C >= {hint:.2f}"):
             kpz_laplace(ModelParams.from_C(C, u))
@@ -594,7 +595,7 @@ def test_kpz_laplace_truncated_inner_rule_raises():
     # unchecked, the determinant reads 0.79488 against the true 0.79069
     p = ModelParams.from_C(1.0, 1.0)
     with pytest.raises(NumericalConsistencyError):
-        _ku_matrix(OUTER_C1_U1.nodes, p, composite_legendre(-30.0, 5.0, 35, 10))
+        ku_matrix_on(OUTER_C1_U1.nodes, p, composite_legendre(-30.0, 5.0, 35, 10))
 
 
 def test_kpz_laplace_inner_rule_beyond_airy_range_raises():
@@ -604,20 +605,21 @@ def test_kpz_laplace_inner_rule_beyond_airy_range_raises():
     p = ModelParams.from_C(1.0, 1.0)
     for lo, hi in ((-30.0, 65.0), (-45.0, 42.0)):
         with pytest.raises(DomainError, match="airy argument outside"):
-            _ku_matrix(OUTER_C1_U1.nodes, p, composite_legendre(lo, hi, int(hi - lo), 10))
+            ku_matrix_on(OUTER_C1_U1.nodes, p, composite_legendre(lo, hi, int(hi - lo), 10))
 
 
 def _ku_grids(monkeypatch, cells):
-    """(params, outer nodes, inner rule) of every K_u that kpz_laplace
+    """(params, outer nodes, inner rule) of every K_u grid that kpz_laplace
     builds over ``cells`` of (C, u, nodes), the cells it rejects left out."""
     seen = []
 
-    def spy(xs, params, inner_rule):
-        seen.append((params, xs, inner_rule))
-        return real(xs, params, inner_rule)
+    def spy(params, nodes):
+        outer, inner, airy = real(params, nodes)
+        seen.append((params, outer.nodes, inner))
+        return outer, inner, airy
 
-    real = kpz_side._ku_matrix
-    monkeypatch.setattr(kpz_side, "_ku_matrix", spy)
+    real = kpz_side._ku_grid
+    monkeypatch.setattr(kpz_side, "_ku_grid", spy)
     for C, u, nodes in cells:
         try:
             kpz_laplace(ModelParams.from_C(C, u), nodes)
@@ -636,7 +638,7 @@ def test_ku_inner_rule_starts_at_minus_12_inside_the_airy_range(monkeypatch):
     for params, xs, inner in grids:
         assert -12.0 < inner.nodes[0] < -11.9
         assert np.sum(inner.weights) == pytest.approx(
-            (20.0 + abs(math.log(params.u))) / params.C + xs[-1] + 12.0, rel=1e-13)
+            (20.0 + math.log(max(params.u, 1.0))) / params.C + xs[-1] + 12.0, rel=1e-13)
         args = np.subtract.outer(xs, inner.nodes)
         assert -60.0 <= args.min() and args.max() <= 60.0
 
@@ -657,7 +659,64 @@ def test_ku_matrix_left_edge_at_minus_12_loses_nothing(monkeypatch):
         left = composite_legendre(-12.0 - m, -12.0, m, 10)
         extended = QuadratureRule(np.concatenate([left.nodes, inner.nodes]),
                                   np.concatenate([left.weights, inner.weights]))
-        K = _ku_matrix(xs, params, inner)
-        K_ext = _ku_matrix(xs, params, extended)
+        K = ku_matrix_on(xs, params, inner)
+        K_ext = ku_matrix_on(xs, params, extended)
         scale = np.sqrt(np.outer(np.diag(K_ext), np.diag(K_ext)))
         assert np.all(np.abs(K - K_ext) <= 1e-14 * scale)
+
+
+def test_one_u_kpz_laplaces_is_kpz_laplace_on_its_own_grid():
+    # u's own grid: the outer rule on [0, (22 + log+ u)/C] and the inner
+    # rule it implies
+    C = 1.6
+    for u in (1e-4, 1.0, 1e4):
+        p = ModelParams.from_C(C, u)
+        outer = legendre_on(0.0, (22.0 + math.log(max(u, 1.0))) / C, 80)
+        inner = kpz_side._ku_inner_rule(p, float(outer.nodes[-1]))
+        own = fredholm_det_matrix(ku_matrix_on(outer.nodes, p, inner), outer.weights)
+        assert kpz_side.kpz_laplaces(C, [u]) == [kpz_laplace(p)] == [own]
+
+
+@pytest.mark.parametrize("C", [1.0, 1.6])
+def test_shared_ku_grid_is_no_farther_from_the_reference(C):
+    # the README cells: u = 0.1 and 1 on the grid of u = 10, whose outer edge
+    # is farther out, move about 10x closer to the wider, finer grid; u = 10
+    # is on its own grid
+    us = [0.1, 1.0, 10.0]
+    for u, shared in zip(us, kpz_side.kpz_laplaces(C, us)):
+        p = ModelParams.from_C(C, u)
+        ref, own = kpz_laplace_reference(p), kpz_laplace(p)
+        if u == max(us):
+            assert shared == own
+        else:
+            assert abs(shared - ref) <= 0.2 * abs(own - ref)
+
+
+def test_kpz_laplaces_keeps_each_error_with_its_u(monkeypatch):
+    # u = 1e6 needs C >= 1.17: it keeps the refusal of its own grid, and
+    # u = 1 gets the bits of its own grid
+    one, refused = kpz_side.kpz_laplaces(0.8, [1.0, 1e6])
+    assert one == kpz_laplace(ModelParams.from_C(0.8, 1.0))
+    with pytest.raises(DomainError, match="use C >= 1.17") as alone:
+        kpz_laplace(ModelParams.from_C(0.8, 1e6))
+    assert type(refused) is DomainError and str(refused) == str(alone.value)
+    # a probability refusal names its u: at C = 23.73 the u = 1e300
+    # determinant underflows on the grid u = 1 shares
+    fine, under = kpz_side.kpz_laplaces(23.73, [1.0, 1e300])
+    assert 0.0 < fine < 1.0
+    assert type(under) is DomainError
+    assert str(under) == "u = 1e+300: kpz_laplace = -0.0 underflows double precision"
+    # so does a consistency refusal, in the order of the u given
+    dets = iter([0.5, 2.0])
+    monkeypatch.setattr(kpz_side, "fredholm_det_matrix", lambda *a: next(dets))
+    bad, good = kpz_side.kpz_laplaces(1.0, [4.0, 0.5])
+    assert good == 0.5
+    assert type(bad) is NumericalConsistencyError
+    assert str(bad) == "u = 4.0: kpz_laplace = 2.0 outside (0, 1]"
+    # a u = 0 is exactly 1 and builds nothing, so a node count that no
+    # Legendre rule takes refuses only the other u
+    monkeypatch.setattr(kpz_side, "airy_ai", None)
+    assert kpz_side.kpz_laplaces(1.0, [0.0, 0.0]) == [1.0, 1.0]
+    zero, one = kpz_side.kpz_laplaces(1.0, [0.0, 1.0], 600)
+    assert zero == 1.0
+    assert type(one) is ConfigurationError and "got 600" in str(one)
