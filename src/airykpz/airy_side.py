@@ -149,12 +149,12 @@ def _h_series(rule: QuadratureRule, C: float, k: int) -> list[float]:
     :func:`_log_det_series` turns S and S^2 into the u-series of
     log det(I - P), and E h_n is the coefficient of v^n in
     det(I - P) = exp(sum_n l_n v^n), v = -u: :func:`newton_h` of the power
-    sums p_i = i l_i.
+    sums p_i = i l_i, i <= k.
 
-    S^2 (built only for k >= 3) costs O(n^2): the Airy kernel is
-    integrable, (x - y) K(x, y) = Ai(x) Ai'(y) - Ai'(x) Ai(y), and the
-    kernel matrix is built entry by entry from that ratio, so with
-    a = s Ai, b = s Ai' (s = (w g)^{1/2}), alpha = S a and beta = S b,
+    S^2 costs O(n^2): the Airy kernel is integrable,
+    (x - y) K(x, y) = Ai(x) Ai'(y) - Ai'(x) Ai(y), and the kernel matrix is
+    built entry by entry from that ratio, so with a = s Ai, b = s Ai'
+    (s = (w g)^{1/2}), alpha = S a and beta = S b,
         (r_i - r_j) (S^2)_ij = (m - m^T)_ij,  m = a beta^T + alpha b^T,
     and S^2 is :func:`_cd_ratio` of those two pairs off the diagonal and
     the row sums sum_l S_il^2 on it (S is bitwise symmetric): two mat-vecs
@@ -167,20 +167,20 @@ def _h_series(rule: QuadratureRule, C: float, k: int) -> list[float]:
     # s_i s_j K_ij: both factors are bitwise symmetric, so S is too
     S = _kernel_from_airy(rule.nodes, ai, aip)
     S *= np.multiply.outer(s, s)
-    S2 = None
-    if k > 2:
-        a, b = s * ai, s * aip
-        S2 = _cd_ratio(rule.nodes, [(a, np.einsum("il,l->i", S, b)),
-                                    (np.einsum("il,l->i", S, a), b)])
-        np.fill_diagonal(S2, np.einsum("il,il->i", S, S))
-    ell = _log_det_series(S, S2, g, k)
+    a, b = s * ai, s * aip
+    S2 = _cd_ratio(rule.nodes, [(a, np.einsum("il,l->i", S, b)),
+                                (np.einsum("il,l->i", S, a), b)])
+    np.fill_diagonal(S2, np.einsum("il,il->i", S, S))
+    # a grid fit for order k can overflow the traces past k, which are dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        ell = _log_det_series(S, S2, g)[:k]
     return newton_h([i * l for i, l in enumerate(ell, start=1)])[1:]
 
 
-def _log_det_series(S, S2, g, k: int) -> list:
-    """l_1, ..., l_k: (-1)^n times the u^n coefficient of log det(I - P)
-    for P(u) = sum_m (-1)^{m+1} u^m S G^{m-1}, G = diag(g), S bitwise
-    symmetric and S2 = S^2 (None for k <= 2), also bitwise symmetric.
+def _log_det_series(S, S2, g) -> list:
+    """l_1, ..., l_4: (-1)^n times the u^n coefficient of log det(I - P)
+    for P(u) = sum_m (-1)^{m+1} u^m S G^{m-1}, G = diag(g), S and S2 = S^2
+    bitwise symmetric.
 
     From log det(I - P) = -sum_j tr(P^j)/j,
     l_n = sum_j (-1)^{j+1}/j sum_a tr(S G^{a_1} ... S G^{a_j}) over
@@ -194,18 +194,13 @@ def _log_det_series(S, S2, g, k: int) -> list:
     def tr(x, a):       # sum_i x_i g_i^a
         return np.einsum("i,i->", x, g ** a)
 
-    d = np.einsum("ii->i", S)
-    ell = [tr(d, 0)]
-    if k > 1:       # q = diag(S^2)
-        q = np.einsum("il,il->i", S, S) if S2 is None else np.diagonal(S2)
-        ell.append(tr(d, 1) - tr(q, 0) / 2)
-    if k > 2:
-        c = np.einsum("il,il->i", S2, S)
-        ell.append(tr(d, 2) - tr(q, 1) + tr(c, 0) / 3)
-    if k > 3:
-        ell.append(tr(d, 3) - tr(q, 2) - tr(np.einsum("il,il,l->i", S, S, g), 1) / 2
-                   + tr(c, 1) - np.einsum("il,il->", S2, S2) / 4)
-    return ell
+    d, q = np.einsum("ii->i", S), np.diagonal(S2)
+    c = np.einsum("il,il->i", S2, S)
+    return [tr(d, 0),
+            tr(d, 1) - tr(q, 0) / 2,
+            tr(d, 2) - tr(q, 1) + tr(c, 0) / 3,
+            tr(d, 3) - tr(q, 2) - tr(np.einsum("il,il,l->i", S, S, g), 1) / 2
+            + tr(c, 1) - np.einsum("il,il->", S2, S2) / 4]
 
 
 def airy_h_moments(k_max: int, C: float, nodes_per_axis: int | None = None) -> list[float]:

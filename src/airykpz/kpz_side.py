@@ -218,20 +218,19 @@ def _ku_grid(params: ModelParams, nodes: int) -> tuple[QuadratureRule, Quadratur
     return outer, inner, airy_ai(np.subtract.outer(outer.nodes, inner.nodes))
 
 
-def _ku_matrix(airy: np.ndarray, params: ModelParams, inner_rule: QuadratureRule,
-               out: np.ndarray | None = None) -> np.ndarray:
+def _ku_matrix(airy: np.ndarray, params: ModelParams, inner_rule: QuadratureRule) -> np.ndarray:
     """K_u(x_i, x_j) on a grid from its Airy factor airy[i, m] = Ai(x_i - r_m),
     which depends on u only through the grid's edges.
 
-    K_u = X X^T with X_im = airy_im (f_m w_m)^{1/2}, written into ``out``
-    when given, from :func:`gram`: bitwise symmetric, with no BLAS call,
-    so it does not depend on the BLAS thread count.
+    K_u = X X^T with X_im = airy_im (f_m w_m)^{1/2}, from :func:`gram`:
+    bitwise symmetric, with no BLAS call, so it does not depend on the BLAS
+    thread count.
     NumericalConsistencyError when the outermost 5 inner nodes at either
     end contribute more than max(1e-10, 1e-10 |K_ij|) to some entry: the
     inner rule then truncates visibly.
     """
     f = logistic(math.log(params.u) - params.C * inner_rule.nodes)
-    X = np.multiply(airy, np.sqrt(f * inner_rule.weights), out=out)
+    X = airy * np.sqrt(f * inner_rule.weights)
     M = gram(X)
     edge = np.abs(gram(X[:, :5])) + np.abs(gram(X[:, -5:]))
     bad = edge > np.maximum(1e-10, 1e-10 * np.abs(M))
@@ -247,37 +246,31 @@ def kpz_laplaces(C: float, us, nodes: int = 80) -> list:
     """kpz_laplace at this C for each u of ``us``, from one K_u Airy matrix:
     each entry is the value, or the error that refuses that u.
 
-    The matrix is on the own grid (:func:`_ku_grid`) of the largest u whose
-    grid stays in the Airy range; each larger u keeps the DomainError of
-    its own grid.  Both edges grow with u, so the shared grid contains every
-    smaller u's own grid: a smaller u sits on a wider outer rule than it
-    would alone, and its value depends on the largest u requested at its C.
-    The outer edge is this side's error, so the wider rule moves the value
-    toward the limit (README, Laplace identity).  Each u then only scales
-    the matrix into one reused buffer and runs its own truncation check,
-    determinant and probability check, whose refusals name that u.  A u = 0
-    is exactly 1 and builds nothing, so a node count no rule takes refuses
-    every other u; a bad C or u raises for the whole call.
+    The u run from the largest down, and the matrix is on the own grid
+    (:func:`_ku_grid`) of the first whose grid is accepted; a u whose own
+    grid is refused (a C too small for the Airy range, a node count no
+    rule takes) keeps that error.  Both edges grow with u, so the shared
+    grid contains every smaller u's own grid: a smaller u sits on a wider
+    outer rule than it would alone, and its value depends on the largest
+    u requested at its C.  The outer edge is this side's error, so the
+    wider rule moves the value toward the limit (README, Laplace
+    identity).  Each u then only scales the matrix and runs its own
+    truncation check, determinant and probability check, whose refusals
+    name that u.  A u = 0 is exactly 1 and builds nothing; a bad C or u
+    raises for the whole call.
     """
     params = [ModelParams.from_C(C, u) for u in us]
     out: list = [1.0] * len(params)
-    todo = sorted((p.u, i) for i, p in enumerate(params) if p.u > 0)
-    while todo:
+    grid = None
+    for u, i in sorted(((p.u, i) for i, p in enumerate(params) if p.u > 0), reverse=True):
         try:
-            outer, inner, airy = _ku_grid(params[todo[-1][1]], nodes)
-            break
-        except DomainError as exc:       # the largest u's own grid leaves the Airy range
-            out[todo.pop()[1]] = exc
-        except ConfigurationError as exc:   # a node count no rule takes
-            for _, i in todo:
-                out[i] = exc
-            return out
-    if not todo:
-        return out
-    scaled = np.empty_like(airy)
-    for u, i in todo:
+            grid = grid or _ku_grid(params[i], nodes)
+        except (ConfigurationError, DomainError) as exc:   # u's own grid is refused
+            out[i] = exc
+            continue
+        outer, inner, airy = grid
         try:
-            kmat = _ku_matrix(airy, params[i], inner, scaled)
+            kmat = _ku_matrix(airy, params[i], inner)
             out[i] = check_probability("kpz_laplace", fredholm_det_matrix(kmat, outer.weights))
         except (DomainError, NumericalConsistencyError) as exc:
             out[i] = type(exc)(f"u = {u!r}: {exc}")

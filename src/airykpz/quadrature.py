@@ -246,7 +246,10 @@ def fredholm_det_matrix(kmat: np.ndarray, weights: np.ndarray) -> float:
     return float(np.linalg.det(np.eye(n) - sq[:, None] * kmat * sq[None, :]))
 
 
-_GRAM_ROWS = 32         # 16 to 64 rows per block time alike at n = 210-352
+# K_u's X is 80 rows by 420-710 columns on the README grid: blocks of 8 to
+# 16 rows time alike there, 32 rows take 5-15% longer and one 80-row block
+# 1.5x; every block size gives the same bits
+_GRAM_ROWS = 16
 
 
 def gram(X: np.ndarray) -> np.ndarray:

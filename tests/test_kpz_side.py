@@ -706,9 +706,10 @@ def test_kpz_laplaces_keeps_each_error_with_its_u(monkeypatch):
     assert 0.0 < fine < 1.0
     assert type(under) is DomainError
     assert str(under) == "u = 1e+300: kpz_laplace = -0.0 underflows double precision"
-    # so does a consistency refusal, in the order of the u given
-    dets = iter([0.5, 2.0])
-    monkeypatch.setattr(kpz_side, "fredholm_det_matrix", lambda *a: next(dets))
+    # so does a consistency refusal, in the order of the u given: each
+    # fake determinant is keyed to the u whose matrix it is handed
+    monkeypatch.setattr(kpz_side, "_ku_matrix", lambda airy, params, inner: params.u)
+    monkeypatch.setattr(kpz_side, "fredholm_det_matrix", lambda u, w: {4.0: 2.0, 0.5: 0.5}[u])
     bad, good = kpz_side.kpz_laplaces(1.0, [4.0, 0.5])
     assert good == 0.5
     assert type(bad) is NumericalConsistencyError
