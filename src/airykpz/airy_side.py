@@ -7,7 +7,8 @@ kernel K(x, y) = (Ai(x)Ai'(y) - Ai'(x)Ai(y))/(x - y).  Both Airy-side
 statistics come from one Fredholm determinant, det(I - K f_u) with
 f_u(r) = u e^{Cr}/(1 + u e^{Cr}), by Nystrom discretization on Gauss-Legendre
 grids (Bornemann, Math. Comp. 79 (2010)): the multiplicative statistic is
-its value, E h_k is (-1)^k times its u^k coefficient.  The Monte Carlo
+its value, E h_k is (-1)^k times its u^k coefficient (per C, one series
+gives each order's value or refusal).  The Monte Carlo
 counterpart lives in :mod:`airykpz.montecarlo`, the KPZ counterpart in
 :mod:`airykpz.kpz_side`.
 """
@@ -19,10 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConfigurationError, DomainError, check_order, check_positive,
-                     check_probability, checked_exp)
+from .errors import (AiryKpzError, ConfigurationError, DomainError, check_order,
+                     check_positive, check_probability, checked_exp, outcome, value)
 from .params import ModelParams
-from .quadrature import (QuadratureRule, composite_legendre, fredholm_det_matrix,
+from .quadrature import (FREDHOLM_NODES, QuadratureRule, composite_legendre, fredholm_det_matrix,
                          gaussian_cauchy_factors, legendre_on, tensor_integrate)
 from .specfun import SUPPORTED_RANGE, airy_both, logistic
 
@@ -203,51 +204,68 @@ def _log_det_series(S, S2, g) -> list:
             + tr(c, 1) - np.einsum("il,il->", S2, S2) / 4]
 
 
-def airy_h_moments(k_max: int, C: float, nodes_per_axis: int | None = None) -> list[float]:
-    """[E h_1, ..., E h_kmax] over exp(C a_1), exp(C a_2), ...: the first
-    k_max coefficients of the u-series of det(I - K f_u), all from one grid.
-
-    The grid is the one order k_max needs, so E h_k for k < k_max comes
-    from a grid that reaches further right than its own order asks.
-    ``nodes_per_axis`` and the supported (k_max, C) are those of
-    :func:`airy_h_moment` at k = k_max, which raises the same errors.  The
-    entries are not checked for positivity.
-    """
-    check_order("airy_h_moments", k_max)
-    right = (k_max * C) ** 2 / 4.0 + _H_RIGHT_MARGIN
+def _h_rule(k: int, C: float, nodes_per_axis: int | None) -> QuadratureRule:
+    """Order k's grid at this C, or the DomainError that refuses it."""
+    right = (k * C) ** 2 / 4.0 + _H_RIGHT_MARGIN
     if not (C >= 0.4 and right <= SUPPORTED_RANGE):
         raise DomainError(f"airy_h_moment supports C >= 0.4 and (kC)^2/4 + "
-                          f"{_H_RIGHT_MARGIN:g} <= {SUPPORTED_RANGE:g}; got k = {k_max}, C = {C}")
-    checked_exp(f"airy_h_moment({k_max}, {C}): e^(Cr) at the grid's right edge "
+                          f"{_H_RIGHT_MARGIN:g} <= {SUPPORTED_RANGE:g}; got k = {k}, C = {C}")
+    checked_exp(f"airy_h_moment({k}, {C}): e^(Cr) at the grid's right edge "
                 f"r = {right:.6g},", C * right)
     left = max(-SUPPORTED_RANGE, -_H_LEFT_DECAY / C)
-    rule = composite_legendre(left, right, math.ceil((right - left) / _H_PANEL_WIDTH),
+    return composite_legendre(left, right, math.ceil((right - left) / _H_PANEL_WIDTH),
                               _H_ORDER if nodes_per_axis is None else nodes_per_axis)
-    return [float(h) for h in _h_series(rule, C, k_max)]
+
+
+def airy_h_moments(k_max: int, C: float, nodes_per_axis: int | None = None) -> list:
+    """[E h_1, ..., E h_kmax] over exp(C a_1), exp(C a_2), ...: the first
+    k_max u-series coefficients of det(I - K f_u), each the value or the
+    AiryKpzError that refuses that order, as ``kpz_side.kpz_laplaces`` per u.
+
+    One series, on the grid of the largest order k whose grid is accepted,
+    gives the orders up to k (those below k on a grid reaching past their
+    own).  Each order above k keeps its own grid's DomainError; any other
+    refusal of the series (ConfigurationError from ``nodes_per_axis``,
+    NumericalConsistencyError) is every order's up to k.  Each value has
+    passed check_positive as airy_h_moment(j, C).
+    """
+    check_order("airy_h_moments", k_max)
+    refused = []
+    for k in range(k_max, 0, -1):
+        try:
+            series = _h_series(_h_rule(k, C, nodes_per_axis), C, k)
+        except DomainError as exc:      # order k's own grid is refused
+            refused.insert(0, exc)
+        except AiryKpzError as exc:
+            return [exc] * k + refused
+        else:
+            return [outcome(check_positive, f"airy_h_moment({j}, {C})", float(h))
+                    for j, h in enumerate(series, start=1)] + refused
+    return refused
 
 
 def airy_h_moment(k: int, C: float, nodes_per_axis: int | None = None) -> float:
     """Expectation of h_k over exp(C a_1), exp(C a_2), ...: (-1)^k times
     the u^k coefficient of det(I - K f_u), the last entry of
-    :func:`airy_h_moments` at k_max = k.
+    :func:`airy_h_moments` at k_max = k, raised if it is a refusal.
 
     ``nodes_per_axis`` is the Gauss-Legendre order per panel of the grid
     (default 30).  Supported on integer 1 <= k <= 4 (ConfigurationError
-    otherwise), C >= 0.4 and (kC)^2/4 + 22 <= 60, where the grid stays
-    inside the Airy range, and C((kC)^2/4 + 22) <= log(DBL_MAX), where
-    e^{Cr} stays finite (binding only at k = 1, C > 12.1); other C raise
-    DomainError.  The moment is analytically positive; a value that is not
-    positive has been lost to cancellation and raises
-    NumericalConsistencyError.
+    otherwise), C >= 0.4 and (kC)^2/4 + 22 <= 60, where the grid stays inside
+    the Airy range, and C((kC)^2/4 + 22) <= log(DBL_MAX), where e^{Cr} stays
+    finite (binding only at k = 1, C > 12.1); other C raise DomainError, once
+    the largest lower order's series is built (a few ms, on this error path
+    only).  A moment that is not positive (analytically it is) was lost to
+    cancellation and raises NumericalConsistencyError.
     """
     check_order("airy_h_moment", k)
-    return check_positive(f"airy_h_moment({k}, {C})", airy_h_moments(k, C, nodes_per_axis)[-1])
+    return value(airy_h_moments(k, C, nodes_per_axis)[-1])
 
 
 # ----------------------------------------------------------------------
 # multiplicative statistics and the Tracy-Widom law
 
-def airy_mult_stat(params: ModelParams, nodes: int = 80) -> float:
+def airy_mult_stat(params: ModelParams, nodes: int = FREDHOLM_NODES) -> float:
     """E prod_k 1/(1 + u exp(C a_k)) as a Fredholm determinant.
 
     Discretizes det(1 - sqrt(f) K sqrt(f)) with f(r) = 1/(1 + u^{-1} e^{-Cr})
@@ -265,7 +283,7 @@ def airy_mult_stat(params: ModelParams, nodes: int = 80) -> float:
     return check_probability("airy_mult_stat", fredholm_det_matrix(kmat, grid.weights * f))
 
 
-def default_f2_grid(s: float, n: int = 80) -> QuadratureRule:
+def default_f2_grid(s: float, n: int = FREDHOLM_NODES) -> QuadratureRule:
     return legendre_on(s, s + 24.0, n)
 
 

@@ -4,6 +4,8 @@ One subcommand per verification suite; each emits a machine-readable
 table (CSV or JSON) with one row per grid cell, and exits 0 exactly when
 every row meets its tolerance.  Failing rows are enumerated on stderr.
 Output is byte-stable for identical configuration (including the seed).
+A cell reads a result shared with other cells (an Airy series or K_u
+matrix per C, an F2(a)) with ``errors.value``, so a refusal is its error row.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ import sys
 from dataclasses import dataclass, field
 
 from .airy_side import airy_h_moments, airy_mult_stat, tracy_widom_f2
-from .errors import (AiryKpzError, ConfigurationError, DomainError, check_order,
-                     check_positive, checked_exp)
+from .errors import AiryKpzError, ConfigurationError, check_order, checked_exp, outcome, value
 from .kpz_side import kpz_laplaces, kpz_moment
 from .params import ModelParams
-from .quadrature import MOMENT_RTOL
+from .quadrature import FREDHOLM_NODES, MOMENT_RTOL
 
 __all__ = ["RunConfig", "VerificationRow", "main",
            "run_verify_theorem1", "run_verify_theorem2", "run_tw_limit", "run_mc_check"]
@@ -88,42 +89,6 @@ def _row_or_error(labels: dict, cell, *args) -> VerificationRow:
                                passed=False)
 
 
-def _outcome(fn, *args):
-    """fn(*args), or the exception that would make a cell using it an error
-    row: a value computed once for several cells, each of which reads it
-    with :func:`_value` and so raises that exception again."""
-    try:
-        return fn(*args)
-    except AiryKpzError as exc:
-        return exc
-
-
-def _value(outcome):
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def _airy_moment_outcomes(C: float, k_max: int, nodes=None) -> list:
-    """The outcome of airy_h_moment(k, C) for k = 1, ..., k_max, read off
-    one :func:`airy_h_moments` series at the largest order whose grid is
-    supported: each order above it keeps the DomainError that
-    airy_h_moment raises there, and each entry is checked for positivity
-    on its own."""
-    refused = []
-    for j in range(k_max, 0, -1):
-        try:
-            series = airy_h_moments(j, C, nodes)
-        except DomainError as exc:
-            refused.insert(0, exc)
-            continue
-        except AiryKpzError as exc:
-            return [exc] * j + refused
-        return [_outcome(check_positive, f"airy_h_moment({k}, {C})", h)
-                for k, h in enumerate(series, start=1)] + refused
-    return refused
-
-
 def _derive_grid(cfg: RunConfig) -> list[tuple[float, float]]:
     """(C, T) pairs from whichever list was supplied; a non-positive C or T
     raises DomainError."""
@@ -161,7 +126,7 @@ def run_verify_theorem2(cfg: RunConfig) -> list[VerificationRow]:
     tol = cfg.tol or MOMENT_RTOL
 
     def cell(labels, lhs, T, k):
-        row = VerificationRow(labels=labels, lhs_value=_value(lhs),
+        row = VerificationRow(labels=labels, lhs_value=value(lhs),
                               rhs_value=kpz_moment(k, T, nodes_per_axis=nodes),
                               aux=f"tol={tol:g};nodes={cfg.nodes or 'auto'}")
         row.passed = row.rel_diff < tol
@@ -170,20 +135,20 @@ def run_verify_theorem2(cfg: RunConfig) -> list[VerificationRow]:
     # one Airy series per C, at the highest order its grid supports
     return [_row_or_error({"C": C, "T": T, "k": k}, cell, lhs, T, k)
             for C, T in _derive_grid(cfg)
-            for k, lhs in enumerate(_airy_moment_outcomes(C, cfg.k_max, nodes), start=1)]
+            for k, lhs in enumerate(airy_h_moments(cfg.k_max, C, nodes), start=1)]
 
 
 def run_verify_theorem1(cfg: RunConfig) -> list[VerificationRow]:
     """Laplace identity: airy_mult_stat(u, C) vs kpz_laplace(u, T=2C^3)."""
     _check_u(cfg)
     _check_overrides(cfg)
-    n = cfg.nodes or 80
+    n = cfg.nodes or FREDHOLM_NODES
     tol = cfg.tol or 1e-6
 
     def cell(labels, C, u, rhs):
         row = VerificationRow(labels=labels,
                               lhs_value=airy_mult_stat(ModelParams.from_C(C, u), n),
-                              rhs_value=_value(rhs),
+                              rhs_value=value(rhs),
                               aux=f"tol={tol:g};nodes={n}")
         row.passed = row.abs_diff < tol
         return row
@@ -210,7 +175,7 @@ def run_tw_limit(cfg: RunConfig) -> list[VerificationRow]:
     def cell(labels, a, C, f2, prev, last):
         u = checked_exp(f"tw-limit at a = {a}, C = {C}: u =", -C * a)
         lhs = airy_mult_stat(ModelParams.from_C(C, u))
-        row = VerificationRow(labels=labels, lhs_value=lhs, rhs_value=_value(f2))
+        row = VerificationRow(labels=labels, lhs_value=lhs, rhs_value=value(f2))
         ok_mono = prev is None or row.abs_diff <= prev + 1e-12
         row.aux = f"tol={tol:g};nonincreasing={'na' if prev is None else str(ok_mono).lower()}"
         row.passed = ok_mono and (not last or row.abs_diff < tol)
@@ -218,7 +183,7 @@ def run_tw_limit(cfg: RunConfig) -> list[VerificationRow]:
 
     rows = []
     for a in cfg.a_list:
-        f2 = _outcome(tracy_widom_f2, a)     # one F2(a) for the whole ladder
+        f2 = outcome(tracy_widom_f2, a)     # one F2(a) for the whole ladder
         prev = None
         for i, (T, C) in enumerate(ladder):
             row = _row_or_error({"a": a, "T": T, "C": C}, cell, a, C, f2, prev,
@@ -255,7 +220,7 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
     _check_draw(cfg.matrix_size, cfg.keep_top, cfg.seed, 0)
 
     def h_moment_cell(labels, ref, k, C):
-        ref = _value(ref)
+        ref = value(ref)
         est = estimate_h_moment(samples, k, C)
         tol = max(3.0 * est.stderr, (cfg.tol or 0.07) * abs(ref))
         row = VerificationRow(labels=labels, lhs_value=est.mean, rhs_value=ref,
@@ -265,7 +230,7 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
         return row
 
     def mult_stat_cell(labels, ref, u, C):
-        ref = _value(ref)
+        ref = value(ref)
         est = estimate_mult_stat(samples, u, C)
         tol = max(3.0 * est.stderr, cfg.tol or 0.03)
         row = VerificationRow(labels=labels, lhs_value=est.mean, rhs_value=ref,
@@ -279,10 +244,11 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
     # reference raises is an error row that needs no samples
     cells = []
     for C, T in grid:
+        refs = airy_h_moments(cfg.k_max, C) if cfg.k_max >= 1 else []   # none at --k-max 0
         cells += [({"kind": "h_moment", "param": k, "C": C, "T": T}, h_moment_cell, ref, k, C)
-                  for k, ref in enumerate(_airy_moment_outcomes(C, cfg.k_max), start=1)]
+                  for k, ref in enumerate(refs, start=1)]
         cells += [({"kind": "mult_stat", "param": u, "C": C, "T": T}, mult_stat_cell,
-                   _outcome(airy_mult_stat, ModelParams.from_C(C, u)), u, C)
+                   outcome(airy_mult_stat, ModelParams.from_C(C, u)), u, C)
                   for u in cfg.u_list]
     samples = (draw_edge_samples(cfg.matrix_size, cfg.keep_top, cfg.seed, cfg.samples)
                if any(not isinstance(cell[2], Exception) for cell in cells) else None)

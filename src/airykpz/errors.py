@@ -1,5 +1,5 @@
-"""Exception taxonomy shared by all modules, and the guards on moment
-orders and on computed moments and probabilities that raise from it."""
+"""Exception taxonomy shared by all modules, the guards that raise from it
+(moment orders, moments, probabilities, overflow) and a call's outcome."""
 
 import math
 import numbers
@@ -62,3 +62,19 @@ def check_probability(name: str, value: float) -> float:
     if not 0.0 < value <= 1.0 + 1e-10:
         raise NumericalConsistencyError(f"{name} = {value!r} outside (0, 1]")
     return min(value, 1.0)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the AiryKpzError it raises (any other exception
+    propagates): a result computed once and read with :func:`value`."""
+    try:
+        return fn(*args)
+    except AiryKpzError as exc:
+        return exc
+
+
+def value(result):
+    """An :func:`outcome`'s value, or its error raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result

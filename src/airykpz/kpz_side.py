@@ -22,11 +22,11 @@ import math
 import numpy as np
 
 from .errors import (ConfigurationError, DomainError, NumericalConsistencyError,
-                     check_order, check_positive, check_probability, checked_exp)
+                     check_order, check_positive, check_probability, checked_exp, value)
 from .params import ModelParams
-from .quadrature import (QuadratureRule, composite_legendre, fredholm_det_matrix,
-                         gaussian_cauchy_factors, gram, legendre_on, tensor_integrate,
-                         trapezoid_axis)
+from .quadrature import (FREDHOLM_NODES, QuadratureRule, composite_legendre,
+                         fredholm_det_matrix, gaussian_cauchy_factors, gram, legendre_on,
+                         tensor_integrate, trapezoid_axis)
 from .specfun import SUPPORTED_RANGE, airy_ai, logistic
 
 __all__ = [
@@ -242,7 +242,7 @@ def _ku_matrix(airy: np.ndarray, params: ModelParams, inner_rule: QuadratureRule
     return M
 
 
-def kpz_laplaces(C: float, us, nodes: int = 80) -> list:
+def kpz_laplaces(C: float, us, nodes: int = FREDHOLM_NODES) -> list:
     """kpz_laplace at this C for each u of ``us``, from one K_u Airy matrix:
     each entry is the value, or the error that refuses that u.
 
@@ -277,7 +277,7 @@ def kpz_laplaces(C: float, us, nodes: int = 80) -> list:
     return out
 
 
-def kpz_laplace(params: ModelParams, nodes: int = 80) -> float:
+def kpz_laplace(params: ModelParams, nodes: int = FREDHOLM_NODES) -> float:
     """E exp(-u Z(T,0) e^{T/24}) as the Fredholm determinant of K_u on
     [0, inf), on ``nodes`` Gauss-Legendre nodes; equals the Airy-side
     multiplicative statistic at C = (T/2)^(1/3).  The one-u case of
@@ -285,7 +285,4 @@ def kpz_laplace(params: ModelParams, nodes: int = 80) -> float:
     rule's Airy range raises DomainError, a visibly truncated K_u
     NumericalConsistencyError.
     """
-    [value] = kpz_laplaces(params.C, [params.u], nodes)
-    if isinstance(value, Exception):
-        raise value
-    return value
+    return value(kpz_laplaces(params.C, [params.u], nodes)[0])

@@ -39,6 +39,7 @@ MAX_LEGENDRE = 512
 TENSOR_NODE_BUDGET = 10 ** 8
 # relative target of every moment, any order: the cancellation gate, verify-theorem2's default
 MOMENT_RTOL = 1e-5
+FREDHOLM_NODES = 80     # default node count of every Fredholm grid
 
 
 @dataclass(frozen=True)
@@ -246,9 +247,9 @@ def fredholm_det_matrix(kmat: np.ndarray, weights: np.ndarray) -> float:
     return float(np.linalg.det(np.eye(n) - sq[:, None] * kmat * sq[None, :]))
 
 
-# K_u's X is 80 rows by 420-710 columns on the README grid: blocks of 8 to
-# 16 rows time alike there, 32 rows take 5-15% longer and one 80-row block
-# 1.5x; every block size gives the same bits
+# K_u's X is FREDHOLM_NODES rows by 420-710 columns on the README grid:
+# blocks of 8 to 16 rows time alike there, 32 rows take 5-15% longer and one
+# block of all rows 1.5x; every block size gives the same bits
 _GRAM_ROWS = 16
 
 

@@ -8,7 +8,7 @@ from airykpz import airy_side
 from airykpz import quadrature
 from airykpz.airy_side import (airy_h_moment, airy_h_moments, airy_kernel_matrix,
                                airy_mult_stat, laplace_R, tracy_widom_f2)
-from airykpz.errors import ConfigurationError, DomainError
+from airykpz.errors import ConfigurationError, DomainError, NumericalConsistencyError
 from airykpz.params import ModelParams
 from airykpz.quadrature import composite_legendre, gaussian_cauchy_factors
 from airykpz.specfun import airy_both
@@ -490,8 +490,8 @@ def test_h_series_table_matches_transposed_sums(C, order, monkeypatch):
 
 
 def test_airy_h_moments_is_one_series(monkeypatch):
-    # every order from one _h_series call on the k_max grid, unchecked;
-    # airy_h_moment is its last entry and refuses what it refuses
+    # every order from one _h_series call on the k_max grid; airy_h_moment
+    # is its last entry and refuses what it refuses
     calls = []
     series = airy_side._h_series
     monkeypatch.setattr(airy_side, "_h_series",
@@ -510,8 +510,35 @@ def test_airy_h_moments_is_one_series(monkeypatch):
     for k_max, C in [(4, 3.2), (1, 0.39), (1, 12.2)]:
         with pytest.raises(DomainError) as want:
             airy_h_moment(k_max, C)
-        with pytest.raises(DomainError, match=re.escape(str(want.value))):
-            airy_h_moments(k_max, C)
+        last = airy_h_moments(k_max, C)[-1]
+        assert type(last) is DomainError and str(last) == str(want.value)
+
+
+def test_airy_h_moments_keeps_each_refused_order_as_its_entry():
+    # at C = 4 the k = 4 grid leaves the Airy range: orders 1-3 are the
+    # k = 3 series bit for bit, and order 4 is airy_h_moment(4, 4.0)'s refusal
+    got, lower = airy_h_moments(4, 4.0), airy_h_moments(3, 4.0)
+    assert got[:3] == lower and all(type(v) is float for v in lower)
+    with pytest.raises(DomainError) as want:
+        airy_h_moment(4, 4.0)
+    assert type(got[3]) is DomainError and str(got[3]) == str(want.value)
+    # below C = 0.4 no order's grid is accepted
+    assert [type(v) for v in airy_h_moments(2, 0.39)] == [DomainError] * 2
+    # a node count no rule takes refuses the series, so every order up to it
+    assert ([type(v) for v in airy_h_moments(4, 4.0, 100000)]
+            == [ConfigurationError] * 3 + [DomainError])
+
+
+def test_airy_h_moments_checks_each_value_positive(monkeypatch):
+    # a non-positive E h_2 is that order's NumericalConsistencyError entry;
+    # the orders around it stay values
+    monkeypatch.setattr(airy_side, "_h_series", lambda rule, C, k: [0.3, -1e-17, 0.5][:k])
+    h1, h2, h3 = airy_h_moments(3, 1.0)
+    assert (h1, h3) == (0.3, 0.5) and type(h1) is float and type(h3) is float
+    assert type(h2) is NumericalConsistencyError
+    assert str(h2) == "airy_h_moment(2, 1.0) = -1e-17 is not positive and finite"
+    with pytest.raises(NumericalConsistencyError, match=re.escape(str(h2))):
+        airy_h_moment(2, 1.0)
 
 
 @pytest.mark.parametrize("C", [0.4, 0.5, 0.6, 1.0, 1.4, 2.0, 2.5])

@@ -287,8 +287,8 @@ def test_theorem2_series_falls_back_to_the_largest_supported_order(monkeypatch):
 
 def test_theorem2_entry_lost_to_cancellation_is_its_own_error_row(monkeypatch):
     # positivity is checked per order: a non-positive E h_2 fails that row only
-    from airykpz import cli
-    monkeypatch.setattr(cli, "airy_h_moments", lambda k, C, nodes: [0.3, -1e-17, 0.5][:k])
+    from airykpz import airy_side, cli
+    monkeypatch.setattr(airy_side, "_h_series", lambda rule, C, k: [0.3, -1e-17, 0.5][:k])
     monkeypatch.setattr(cli, "kpz_moment", lambda k, T, nodes_per_axis: [0.3, 0.2, 0.5][k - 1])
     rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[1.0], k_max=3))
     assert [r.status for r in rows] == [
@@ -443,6 +443,19 @@ def test_mc_check_builds_one_reference_series_per_C(monkeypatch):
     rows, _ = run(cfg)
     assert calls == [0.5, 1.0]
     assert [r.rhs_value for r in rows] == want[0.5] + want[1.0]
+
+
+def test_mc_check_k_max_0_is_its_mult_stat_rows_alone(monkeypatch, capsys):
+    # --k-max 0 is accepted alongside --u: no order is asked for, so no
+    # Airy u-series is built (airy_h_moments itself refuses k_max = 0)
+    calls = _count_h_series(monkeypatch)
+    code, out, err = _run_main(
+        ["mc-check", "--C", "0.5", "--u", "1", "--k-max", "0", "--samples", "100",
+         "--matrix-size", "100", "--keep-top", "48", "--seed", "3"], capsys)
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["kind"], r["param"], r["status"]) for r in rows] == [("mult_stat", "1", "ok")]
+    assert calls == []
 
 
 def test_mc_check_seed_reproducibility():

@@ -248,6 +248,44 @@ def test_only_quadrature_holds_the_moment_tolerance():
     assert cli_floats == [], f"tolerance literals in run_verify_theorem2: {cli_floats}"
 
 
+def test_only_quadrature_holds_the_fredholm_node_count():
+    # every Fredholm grid (airy_mult_stat, the F2 grid, K_u's outer rule
+    # and verify-theorem1's default) takes quadrature.FREDHOLM_NODES: an 80
+    # written anywhere else in src/ is a second copy that can drift
+    literals = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                and node.value == 80]
+    [(name, lineno)] = literals
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    [define] = [node for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and "FREDHOLM_NODES" in map(_name, node.targets)]
+    assert (name, lineno) == ("quadrature.py", define.lineno)
+    assert "FREDHOLM_NODES" in {_name(n) for n in ast.walk(_function("cli", "run_verify_theorem1"))}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # an import left behind when its last reader moved away is dead (the
+    # CLI's DomainError and check_positive once airy_h_moments checked its
+    # own entries); the package root's imports are its re-exports
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unread.append((path.name, node.lineno, bound))
+    assert unread == [], f"imported but never read: {unread}"
+
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 # module-level assignments that only list a module's exports: each
 # __all__, and the package root's names resolved lazily from montecarlo

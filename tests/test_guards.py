@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from airykpz import airy_side, kpz_side
-from airykpz.errors import (ConfigurationError, DomainError, NumericalConsistencyError,
-                            check_order, check_positive)
+from airykpz.errors import (AiryKpzError, ConfigurationError, DomainError,
+                            NumericalConsistencyError, check_order, check_positive, outcome,
+                            value)
 from airykpz.params import ModelParams
 
 _P = ModelParams.from_C(1.0, 1.0)
@@ -62,3 +63,18 @@ def test_positivity_check():
     for val in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(NumericalConsistencyError, match="m = .* is not positive"):
             check_positive("m", val)
+
+
+def test_outcome_holds_a_package_error_and_lets_any_other_propagate():
+    refusal = DomainError("refused")
+
+    def refuse():
+        raise refusal
+
+    got = outcome(refuse)
+    assert got is refusal and isinstance(got, AiryKpzError)
+    assert outcome(max, 1, 2) == 2 and value(2) == 2
+    with pytest.raises(DomainError, match="refused"):
+        value(got)
+    with pytest.raises(TypeError):
+        outcome(max, 1, "a")
