@@ -6,6 +6,9 @@ every row meets its tolerance.  Failing rows are enumerated on stderr.
 Output is byte-stable for identical configuration (including the seed).
 A cell reads a result shared with other cells (an Airy series or K_u
 matrix per C, an F2(a)) with ``errors.value``, so a refusal is its error row.
+A C, T or u that ``ModelParams`` refuses, and an order that
+``errors.check_order`` refuses, raise for the whole command instead: a
+usage error (exit 2), before any row and before any Monte Carlo draw.
 """
 
 from __future__ import annotations
@@ -99,12 +102,6 @@ def _derive_grid(cfg: RunConfig) -> list[tuple[float, float]]:
     return [(ModelParams.from_T(T, 0.0).C, T) for T in cfg.T_list]
 
 
-def _check_u(cfg: RunConfig) -> None:
-    """Laplace variables are finite and non-negative; any other is a usage error."""
-    if any(not 0 <= u < math.inf for u in cfg.u_list):
-        raise ConfigurationError("u values must be >= 0 and finite")
-
-
 def _check_overrides(cfg: RunConfig) -> None:
     """--nodes and --tol are 0 for the command default or a finite positive
     override; anything else is a usage error, raised before any cell runs."""
@@ -140,7 +137,6 @@ def run_verify_theorem2(cfg: RunConfig) -> list[VerificationRow]:
 
 def run_verify_theorem1(cfg: RunConfig) -> list[VerificationRow]:
     """Laplace identity: airy_mult_stat(u, C) vs kpz_laplace(u, T=2C^3)."""
-    _check_u(cfg)
     _check_overrides(cfg)
     n = cfg.nodes or FREDHOLM_NODES
     tol = cfg.tol or 1e-6
@@ -203,17 +199,15 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
     if cfg.samples < 100:
         raise ConfigurationError("mc-check needs at least 100 samples")
     # known before any draw: every estimator row would reject the samples,
-    # some row would reject its u, or the grid would yield no row at all
+    # some h_k row would reject its order, or the grid would yield no row
     if cfg.keep_top < MIN_KEPT:
         raise ConfigurationError(f"mc-check needs --keep-top >= {MIN_KEPT}; the estimators "
                                  f"reject fewer kept points per draw")
-    if cfg.k_max > MAX_H_ORDER:
-        raise ConfigurationError(f"mc-check supports --k-max <= {MAX_H_ORDER}; the h_k "
-                                 f"estimator rejects higher orders")
-    _check_u(cfg)
+    if cfg.k_max:   # 0 asks for no h_k row
+        check_order("mc-check --k-max", cfg.k_max, MAX_H_ORDER)
     _check_overrides(cfg)
     grid = _derive_grid(cfg)
-    if cfg.k_max < 1 and not cfg.u_list:
+    if not cfg.k_max and not cfg.u_list:
         raise _no_cells(cfg.command)
     # the draw's own argument check: a bad --seed stays a usage error even
     # when no cell needs samples
@@ -241,10 +235,11 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
         return row
 
     # every deterministic reference comes before the draw: a cell whose
-    # reference raises is an error row that needs no samples
+    # reference raises is an error row that needs no samples, and a bad u
+    # is refused by its ModelParams here, as a usage error
     cells = []
     for C, T in grid:
-        refs = airy_h_moments(cfg.k_max, C) if cfg.k_max >= 1 else []   # none at --k-max 0
+        refs = airy_h_moments(cfg.k_max, C) if cfg.k_max else []   # none at --k-max 0
         cells += [({"kind": "h_moment", "param": k, "C": C, "T": T}, h_moment_cell, ref, k, C)
                   for k, ref in enumerate(refs, start=1)]
         cells += [({"kind": "mult_stat", "param": u, "C": C, "T": T}, mult_stat_cell,

@@ -98,13 +98,13 @@ def kpz_moment(k: int, T: float, nodes_per_axis: int | None = None) -> float:
     """exp(kT/24) E[Z(T,0)^k / k!], via the partition-expanded contour
     formula; directly comparable with airy_h_moment(k, C=(T/2)^(1/3)).
 
-    Supported on integer 1 <= k <= 4; other k raise ConfigurationError.
-    The moment is analytically positive; a sum that is not positive has
-    been lost to cancellation and raises NumericalConsistencyError.
+    Supported on integer 1 <= k <= 4; other k raise ConfigurationError,
+    and a T that ModelParams refuses raises its DomainError.  The moment
+    is analytically positive; a sum that is not positive has been lost to
+    cancellation and raises NumericalConsistencyError.
     """
     check_order("kpz_moment", k)
-    if not T > 0:
-        raise DomainError("kpz_moment requires T > 0")
+    ModelParams.from_T(T, 0.0)
     norm = checked_exp(f"kpz_moment({k}, {T}): its normalization", k * T / 24.0)
     total = 0.0
     for lam in partitions(k):
@@ -123,7 +123,8 @@ _NESTED_PEAK = 12.0
 def kpz_moment_nested(k: int, T: float, offsets=None,
                       nodes_per_axis: int | None = None) -> float:
     """exp(kT/24) E[Z(T,0)^k / k!] by direct quadrature of the
-    nested-contour formula (no residue expansion); k <= 3.
+    nested-contour formula (no residue expansion); k <= 3, and T is
+    checked as in kpz_moment.
 
     The contours Re z_j = offsets[j], exactly k, each lie more than 1 below
     the last, off the poles z_A - z_B = 1.  By default they are centred on
@@ -135,8 +136,7 @@ def kpz_moment_nested(k: int, T: float, offsets=None,
     (z_A - z_B)/(z_A - z_B - 1)), with kpz_moment's ``nodes_per_axis``.
     """
     check_order("kpz_moment_nested", k, k_max=3)
-    if not T > 0:
-        raise DomainError("kpz_moment_nested requires T > 0")
+    ModelParams.from_T(T, 0.0)
     name = f"kpz_moment_nested({k}, {T})"
     norm = checked_exp(f"{name}: its normalization", k * T / 24.0)
     if offsets is None:

@@ -39,7 +39,9 @@ import numpy as np
 from scipy.linalg.lapack import dsterf
 
 from .airy_side import newton_h
-from .errors import ConfigurationError, NumericalConsistencyError, checked_exp, is_integer
+from .errors import (ConfigurationError, NumericalConsistencyError, check_order, checked_exp,
+                     is_integer)
+from .params import ModelParams
 from .specfun import logistic
 
 __all__ = [
@@ -196,11 +198,6 @@ def _points_matrix(samples: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _check_finite_C(estimator: str, C: float) -> None:
-    if not math.isfinite(C):
-        raise ConfigurationError(f"{estimator} needs a finite C, got C = {C!r}")
-
-
 def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     n = vals.size
     mean = float(np.mean(vals))
@@ -221,19 +218,21 @@ def estimate_h_moment(samples: np.ndarray, k: int, C: float) -> EstimatorResult:
     """Empirical E[h_k(exp(C a_1), exp(C a_2), ...)] over the kept points
     of a (draws, kept) sample array.
 
-    Each draw's h_k is at most binom(m + k - 1, k) exp(k C max a), and the
-    standard error sums the draws' squares; where that sum would overflow,
-    errors.checked_exp raises DomainError before any exp is formed.
+    k is an order of errors.check_order up to MAX_H_ORDER and C a
+    ModelParams scaling; below C = 0.3 the tail truncation is not
+    controlled, a ConfigurationError.  Each draw's h_k is at most
+    binom(m + k - 1, k) exp(k C max a), and the standard error sums the
+    draws' squares; where that sum would overflow, errors.checked_exp
+    raises DomainError before any exp is formed.
     """
-    if not 0 <= k <= MAX_H_ORDER:
-        raise ConfigurationError(f"estimate_h_moment supports 0 <= k <= {MAX_H_ORDER}")
-    _check_finite_C("estimate_h_moment", C)
+    check_order("estimate_h_moment", k, MAX_H_ORDER)
+    ModelParams.from_C(C, 0.0)
     if not C >= 0.3:
         raise ConfigurationError("estimate_h_moment requires C >= 0.3 "
                                  "(tail truncation control)")
     pts = _points_matrix(samples)
     draws, m = pts.shape
-    log_h = max(k, 1) * C * float(np.max(pts)) + math.log(math.comb(m + k - 1, k))
+    log_h = k * C * float(np.max(pts)) + math.log(math.comb(m + k - 1, k))
     checked_exp(f"estimate_h_moment(k={k}, C={C!r}) squared h_k sum",
                 2.0 * log_h + math.log(draws))
     vals = complete_homogeneous(np.exp(C * pts), k)
@@ -251,13 +250,9 @@ def estimate_mult_stat(samples: np.ndarray, u: float, C: float) -> EstimatorResu
     exceeds BIAS_GUARD.  The N - m omitted factors together can move the
     product by more than that gap.  The factors are
     logistic(-(C a_i + log u)), which overflows at no C; at u = 0 each is
-    exactly 1.
+    exactly 1.  (C, u) is checked as a ModelParams.
     """
-    if not u >= 0:
-        raise ConfigurationError("estimate_mult_stat requires u >= 0")
-    _check_finite_C("estimate_mult_stat", C)
-    if not C > 0:
-        raise ConfigurationError(f"estimate_mult_stat requires C > 0, got C = {C!r}")
+    ModelParams.from_C(C, u)
     pts = _points_matrix(samples)
     log_u = math.log(u) if u > 0 else -math.inf
     y = -(C * pts + log_u)

@@ -68,10 +68,10 @@ def test_grid_without_cells_is_a_usage_error(argv, capsys, monkeypatch):
     (["mc-check", "--C", "0", "--u", "1", "--k-max", "1"], "ModelParams requires C > 0"),
     (["verify-theorem1", "--C", "inf", "--u", "1"], "ModelParams requires C > 0 and finite"),
     (["verify-theorem1", "--T", "inf", "--u", "1"], "ModelParams requires T > 0 and finite"),
-    (["verify-theorem1", "--C", "1", "--u", "inf"], "u values must be >= 0 and finite"),
+    (["verify-theorem1", "--C", "1", "--u", "inf"], "ModelParams requires u >= 0 and finite"),
     (["tw-limit", "--a", "0", "--T", "8,inf"], "ModelParams requires T > 0 and finite"),
     (["mc-check", "--C", "0.5", "--u", "inf", "--k-max", "1"],
-     "u values must be >= 0 and finite"),
+     "ModelParams requires u >= 0 and finite"),
 ], ids=["nodes-thm2", "nodes-thm1", "tol-negative", "tol-nan", "tol-inf", "tol-negative-tw",
         "tol-nan-mc", "T-zero", "C-negative", "T-negative-tw", "C-zero-mc", "C-inf", "T-inf",
         "u-inf", "T-inf-tw", "u-inf-mc"])
@@ -504,8 +504,29 @@ def test_mc_check_k_max_above_estimator_bound_is_a_usage_error(capsys, monkeypat
     monkeypatch.setattr(montecarlo, "draw_edge_samples", lambda *a: pytest.fail("drew"))
     code, out, err = _run_main(["mc-check", "--C", "0.5", "--u", "1", "--k-max", "4"], capsys)
     assert code == 2
-    assert err.startswith("error: mc-check supports --k-max <= 3")
+    assert err.startswith("error: mc-check --k-max supports integer 1 <= k <= 3, got 4")
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--u", "inf", "--k-max", "1"], "ModelParams requires u >= 0 and finite, got inf"),
+    # --k-max 0 asks for no h_k row; a negative order is refused, not run as 0
+    (["--u", "1", "--k-max", "-2"], "mc-check --k-max supports integer 1 <= k <= 3, got -2"),
+], ids=["u-inf", "k-max-negative"])
+def test_mc_check_refuses_a_bad_u_or_order_before_any_draw(argv, message, capsys, monkeypatch):
+    # the u refusal comes from building the cells, the order refusal from
+    # check_order: both ahead of the draw
+    from airykpz import montecarlo
+    calls = []
+
+    def draw(*args):
+        calls.append(args)
+        raise RuntimeError("drew")
+
+    monkeypatch.setattr(montecarlo, "draw_edge_samples", draw)
+    code, out, err = _run_main(["mc-check", "--C", "0.5"] + argv + [
+        "--samples", "100", "--matrix-size", "100", "--keep-top", "48", "--seed", "3"], capsys)
+    assert (code, out, err, calls) == (2, "", f"error: {message}\n", [])
 
 
 def test_mc_check_negative_u_is_a_usage_error(capsys, monkeypatch):
@@ -514,7 +535,7 @@ def test_mc_check_negative_u_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(montecarlo, "draw_edge_samples", lambda *a: pytest.fail("drew"))
     code, out, err = _run_main(["mc-check", "--C", "0.5", "--u=-1", "--k-max", "1"], capsys)
     assert code == 2
-    assert err.startswith("error: u values must be >= 0")
+    assert err.startswith("error: ModelParams requires u >= 0 and finite, got -1.0")
     assert out == ""
 
 

@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -327,3 +328,21 @@ def test_every_exported_name_has_a_caller_in_src_or_bench():
                      for attr in getattr(importlib.import_module(name), "__all__", ())
                      if attr not in refs})
     assert unused == [], f"exported but called only from tests: {unused}"
+
+
+_ORDER_RANGE = re.compile(r"<=\s*k\b|\bk\s*<=|--k-max\s*<=")
+
+
+def test_only_errors_checks_moment_orders():
+    # errors.check_order is the one moment-order check: a raise elsewhere
+    # whose message states an order range keeps its own copy of the range
+    copies = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None and any(
+                    isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and _ORDER_RANGE.search(n.value) for n in ast.walk(node.exc)):
+                copies.append((path.name, node.lineno))
+    assert copies == [], f"moment-order ranges checked outside errors.check_order: {copies}"

@@ -164,8 +164,21 @@ def test_newton_identities_against_monomial_expansion():
 
 
 def test_h_moment_k0_exact(edge_samples):
-    res = estimate_h_moment(edge_samples[:10], 0, 0.5)
-    assert res.mean == 1.0 and res.stderr == 0.0
+    # h_0 = 1 is no moment order: check_order refuses k = 0, as every side does
+    with pytest.raises(ConfigurationError,
+                       match=r"^estimate_h_moment supports integer 1 <= k <= 3, got 0$"):
+        estimate_h_moment(edge_samples[:10], 0, 0.5)
+
+
+@pytest.mark.parametrize("k", [2.0, True])
+def test_h_moment_refuses_a_float_or_bool_order(edge_samples, k):
+    with pytest.raises(ConfigurationError, match=r"supports integer 1 <= k <= 3"):
+        estimate_h_moment(edge_samples[:10], k, 0.5)
+
+
+def test_h_moment_takes_a_numpy_integer_order(edge_samples):
+    assert estimate_h_moment(edge_samples[:10], np.int64(2), 0.5) == \
+        estimate_h_moment(edge_samples[:10], 2, 0.5)
 
 
 def test_h_values_pointwise_positive(edge_samples):
@@ -269,15 +282,21 @@ def test_h_moment_refuses_an_overflowing_exponent(edge_samples):
 @pytest.mark.parametrize("estimator", [estimate_h_moment, estimate_mult_stat])
 @pytest.mark.parametrize("C", [math.nan, math.inf])
 def test_estimators_refuse_non_finite_C(edge_samples, estimator, C):
-    with pytest.raises(ConfigurationError, match=rf"needs a finite C, got C = {C!r}"):
+    with pytest.raises(DomainError, match=rf"^ModelParams requires C > 0 .* got {C!r}$"):
         estimator(edge_samples[:10], 1, C)
 
 
 @pytest.mark.parametrize("C", [0.0, -1000.0])
 def test_mult_stat_refuses_C_not_positive(edge_samples, C):
     # C = 0 would return 2^-m with bias 1, and C = -1000 overflow exp
-    with pytest.raises(ConfigurationError, match=rf"requires C > 0, got C = {C!r}"):
+    with pytest.raises(DomainError, match=rf"^ModelParams requires C > 0 .* got {C!r}$"):
         estimate_mult_stat(edge_samples[:20], 1.0, C)
+
+
+def test_mult_stat_refuses_an_infinite_u(edge_samples):
+    # every factor would be 0: mean 0 with stderr 0, a silent wrong number
+    with pytest.raises(DomainError, match=r"^ModelParams requires u >= 0 and finite, got inf$"):
+        estimate_mult_stat(edge_samples[:20], math.inf, 0.5)
 
 
 def test_mult_stat_factors_do_not_overflow(edge_samples):

@@ -1,9 +1,12 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from airykpz.errors import DomainError
+from airykpz.kpz_side import kpz_laplaces, kpz_moment, kpz_moment_nested
+from airykpz.montecarlo import MIN_KEPT, estimate_h_moment, estimate_mult_stat
 from airykpz.params import ModelParams
 
 
@@ -50,3 +53,28 @@ def test_validation():
             ModelParams(C, u)
     with pytest.raises(DomainError, match="requires T > 0 and finite"):
         ModelParams.from_T(math.inf, 1.0)
+
+
+
+_SAMPLES = np.zeros((2, MIN_KEPT))
+# each public entry point that takes a C, T or u, called with that one
+# argument bad; u = 0 is a valid Laplace variable, so u is tried at the rest
+_ENTRIES = {
+    "kpz_moment-T": lambda T: kpz_moment(1, T),
+    "kpz_moment_nested-T": lambda T: kpz_moment_nested(2, T),
+    "estimate_h_moment-C": lambda C: estimate_h_moment(_SAMPLES, 1, C),
+    "estimate_mult_stat-C": lambda C: estimate_mult_stat(_SAMPLES, 1.0, C),
+    "estimate_mult_stat-u": lambda u: estimate_mult_stat(_SAMPLES, u, 0.5),
+    "kpz_laplaces-u": lambda u: kpz_laplaces(1.0, [1.0, u]),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in _ENTRIES
+    for bad in ([-1.0, math.nan, math.inf] if entry.endswith("-u")
+                else [0.0, -1.0, math.nan, math.inf])])
+def test_every_entry_point_judges_C_T_and_u_through_ModelParams(entry, bad):
+    # ModelParams is the one judge of C, T and u: a value it refuses is its
+    # DomainError on every path
+    with pytest.raises(DomainError, match=r"^ModelParams requires"):
+        _ENTRIES[entry](bad)
