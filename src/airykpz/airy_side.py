@@ -92,11 +92,10 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
         exp(sum c_i^3/12)/(2 pi)^n * int exp(-sum c_i z_i^2)
             det[1/((-i z_i + c_i/2) + (i z_j + c_j/2))] dz,
     the Gaussian-Cauchy integral of :func:`gaussian_cauchy_factors` with
-    s = c, alpha = beta = c/2 and no phase, which also sets the trapezoid
-    rule.  The matrix 1/(a_i + b_j) is the Gram matrix of the functions
-    exp(-s(c_i/2 - i z_i)) on s > 0, so its determinant is real and
-    non-negative at every node: alpha = beta makes every factor a float64
-    table >= 0, and the sum is real from the start.
+    s = c and offsets c/2, which also sets the trapezoid rule.  The matrix
+    1/(a_i + b_j) is the Gram matrix of the functions exp(-s(c_i/2 - i z_i))
+    on s > 0, so its determinant is real and non-negative at every node:
+    every factor is a float64 table >= 0, and the sum is real from the start.
 
     The value is symmetric in ``c`` (the correlation function is symmetric
     in its arguments); ``c`` is sorted in descending order, so every order
@@ -112,8 +111,7 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
     c = np.sort(c)[::-1]
     pref = checked_exp(f"laplace_R at exponents {c.tolist()}: its prefactor",
                        float(np.sum(c ** 3)) / 12.0) / (2.0 * math.pi) ** c.size
-    rules, integrand = gaussian_cauchy_factors(c, c / 2.0, c / 2.0, np.zeros(c.size),
-                                               nodes_per_axis)
+    rules, integrand = gaussian_cauchy_factors(c, c / 2.0, nodes_per_axis)
     val = pref * tensor_integrate(integrand, rules)
     if not math.isfinite(val):
         raise DomainError(f"laplace_R at exponents {c.tolist()}: its prefactor {pref:.6g} "

@@ -4,8 +4,9 @@ One subcommand per verification suite; each emits a machine-readable
 table (CSV or JSON) with one row per grid cell, and exits 0 exactly when
 every row meets its tolerance.  Failing rows are enumerated on stderr.
 Output is byte-stable for identical configuration (including the seed).
-A cell reads a result shared with other cells (an Airy series or K_u
-matrix per C, an F2(a)) with ``errors.value``, so a refusal is its error row.
+A cell reads a result shared with other cells (an Airy or KPZ moment
+series or a K_u matrix per C, an F2(a)) with ``errors.value``, so a
+refusal is its error row.
 A C, T or u that ``ModelParams`` refuses, and an order that
 ``errors.check_order`` refuses, raise for the whole command instead: a
 usage error (exit 2), before any row and before any Monte Carlo draw.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .airy_side import airy_h_moments, airy_mult_stat, tracy_widom_f2
 from .errors import AiryKpzError, ConfigurationError, check_order, checked_exp, outcome, value
-from .kpz_side import kpz_laplaces, kpz_moment
+from .kpz_side import kpz_laplaces, kpz_moments
 from .params import ModelParams
 from .quadrature import FREDHOLM_NODES, MOMENT_RTOL
 
@@ -122,17 +123,18 @@ def run_verify_theorem2(cfg: RunConfig) -> list[VerificationRow]:
     nodes = cfg.nodes or None
     tol = cfg.tol or MOMENT_RTOL
 
-    def cell(labels, lhs, T, k):
-        row = VerificationRow(labels=labels, lhs_value=value(lhs),
-                              rhs_value=kpz_moment(k, T, nodes_per_axis=nodes),
+    def cell(labels, lhs, rhs):
+        row = VerificationRow(labels=labels, lhs_value=value(lhs), rhs_value=value(rhs),
                               aux=f"tol={tol:g};nodes={cfg.nodes or 'auto'}")
         row.passed = row.rel_diff < tol
         return row
 
-    # one Airy series per C, at the highest order its grid supports
-    return [_row_or_error({"C": C, "T": T, "k": k}, cell, lhs, T, k)
+    # one series per side and C: the Airy one at the highest order its grid
+    # supports, the KPZ one up to its first refused order
+    return [_row_or_error({"C": C, "T": T, "k": k}, cell, lhs, rhs)
             for C, T in _derive_grid(cfg)
-            for k, lhs in enumerate(airy_h_moments(cfg.k_max, C, nodes), start=1)]
+            for k, (lhs, rhs) in enumerate(zip(airy_h_moments(cfg.k_max, C, nodes),
+                                               kpz_moments(cfg.k_max, T, nodes)), start=1)]
 
 
 def run_verify_theorem1(cfg: RunConfig) -> list[VerificationRow]:
@@ -234,17 +236,17 @@ def run_mc_check(cfg: RunConfig) -> list[VerificationRow]:
         row.passed = row.abs_diff <= tol and not est.flagged
         return row
 
-    # every deterministic reference comes before the draw: a cell whose
-    # reference raises is an error row that needs no samples, and a bad u
-    # is refused by its ModelParams here, as a usage error
+    # a bad u is refused by its ModelParams here, as a usage error, before
+    # any series; every deterministic reference comes before the draw, so a
+    # cell whose reference raises is an error row that needs no samples
+    params = [[ModelParams.from_C(C, u) for u in cfg.u_list] for C, _ in grid]
     cells = []
-    for C, T in grid:
+    for (C, T), ps in zip(grid, params):
         refs = airy_h_moments(cfg.k_max, C) if cfg.k_max else []   # none at --k-max 0
         cells += [({"kind": "h_moment", "param": k, "C": C, "T": T}, h_moment_cell, ref, k, C)
                   for k, ref in enumerate(refs, start=1)]
         cells += [({"kind": "mult_stat", "param": u, "C": C, "T": T}, mult_stat_cell,
-                   outcome(airy_mult_stat, ModelParams.from_C(C, u)), u, C)
-                  for u in cfg.u_list]
+                   outcome(airy_mult_stat, p), u, C) for u, p in zip(cfg.u_list, ps)]
     samples = (draw_edge_samples(cfg.matrix_size, cfg.keep_top, cfg.seed, cfg.samples)
                if any(not isinstance(cell[2], Exception) for cell in cells) else None)
     return [_row_or_error(labels, cell, ref, param, C) for labels, cell, ref, param, C in cells]

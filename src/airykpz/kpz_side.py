@@ -1,18 +1,12 @@
-"""KPZ side: the partitions of k as tuples of parts, delta-Bose-gas
-contour integrals for the moments of the stochastic-heat-equation solution
-at the origin, the nested-contour oracle, and the Laplace-transform
-Fredholm determinant, whose kernel K_u shares one Airy matrix among the u
-of one C.
+"""KPZ side: the moments of the stochastic-heat-equation solution at the
+origin, the nested-contour oracle, and the Laplace-transform Fredholm
+determinant, whose kernel K_u shares one Airy matrix among the u of one C.
 
-Moments are computed from the partition-expanded residue formula
-
-    E[Z(T,0)^k / k!] = sum over partitions of k of 1/(prod m_i!) *
-        int over R^l of det[1/(w_j + lambda_j - w_i)] *
-        prod_j exp((T/2)(w_j^2 + (w_j+1)^2 + ... + (w_j+lambda_j-1)^2))
-
-with all contours on the imaginary axis (w = it), normalized here by
-exp(kT/24) so the result is directly comparable with the Airy-side
-moment of h_k at C = (T/2)^(1/3).
+exp(kT/24) E[Z(T,0)^k / k!] sums, over the partitions of k, contour
+integrals of det[1/(w_j + lambda_j - w_i)] times the Bose-gas exponents
+(Borodin & Corwin, arXiv:1111.4408, §6).  Expanded into cycles, that sum
+is the v^k coefficient of det(I + D(v) A) on one contour per part size,
+read off as the Airy side reads E h_k off det(I - K f_u).
 """
 
 from __future__ import annotations
@@ -21,95 +15,132 @@ import math
 
 import numpy as np
 
-from .errors import (ConfigurationError, DomainError, NumericalConsistencyError,
-                     check_order, check_positive, check_probability, checked_exp, value)
+from .airy_side import newton_h
+from .errors import (AiryKpzError, ConfigurationError, DomainError, NumericalConsistencyError,
+                     check_order, check_positive, check_probability, checked_exp, outcome, value)
 from .params import ModelParams
-from .quadrature import (FREDHOLM_NODES, QuadratureRule, composite_legendre,
-                         fredholm_det_matrix, gaussian_cauchy_factors, gram, legendre_on,
-                         tensor_integrate, trapezoid_axis)
+from .quadrature import (FREDHOLM_NODES, MOMENT_RTOL, QuadratureRule, composite_legendre,
+                         fredholm_det_matrix, gram, legendre_on, tensor_integrate,
+                         trapezoid_axis)
 from .specfun import SUPPORTED_RANGE, airy_ai, logistic
 
-__all__ = [
-    "partitions", "symmetry_factor",
-    "kpz_moment", "kpz_moment_nested", "kpz_laplace", "kpz_laplaces",
-]
-
-MAX_PARTITION_WEIGHT = 20
-
-
-def partitions(k: int) -> list[tuple[int, ...]]:
-    """All partitions of k, each a tuple of nonincreasing positive parts,
-    descending lexicographic."""
-    check_order("partitions", k, MAX_PARTITION_WEIGHT)
-
-    def rec(remaining: int, largest: int):
-        if remaining == 0:
-            yield ()
-        for p in range(min(remaining, largest), 0, -1):
-            for rest in rec(remaining - p, p):
-                yield (p, *rest)
-
-    return list(rec(k, k))
-
-
-def symmetry_factor(parts: tuple[int, ...]) -> int:
-    """Product of factorials of the part multiplicities."""
-    return math.prod(math.factorial(parts.count(p)) for p in set(parts))
+__all__ = ["kpz_moment", "kpz_moments", "kpz_moment_nested", "kpz_laplace", "kpz_laplaces"]
 
 
 # ----------------------------------------------------------------------
-# moments via the partition expansion
+# moments: the log-det series of the block contour operator
 
-_CONTOUR_SHIFT = 0.9    # theta; at 1 each term would be laplace_R's own discrete sum
+_CONTOUR_SHIFT = 0.9    # theta; at 0 every contour is the imaginary axis
+_BLOCK_ENTRIES = 2 ** 30 // (5 * 16)    # ~5 complex tables of a block live: 1 GiB
 
 
-def _partition_term(parts: tuple[int, ...], T: float, nodes_per_axis: int | None = None) -> float:
-    """(2 pi)^{-l} times the contour integral of the partition with these
-    parts, on w_j = -sigma_j + i t_j: each contour moved from the imaginary
-    axis toward its Gaussian's saddle, sigma_j = theta (lambda_j - 1)/2,
-    theta = _CONTOUR_SHIFT, crossing no pole (Borodin & Corwin, §6).
-
-    The Bose-gas exponent of part p is then -(T p/2) t^2 plus
-    i (1 - theta)(T p(p-1)/2) t plus a constant: the Gaussian-Cauchy
-    integral of :func:`gaussian_cauchy_factors` with s = T lambda/2,
-    alpha = sigma, beta = lambda - sigma and a phase, hence cancellation,
-    cut by 1 - theta.  A part that is not positive makes sigma_jj =
-    lambda_j <= 0: DomainError.  A refused tensor sum raises with the
-    partition and T in front.
+def _contour(n: int, T: float, nodes_per_axis: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """d_n(t) = sigma_n - it and F_n(t) on contour n, w = -sigma_n + it,
+    sigma_n = theta (n - 1)/2: shifted toward its saddle across no pole,
+    which cuts part n's phase by 1 - theta.  F_n is the trapezoid weight
+    (holding e^{-(Tn/2) t^2}) times the phase, the part's constant and
+    e^{nT/24} over 2 pi.  The strip is the nearest pole of any block
+    (n, m) or (m, n); dims = 2 (traces sum over node pairs) escapes the
+    4-d cap and the 1-d floor.
     """
-    lamv = np.asarray(parts, dtype=float)
-    sigma = _CONTOUR_SHIFT * (lamv - 1) / 2.0
-    log_const = float(np.sum((T / 2.0) * (lamv * (lamv - 1) * (2 * lamv - 1) / 6.0
-                                          + lamv * sigma ** 2 - lamv * (lamv - 1) * sigma)))
-    const = checked_exp(f"partition {parts} at T = {T}: its prefactor", log_const)
-    rules, integrand = gaussian_cauchy_factors(
-        T * lamv / 2.0, sigma, lamv - sigma,
-        (1.0 - _CONTOUR_SHIFT) * T * lamv * (lamv - 1) / 2.0, nodes_per_axis)
-    # t -> -t conjugates the integrand and the trapezoid nodes are symmetric,
-    # so the sum is real; the tensor driver returns its real part
-    try:
-        total = tensor_integrate(integrand, rules)
-    except NumericalConsistencyError as exc:
-        raise NumericalConsistencyError(f"partition {parts} at T = {T}: {exc}") from exc
-    return total * const / (2.0 * math.pi) ** len(parts)
+    sigma = _CONTOUR_SHIFT * (n - 1) / 2.0
+    log_const = (T / 2.0) * (n * (n - 1) * (2 * n - 1) / 6.0 + n * sigma ** 2
+                             - n * (n - 1) * sigma) + n * T / 24.0
+    const = checked_exp(f"kpz_moment({n}, {T}): its normalization and contour prefactor",
+                        log_const)
+    phase = (1.0 - _CONTOUR_SHIFT) * T * n * (n - 1) / 2.0
+    rule = trapezoid_axis(T * n / 2.0, phase, min(1.0 + sigma, n - sigma), 2, nodes_per_axis)
+    return (sigma - 1j * rule.nodes,
+            rule.weights * np.exp(1j * phase * rule.nodes) * (const / (2.0 * math.pi)))
+
+
+def _log_det_series(d: list, F: list) -> tuple[list, list]:
+    """l_1, ..., l_K (K = len(d) <= 4) of log det(I + D(v) A) =
+    sum_j (-1)^{j+1}/j tr((DA)^j), block (n, m) F_n(t)/(d_n(t) - e_m(t')),
+    e_m = d_m - m, and each one's sum of |terms|: l_1 = tr A11,
+    l_2 = tr A22 - tr A11^2/2, l_3 = tr A33 - tr A12 A21 + tr A11^3/3,
+    l_4 = tr A44 - tr A13 A31 - tr A22^2/2 + tr A11 A12 A21 - tr A11^4/4.
+    tr A_nn = sum F_n/n, and each other trace sums F_n(a) F_m(c) g_ac over
+    (x + p)(q - x), x = d_n(a) - d_m(c), over node pairs: a product is
+    Cauchy-like, (d_n + m - e_l)(A_nm A_ml)_ac = F_n(a)(u_a + v_c) with
+    u = C_nm F_m, v = F_m^T C_ml (C the Cauchy part), sums of the
+    positive F_1.  ``np.einsum`` without ``optimize`` calls no BLAS.
+    """
+    def diag(n):
+        return np.einsum("a->", F[n - 1]) / n, np.einsum("a->", np.abs(F[n - 1])) / n
+
+    def tr(n, m, p, q, g=1.0):
+        x = np.subtract.outer(d[n - 1], d[m - 1])
+        terms = g / ((x + p) * (q - x))
+        return (np.einsum("a,ac,c->", F[n - 1], terms, F[m - 1]),
+                np.einsum("a,ac,c->", np.abs(F[n - 1]), np.abs(terms), np.abs(F[m - 1])))
+
+    table = [[(1.0, diag(1))]] if d else []
+    if len(d) > 1:
+        table.append([(1.0, diag(2)), (-1 / 2, tr(1, 1, 1, 1))])
+    if len(d) > 2:
+        C11 = 1.0 / (np.subtract.outer(d[0], d[0]) + 1.0)
+        u, v = np.einsum("ab,b->a", C11, F[0]), np.einsum("b,bc->c", F[0], C11)
+        del C11
+        uv = np.add.outer(u, v)
+        table.append([(1.0, diag(3)), (-1.0, tr(1, 2, 2, 1)), (1 / 3, tr(1, 1, 2, 1, uv))])
+    if len(d) > 3:
+        w = np.einsum("b,bc->c", F[0], 1.0 / (np.subtract.outer(d[0], d[1]) + 2.0))
+        table.append([(1.0, diag(4)), (-1.0, tr(1, 3, 3, 1)), (-1 / 2, tr(2, 2, 2, 2)),
+                      (1.0, tr(1, 2, 3, 1, np.add.outer(u, w))),
+                      (-1 / 4, tr(1, 1, 2, 2, uv * uv.T))])
+    return ([float(sum(c * t for c, (t, _) in row).real) for row in table],
+            [float(sum(abs(c) * m for c, (_, m) in row)) for row in table])
+
+
+def kpz_moments(k_max: int, T: float, nodes_per_axis: int | None = None) -> list:
+    """[kpz_moment(1, T), ..., kpz_moment(k_max, T)] from one series: each
+    order's value or refusal, as ``airy_side.airy_h_moments`` per C.
+    Order n and those above it are refused if contour n's prefactor
+    overflows (DomainError), a block of contours a and n - a would exceed
+    _BLOCK_ENTRIES (ConfigurationError, before any block is built), or
+    eps sum |terms| of l_n exceeds MOMENT_RTOL |l_n|.  t -> -t conjugates
+    every term, so the imaginary parts are dropped.
+    """
+    check_order("kpz_moments", k_max)
+    ModelParams.from_T(T, 0.0)
+    contours, refusal = [], None
+    for n in range(1, k_max + 1):
+        entries = max((contours[a][0].size * contours[n - 2 - a][0].size
+                       for a in range(n - 1)), default=0)
+        try:
+            if entries > _BLOCK_ENTRIES:
+                raise ConfigurationError(
+                    f"kpz_moment({n}, {T}): a block of {entries} entries exceeds the "
+                    f"{_BLOCK_ENTRIES} one series may hold; use fewer nodes per axis")
+            contours.append(_contour(n, T, nodes_per_axis))
+        except AiryKpzError as exc:
+            refusal = exc
+            break
+    # a grid fit for one order can overflow the traces of a higher one
+    with np.errstate(over="ignore", invalid="ignore"):
+        ell, mag = _log_det_series([c[0] for c in contours], [c[1] for c in contours])
+    for n, (l_n, m_n) in enumerate(zip(ell, mag), start=1):
+        if not np.finfo(float).eps * m_n <= MOMENT_RTOL * abs(l_n):
+            refusal = NumericalConsistencyError(
+                f"kpz_moment({n}, {T}): l_{n} = {l_n!r} is lost to cancellation: its roundoff "
+                f"bound eps sum |terms| = {np.finfo(float).eps * m_n:.3e} exceeds "
+                f"{MOMENT_RTOL:g} of it")
+            del ell[n - 1:]
+            break
+    h = newton_h([i * l_i for i, l_i in enumerate(ell, start=1)])[1:]
+    return ([outcome(check_positive, f"kpz_moment({j}, {T})", float(h_j))
+             for j, h_j in enumerate(h, start=1)] + [refusal] * (k_max - len(h)))
 
 
 def kpz_moment(k: int, T: float, nodes_per_axis: int | None = None) -> float:
-    """exp(kT/24) E[Z(T,0)^k / k!], via the partition-expanded contour
-    formula; directly comparable with airy_h_moment(k, C=(T/2)^(1/3)).
-
-    Supported on integer 1 <= k <= 4; other k raise ConfigurationError,
-    and a T that ModelParams refuses raises its DomainError.  The moment
-    is analytically positive; a sum that is not positive has been lost to
-    cancellation and raises NumericalConsistencyError.
+    """exp(kT/24) E[Z(T,0)^k / k!], directly comparable with
+    airy_h_moment(k, C=(T/2)^(1/3)): the last entry of :func:`kpz_moments`
+    at k_max = k (1 <= k <= 4), raised if it is a refusal.
+    ``nodes_per_axis`` is the trapezoid count of every contour.
     """
     check_order("kpz_moment", k)
-    ModelParams.from_T(T, 0.0)
-    norm = checked_exp(f"kpz_moment({k}, {T}): its normalization", k * T / 24.0)
-    total = 0.0
-    for lam in partitions(k):
-        total += _partition_term(lam, T, nodes_per_axis) / symmetry_factor(lam)
-    return check_positive(f"kpz_moment({k}, {T})", norm * total)
+    return value(kpz_moments(k, T, nodes_per_axis)[-1])
 
 
 # ----------------------------------------------------------------------

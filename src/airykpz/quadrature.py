@@ -1,6 +1,7 @@
 """Quadrature rules, tensor-product integration of product-form
-integrands, the Gaussian-Cauchy integrals of both moment pipelines and
-the quadrature (Nystrom) approximation of Fredholm determinants.
+integrands, the Gaussian-Cauchy integral of the Laplace-transformed
+correlation functions and the quadrature (Nystrom) approximation of
+Fredholm determinants.
 
 Gauss-Legendre rules come from numpy's generator, once per integer
 order: each order's rule is cached and shared, with read-only arrays.
@@ -15,8 +16,7 @@ Every tensor integrand here is a product of per-axis factors and pair
 factors, so the tensor driver takes those factors as small tables and
 sums the axes out one by one, in place of evaluating the integrand at
 each grid point.  The Gaussian-Cauchy integrand writes its Cauchy
-determinant so, in closed form, with a float64 table wherever the factor
-is real.
+determinant so, in closed form, in float64 tables.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericalConsistencyError, is_integer
+from .errors import ConfigurationError, NumericalConsistencyError, is_integer
 
 __all__ = [
     "QuadratureRule",
@@ -164,60 +164,29 @@ def trapezoid_axis(s: float, w: float, a: float, dims: int,
     return QuadratureRule(x, h * np.exp(-s * x * x))
 
 
-def gaussian_cauchy_factors(scales, alpha, beta, freqs, nodes_per_axis: int | None = None):
+def gaussian_cauchy_factors(scales, offsets, nodes_per_axis: int | None = None):
     """Rules and factor integrand, for :func:`tensor_integrate`, of
-
-        int over R^l of prod_i e^{-s_i x_i^2 + i w_i x_i}
-            det[1/(alpha_i - i x_i + beta_j + i x_j)] dx
-
-    (s = ``scales`` > 0, w = ``freqs``, l <= 4), with every
-    sigma_ij = alpha_i + beta_j > 0, so that each entry's denominator stays
-    at least sigma_ij from zero; a sigma_ij <= 0 raises DomainError naming
-    (i, j).  The determinant is written in its Cauchy product form: axis i
-    carries e^{i w_i x_i}/sigma_ii and pair (i, j) the factor
-
-        (da db + d^2 + i e d)/(sigma_ij sigma_ji + d^2 + i e d),
-
-    d = x_i - x_j, da = alpha_i - alpha_j, db = beta_i - beta_j, e = da - db.
-    A table is float64 where it is real: an axis with w_i = 0, a pair with
-    e = 0.  Pair (i, j) has its nearest pole at |Im d| =
-    a_ij = (sqrt(e^2 + 4 sigma_ij sigma_ji) - |e|)/2, so axis i is analytic
-    in the strip of half-width a_i = min over j != i of a_ij (no pole when
-    l = 1), and takes the rule of :func:`trapezoid_axis` for (s_i, w_i, a_i)
-    and ``nodes_per_axis``.  A grid of more than TENSOR_NODE_BUDGET nodes
-    raises in :func:`tensor_integrate`.
+    int over R^l of prod_i e^{-s_i x_i^2} det[1/(a_i - i x_i + a_j + i x_j)] dx
+    (s = ``scales`` > 0, a = ``offsets`` > 0, l <= 4), a Gram determinant
+    in its Cauchy product form: axis i carries 1/(2 a_i) and pair (i, j)
+    ((a_i - a_j)^2 + d^2)/((a_i + a_j)^2 + d^2), d = x_i - x_j, float64
+    tables >= 0.  Axis i takes the :func:`trapezoid_axis` rule of
+    (s_i, 0, min over j != i of a_i + a_j, its nearest pair pole).
     """
     ell = len(scales)
-    sigma = np.add.outer(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
-    if not np.all(sigma > 0):
-        i, j = np.argwhere(~(sigma > 0))[0]
-        raise DomainError(f"alpha[{i}] + beta[{j}] = {float(sigma[i, j])!r} must be positive "
-                          f"(pair ({i}, {j}) of the Cauchy determinant)")
-    e = np.abs(sigma - sigma.T)         # e_ij = sigma_ij - sigma_ji = da - db
-    # a_ij, written without the cancellation of sqrt(e^2 + 4 sigma_ij sigma_ji) - e
-    pole = 2.0 * sigma * sigma.T / (np.sqrt(e * e + 4.0 * sigma * sigma.T) + e)
+    a = np.asarray(offsets, dtype=float)
+    sigma = np.add.outer(a, a)
+    pole = sigma * sigma / sigma    # not sigma: the strip's last bit sets laplace_R's rules
     np.fill_diagonal(pole, np.inf)
-    rules = [trapezoid_axis(s, w, a, ell, nodes_per_axis)
-             for s, w, a in zip(scales, freqs, pole.min(axis=1))]
+    rules = [trapezoid_axis(s, 0.0, strip, ell, nodes_per_axis)
+             for s, strip in zip(scales, pole.min(axis=1))]
 
     def integrand(*xs):
-        inv = 1.0 / np.diag(sigma)
-        axis = [np.exp(1j * w * x) * inv[i] if w else np.full(x.shape, inv[i])
-                for i, (w, x) in enumerate(zip(freqs, xs))]
-        pairs = {}
-        for i in range(ell):
-            for j in range(i + 1, ell):
-                d = np.subtract.outer(xs[i], xs[j])
-                da, db = alpha[i] - alpha[j], beta[i] - beta[j]
-                num, den = da * db + d * d, sigma[i, j] * sigma[j, i] + d * d
-                if da == db:
-                    # num * (1/den) is how numpy's complex division rounds a real
-                    # quotient, so a pair has the same bits in a real or complex table
-                    pairs[i, j] = num * (1.0 / den)
-                else:
-                    ied = 1j * (da - db) * d
-                    pairs[i, j] = (num + ied) / (den + ied)
-        return axis, pairs
+        d = {(i, j): np.subtract.outer(xs[i], xs[j]) for i in range(ell) for j in range(i + 1, ell)}
+        # times the reciprocal: the rounding laplace_R's values carry
+        return ([np.full(x.shape, 1.0 / sigma[i, i]) for i, x in enumerate(xs)],
+                {(i, j): ((a[i] - a[j]) * (a[i] - a[j]) + t * t)
+                 * (1.0 / (sigma[i, j] * sigma[i, j] + t * t)) for (i, j), t in d.items()})
 
     return rules, integrand
 

@@ -10,12 +10,13 @@ import math
 
 import numpy as np
 
+from airykpz import kpz_side
 from airykpz.airy_side import newton_h
-from airykpz.errors import DomainError
+from airykpz.errors import DomainError, check_order, checked_exp
 from airykpz.kpz_side import _ku_inner_rule, _ku_matrix
 from airykpz.params import ModelParams
-from airykpz.quadrature import (composite_legendre, fredholm_det_matrix, gaussian_cauchy_factors,
-                                legendre_on)
+from airykpz.quadrature import (composite_legendre, fredholm_det_matrix, legendre_on,
+                                tensor_integrate, trapezoid_axis)
 from airykpz.specfun import airy_ai, airy_both
 
 
@@ -121,14 +122,144 @@ def cauchy_det_direct(a, b) -> complex:
     return complex(np.linalg.det(1.0 / (a[:, None] + b[None, :])))
 
 
+# ----------------------------------------------------------------------
+# the partition expansion of the KPZ moments, which kpz_side sums as the
+# log-det series of one block contour operator: here each partition's
+# contour integral is a tensor integral of its Cauchy determinant
+
+MAX_PARTITION_WEIGHT = 20
+
+
+def partitions(k: int) -> list[tuple[int, ...]]:
+    """All partitions of k, each a tuple of nonincreasing positive parts,
+    descending lexicographic."""
+    check_order("partitions", k, MAX_PARTITION_WEIGHT)
+
+    def rec(remaining: int, largest: int):
+        if remaining == 0:
+            yield ()
+        for p in range(min(remaining, largest), 0, -1):
+            for rest in rec(remaining - p, p):
+                yield (p, *rest)
+
+    return list(rec(k, k))
+
+
+def symmetry_factor(parts: tuple[int, ...]) -> int:
+    """Product of factorials of the part multiplicities."""
+    return math.prod(math.factorial(parts.count(p)) for p in set(parts))
+
+
+def gaussian_cauchy_integral(scales, alpha, beta, freqs, nodes_per_axis=None):
+    """Rules and factor integrand, for ``tensor_integrate``, of
+
+        int over R^l of prod_i e^{-s_i x_i^2 + i w_i x_i}
+            det[1/(alpha_i - i x_i + beta_j + i x_j)] dx
+
+    with every sigma_ij = alpha_i + beta_j > 0 (DomainError naming (i, j)
+    otherwise): ``quadrature.gaussian_cauchy_factors`` with unequal offsets
+    and phases.  Axis i carries e^{i w_i x_i}/sigma_ii and pair (i, j) the
+    factor (da db + d^2 + i e d)/(sigma_ij sigma_ji + d^2 + i e d),
+    d = x_i - x_j, da = alpha_i - alpha_j, db = beta_i - beta_j,
+    e = da - db, float64 where it is real.  Axis i takes the trapezoid rule
+    of its nearest pair pole, (sqrt(e^2 + 4 sigma_ij sigma_ji) - |e|)/2.
+    """
+    ell = len(scales)
+    sigma = np.add.outer(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
+    if not np.all(sigma > 0):
+        i, j = np.argwhere(~(sigma > 0))[0]
+        raise DomainError(f"alpha[{i}] + beta[{j}] = {float(sigma[i, j])!r} must be positive "
+                          f"(pair ({i}, {j}) of the Cauchy determinant)")
+    e = np.abs(sigma - sigma.T)
+    pole = 2.0 * sigma * sigma.T / (np.sqrt(e * e + 4.0 * sigma * sigma.T) + e)
+    np.fill_diagonal(pole, np.inf)
+    rules = [trapezoid_axis(s, w, a, ell, nodes_per_axis)
+             for s, w, a in zip(scales, freqs, pole.min(axis=1))]
+
+    def integrand(*xs):
+        inv = 1.0 / np.diag(sigma)
+        axis = [np.exp(1j * w * x) * inv[i] if w else np.full(x.shape, inv[i])
+                for i, (w, x) in enumerate(zip(freqs, xs))]
+        pairs = {}
+        for i in range(ell):
+            for j in range(i + 1, ell):
+                d = np.subtract.outer(xs[i], xs[j])
+                da, db = alpha[i] - alpha[j], beta[i] - beta[j]
+                num, den = da * db + d * d, sigma[i, j] * sigma[j, i] + d * d
+                if da == db:
+                    pairs[i, j] = num * (1.0 / den)
+                else:
+                    ied = 1j * (da - db) * d
+                    pairs[i, j] = (num + ied) / (den + ied)
+        return axis, pairs
+
+    return rules, integrand
+
+
 def cauchy_factors(alpha, beta, xs, freqs=None):
-    """The axis factors and pair tables of ``gaussian_cauchy_factors`` on the
-    node arrays ``xs`` (entry i a scalar or 1-d array): at each grid point
-    their product is e^{i sum w_i x_i} det[1/(alpha_i - i x_i + beta_j + i x_j)]."""
+    """The axis factors and pair tables of :func:`gaussian_cauchy_integral`
+    on the node arrays ``xs`` (entry i a scalar or 1-d array): at each grid
+    point their product is e^{i sum w_i x_i} det[1/(alpha_i - i x_i + beta_j + i x_j)]."""
     n = len(alpha)
-    _, integrand = gaussian_cauchy_factors([1.0] * n, alpha, beta,
-                                           [0.0] * n if freqs is None else freqs, 1)
+    _, integrand = gaussian_cauchy_integral([1.0] * n, alpha, beta,
+                                            [0.0] * n if freqs is None else freqs, 1)
     return integrand(*(np.atleast_1d(np.asarray(x, dtype=float)) for x in xs))
+
+
+def partition_term(parts: tuple[int, ...], T: float, nodes_per_axis=None) -> float:
+    """(2 pi)^{-l} times the contour integral of the partition with these
+    parts, on kpz_side's contours w_j = -sigma_j + i t_j, sigma_j =
+    theta (lambda_j - 1)/2: the Gaussian-Cauchy integral of
+    :func:`gaussian_cauchy_integral` with s = T lambda/2, alpha = sigma,
+    beta = lambda - sigma and the phase (1 - theta)(T lambda(lambda-1)/2),
+    on its own trapezoid rules (the 4-d axes capped as a tensor axis is).
+    Times e^{kT/24}, summed over the partitions of k over their symmetry
+    factors, it is the partition expansion of kpz_moment(k, T).
+    """
+    lamv = np.asarray(parts, dtype=float)
+    theta = kpz_side._CONTOUR_SHIFT
+    sigma = theta * (lamv - 1) / 2.0
+    log_const = float(np.sum((T / 2.0) * (lamv * (lamv - 1) * (2 * lamv - 1) / 6.0
+                                          + lamv * sigma ** 2 - lamv * (lamv - 1) * sigma)))
+    const = checked_exp(f"partition {parts} at T = {T}: its prefactor", log_const)
+    rules, integrand = gaussian_cauchy_integral(
+        T * lamv / 2.0, sigma, lamv - sigma, (1.0 - theta) * T * lamv * (lamv - 1) / 2.0,
+        nodes_per_axis)
+    return tensor_integrate(integrand, rules) * const / (2.0 * math.pi) ** len(parts)
+
+
+def compositions(n: int):
+    """The compositions of n, each a tuple of positive parts in order."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first, *rest)
+
+
+def kpz_blocks(T: float, n_max: int, nodes_per_axis=None) -> dict:
+    """The dense blocks A_nm = F_n(t)/(d_n(t) - d_m(t') + m) of kpz_side's
+    block contour operator, n, m <= n_max, on its contours."""
+    contours = [kpz_side._contour(n, T, nodes_per_axis) for n in range(1, n_max + 1)]
+    return {(n, m): contours[n - 1][1][:, None]
+            / (np.subtract.outer(contours[n - 1][0], contours[m - 1][0]) + m)
+            for n in range(1, n_max + 1) for m in range(1, n_max + 1)}
+
+
+def cycle_trace(block, comp) -> complex:
+    """tr(block(n_1, n_2) block(n_2, n_3) ... block(n_j, n_1)) for the
+    composition comp = (n_1, ..., n_j), by dense products."""
+    prod = block(comp[0], comp[1 % len(comp)])
+    for i in range(1, len(comp)):
+        prod = np.einsum("ab,bc->ac", prod, block(comp[i], comp[(i + 1) % len(comp)]))
+    return complex(np.einsum("aa->", prod))
+
+
+def log_det_series_by_cycles(block, k: int) -> list:
+    """l_1, ..., l_k: sum over the compositions of n of (-1)^{j+1}/j times
+    the :func:`cycle_trace`, one dense product chain per composition."""
+    return [sum((-1) ** (len(c) + 1) * cycle_trace(block, c) / len(c) for c in compositions(n))
+            for n in range(1, k + 1)]
 
 
 def bose_exponent(w: complex, part: int, T: float) -> complex:

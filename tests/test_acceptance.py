@@ -14,15 +14,14 @@ from scipy.special import erfcx
 
 from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix, airy_mult_stat,
                                laplace_R, tracy_widom_f2)
-from airykpz.kpz_side import (kpz_laplace, kpz_moment, kpz_moment_nested, partitions,
-                              symmetry_factor)
+from airykpz.kpz_side import kpz_laplace, kpz_moment, kpz_moment_nested
 from airykpz.montecarlo import estimate_h_moment, estimate_mult_stat
 from airykpz.params import ModelParams
 from airykpz.quadrature import MOMENT_RTOL, composite_legendre
 from airykpz.specfun import airy_both
 
 from pointwise import (bose_exponent, cauchy_det_direct, cauchy_factors, factor_grid,
-                       half_line_kernel, okounkov_integral)
+                       half_line_kernel, okounkov_integral, partitions, symmetry_factor)
 
 
 def _report(name: str, ok: bool, detail: str):

@@ -14,6 +14,7 @@ from airykpz.quadrature import composite_legendre, gaussian_cauchy_factors
 from airykpz.specfun import airy_both
 
 from pointwise import (airy_kernel_two_outer, cauchy_det_direct, cauchy_factors, factor_grid,
+                       gaussian_cauchy_integral,
                        half_line_kernel, log_det_series_by_compositions,
                        log_det_series_transposed, okounkov_equal_R, okounkov_h_moments,
                        okounkov_integral, pointwise_sum)
@@ -144,8 +145,10 @@ def test_okounkov_domain_error():
 
 
 # ----------------------------------------------------------------------
-# the Cauchy factors of gaussian_cauchy_factors: at x they multiply to
-# det[1/(a_i + b_j)], a_i = alpha_i - i x_i, b_j = beta_j + i x_j
+# the Cauchy factors of the partition expansion's reference integral
+# (pointwise.gaussian_cauchy_integral): at x they multiply to
+# det[1/(a_i + b_j)], a_i = alpha_i - i x_i, b_j = beta_j + i x_j.  At
+# alpha = beta they are laplace_R's gaussian_cauchy_factors
 
 def det_value(alpha, beta, x):
     """The determinant at the single point x, as the product of the factors."""
@@ -164,6 +167,12 @@ def test_cauchy_det_hermitian_positive():
     a = np.array([0.5, 1.1, 2.3])
     axis, pairs = cauchy_factors(a, a, [0.4, -1.3, 2.2])
     assert all(t.dtype == np.float64 and np.all(t >= 0) for t in [*axis, *pairs.values()])
+    # laplace_R's factors are the same tables, bit for bit
+    own_axis, own_pairs = gaussian_cauchy_factors(np.ones(3), a, 1)[1](
+        *(np.atleast_1d(x) for x in (0.4, -1.3, 2.2)))
+    assert all(np.array_equal(x, y) for x, y in zip(axis, own_axis))
+    assert pairs.keys() == own_pairs.keys()
+    assert all(np.array_equal(pairs[k], own_pairs[k]) for k in pairs)
     val = det_value(a, a, [0.4, -1.3, 2.2])
     assert val.real > 0 and val.imag == 0
     direct = cauchy_det_direct(a - 1j * np.array([0.4, -1.3, 2.2]),
@@ -229,7 +238,7 @@ def test_cauchy_det_phases_on_the_axes():
 def test_cauchy_nonpositive_sigma_raises(alpha, beta, pair):
     # alpha_i + beta_j <= 0 lets the pole of entry (i, j) reach the real axes
     with pytest.raises(DomainError, match=rf"pair \({pair[0]}, {pair[1]}\)"):
-        gaussian_cauchy_factors([1.0, 1.0], alpha, beta, [0.0, 0.0])
+        gaussian_cauchy_integral([1.0, 1.0], alpha, beta, [0.0, 0.0])
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +283,7 @@ def test_laplace_R_product_vs_direct_determinant():
     # the same Gaussian integral, summed point by point over the full grid
     # with the determinant by pivoted elimination
     for c in (np.array([0.9, 1.4]), np.array([1.0, 0.8, 1.3])):
-        rules = gaussian_cauchy_factors(c, c / 2.0, c / 2.0, np.zeros(c.size), 64)[0]
+        rules = gaussian_cauchy_factors(c, c / 2.0, 64)[0]
         z = np.stack(np.meshgrid(*(r.nodes for r in rules), indexing="ij"), axis=-1)
         w = math.prod(np.meshgrid(*(r.weights for r in rules), indexing="ij"))
         a, b = -1j * z + c / 2.0, 1j * z + c / 2.0
@@ -291,7 +300,7 @@ def test_laplace_R_integrand_real_and_positive():
     for n in range(1, 6):
         c = rng.uniform(0.3, 2.0, n)
         z = [rng.normal(0.0, 3.0, 6) for _ in range(n)]
-        axis, pairs = cauchy_factors(c / 2.0, c / 2.0, z)
+        axis, pairs = gaussian_cauchy_factors(c, c / 2.0, 1)[1](*z)
         assert all(t.dtype == np.float64 and np.all(t >= 0) for t in [*axis, *pairs.values()])
         val = factor_grid(axis, pairs)
         assert np.all(val.real > 0) and not np.any(val.imag)

@@ -229,16 +229,18 @@ def test_error_row_with_commas_parses_to_the_header_width(capsys):
 
 
 def test_moment_lost_to_cancellation_is_an_error_row(monkeypatch):
-    # on the unshifted contours (theta = 0) the k = 3 KPZ sum at C = 2.5 is
-    # lost to cancellation: the single-part (3,) term's roundoff bound
-    # eps sum |w f| is ~4 times the term itself, so the tensor driver
-    # refuses it and the row must be an error, not a value
+    # on the unshifted contours (theta = 0) the k = 3 KPZ series at C = 2.5
+    # is lost to cancellation: l_3's roundoff bound eps sum |terms| is ~4
+    # times l_3 itself, so the series refuses order 3 and the row must be an
+    # error, not a value
     from airykpz import kpz_side
     monkeypatch.setattr(kpz_side, "_CONTOUR_SHIFT", 0.0)
     rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[2.5], k_max=3))
     assert [r.status for r in rows[:2]] == ["ok", "ok"]
     assert rows[2].status.startswith("error: NumericalConsistencyError: "
-                                     "partition (3,) at T = 31.25: tensor sum ")
+                                     "kpz_moment(3, 31.25): l_3 = ")
+    assert rows[2].status.endswith(" is lost to cancellation: its roundoff bound "
+                                   "eps sum |terms| = 1.288e+18 exceeds 1e-05 of it")
     assert not rows[2].passed
 
 
@@ -251,6 +253,15 @@ def _count_h_series(monkeypatch):
     return calls
 
 
+def _count_kpz_series(monkeypatch):
+    """A list that gets the number of contours of each KPZ series built."""
+    from airykpz import kpz_side
+    calls, series = [], kpz_side._log_det_series
+    monkeypatch.setattr(kpz_side, "_log_det_series",
+                        lambda d, F: calls.append(len(d)) or series(d, F))
+    return calls
+
+
 def test_theorem2_reads_every_order_off_one_series_per_C(monkeypatch):
     from airykpz.airy_side import airy_h_moments
     want = {C: airy_h_moments(3, C) for C in (0.6, 1.0, 1.4)}
@@ -260,6 +271,17 @@ def test_theorem2_reads_every_order_off_one_series_per_C(monkeypatch):
     assert calls == [0.6, 1.0, 1.4]
     assert [r.status for r in rows] == ["ok"] * 9
     assert [r.lhs_value for r in rows] == [h for C in (0.6, 1.0, 1.4) for h in want[C]]
+
+
+def test_theorem2_builds_one_kpz_series_per_C(monkeypatch):
+    from airykpz.kpz_side import kpz_moments
+    want = {C: kpz_moments(3, 2.0 * C ** 3) for C in (0.6, 1.0, 1.4)}
+    calls = _count_kpz_series(monkeypatch)
+    rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[0.6, 1.0, 1.4],
+                                         k_max=3))
+    assert calls == [3, 3, 3]
+    assert [r.status for r in rows] == ["ok"] * 9
+    assert [r.rhs_value for r in rows] == [m for C in (0.6, 1.0, 1.4) for m in want[C]]
 
 
 def test_theorem2_series_falls_back_to_the_largest_supported_order(monkeypatch):
@@ -289,33 +311,46 @@ def test_theorem2_entry_lost_to_cancellation_is_its_own_error_row(monkeypatch):
     # positivity is checked per order: a non-positive E h_2 fails that row only
     from airykpz import airy_side, cli
     monkeypatch.setattr(airy_side, "_h_series", lambda rule, C, k: [0.3, -1e-17, 0.5][:k])
-    monkeypatch.setattr(cli, "kpz_moment", lambda k, T, nodes_per_axis: [0.3, 0.2, 0.5][k - 1])
+    monkeypatch.setattr(cli, "kpz_moments", lambda k_max, T, nodes: [0.3, 0.2, 0.5][:k_max])
     rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[1.0], k_max=3))
     assert [r.status for r in rows] == [
         "ok", "error: NumericalConsistencyError: airy_h_moment(2, 1.0) = -1e-17 is not "
               "positive and finite", "ok"]
 
 
-def test_nodes_above_the_node_budget_fail_the_moment_row():
-    # 101^4 nodes exceed TENSOR_NODE_BUDGET: the k = 4 row is an error that
-    # names the budget, and the rows below it run at 101 nodes per axis
+def test_nodes_above_the_node_budget_fail_the_moment_row(monkeypatch):
+    # at 101 nodes per contour, past the tensor budget of the partition
+    # expansion at k = 4 (101^4 > 10^8), every row passes
     rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[1.0], k_max=4,
                                          nodes=101))
-    assert [r.status for r in rows[:3]] == ["ok"] * 3
-    assert rows[3].status.startswith("error: ConfigurationError")
-    assert "exceeds the 100000000 budget" in rows[3].status
+    assert [r.status for r in rows] == ["ok"] * 4
+    # the KPZ series' node budget is its memory bound: 3664 nodes per
+    # contour make every order from 2 up an error row that names the
+    # bound, and the k = 1 row runs at 3664 nodes.  The Airy side, whose
+    # Legendre orders stop at 512, is stood in for so that the KPZ refusal
+    # is what the rows show
+    from airykpz import cli
+    monkeypatch.setattr(cli, "airy_h_moments", lambda k_max, C, nodes: [1.0] * k_max)
+    calls = _count_kpz_series(monkeypatch)
+    rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[0.2], k_max=4,
+                                         nodes=3664))
+    assert calls == [1]
+    assert rows[0].status == "fail" and rows[0].rhs_value > 1.0
+    assert all(r.status.startswith("error: ConfigurationError: kpz_moment(2, 0.016") and
+               r.status.endswith("exceeds the 13421772 one series may hold; use fewer "
+                                 "nodes per axis") for r in rows[1:])
 
 
 def test_k4_rows_are_held_to_the_one_moment_tolerance(capsys):
     # every order is checked to quadrature.MOMENT_RTOL: at C = 0.4 and 32
-    # nodes per axis the k = 2, 3 and 4 rows are 1.3e-4, 1.1e-4 and 8.5e-5
-    # off, and the k = 4 row fails with them, where a default of 1e-3 for
-    # k = 4 passed it
+    # nodes per contour the k = 1 to 4 rows are 4.6e-5, 1.3e-4, 1.4e-4 and
+    # 1.1e-4 off, and the k = 4 row fails with them, where a default of 1e-3
+    # for k = 4 passed it
     code, out, err = _run_main(["verify-theorem2", "--C", "0.4", "--k-max", "4",
                                 "--nodes", "32", "--format", "json"], capsys)
     rows = json.loads(out)
     assert code == 1
-    assert [r["status"] for r in rows] == ["ok", "fail", "fail", "fail"]
+    assert [r["status"] for r in rows] == ["fail"] * 4
     assert [r["aux"] for r in rows] == ["tol=1e-05;nodes=32"] * 4
     assert "'k': 4}" in err
     # at the default grids the k = 4 row passes at the same tolerance
@@ -527,6 +562,16 @@ def test_mc_check_refuses_a_bad_u_or_order_before_any_draw(argv, message, capsys
     code, out, err = _run_main(["mc-check", "--C", "0.5"] + argv + [
         "--samples", "100", "--matrix-size", "100", "--keep-top", "48", "--seed", "3"], capsys)
     assert (code, out, err, calls) == (2, "", f"error: {message}\n", [])
+
+
+def test_mc_check_judges_every_u_before_any_series(capsys, monkeypatch):
+    # u = inf is refused at C = 0.5 before the C = 0.5 series is built, not
+    # after it, at the first C whose cells read u
+    calls = _count_h_series(monkeypatch)
+    code, out, err = _run_main(["mc-check", "--C", "0.5,1", "--u", "inf", "--k-max", "3"],
+                               capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: ModelParams requires u >= 0 and finite, got inf\n"
 
 
 def test_mc_check_negative_u_is_a_usage_error(capsys, monkeypatch):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import airykpz
@@ -185,9 +186,9 @@ def test_errors_owns_the_exception_taxonomy_and_raises_every_class():
 def test_only_quadrature_knows_the_hermite_node_model(monkeypatch):
     # the node model of the Hermite-weight axes e^{-s x^2}: quadrature.
     # trapezoid_axis builds their trapezoid rules, steps and counts, for
-    # laplace_R and the KPZ partition terms (through gaussian_cauchy_factors)
-    # and for the nested contours alike: a module that reads these names
-    # keeps a second copy
+    # laplace_R (through gaussian_cauchy_factors), the KPZ series' contours
+    # and the nested contours alike: a module that reads these names keeps
+    # a second copy
     owned = {"_balanced_step", "_LOG_TOL", "_AXIS_CAP_4D"}
     users = []
     for path in sorted(SRC.glob("*.py")):
@@ -201,27 +202,35 @@ def test_only_quadrature_knows_the_hermite_node_model(monkeypatch):
     # the nested contours keep no Legendre axis of their own
     tree = ast.parse((SRC / "kpz_side.py").read_text())
     assert "gauss_legendre" not in {_name(n) or getattr(n, "name", None) for n in ast.walk(tree)}
-    # and both moment integrals integrate on the shared function's rules only
+    # and both moment pipelines sum on the shared function's rules only:
+    # the series' contours t and the nested tensor axes
     from airykpz import kpz_side, quadrature
     built, used = [], []
-    shared, integrate = quadrature.trapezoid_axis, kpz_side.tensor_integrate
+    shared, series, integrate = (quadrature.trapezoid_axis, kpz_side._log_det_series,
+                                 kpz_side.tensor_integrate)
 
     def axis(*args):
         built.append(shared(*args))
         return built[-1]
 
+    def contours(d, F):
+        used.extend(-x.imag for x in d)
+        return series(d, F)
+
     def spy(f, rules):
-        used.extend(rules)
+        used.extend(r.nodes for r in rules)
         return integrate(f, rules)
 
     monkeypatch.setattr(quadrature, "trapezoid_axis", axis)
     monkeypatch.setattr(kpz_side, "trapezoid_axis", axis)
+    monkeypatch.setattr(kpz_side, "_log_det_series", contours)
     monkeypatch.setattr(kpz_side, "tensor_integrate", spy)
     for moment in (kpz_side.kpz_moment, kpz_side.kpz_moment_nested):
         built.clear()
         used.clear()
         moment(3, 2.0)
-        assert used and all(any(r is b for b in built) for r in used), moment.__name__
+        assert used and all(any(np.array_equal(t, b.nodes) for b in built) for t in used), \
+            moment.__name__
 
 
 def _function(module, name):

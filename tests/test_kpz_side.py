@@ -5,21 +5,22 @@ import re
 import numpy as np
 import pytest
 
-from airykpz.airy_side import airy_h_moment, airy_mult_stat, laplace_R
+from airykpz.airy_side import _h_rule, airy_h_moment, airy_kernel_matrix, airy_mult_stat, laplace_R
 from airykpz.errors import ConfigurationError, DomainError, NumericalConsistencyError
-from airykpz.kpz_side import (_partition_term, kpz_laplace, kpz_moment, kpz_moment_nested,
-                              partitions, symmetry_factor)
+from airykpz.kpz_side import kpz_laplace, kpz_moment, kpz_moment_nested, kpz_moments
 from airykpz import kpz_side
 from airykpz.params import ModelParams
-from airykpz.quadrature import (QuadratureRule, composite_legendre, fredholm_det_matrix,
-                                legendre_on, tensor_integrate)
+from airykpz.quadrature import QuadratureRule, composite_legendre, fredholm_det_matrix, legendre_on
 
-from pointwise import (bose_exponent, cauchy_det_direct, cauchy_factors, factor_grid, ku_kernel,
-                       ku_matrix_on, kpz_laplace_reference, pointwise_sum)
+import pointwise
+from pointwise import (bose_exponent, cauchy_det_direct, cauchy_factors, compositions,
+                       cycle_trace, factor_grid, kpz_blocks, ku_kernel, ku_matrix_on,
+                       kpz_laplace_reference, log_det_series_by_cycles, partition_term,
+                       partitions, symmetry_factor)
 
 
 # ----------------------------------------------------------------------
-# partitions
+# partitions (the test references' partition expansion)
 
 def test_partitions_k1():
     assert partitions(1) == [(1,)]
@@ -76,7 +77,7 @@ def test_partition_validation():
     # a part that is not positive is refused by the Gaussian-Cauchy
     # integral's sigma_ij > 0 check, at its diagonal sigma_jj = lambda_j
     with pytest.raises(DomainError, match=r"pair \(1, 1\)"):
-        _partition_term((2, 0), 2.0)
+        partition_term((2, 0), 2.0)
     with pytest.raises(ConfigurationError):
         partitions(0)
     with pytest.raises(ConfigurationError):
@@ -135,8 +136,9 @@ def test_exponent_identity_transported():
 
 # ----------------------------------------------------------------------
 # interaction determinant det[1/(w_j + lambda_j - w_i)]: the Cauchy
-# determinant of a_i = -w_i, b_j = w_j + lambda_j, so the factors of
-# gaussian_cauchy_factors at alpha = -Re w, beta = Re w + lambda, x = Im w
+# determinant of a_i = -w_i, b_j = w_j + lambda_j, so the factors of the
+# reference gaussian_cauchy_integral at alpha = -Re w, beta = Re w + lambda,
+# x = Im w
 
 def det_value(w, parts):
     """The determinant at the single point w."""
@@ -189,15 +191,15 @@ def test_interaction_det_against_cofactor_expansion():
 
 
 def _partition_tables(monkeypatch, parts, T=2.0, nodes=12):
-    """The factor tables _partition_term hands to the tensor driver."""
+    """The factor tables the reference partition_term hands to the tensor driver."""
     seen = []
 
     def spy(f, rules):
         seen.append(f(*(r.nodes for r in rules)))
         return 1.0
 
-    monkeypatch.setattr(kpz_side, "tensor_integrate", spy)
-    _partition_term(parts, T, nodes)
+    monkeypatch.setattr(pointwise, "tensor_integrate", spy)
+    partition_term(parts, T, nodes)
     return seen[0]
 
 
@@ -280,83 +282,78 @@ def test_kpz_moment_node_doubling():
     assert abs(v - v2) < 1e-9
 
 
-def test_kpz_moment_contraction_matches_pointwise_sum(monkeypatch):
-    # k = 3 at C = 0.6 with 64 nodes per axis: the (1,1,1) partition's
-    # contraction against the same factors summed point by point
+def test_kpz_moment_contraction_matches_pointwise_sum():
+    # k = 4 at C = 0.6 with 64 nodes per contour: the series' O(n^2) traces
+    # (Cauchy-displacement products, one sum over pairs of nodes each)
+    # against every composition's cycle trace by dense products
     T = 2.0 * 0.6 ** 3
-    fast = kpz_moment(3, T, nodes_per_axis=64)
-    dims = []
-
-    def full_grid(f, rules):
-        dims.append(len(rules))
-        return pointwise_sum(f, rules).real
-
-    monkeypatch.setattr(kpz_side, "tensor_integrate", full_grid)
-    assert fast == pytest.approx(kpz_moment(3, T, nodes_per_axis=64), rel=1e-13)
-    assert dims == [1, 2, 3]
+    d, F = zip(*(kpz_side._contour(n, T, 64) for n in range(1, 5)))
+    blocks = kpz_blocks(T, 4, 64)
+    fast, _ = kpz_side._log_det_series(list(d), list(F))
+    dense = log_det_series_by_cycles(lambda n, m: blocks[n, m], 4)
+    assert fast == pytest.approx([x.real for x in dense], rel=1e-13)
+    assert max(abs(x.imag) / abs(x) for x in dense) < 1e-15
 
 
 def _record_counts(monkeypatch):
-    """Per-axis node counts of each tensor integral kpz_side runs, in call order."""
-    counts = []
+    """The node count of each contour kpz_side builds, in call order."""
+    counts, real = [], kpz_side.trapezoid_axis
 
-    def spy(f, rules):
-        rules = list(rules)
-        counts.append([len(r) for r in rules])
-        return tensor_integrate(f, rules)
+    def spy(*args):
+        counts.append(len(real(*args)))
+        return real(*args)
 
-    monkeypatch.setattr(kpz_side, "tensor_integrate", spy)
+    monkeypatch.setattr(kpz_side, "trapezoid_axis", spy)
     return counts
 
 
-def _term_counts(counts, k, T, nodes_per_axis=None):
+def _contour_counts(counts, k, T, nodes_per_axis=None):
     counts.clear()
     kpz_moment(k, T, nodes_per_axis)
-    return dict(zip(partitions(k), counts))
+    return list(counts)
 
 
 def test_hermite_orders_of_the_readme_grid_and_the_bench_k4_terms(monkeypatch):
-    # the orders (node counts) of the Hermite-weight axes e^{-s x^2}, each
-    # now a trapezoid rule
+    # the orders (node counts) of the Hermite-weight axes e^{-s x^2}, one
+    # trapezoid rule per contour: each follows its Gaussian scale Tn/2, its
+    # phase and its nearest pole, uncapped
     counts = _record_counts(monkeypatch)
-    # verify-theorem2 --C 0.6,1.0,1.4 --k-max 3: each axis's count follows
-    # its Gaussian scale, its phase and its nearest pole; on the shifted
-    # contours a single part's phase is a tenth of its unshifted one, so
-    # its count is the no-phase count 27
-    readme = {0.6: {(1,): [27], (2,): [27], (1, 1): [165] * 2,
-                    (3,): [27], (2, 1): [83, 115], (1, 1, 1): [165] * 3},
-              1.0: {(1,): [27], (2,): [27], (1, 1): [79] * 2,
-                    (3,): [27], (2, 1): [43, 57], (1, 1, 1): [79] * 3},
-              1.4: {(1,): [27], (2,): [27], (1, 1): [51] * 2,
-                    (3,): [27], (2, 1): [31, 39], (1, 1, 1): [51] * 3}}
+    # verify-theorem2 --C 0.6,1.0,1.4 --k-max 3
+    readme = {0.6: [165, 83, 55], 1.0: [79, 43, 33], 1.4: [51, 31, 29]}
     for C, expect in readme.items():
         for k in (1, 2, 3):
-            assert _term_counts(counts, k, 2.0 * C ** 3) == {
-                lam: expect[lam] for lam in partitions(k)}
-    # k = 4 at 32 nodes: every term takes exactly 32 per axis (the 1-d (4,)
-    # term takes at least its default count, 27)
+            assert _contour_counts(counts, k, 2.0 * C ** 3) == expect[:k]
+    # k = 4 at 32 nodes: every contour takes exactly 32
     for C in (0.6, 1.0, 1.4):
-        assert _term_counts(counts, 4, 2.0 * C ** 3, 32) == {
-            lam: [32] * len(lam) for lam in partitions(4)}
-    # by default only the four-axis term is capped, at 56
-    assert _term_counts(counts, 4, 2.0 * 0.6 ** 3) == {
-        (4,): [27], (3, 1): [55, 89], (2, 2): [61, 61], (2, 1, 1): [83, 165, 165],
-        (1, 1, 1, 1): [56] * 4}
+        assert _contour_counts(counts, 4, 2.0 * C ** 3, 32) == [32] * 4
+    # by default no contour is capped (a 4-d tensor axis stops at 56)
+    assert _contour_counts(counts, 4, 2.0 * 0.6 ** 3) == [165, 83, 55, 41]
 
 
-def test_explicit_order_binds_every_tensor_term_up_to_the_node_budget(monkeypatch):
-    # an explicit order is exactly the count of every tensor axis; a 1-d
-    # term is lifted to its default count.  A grid past TENSOR_NODE_BUDGET
-    # (10^8 nodes: 101^4, 465^3) raises on that term
+def test_explicit_count_binds_every_contour_up_to_the_memory_bound(monkeypatch):
+    # an explicit count is exactly the count of every contour, contour 1
+    # included (no floor at its default count).  The blocks of order n pair
+    # contours a and n - a; at 3663 nodes five complex tables of 3663^2
+    # entries fit in 2^30 bytes, at 3664 they do not, and every order from
+    # 2 up is refused before any contour past the first or any block is built
     counts = _record_counts(monkeypatch)
-    assert _term_counts(counts, 4, 2.0, 20) == {
-        (4,): [27], (3, 1): [20] * 2, (2, 2): [20] * 2, (2, 1, 1): [20] * 3,
-        (1, 1, 1, 1): [20] * 4}
-    assert _term_counts(counts, 1, 2.0, 300) == {(1,): [300]}
-    for k, n in ((4, 101), (3, 465)):
-        with pytest.raises(ConfigurationError, match="exceeds the 100000000 budget"):
-            kpz_moment(k, 2.0, nodes_per_axis=n)
-        assert counts[-1] == [n] * k
+    assert _contour_counts(counts, 4, 2.0, 20) == [20] * 4
+    assert _contour_counts(counts, 1, 2.0, 300) == [300]
+    # l = (1, 0, 0, 0) stands in for the traces: h_k = 1/k!.  At T = 2 so
+    # many nodes would underflow the outer weights of contours 2 to 4
+    built = []
+    monkeypatch.setattr(kpz_side, "_log_det_series", lambda d, F: built.append(
+        [len(x) for x in d]) or ([1.0] + [0.0] * (len(d) - 1), [0.0] * len(d)))
+    assert kpz_moments(4, 0.02, 3663) == pytest.approx([1.0, 1 / 2, 1 / 6, 1 / 24])
+    assert built == [[3663] * 4]
+    counts.clear()
+    one, *refused = kpz_moments(4, 0.02, 3664)
+    assert one == 1.0 and built[-1] == [3664] and counts == [3664]
+    assert all(type(r) is ConfigurationError for r in refused)
+    assert str(refused[0]) == ("kpz_moment(2, 0.02): a block of 13424896 entries exceeds "
+                               "the 13421772 one series may hold; use fewer nodes per axis")
+    with pytest.raises(ConfigurationError, match="one series may hold"):
+        kpz_moment(2, 0.02, 3664)
 
 
 @pytest.mark.parametrize("n", [0, -5])
@@ -371,7 +368,8 @@ def test_explicit_order_below_one_raises_on_every_term(n):
 
 @pytest.mark.parametrize("C", [0.6, 1.0, 1.4, 2.0, 2.5, 3.0, 4.0])
 def test_partition_term_matches_laplace_R(C):
-    # the paper's per-partition match: the KPZ residue term of lambda at
+    # the paper's per-partition match, with the KPZ side's partition
+    # expansion in the test references: the residue term of lambda at
     # T = 2C^3, times e^{kT/24}, is R_l(C lambda).  A term with a part above
     # 1 sits on shifted contours that laplace_R's discrete sum does not
     # share (worst measured gap 1.9e-13, at (4,), C = 4).  An all-ones term
@@ -381,8 +379,59 @@ def test_partition_term_matches_laplace_R(C):
     T = 2.0 * C ** 3
     for k in (1, 2, 3, 4):
         for lam in partitions(k):
-            assert _partition_term(lam, T) * math.exp(k * T / 24.0) == pytest.approx(
+            assert partition_term(lam, T) * math.exp(k * T / 24.0) == pytest.approx(
                 laplace_R([C * p for p in lam]), rel=1e-12)
+
+
+@pytest.mark.parametrize("C", [0.6, 1.0, 1.4, 2.0, 2.5, 3.0, 4.0])
+def test_kpz_cycle_traces_match_airy_chain_traces(C):
+    # the paper's match at the level of cycles, measured here and not
+    # proved: each KPZ cycle trace tr(A_{n1 n2} ... A_{nj n1}) on kpz_side's
+    # contours equals the Airy u-series chain trace tr(S G^{n1-1} ... S
+    # G^{nj-1}) on airy_h_moments' grid, for all 15 compositions of n <= 4
+    # (n <= 3 at C = 4, past which the Airy grid leaves its range).  Two
+    # kernels on two grids, the all-ones cycles included; the worst
+    # measured gaps are 8.5e-15 at C = 0.6, 1.2e-14 at 1 and 4.8e-14 at 3
+    n_max = 4 if C < 4.0 else 3
+    blocks = kpz_blocks(2.0 * C ** 3, n_max)
+    rule = _h_rule(n_max, C, None)
+    g = np.exp(C * rule.nodes)
+    s = np.sqrt(rule.weights * g)
+    S = airy_kernel_matrix(rule.nodes) * np.multiply.outer(s, s)
+    for n in range(1, n_max + 1):
+        for comp in compositions(n):
+            kpz = cycle_trace(lambda a, b: blocks[a, b], comp)
+            airy = cycle_trace(lambda a, b: S * g ** (a - 1), comp)
+            assert abs(kpz - airy) <= 1e-13 * abs(airy), comp
+
+
+def test_kpz_moment_is_the_last_entry_of_its_series():
+    T = 2.0 * 1.4 ** 3
+    for k in (1, 2, 3, 4):
+        assert kpz_moment(k, T) == kpz_moments(k, T)[-1]
+        assert kpz_moments(k, T) == kpz_moments(4, T)[:k]
+
+
+def test_uncapped_k4_meets_the_airy_side_at_C_0_6():
+    # the tensor layer capped the 4-d axes of the (1, 1, 1, 1) term at 56
+    # nodes, 1.3e-10 off airy_h_moment here; the series' contours are
+    # uncapped (measured 2.1e-15 off)
+    assert kpz_moment(4, 2.0 * 0.6 ** 3) == pytest.approx(airy_h_moment(4, 0.6), rel=1e-13)
+
+
+def test_contour_factor_is_the_bose_exponent():
+    # F_n(t) 2 pi/weight(t) is e^{nT/24} times exp((T/2) sum_{j<n} (w + j)^2)
+    # at w = -sigma_n + it, over the Gaussian e^{-(Tn/2) t^2} in the weight
+    T = 2.0 * 1.4 ** 3
+    for n in (1, 2, 3, 4):
+        d, F = kpz_side._contour(n, T, 9)
+        rule = kpz_side.trapezoid_axis(T * n / 2.0, 0.1 * T * n * (n - 1) / 2.0,
+                                       min(1.0 + 0.45 * (n - 1), n - 0.45 * (n - 1)), 2, 9)
+        assert np.array_equal(d.imag, -rule.nodes)
+        w = -d.real + 1j * rule.nodes
+        expect = np.exp([bose_exponent(x, n, T) + n * T / 24.0 + T * n * t * t / 2.0
+                         for x, t in zip(w, rule.nodes)])
+        assert np.allclose(F * 2.0 * math.pi / rule.weights, expect, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("C", [2.0, 2.5, 3.0, 4.0])
@@ -398,14 +447,15 @@ def test_shifted_contours_meet_the_airy_side_at_large_C(C):
 @pytest.mark.parametrize("k, T", [(2, 128.0), (3, 54.0)])
 def test_positive_kpz_moments_lost_to_cancellation_raise(monkeypatch, k, T):
     # C = 4, k = 2 and C = 3, k = 3 on the unshifted contours (theta = 0):
-    # the single-part term's roundoff bound eps sum |w f| is 1.8e-2 and 1.3
-    # of it.  These sums came out positive and wrong (2.45e-2 off, and
-    # 2.6e44 against 2.5e24), so only the tensor driver's cancellation gate
-    # refuses them, naming the term
+    # the phase T k(k-1)/2 of contour k makes l_k's roundoff bound
+    # eps sum |terms| 1.8e-2 and 1.4 of it.  Under the partition expansion
+    # these sums came out positive and wrong (2.45e-2 off, and 2.6e44
+    # against 2.5e24), so only the cancellation gate refuses them, naming
+    # the order
     monkeypatch.setattr(kpz_side, "_CONTOUR_SHIFT", 0.0)
     with pytest.raises(NumericalConsistencyError,
-                       match=re.escape(f"partition ({k},) at T = {T}: tensor sum ")
-                       + ".* lost to cancellation"):
+                       match=re.escape(f"kpz_moment({k}, {T}): l_{k} = ")
+                       + ".* is lost to cancellation"):
         kpz_moment(k, T)
 
 
@@ -419,9 +469,14 @@ def test_kpz_moment_validation():
 
 
 def test_kpz_moment_prefactor_overflow_is_a_domain_error():
-    # the (4,) term's prefactor at T = 300 is exp(763.5), beyond double precision
-    with pytest.raises(DomainError, match=r"partition \(4,\) at T = 300"):
+    # contour 4's prefactor at T = 300 is exp(763.5), times the normalization
+    # exp(50), beyond double precision: order 4 is refused and the orders
+    # below keep their values
+    with pytest.raises(DomainError, match=r"kpz_moment\(4, 300.0\): its normalization and "
+                                          r"contour prefactor exp\(813.5\) overflows"):
         kpz_moment(4, 300.0)
+    *below, refused = kpz_moments(4, 300.0)
+    assert type(refused) is DomainError and all(type(v) is float for v in below)
     # so is the normalization exp(kT/24) at k = 1, T = 2e4: exp(833)
     with pytest.raises(DomainError, match=r"kpz_moment\(1, 20000.0\): its normalization"):
         kpz_moment(1, 2e4)

@@ -23,9 +23,8 @@ def integrate(rule, f):
 
 def _trapezoid_rules(scales, n=None):
     """The Gaussian trapezoid rules of gaussian_cauchy_factors for these
-    scales, with no phase and every pole at distance 1."""
-    half = np.full(len(scales), 0.5)
-    return gaussian_cauchy_factors(scales, half, half, np.zeros(len(scales)), n)[0]
+    scales, with every pole at distance 1."""
+    return gaussian_cauchy_factors(scales, np.full(len(scales), 0.5), n)[0]
 
 
 def fredholm(kernel, rule):
