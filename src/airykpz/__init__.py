@@ -16,7 +16,7 @@ import importlib
 from .airy_side import (airy_h_moment, airy_h_moments, airy_mult_stat, laplace_R,
                         tracy_widom_f2)
 from .errors import AiryKpzError, ConfigurationError, DomainError, NumericalConsistencyError
-from .kpz_side import kpz_laplace, kpz_laplaces, kpz_moment, kpz_moment_nested, kpz_moments
+from .kpz_side import kpz_laplaces, kpz_moment, kpz_moment_nested, kpz_moments
 from .params import ModelParams
 from .quadrature import QuadratureRule, gauss_legendre, tensor_integrate
 
@@ -29,7 +29,7 @@ __all__ = [
     "airy_h_moment", "airy_h_moments", "airy_mult_stat", "draw_edge_samples",
     "estimate_h_moment", "estimate_mult_stat",
     "gauss_legendre",
-    "kpz_laplace", "kpz_laplaces", "kpz_moment", "kpz_moment_nested", "kpz_moments",
+    "kpz_laplaces", "kpz_moment", "kpz_moment_nested", "kpz_moments",
     "laplace_R", "sample_gue_edge", "tensor_integrate", "tracy_widom_f2",
 ]
 

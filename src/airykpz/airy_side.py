@@ -7,10 +7,10 @@ kernel K(x, y) = (Ai(x)Ai'(y) - Ai'(x)Ai(y))/(x - y).  Both Airy-side
 statistics come from one Fredholm determinant, det(I - K f_u) with
 f_u(r) = u e^{Cr}/(1 + u e^{Cr}), by Nystrom discretization on Gauss-Legendre
 grids (Bornemann, Math. Comp. 79 (2010)): the multiplicative statistic is
-its value, E h_k is (-1)^k times its u^k coefficient (per C, one series
-gives each order's value or refusal).  The Monte Carlo
-counterpart lives in :mod:`airykpz.montecarlo`, the KPZ counterpart in
-:mod:`airykpz.kpz_side`.
+its value, E h_k is (-1)^k times its u^k coefficient (per C, one series of
+chain traces, read by ``quadrature.log_det_moments`` as are the cycle
+traces of :mod:`airykpz.kpz_side`, gives each order's value or refusal).
+The Monte Carlo counterpart lives in :mod:`airykpz.montecarlo`.
 """
 
 from __future__ import annotations
@@ -21,15 +21,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (AiryKpzError, ConfigurationError, DomainError, check_order,
-                     check_positive, check_probability, checked_exp, outcome, value)
+                     check_probability, checked_exp, value)
 from .params import ModelParams
 from .quadrature import (FREDHOLM_NODES, QuadratureRule, composite_legendre, fredholm_det_matrix,
-                         gaussian_cauchy_factors, legendre_on, tensor_integrate)
+                         gaussian_cauchy_factors, legendre_on, log_det_moments, tensor_integrate)
 from .specfun import SUPPORTED_RANGE, airy_both, logistic
 
 __all__ = [
     "airy_kernel_matrix", "laplace_R", "airy_h_moment", "airy_h_moments",
-    "airy_mult_stat", "tracy_widom_f2", "default_f2_grid", "newton_h",
+    "airy_mult_stat", "tracy_widom_f2", "default_f2_grid",
 ]
 
 _CONFLUENT_EPS = 1e-5     # |x - y| below which the confluent diagonal form is used
@@ -130,25 +130,12 @@ _H_LEFT_DECAY = 37.0
 _H_RIGHT_MARGIN = 22.0
 
 
-def newton_h(p: list) -> list:
-    """h_0 = 1, h_1, ..., h_k from the power sums p = [p_1, ..., p_k] by
-    Newton's identities, j h_j = sum_{i<=j} p_i h_{j-i}; the p_i may be
-    scalars or arrays of one shape."""
-    h = [1.0]
-    for j in range(1, len(p) + 1):
-        h.append(sum(p[i - 1] * h[j - i] for i in range(1, j + 1)) / j)
-    return h
-
-
-def _h_series(rule: QuadratureRule, C: float, k: int) -> list[float]:
-    """E h_1, ..., E h_k from the Nystrom discretization of det(I - K f_u).
-
-    With g = e^{Cr} and S = (w g)^{1/2} K (w g)^{1/2}, the discretized
-    K f_u is similar to P(u) = sum_m (-1)^{m+1} u^m S G^{m-1}, G = diag(g);
-    :func:`_log_det_series` turns S and S^2 into the u-series of
-    log det(I - P), and E h_n is the coefficient of v^n in
-    det(I - P) = exp(sum_n l_n v^n), v = -u: :func:`newton_h` of the power
-    sums p_i = i l_i, i <= k.
+def _h_series(rule: QuadratureRule, C: float, k: int) -> list:
+    """E h_1, ..., E h_k (each the value or its refusal) from the Nystrom
+    discretization of det(I - K f_u).  With g = e^{Cr} and S = (w g)^{1/2}
+    K (w g)^{1/2}, K f_u is similar to P(u) = sum_m (-1)^{m+1} u^m S G^{m-1},
+    G = diag(g), and E h_n is the coefficient of v^n in det(I - P), v = -u:
+    :func:`log_det_moments` of the :func:`_chain_traces` of S and S^2.
 
     S^2 costs O(n^2): the Airy kernel is integrable,
     (x - y) K(x, y) = Ai(x) Ai'(y) - Ai'(x) Ai(y), and the kernel matrix is
@@ -170,36 +157,30 @@ def _h_series(rule: QuadratureRule, C: float, k: int) -> list[float]:
     S2 = _cd_ratio(rule.nodes, [(a, np.einsum("il,l->i", S, b)),
                                 (np.einsum("il,l->i", S, a), b)])
     np.fill_diagonal(S2, np.einsum("il,il->i", S, S))
-    # a grid fit for order k can overflow the traces past k, which are dropped
+    # a grid fit for order k can overflow the traces past k, which are not read
     with np.errstate(over="ignore", invalid="ignore"):
-        ell = _log_det_series(S, S2, g)[:k]
-    return newton_h([i * l for i, l in enumerate(ell, start=1)])[1:]
+        return log_det_moments(f"airy_h_moment({{}}, {C})", _chain_traces(S, S2, g), k)
 
 
-def _log_det_series(S, S2, g) -> list:
-    """l_1, ..., l_4: (-1)^n times the u^n coefficient of log det(I - P)
-    for P(u) = sum_m (-1)^{m+1} u^m S G^{m-1}, G = diag(g), S and S2 = S^2
-    bitwise symmetric.
-
-    From log det(I - P) = -sum_j tr(P^j)/j,
-    l_n = sum_j (-1)^{j+1}/j sum_a tr(S G^{a_1} ... S G^{a_j}) over
-    a_i >= 0 with sum a_i = n - j; merging the rotations of each word,
-    l_1 = tr S, l_2 = tr SG - tr S^2/2, l_3 = tr SG^2 - tr S^2 G + tr S^3/3,
-    l_4 = tr SG^3 - tr S^2 G^2 - tr (SG)^2/2 + tr S^3 G - tr S^4/4, each
-    trace one O(n^2) sum over S or S^2.  By symmetry every trace of a
-    product is a sum over rows, tr XY = sum_il X_il Y_il, which reads both
-    operands along their rows; tr (SG)^2 = sum_i g_i sum_l S_il^2 g_l.
-    """
+def _chain_traces(S, S2, g) -> dict:
+    """Each word (n_1, ..., n_j) of LOG_DET_WORDS with its chain trace
+    tr(S G^{n_1 - 1} ... S G^{n_j - 1}), G = diag(g), and a bound on its
+    sum of |terms|.  S and S2 = S^2 are bitwise symmetric, so each trace is
+    one O(n^2) sum over rows, tr XY = sum_il X_il Y_il.  Only the terms of
+    tr S^3 G^a take both signs (S's diagonal is s_i^2 K(r_i, r_i) > 0), and
+    sum_i g_i^a (q_i r_i)^{1/2} bounds them by Cauchy-Schwarz, q and r the
+    row sums of S o S and S^2 o S^2; every other trace is its own bound."""
     def tr(x, a):       # sum_i x_i g_i^a
         return np.einsum("i,i->", x, g ** a)
 
     d, q = np.einsum("ii->i", S), np.diagonal(S2)
-    c = np.einsum("il,il->i", S2, S)
-    return [tr(d, 0),
-            tr(d, 1) - tr(q, 0) / 2,
-            tr(d, 2) - tr(q, 1) + tr(c, 0) / 3,
-            tr(d, 3) - tr(q, 2) - tr(np.einsum("il,il,l->i", S, S, g), 1) / 2
-            + tr(c, 1) - np.einsum("il,il->", S2, S2) / 4]
+    c, c_bound = np.einsum("il,il->i", S2, S), np.sqrt(q * np.einsum("il,il->i", S2, S2))
+    traces = {(1,): tr(d, 0), (2,): tr(d, 1), (3,): tr(d, 2), (4,): tr(d, 3),
+              (1, 1): tr(q, 0), (1, 2): tr(q, 1), (1, 3): tr(q, 2),
+              (2, 2): tr(np.einsum("il,il,l->i", S, S, g), 1),
+              (1, 1, 1, 1): np.einsum("il,il->", S2, S2)}
+    return {word: (t, t) for word, t in traces.items()} | {
+        (1, 1, 1): (tr(c, 0), tr(c_bound, 0)), (1, 1, 2): (tr(c, 1), tr(c_bound, 1))}
 
 
 def _h_rule(k: int, C: float, nodes_per_axis: int | None) -> QuadratureRule:
@@ -225,20 +206,17 @@ def airy_h_moments(k_max: int, C: float, nodes_per_axis: int | None = None) -> l
     own).  Each order above k keeps its own grid's DomainError; any other
     refusal of the series (ConfigurationError from ``nodes_per_axis``,
     NumericalConsistencyError) is every order's up to k.  Each value has
-    passed check_positive as airy_h_moment(j, C).
+    passed the checks of :func:`log_det_moments` as airy_h_moment(j, C).
     """
     check_order("airy_h_moments", k_max)
     refused = []
     for k in range(k_max, 0, -1):
         try:
-            series = _h_series(_h_rule(k, C, nodes_per_axis), C, k)
+            return _h_series(_h_rule(k, C, nodes_per_axis), C, k) + refused
         except DomainError as exc:      # order k's own grid is refused
             refused.insert(0, exc)
         except AiryKpzError as exc:
             return [exc] * k + refused
-        else:
-            return [outcome(check_positive, f"airy_h_moment({j}, {C})", float(h))
-                    for j, h in enumerate(series, start=1)] + refused
     return refused
 
 
@@ -253,8 +231,7 @@ def airy_h_moment(k: int, C: float, nodes_per_axis: int | None = None) -> float:
     the Airy range, and C((kC)^2/4 + 22) <= log(DBL_MAX), where e^{Cr} stays
     finite (binding only at k = 1, C > 12.1); other C raise DomainError, once
     the largest lower order's series is built (a few ms, on this error path
-    only).  A moment that is not positive (analytically it is) was lost to
-    cancellation and raises NumericalConsistencyError.
+    only).  A moment lost to cancellation raises NumericalConsistencyError.
     """
     check_order("airy_h_moment", k)
     return value(airy_h_moments(k, C, nodes_per_axis)[-1])

@@ -138,7 +138,7 @@ def run_verify_theorem2(cfg: RunConfig) -> list[VerificationRow]:
 
 
 def run_verify_theorem1(cfg: RunConfig) -> list[VerificationRow]:
-    """Laplace identity: airy_mult_stat(u, C) vs kpz_laplace(u, T=2C^3)."""
+    """Laplace identity: airy_mult_stat(u, C) vs kpz_laplaces(C, us), T = 2C^3."""
     _check_overrides(cfg)
     n = cfg.nodes or FREDHOLM_NODES
     tol = cfg.tol or 1e-6

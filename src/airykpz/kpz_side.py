@@ -6,7 +6,7 @@ exp(kT/24) E[Z(T,0)^k / k!] sums, over the partitions of k, contour
 integrals of det[1/(w_j + lambda_j - w_i)] times the Bose-gas exponents
 (Borodin & Corwin, arXiv:1111.4408, §6).  Expanded into cycles, that sum
 is the v^k coefficient of det(I + D(v) A) on one contour per part size,
-read off as the Airy side reads E h_k off det(I - K f_u).
+read off its cycle traces by ``quadrature.log_det_moments``, as E h_k is.
 """
 
 from __future__ import annotations
@@ -15,16 +15,14 @@ import math
 
 import numpy as np
 
-from .airy_side import newton_h
 from .errors import (AiryKpzError, ConfigurationError, DomainError, NumericalConsistencyError,
-                     check_order, check_positive, check_probability, checked_exp, outcome, value)
+                     check_order, check_positive, check_probability, checked_exp, value)
 from .params import ModelParams
-from .quadrature import (FREDHOLM_NODES, MOMENT_RTOL, QuadratureRule, composite_legendre,
-                         fredholm_det_matrix, gram, legendre_on, tensor_integrate,
-                         trapezoid_axis)
+from .quadrature import (FREDHOLM_NODES, QuadratureRule, composite_legendre, fredholm_det_matrix,
+                         gram, legendre_on, log_det_moments, tensor_integrate, trapezoid_axis)
 from .specfun import SUPPORTED_RANGE, airy_ai, logistic
 
-__all__ = ["kpz_moment", "kpz_moments", "kpz_moment_nested", "kpz_laplace", "kpz_laplaces"]
+__all__ = ["kpz_moment", "kpz_moments", "kpz_moment_nested", "kpz_laplaces"]
 
 
 # ----------------------------------------------------------------------
@@ -54,12 +52,11 @@ def _contour(n: int, T: float, nodes_per_axis: int | None) -> tuple[np.ndarray, 
             rule.weights * np.exp(1j * phase * rule.nodes) * (const / (2.0 * math.pi)))
 
 
-def _log_det_series(d: list, F: list) -> tuple[list, list]:
-    """l_1, ..., l_K (K = len(d) <= 4) of log det(I + D(v) A) =
-    sum_j (-1)^{j+1}/j tr((DA)^j), block (n, m) F_n(t)/(d_n(t) - e_m(t')),
-    e_m = d_m - m, and each one's sum of |terms|: l_1 = tr A11,
-    l_2 = tr A22 - tr A11^2/2, l_3 = tr A33 - tr A12 A21 + tr A11^3/3,
-    l_4 = tr A44 - tr A13 A31 - tr A22^2/2 + tr A11 A12 A21 - tr A11^4/4.
+def _cycle_traces(d: list, F: list) -> dict:
+    """Each word (n_1, ..., n_j) of LOG_DET_WORDS up to n = len(d), with its
+    cycle trace tr(A_{n_1 n_2} ... A_{n_j n_1}) of det(I + D(v) A), block
+    (n, m) F_n(t)/(d_n(t) - e_m(t')), e_m = d_m - m, and its sum of |terms|;
+    t -> -t conjugates every term, so the imaginary parts are dropped.
     tr A_nn = sum F_n/n, and each other trace sums F_n(a) F_m(c) g_ac over
     (x + p)(q - x), x = d_n(a) - d_m(c), over node pairs: a product is
     Cauchy-like, (d_n + m - e_l)(A_nm A_ml)_ac = F_n(a)(u_a + v_c) with
@@ -67,40 +64,38 @@ def _log_det_series(d: list, F: list) -> tuple[list, list]:
     positive F_1.  ``np.einsum`` without ``optimize`` calls no BLAS.
     """
     def diag(n):
-        return np.einsum("a->", F[n - 1]) / n, np.einsum("a->", np.abs(F[n - 1])) / n
+        return (np.einsum("a->", F[n - 1]) / n).real, np.einsum("a->", np.abs(F[n - 1])) / n
 
     def tr(n, m, p, q, g=1.0):
         x = np.subtract.outer(d[n - 1], d[m - 1])
         terms = g / ((x + p) * (q - x))
-        return (np.einsum("a,ac,c->", F[n - 1], terms, F[m - 1]),
+        return (np.einsum("a,ac,c->", F[n - 1], terms, F[m - 1]).real,
                 np.einsum("a,ac,c->", np.abs(F[n - 1]), np.abs(terms), np.abs(F[m - 1])))
 
-    table = [[(1.0, diag(1))]] if d else []
+    traces = {(1,): diag(1)} if d else {}
     if len(d) > 1:
-        table.append([(1.0, diag(2)), (-1 / 2, tr(1, 1, 1, 1))])
+        traces.update({(2,): diag(2), (1, 1): tr(1, 1, 1, 1)})
     if len(d) > 2:
         C11 = 1.0 / (np.subtract.outer(d[0], d[0]) + 1.0)
         u, v = np.einsum("ab,b->a", C11, F[0]), np.einsum("b,bc->c", F[0], C11)
         del C11
         uv = np.add.outer(u, v)
-        table.append([(1.0, diag(3)), (-1.0, tr(1, 2, 2, 1)), (1 / 3, tr(1, 1, 2, 1, uv))])
+        traces.update({(3,): diag(3), (1, 2): tr(1, 2, 2, 1), (1, 1, 1): tr(1, 1, 2, 1, uv)})
     if len(d) > 3:
         w = np.einsum("b,bc->c", F[0], 1.0 / (np.subtract.outer(d[0], d[1]) + 2.0))
-        table.append([(1.0, diag(4)), (-1.0, tr(1, 3, 3, 1)), (-1 / 2, tr(2, 2, 2, 2)),
-                      (1.0, tr(1, 2, 3, 1, np.add.outer(u, w))),
-                      (-1 / 4, tr(1, 1, 2, 2, uv * uv.T))])
-    return ([float(sum(c * t for c, (t, _) in row).real) for row in table],
-            [float(sum(abs(c) * m for c, (_, m) in row)) for row in table])
+        traces.update({(4,): diag(4), (1, 3): tr(1, 3, 3, 1), (2, 2): tr(2, 2, 2, 2),
+                       (1, 1, 2): tr(1, 2, 3, 1, np.add.outer(u, w)),
+                       (1, 1, 1, 1): tr(1, 1, 2, 2, uv * uv.T)})
+    return traces
 
 
 def kpz_moments(k_max: int, T: float, nodes_per_axis: int | None = None) -> list:
     """[kpz_moment(1, T), ..., kpz_moment(k_max, T)] from one series: each
     order's value or refusal, as ``airy_side.airy_h_moments`` per C.
     Order n and those above it are refused if contour n's prefactor
-    overflows (DomainError), a block of contours a and n - a would exceed
-    _BLOCK_ENTRIES (ConfigurationError, before any block is built), or
-    eps sum |terms| of l_n exceeds MOMENT_RTOL |l_n|.  t -> -t conjugates
-    every term, so the imaginary parts are dropped.
+    overflows (DomainError) or a block of contours a and n - a would exceed
+    _BLOCK_ENTRIES (ConfigurationError, before any block is built); the
+    orders below are :func:`log_det_moments` of the :func:`_cycle_traces`.
     """
     check_order("kpz_moments", k_max)
     ModelParams.from_T(T, 0.0)
@@ -119,18 +114,9 @@ def kpz_moments(k_max: int, T: float, nodes_per_axis: int | None = None) -> list
             break
     # a grid fit for one order can overflow the traces of a higher one
     with np.errstate(over="ignore", invalid="ignore"):
-        ell, mag = _log_det_series([c[0] for c in contours], [c[1] for c in contours])
-    for n, (l_n, m_n) in enumerate(zip(ell, mag), start=1):
-        if not np.finfo(float).eps * m_n <= MOMENT_RTOL * abs(l_n):
-            refusal = NumericalConsistencyError(
-                f"kpz_moment({n}, {T}): l_{n} = {l_n!r} is lost to cancellation: its roundoff "
-                f"bound eps sum |terms| = {np.finfo(float).eps * m_n:.3e} exceeds "
-                f"{MOMENT_RTOL:g} of it")
-            del ell[n - 1:]
-            break
-    h = newton_h([i * l_i for i, l_i in enumerate(ell, start=1)])[1:]
-    return ([outcome(check_positive, f"kpz_moment({j}, {T})", float(h_j))
-             for j, h_j in enumerate(h, start=1)] + [refusal] * (k_max - len(h)))
+        traces = _cycle_traces([c[0] for c in contours], [c[1] for c in contours])
+        moments = log_det_moments(f"kpz_moment({{}}, {T})", traces, len(contours))
+    return moments + [refusal] * (k_max - len(contours))
 
 
 def kpz_moment(k: int, T: float, nodes_per_axis: int | None = None) -> float:
@@ -222,7 +208,7 @@ def _ku_inner_rule(params: ModelParams, x_max: float) -> QuadratureRule:
     log_u = math.log(max(params.u, 1.0))
     hi = (20.0 + log_u) / params.C + x_max
     if hi > SUPPORTED_RANGE:
-        # kpz_laplace's x_max < (22 + log+ u)/C, so this C keeps hi < 60
+        # the outer rule's x_max < (22 + log+ u)/C, so this C keeps hi < 60
         c_min = (42.0 + 2.0 * log_u) / SUPPORTED_RANGE
         raise DomainError(
             f"the kernel rule needs the Airy function beyond its supported range (inner "
@@ -274,8 +260,8 @@ def _ku_matrix(airy: np.ndarray, params: ModelParams, inner_rule: QuadratureRule
 
 
 def kpz_laplaces(C: float, us, nodes: int = FREDHOLM_NODES) -> list:
-    """kpz_laplace at this C for each u of ``us``, from one K_u Airy matrix:
-    each entry is the value, or the error that refuses that u.
+    """E exp(-u Z(T,0) e^{T/24}), T = 2C^3, for each u of ``us``, from one K_u
+    Airy matrix: each entry is the value, or the error that refuses that u.
 
     The u run from the largest down, and the matrix is on the own grid
     (:func:`_ku_grid`) of the first whose grid is accepted; a u whose own
@@ -306,14 +292,3 @@ def kpz_laplaces(C: float, us, nodes: int = FREDHOLM_NODES) -> list:
         except (DomainError, NumericalConsistencyError) as exc:
             out[i] = type(exc)(f"u = {u!r}: {exc}")
     return out
-
-
-def kpz_laplace(params: ModelParams, nodes: int = FREDHOLM_NODES) -> float:
-    """E exp(-u Z(T,0) e^{T/24}) as the Fredholm determinant of K_u on
-    [0, inf), on ``nodes`` Gauss-Legendre nodes; equals the Airy-side
-    multiplicative statistic at C = (T/2)^(1/3).  The one-u case of
-    :func:`kpz_laplaces`, on u's own grid.  A C too small for the kernel
-    rule's Airy range raises DomainError, a visibly truncated K_u
-    NumericalConsistencyError.
-    """
-    return value(kpz_laplaces(params.C, [params.u], nodes)[0])

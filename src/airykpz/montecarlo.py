@@ -26,7 +26,7 @@ nonincreasing, and an ensemble is the (draws, m) array whose row i is draw
 i of the seed's stream.  An ensemble is drawn in one forked worker process
 per usable CPU, each over a contiguous range of indices; every draw has its
 own stream, so the array is the same bytes at any CPU count.  The h_k
-estimates (k <= 3) use the Airy side's Newton recursion, ``newton_h``.
+estimates (k <= 3) use both moment series' Newton recursion, ``newton_h``.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dsterf
 
-from .airy_side import newton_h
 from .errors import (ConfigurationError, NumericalConsistencyError, check_order, checked_exp,
                      is_integer)
 from .params import ModelParams
+from .quadrature import newton_h
 from .specfun import logistic
 
 __all__ = [
@@ -207,7 +207,7 @@ def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
 
 def complete_homogeneous(values: np.ndarray, k: int) -> np.ndarray:
     """h_k of the columns of a (rows, m) value matrix, one result per row:
-    :func:`airykpz.airy_side.newton_h` of the row power sums
+    :func:`airykpz.quadrature.newton_h` of the row power sums
     p_j = sum_i values_i^j."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     p = [np.sum(values ** j, axis=1) for j in range(1, k + 1)]

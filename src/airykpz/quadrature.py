@@ -1,7 +1,7 @@
 """Quadrature rules, tensor-product integration of product-form
 integrands, the Gaussian-Cauchy integral of the Laplace-transformed
-correlation functions and the quadrature (Nystrom) approximation of
-Fredholm determinants.
+correlation functions, the quadrature (Nystrom) approximation of
+Fredholm determinants and the moments read off a log-det series.
 
 Gauss-Legendre rules come from numpy's generator, once per integer
 order: each order's rule is cached and shared, with read-only arrays.
@@ -27,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalConsistencyError, is_integer
+from .errors import (ConfigurationError, NumericalConsistencyError, check_positive, is_integer,
+                     outcome)
 
 __all__ = [
-    "QuadratureRule",
+    "QuadratureRule", "LOG_DET_WORDS", "newton_h", "log_det_moments",
     "gauss_legendre", "legendre_on", "composite_legendre",
     "trapezoid_axis", "gaussian_cauchy_factors", "fredholm_det_matrix", "gram", "tensor_integrate",
 ]
@@ -142,8 +143,8 @@ def trapezoid_axis(s: float, w: float, a: float, dims: int,
     the aliasing, strip and truncation errors are held to e^{-(L + kappa)},
     L = ln 1e16, kappa = w^2/(4 s), and a 4-d axis is capped at 56 nodes at
     the :func:`_balanced_step`.  An explicit ``nodes_per_axis`` n, an integer
-    >= 1, gives n nodes at the balanced step; a cheap 1-d integral takes at
-    least its default count.
+    >= 1 whose outer weights do not underflow, gives n nodes at the balanced
+    step; a cheap 1-d integral takes at least its default count.
     """
     if nodes_per_axis is not None and not (is_integer(nodes_per_axis) and nodes_per_axis >= 1):
         raise ConfigurationError(f"nodes_per_axis must be an integer >= 1, got {nodes_per_axis!r}")
@@ -161,7 +162,11 @@ def trapezoid_axis(s: float, w: float, a: float, dims: int,
     if want != n:
         n, h = want, _balanced_step(s, w, a, want)
     x = h * (np.arange(n) - (n - 1) / 2.0)
-    return QuadratureRule(x, h * np.exp(-s * x * x))
+    weights = h * np.exp(-s * x * x)
+    if not weights[0] > 0.0:
+        raise ConfigurationError(f"{n} nodes per axis at s = {s:g} underflow the outer weights "
+                                 "h e^(-s x^2) to 0; use fewer nodes per axis")
+    return QuadratureRule(x, weights)
 
 
 def gaussian_cauchy_factors(scales, offsets, nodes_per_axis: int | None = None):
@@ -259,6 +264,11 @@ def _contract(u, pairs):
 _EPS = float(np.finfo(float).eps)
 
 
+def _cancelled(total: float, mag: float) -> bool:
+    """Whether a sum whose |terms| sum to ``mag`` is lost to cancellation."""
+    return not _EPS * mag <= MOMENT_RTOL * abs(total)
+
+
 def tensor_integrate(f, rules) -> float:
     """Tensor-product quadrature of an integrand given by its factors.
 
@@ -315,8 +325,46 @@ def tensor_integrate(f, rules) -> float:
         raise NumericalConsistencyError(
             f"tensor sum {val!r} is not finite and real: sum |w f| = {mag:.3e}, "
             "and |Im| may not exceed 1e-12 of it")
-    if not _EPS * mag <= MOMENT_RTOL * abs(val.real):
+    if _cancelled(val.real, mag):
         raise NumericalConsistencyError(
             f"tensor sum {val.real!r} is lost to cancellation: its roundoff bound "
             f"eps sum |w f| = {_EPS * mag:.3e} exceeds {MOMENT_RTOL:g} of it")
     return val.real
+
+
+# log det(I + X) = sum_j (-1)^{j+1} tr(X^j)/j: l_n sums (-1)^{j+1}/j times one trace
+# per composition of n into j parts; a word is a rotation class, weighted by its size
+LOG_DET_WORDS = {(1,): 1.0, (2,): 1.0, (1, 1): -1 / 2, (3,): 1.0, (1, 2): -1.0, (1, 1, 1): 1 / 3,
+                 (4,): 1.0, (1, 3): -1.0, (2, 2): -1 / 2, (1, 1, 2): 1.0, (1, 1, 1, 1): -1 / 4}
+
+
+def newton_h(p: list) -> list:
+    """h_0 = 1, h_1, ..., h_k from the power sums p = [p_1, ..., p_k] by
+    Newton's identities, j h_j = sum_{i<=j} p_i h_{j-i}; the p_i may be
+    scalars or arrays of one shape."""
+    h = [1.0]
+    for j in range(1, len(p) + 1):
+        h.append(sum(p[i - 1] * h[j - i] for i in range(1, j + 1)) / j)
+    return h
+
+
+def log_det_moments(name: str, traces: dict, k: int) -> list:
+    """h_1, ..., h_k of exp(sum_n l_n v^n), each the value, checked positive
+    as ``name.format(n)``, or the error that refuses order n.  ``traces`` maps
+    each word of LOG_DET_WORDS up to n = k to its trace and a bound on its sum
+    of |terms|; l_n and its bound sum them times each word's weight and
+    |weight|.  An l_n lost to cancellation refuses order n and those above it
+    (NumericalConsistencyError); h is :func:`newton_h` of the sums n l_n."""
+    p, out = [], []
+    for n in range(1, k + 1):
+        words = [(w, traces[word]) for word, w in LOG_DET_WORDS.items() if sum(word) == n]
+        l_n = float(sum(w * t for w, (t, _) in words))
+        mag = float(sum(abs(w) * m for w, (_, m) in words))
+        if _cancelled(l_n, mag):
+            refusal = NumericalConsistencyError(
+                f"{name.format(n)}: l_{n} = {l_n!r} is lost to cancellation: its roundoff "
+                f"bound eps sum |terms| = {_EPS * mag:.3e} exceeds {MOMENT_RTOL:g} of it")
+            return out + [refusal] * (k - n + 1)
+        p.append(n * l_n)
+        out.append(outcome(check_positive, name.format(n), float(newton_h(p)[n])))
+    return out

@@ -11,12 +11,12 @@ import math
 import numpy as np
 
 from airykpz import kpz_side
-from airykpz.airy_side import newton_h
-from airykpz.errors import DomainError, check_order, checked_exp
+from airykpz.errors import DomainError, check_order, checked_exp, value
 from airykpz.kpz_side import _ku_inner_rule, _ku_matrix
 from airykpz.params import ModelParams
-from airykpz.quadrature import (composite_legendre, fredholm_det_matrix, legendre_on,
-                                tensor_integrate, trapezoid_axis)
+from airykpz.quadrature import (FREDHOLM_NODES, LOG_DET_WORDS, composite_legendre,
+                                fredholm_det_matrix, legendre_on, newton_h, tensor_integrate,
+                                trapezoid_axis)
 from airykpz.specfun import airy_ai, airy_both
 
 
@@ -67,6 +67,14 @@ def airy_kernel_two_outer(points):
     return kmat
 
 
+def log_det_series_of(traces, k):
+    """l_1, ..., l_k from a dict of word -> (trace, bound), as
+    ``quadrature.log_det_moments`` sums them: each word's trace times its
+    weight in LOG_DET_WORDS, in the table's order."""
+    return [sum(w * traces[word][0] for word, w in LOG_DET_WORDS.items() if sum(word) == n)
+            for n in range(1, k + 1)]
+
+
 def log_det_series_by_compositions(S, g, k):
     """l_1, ..., l_k of the u-series of det(I - K f_u) in the notation of
     ``airy_side._h_series``: l_n = sum_j (-1)^{j+1}/j sum_a
@@ -94,7 +102,7 @@ def log_det_series_by_compositions(S, g, k):
 
 
 def log_det_series_transposed(S, S2, g, k):
-    """l_1, ..., l_k of ``airy_side._log_det_series`` with every trace of a
+    """l_1, ..., l_k of ``airy_side._chain_traces`` with every trace of a
     product summed down the columns of its second factor, tr XY =
     sum_il X_il Y_li, and tr (SG)^2 as one four-operand sum: the same
     table without the symmetry of S and S2."""
@@ -339,7 +347,7 @@ def ku_kernel(x: float, x_prime: float, params: ModelParams) -> float:
     K_u(x, x') = int dr Ai(x-r) Ai(x'-r) / (1 + u^{-1} exp((T/2)^{1/3} r)).
 
     Symmetric in (x, x'); x, x' >= 0, u > 0.  The [0, 1] entry of the
-    grid evaluation that ``kpz_laplace`` runs on its default inner rule,
+    grid evaluation that ``kpz_laplaces`` runs on its default inner rule,
     truncation check included.
     """
     if not (x >= 0 and x_prime >= 0):
@@ -359,8 +367,13 @@ def ku_matrix_on(xs, params: ModelParams, inner_rule):
     return _ku_matrix(airy, params, inner_rule)
 
 
+def one_u_laplace(params: ModelParams, nodes: int = FREDHOLM_NODES) -> float:
+    """``kpz_laplaces`` at one u, on u's own grid, raised if it is a refusal."""
+    return value(kpz_side.kpz_laplaces(params.C, [params.u], nodes)[0])
+
+
 def kpz_laplace_reference(params: ModelParams) -> float:
-    """The determinant of ``kpz_laplace`` on a wider, finer grid: the outer
+    """The determinant of :func:`one_u_laplace` on a wider, finer grid: the outer
     edge at (30 + log+ u)/C with 160 nodes, the inner rule from -14 with 14
     nodes per unit panel to its usual right edge (20 + log+ u)/C + x_max.
     The outer edge is the default grid's whole error, and at C = 1 and 1.6

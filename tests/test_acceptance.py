@@ -14,14 +14,15 @@ from scipy.special import erfcx
 
 from airykpz.airy_side import (airy_h_moment, airy_kernel_matrix, airy_mult_stat,
                                laplace_R, tracy_widom_f2)
-from airykpz.kpz_side import kpz_laplace, kpz_moment, kpz_moment_nested
+from airykpz.kpz_side import kpz_moment, kpz_moment_nested
 from airykpz.montecarlo import estimate_h_moment, estimate_mult_stat
 from airykpz.params import ModelParams
 from airykpz.quadrature import MOMENT_RTOL, composite_legendre
 from airykpz.specfun import airy_both
 
 from pointwise import (bose_exponent, cauchy_det_direct, cauchy_factors, factor_grid,
-                       half_line_kernel, okounkov_integral, partitions, symmetry_factor)
+                       half_line_kernel, okounkov_integral, one_u_laplace, partitions,
+                       symmetry_factor)
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -85,7 +86,7 @@ def test_criterion_3_theorem1_agreement():
         for C in (0.8, 1.0, 1.6):
             p = ModelParams.from_C(C, u)
             lhs = airy_mult_stat(p, nodes=80)
-            rhs = kpz_laplace(p)   # 80-node outer Fredholm grid by default
+            rhs = one_u_laplace(p)   # 80-node outer Fredholm grid by default
             worst = max(worst, abs(lhs - rhs))
     dt = time.time() - t0
     _report("criterion 3 (Laplace identity, 80-node grids)",
@@ -262,8 +263,8 @@ def _check_node_doubling():
     p = ModelParams.from_C(1.0, 1.0)
     v = airy_mult_stat(p, nodes=80)
     checks.append(abs(airy_mult_stat(p, nodes=160) - v) < 1e-7)
-    v = kpz_laplace(p, nodes=80)
-    checks.append(abs(kpz_laplace(p, nodes=160) - v) < 1e-7)
+    v = one_u_laplace(p, nodes=80)
+    checks.append(abs(one_u_laplace(p, nodes=160) - v) < 1e-7)
     from airykpz.airy_side import default_f2_grid
     v = tracy_widom_f2(-2.0, default_f2_grid(-2.0, 80))
     checks.append(abs(tracy_widom_f2(-2.0, default_f2_grid(-2.0, 160)) - v) < 1e-9)

@@ -15,7 +15,7 @@ from airykpz.specfun import airy_both
 
 from pointwise import (airy_kernel_two_outer, cauchy_det_direct, cauchy_factors, factor_grid,
                        gaussian_cauchy_integral,
-                       half_line_kernel, log_det_series_by_compositions,
+                       half_line_kernel, log_det_series_by_compositions, log_det_series_of,
                        log_det_series_transposed, okounkov_equal_R, okounkov_h_moments,
                        okounkov_integral, pointwise_sum)
 
@@ -426,8 +426,8 @@ def test_h_series_square_from_displacement(k, C, order, monkeypatch):
     # at 96, where the nodes are closest
     square = quadrature.gram
     monkeypatch.setattr(quadrature, "gram", lambda S: pytest.fail("_h_series called gram"))
-    seen, table = [], airy_side._log_det_series
-    monkeypatch.setattr(airy_side, "_log_det_series",
+    seen, table = [], airy_side._chain_traces
+    monkeypatch.setattr(airy_side, "_chain_traces",
                         lambda S, S2, g: seen.append((S, S2)) or table(S, S2, g))
     airy_h_moment(k, C, order)
     assert not hasattr(airy_side, "gram")
@@ -437,13 +437,12 @@ def test_h_series_square_from_displacement(k, C, order, monkeypatch):
     assert np.max(np.abs(S2 - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def _traced_log_det_series(monkeypatch):
-    """A list that collects l_1, ..., l_k from each ``_h_series`` call: the
-    power sums p_i = i l_i it hands to Newton's recursion, divided by i."""
-    seen = []
-    newton_h = airy_side.newton_h
-    monkeypatch.setattr(airy_side, "newton_h", lambda p: seen.append(
-        [pi / i for i, pi in enumerate(p, start=1)]) or newton_h(p))
+def _traced_chain_traces(monkeypatch):
+    """A list that collects the word traces of each ``_h_series`` call, the
+    dict that ``quadrature.log_det_moments`` reads l_1, ..., l_4 off."""
+    seen, table = [], airy_side._chain_traces
+    monkeypatch.setattr(airy_side, "_chain_traces",
+                        lambda S, S2, g: seen.append(table(S, S2, g)) or seen[-1])
     return seen
 
 
@@ -458,14 +457,14 @@ def _compositions_on(K, rule, C, k):
 def test_h_series_table_matches_compositions(C, monkeypatch):
     # l_1..l_k as written out against one trace per composition, on the
     # grid airy_h_moment builds for each k
-    ells, rules = _traced_log_det_series(monkeypatch), []
+    traces, rules = _traced_chain_traces(monkeypatch), []
     monkeypatch.setattr(airy_side, "composite_legendre",
                         lambda *args: rules.append(composite_legendre(*args)) or rules[-1])
     for k in range(1, 5):
         airy_h_moment(k, C)
         expect = _compositions_on(airy_kernel_matrix(rules[-1].nodes), rules[-1], C, k)
-        assert len(ells[-1]) == k
-        for got, want in zip(ells[-1], expect):
+        assert len(traces) == k
+        for got, want in zip(log_det_series_of(traces[-1], k), expect, strict=True):
             assert abs(got / want - 1.0) <= 1e-13
 
 
@@ -478,9 +477,18 @@ def test_h_series_table_on_a_random_matrix():
     g = np.exp(C * rule.nodes)
     s = np.sqrt(rule.weights * g)
     S = K * np.multiply.outer(s, s)
-    ells = airy_side._log_det_series(S, quadrature.gram(S), g)
-    for got, want in zip(ells, _compositions_on(K, rule, C, 4), strict=True):
+    S2 = quadrature.gram(S)
+    traces = airy_side._chain_traces(S, S2, g)
+    for got, want in zip(log_det_series_of(traces, 4), _compositions_on(K, rule, C, 4),
+                         strict=True):
         assert abs(got / want - 1.0) <= 1e-13
+    # each bound holds the trace's sum of |terms|, the one mixed-sign trace
+    # tr S^3 G^a = sum_il (S^2)_il S_il g_i^a by Cauchy-Schwarz
+    for a, word in enumerate([(1, 1, 1), (1, 1, 2)]):
+        exact = np.einsum("il,il,i->", np.abs(S2), np.abs(S), g ** a)
+        trace, bound = traces[word]
+        assert abs(trace) < exact <= bound * (1 + 1e-14)
+    assert all(t == m for word, (t, m) in traces.items() if word not in [(1, 1, 1), (1, 1, 2)])
 
 
 @pytest.mark.parametrize("C, order", [(0.6, 32), (1.0, 32), (1.4, 32), (3.0, 96)])
@@ -488,13 +496,13 @@ def test_h_series_table_matches_transposed_sums(C, order, monkeypatch):
     # the row sums over the symmetric S and S^2 against the same traces
     # summed down columns, with tr (SG)^2 as one four-operand sum: the
     # benchmark's k = 4 grids at 32 nodes per panel, and C = 3 at 96
-    seen, table = [], airy_side._log_det_series
-    monkeypatch.setattr(airy_side, "_log_det_series",
+    seen, table = [], airy_side._chain_traces
+    monkeypatch.setattr(airy_side, "_chain_traces",
                         lambda S, S2, g: seen.append((S, S2, g)) or table(S, S2, g))
     airy_h_moment(4, C, order)
     [(S, S2, g)] = seen
-    for got, want in zip(table(S, S2, g), log_det_series_transposed(S, S2, g, 4),
-                         strict=True):
+    for got, want in zip(log_det_series_of(table(S, S2, g), 4),
+                         log_det_series_transposed(S, S2, g, 4), strict=True):
         assert abs(got / want - 1.0) <= 1e-14
 
 
@@ -541,7 +549,7 @@ def test_airy_h_moments_keeps_each_refused_order_as_its_entry():
 def test_airy_h_moments_checks_each_value_positive(monkeypatch):
     # a non-positive E h_2 is that order's NumericalConsistencyError entry;
     # the orders around it stay values
-    monkeypatch.setattr(airy_side, "_h_series", lambda rule, C, k: [0.3, -1e-17, 0.5][:k])
+    monkeypatch.setattr(quadrature, "newton_h", lambda p: [1.0, 0.3, -1e-17, 0.5][:len(p) + 1])
     h1, h2, h3 = airy_h_moments(3, 1.0)
     assert (h1, h3) == (0.3, 0.5) and type(h1) is float and type(h3) is float
     assert type(h2) is NumericalConsistencyError

@@ -256,8 +256,8 @@ def _count_h_series(monkeypatch):
 def _count_kpz_series(monkeypatch):
     """A list that gets the number of contours of each KPZ series built."""
     from airykpz import kpz_side
-    calls, series = [], kpz_side._log_det_series
-    monkeypatch.setattr(kpz_side, "_log_det_series",
+    calls, series = [], kpz_side._cycle_traces
+    monkeypatch.setattr(kpz_side, "_cycle_traces",
                         lambda d, F: calls.append(len(d)) or series(d, F))
     return calls
 
@@ -309,13 +309,39 @@ def test_theorem2_series_falls_back_to_the_largest_supported_order(monkeypatch):
 
 def test_theorem2_entry_lost_to_cancellation_is_its_own_error_row(monkeypatch):
     # positivity is checked per order: a non-positive E h_2 fails that row only
-    from airykpz import airy_side, cli
-    monkeypatch.setattr(airy_side, "_h_series", lambda rule, C, k: [0.3, -1e-17, 0.5][:k])
+    from airykpz import cli, quadrature
+    monkeypatch.setattr(quadrature, "newton_h", lambda p: [1.0, 0.3, -1e-17, 0.5][:len(p) + 1])
     monkeypatch.setattr(cli, "kpz_moments", lambda k_max, T, nodes: [0.3, 0.2, 0.5][:k_max])
     rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[1.0], k_max=3))
     assert [r.status for r in rows] == [
         "ok", "error: NumericalConsistencyError: airy_h_moment(2, 1.0) = -1e-17 is not "
               "positive and finite", "ok"]
+
+
+def test_airy_series_lost_to_cancellation_refuses_its_order_and_those_above(
+        monkeypatch, capsys):
+    # the Airy series has the KPZ side's gate: with tr SG^2 and tr S^2 G at
+    # 1e15, l_3 keeps its value but its roundoff bound eps sum |terms| is
+    # 0.44, so orders 3 and 4 are that order's refusal and h_1, h_2 stand
+    from airykpz import airy_side
+    from airykpz.airy_side import airy_h_moments
+    from airykpz.errors import NumericalConsistencyError
+    want = airy_h_moments(4, 1.0)[:2]
+    chain = airy_side._chain_traces
+    monkeypatch.setattr(airy_side, "_chain_traces", lambda S, S2, g: {
+        **chain(S, S2, g), (3,): (1e15, 1e15), (1, 2): (1e15, 1e15)})
+    h1, h2, h3, h4 = airy_h_moments(4, 1.0)
+    assert [h1, h2] == want
+    assert type(h3) is NumericalConsistencyError and h4 is h3
+    message = str(h3)
+    assert message.startswith("airy_h_moment(3, 1.0): l_3 = ")
+    assert message.endswith(" is lost to cancellation: its roundoff bound eps sum |terms| "
+                            "= 4.441e-01 exceeds 1e-05 of it")
+    code, out, err = _run_main(["verify-theorem2", "--C", "1", "--k-max", "4"], capsys)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 1
+    assert [r["status"] for r in rows] == ["ok"] * 2 + [
+        f'error: NumericalConsistencyError: {message}'] * 2
 
 
 def test_nodes_above_the_node_budget_fail_the_moment_row(monkeypatch):

@@ -206,7 +206,7 @@ def test_only_quadrature_knows_the_hermite_node_model(monkeypatch):
     # the series' contours t and the nested tensor axes
     from airykpz import kpz_side, quadrature
     built, used = [], []
-    shared, series, integrate = (quadrature.trapezoid_axis, kpz_side._log_det_series,
+    shared, series, integrate = (quadrature.trapezoid_axis, kpz_side._cycle_traces,
                                  kpz_side.tensor_integrate)
 
     def axis(*args):
@@ -223,7 +223,7 @@ def test_only_quadrature_knows_the_hermite_node_model(monkeypatch):
 
     monkeypatch.setattr(quadrature, "trapezoid_axis", axis)
     monkeypatch.setattr(kpz_side, "trapezoid_axis", axis)
-    monkeypatch.setattr(kpz_side, "_log_det_series", contours)
+    monkeypatch.setattr(kpz_side, "_cycle_traces", contours)
     monkeypatch.setattr(kpz_side, "tensor_integrate", spy)
     for moment in (kpz_side.kpz_moment, kpz_side.kpz_moment_nested):
         built.clear()
@@ -302,11 +302,20 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 _EXPORT_LISTS = {"__all__", "_MONTECARLO_NAMES"}
 
 
+def _step_fn(node):
+    """The function name of a bench ``Step(..., fn="name")`` call, else None."""
+    if isinstance(node, ast.Call) and _name(node.func) == "Step":
+        return next((kw.value.value for kw in node.keywords if kw.arg == "fn"
+                     and isinstance(kw.value, ast.Constant)), None)
+    return None
+
+
 def _references(tree):
-    """Names a module reads: Name loads, attribute names and string
-    constants (a bench step names its function by string).  Export lists
-    are left out, and so is each top-level def's name inside that def;
-    import lists bind aliases, which are no reference."""
+    """Names a module reads: Name loads, attribute names and the function
+    names of bench steps, which name their function by string; any other
+    string, such as a message or a tracer's hook list, is no call.  Export
+    lists are left out, and so is each top-level def's name inside that
+    def; import lists bind aliases, which are no reference."""
     refs = set()
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign) and any(
@@ -318,8 +327,8 @@ def _references(tree):
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = node.attr
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                name = node.value
+            elif (step := _step_fn(node)) is not None:
+                name = step
             else:
                 continue
             if name != own:
@@ -355,3 +364,34 @@ def test_only_errors_checks_moment_orders():
                     and _ORDER_RANGE.search(n.value) for n in ast.walk(node.exc)):
                 copies.append((path.name, node.lineno))
     assert copies == [], f"moment-order ranges checked outside errors.check_order: {copies}"
+
+
+def test_only_quadrature_reads_moments_off_a_log_det_series():
+    # quadrature.log_det_moments is the one reader of both moment series:
+    # Newton's step is defined there alone, and the cancellation gate, the
+    # one comparison against MOMENT_RTOL, is quadrature's _cancelled, which
+    # tensor_integrate shares.  A second newton_h or a second gate would
+    # split the decision again
+    newton, gates = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "newton_h":
+                newton.append(path.name)
+            if isinstance(node, ast.Compare) and "MOMENT_RTOL" in map(_name, ast.walk(node)):
+                gates.append((path.name, node.lineno))
+    assert newton == ["quadrature.py"], newton
+    assert [name for name, _ in gates] == ["quadrature.py"], gates
+    [(_, lineno)] = gates
+    cancelled = _function("quadrature", "_cancelled")
+    assert cancelled.lineno <= lineno <= cancelled.end_lineno
+    for fn in ("tensor_integrate", "log_det_moments"):
+        assert "_cancelled" in {_name(n) for n in ast.walk(_function("quadrature", fn))}, fn
+
+
+@pytest.mark.parametrize("module", ["kpz_side", "montecarlo"])
+def test_side_modules_import_nothing_from_airy_side(module):
+    # the KPZ side and the Monte Carlo side share the reader in quadrature,
+    # not the Airy pipeline
+    imports = [m for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text()))
+               for m in _imported_modules(node) if "airy_side" in m.lstrip(".").split(".")]
+    assert imports == [], imports

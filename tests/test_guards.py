@@ -13,7 +13,7 @@ _P = ModelParams.from_C(1.0, 1.0)
 _PIPELINES = {
     "tracy_widom_f2": (airy_side, lambda: airy_side.tracy_widom_f2(0.0)),
     "airy_mult_stat": (airy_side, lambda: airy_side.airy_mult_stat(_P)),
-    "kpz_laplace": (kpz_side, lambda: kpz_side.kpz_laplace(_P)),
+    "kpz_laplace": (kpz_side, lambda: value(kpz_side.kpz_laplaces(_P.C, [_P.u])[0])),
 }
 
 
@@ -44,7 +44,7 @@ def test_fredholm_pipelines_at_the_underflow_point():
     # either sign; the diagonal makes it a consistency fault whatever the sign
     p = ModelParams.from_C(23.73, 1e300)
     with pytest.raises(DomainError, match="kpz_laplace = -0.0 underflows double precision"):
-        kpz_side.kpz_laplace(p)
+        value(kpz_side.kpz_laplaces(p.C, [p.u])[0])
     with pytest.raises(NumericalConsistencyError, match=r"grid too coarse: w k\(x, x\) = 1\.17 >= 1 "):
         airy_side.airy_mult_stat(p)
 

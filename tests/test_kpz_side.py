@@ -5,18 +5,21 @@ import re
 import numpy as np
 import pytest
 
-from airykpz.airy_side import _h_rule, airy_h_moment, airy_kernel_matrix, airy_mult_stat, laplace_R
+from airykpz import airy_side
+from airykpz.airy_side import (_h_rule, airy_h_moment, airy_h_moments, airy_kernel_matrix,
+                               airy_mult_stat, laplace_R)
 from airykpz.errors import ConfigurationError, DomainError, NumericalConsistencyError
-from airykpz.kpz_side import kpz_laplace, kpz_moment, kpz_moment_nested, kpz_moments
+from airykpz.kpz_side import kpz_moment, kpz_moment_nested, kpz_moments
 from airykpz import kpz_side
 from airykpz.params import ModelParams
-from airykpz.quadrature import QuadratureRule, composite_legendre, fredholm_det_matrix, legendre_on
+from airykpz.quadrature import (LOG_DET_WORDS, QuadratureRule, composite_legendre, fredholm_det_matrix,
+                                legendre_on)
 
 import pointwise
 from pointwise import (bose_exponent, cauchy_det_direct, cauchy_factors, compositions,
                        cycle_trace, factor_grid, kpz_blocks, ku_kernel, ku_matrix_on,
-                       kpz_laplace_reference, log_det_series_by_cycles, partition_term,
-                       partitions, symmetry_factor)
+                       kpz_laplace_reference, log_det_series_by_cycles, log_det_series_of,
+                       one_u_laplace, partition_term, partitions, symmetry_factor)
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +292,7 @@ def test_kpz_moment_contraction_matches_pointwise_sum():
     T = 2.0 * 0.6 ** 3
     d, F = zip(*(kpz_side._contour(n, T, 64) for n in range(1, 5)))
     blocks = kpz_blocks(T, 4, 64)
-    fast, _ = kpz_side._log_det_series(list(d), list(F))
+    fast = log_det_series_of(kpz_side._cycle_traces(list(d), list(F)), 4)
     dense = log_det_series_by_cycles(lambda n, m: blocks[n, m], 4)
     assert fast == pytest.approx([x.real for x in dense], rel=1e-13)
     assert max(abs(x.imag) / abs(x) for x in dense) < 1e-15
@@ -342,8 +345,8 @@ def test_explicit_count_binds_every_contour_up_to_the_memory_bound(monkeypatch):
     # l = (1, 0, 0, 0) stands in for the traces: h_k = 1/k!.  At T = 2 so
     # many nodes would underflow the outer weights of contours 2 to 4
     built = []
-    monkeypatch.setattr(kpz_side, "_log_det_series", lambda d, F: built.append(
-        [len(x) for x in d]) or ([1.0] + [0.0] * (len(d) - 1), [0.0] * len(d)))
+    monkeypatch.setattr(kpz_side, "_cycle_traces", lambda d, F: built.append(
+        [len(x) for x in d]) or {word: (float(word == (1,)), 0.0) for word in LOG_DET_WORDS})
     assert kpz_moments(4, 0.02, 3663) == pytest.approx([1.0, 1 / 2, 1 / 6, 1 / 24])
     assert built == [[3663] * 4]
     counts.clear()
@@ -384,7 +387,7 @@ def test_partition_term_matches_laplace_R(C):
 
 
 @pytest.mark.parametrize("C", [0.6, 1.0, 1.4, 2.0, 2.5, 3.0, 4.0])
-def test_kpz_cycle_traces_match_airy_chain_traces(C):
+def test_kpz_cycle_traces_match_airy_chain_traces(C, monkeypatch):
     # the paper's match at the level of cycles, measured here and not
     # proved: each KPZ cycle trace tr(A_{n1 n2} ... A_{nj n1}) on kpz_side's
     # contours equals the Airy u-series chain trace tr(S G^{n1-1} ... S
@@ -403,6 +406,19 @@ def test_kpz_cycle_traces_match_airy_chain_traces(C):
             kpz = cycle_trace(lambda a, b: blocks[a, b], comp)
             airy = cycle_trace(lambda a, b: S * g ** (a - 1), comp)
             assert abs(kpz - airy) <= 1e-13 * abs(airy), comp
+    # and on the code that computes the moments: the word traces that
+    # kpz_moments and airy_h_moments hand to quadrature.log_det_moments
+    # (worst measured gaps 1.2e-14 at C = 0.6 and 1, 4.8e-14 at 3)
+    seen, chain = [], airy_side._chain_traces
+    monkeypatch.setattr(airy_side, "_chain_traces",
+                        lambda *args: seen.append(chain(*args)) or seen[-1])
+    airy_h_moments(n_max, C)
+    [airy] = seen
+    d, F = zip(*(kpz_side._contour(n, 2.0 * C ** 3, None) for n in range(1, n_max + 1)))
+    kpz = kpz_side._cycle_traces(list(d), list(F))
+    assert sorted(kpz) == sorted(w for w in LOG_DET_WORDS if sum(w) <= n_max)
+    for word, (trace, _) in kpz.items():
+        assert abs(trace - airy[word][0]) <= 1e-13 * abs(airy[word][0]), word
 
 
 def test_kpz_moment_is_the_last_entry_of_its_series():
@@ -611,17 +627,17 @@ def test_default_inner_rule_rejects_tiny_C():
     for C, u, hint in [(0.3, 1.0, 0.7), (0.5, 10.0, 0.78), (0.2, 1e-5, 0.7), (0.1, 1e5, 1.09)]:
         with pytest.raises(DomainError, match=f"beyond its supported range.*"
                                                      f"use C >= {hint:.2f}"):
-            kpz_laplace(ModelParams.from_C(C, u))
+            one_u_laplace(ModelParams.from_C(C, u))
         for nodes in (80, 200):
-            assert 0.0 < kpz_laplace(ModelParams.from_C(hint, u), nodes) <= 1.0
+            assert 0.0 < one_u_laplace(ModelParams.from_C(hint, u), nodes) <= 1.0
 
 
 def test_kpz_laplace_u0():
-    assert kpz_laplace(ModelParams.from_C(1.0, 0.0)) == 1.0
+    assert one_u_laplace(ModelParams.from_C(1.0, 0.0)) == 1.0
 
 
 def test_kpz_laplace_decreasing_in_u():
-    vals = [kpz_laplace(ModelParams.from_C(1.0, u)) for u in (0.0, 0.5, 1.0, 4.0)]
+    vals = [one_u_laplace(ModelParams.from_C(1.0, u)) for u in (0.0, 0.5, 1.0, 4.0)]
     assert all(0.0 < v <= 1.0 for v in vals)
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -630,18 +646,18 @@ def test_theorem1_point_match():
     # independent kernels, independent grids
     p = ModelParams.from_T(2.0, 1.0)
     lhs = airy_mult_stat(p)
-    rhs = kpz_laplace(p)
+    rhs = one_u_laplace(p)
     assert abs(lhs - rhs) < 1e-8
 
 
 def test_kpz_laplace_outer_doubling():
     p = ModelParams.from_C(1.0, 1.0)
-    v80 = kpz_laplace(p, nodes=80)
-    v160 = kpz_laplace(p, nodes=160)
+    v80 = one_u_laplace(p, nodes=80)
+    v160 = one_u_laplace(p, nodes=160)
     assert abs(v80 - v160) < 1e-9
 
 
-# kpz_laplace's 80-node outer rule at C = 1, u = 1: [0, 22/C]
+# the 80-node outer rule of kpz_laplaces at C = 1, u = 1: [0, 22/C]
 OUTER_C1_U1 = legendre_on(0.0, 22.0, 80)
 
 
@@ -664,7 +680,7 @@ def test_kpz_laplace_inner_rule_beyond_airy_range_raises():
 
 
 def _ku_grids(monkeypatch, cells):
-    """(params, outer nodes, inner rule) of every K_u grid that kpz_laplace
+    """(params, outer nodes, inner rule) of every K_u grid that one_u_laplace
     builds over ``cells`` of (C, u, nodes), the cells it rejects left out."""
     seen = []
 
@@ -677,7 +693,7 @@ def _ku_grids(monkeypatch, cells):
     monkeypatch.setattr(kpz_side, "_ku_grid", spy)
     for C, u, nodes in cells:
         try:
-            kpz_laplace(ModelParams.from_C(C, u), nodes)
+            one_u_laplace(ModelParams.from_C(C, u), nodes)
         except DomainError:
             pass
     return seen
@@ -729,7 +745,7 @@ def test_one_u_kpz_laplaces_is_kpz_laplace_on_its_own_grid():
         outer = legendre_on(0.0, (22.0 + math.log(max(u, 1.0))) / C, 80)
         inner = kpz_side._ku_inner_rule(p, float(outer.nodes[-1]))
         own = fredholm_det_matrix(ku_matrix_on(outer.nodes, p, inner), outer.weights)
-        assert kpz_side.kpz_laplaces(C, [u]) == [kpz_laplace(p)] == [own]
+        assert kpz_side.kpz_laplaces(C, [u]) == [own]
 
 
 @pytest.mark.parametrize("C", [1.0, 1.6])
@@ -740,7 +756,7 @@ def test_shared_ku_grid_is_no_farther_from_the_reference(C):
     us = [0.1, 1.0, 10.0]
     for u, shared in zip(us, kpz_side.kpz_laplaces(C, us)):
         p = ModelParams.from_C(C, u)
-        ref, own = kpz_laplace_reference(p), kpz_laplace(p)
+        ref, own = kpz_laplace_reference(p), one_u_laplace(p)
         if u == max(us):
             assert shared == own
         else:
@@ -751,9 +767,9 @@ def test_kpz_laplaces_keeps_each_error_with_its_u(monkeypatch):
     # u = 1e6 needs C >= 1.17: it keeps the refusal of its own grid, and
     # u = 1 gets the bits of its own grid
     one, refused = kpz_side.kpz_laplaces(0.8, [1.0, 1e6])
-    assert one == kpz_laplace(ModelParams.from_C(0.8, 1.0))
+    assert one == one_u_laplace(ModelParams.from_C(0.8, 1.0))
     with pytest.raises(DomainError, match="use C >= 1.17") as alone:
-        kpz_laplace(ModelParams.from_C(0.8, 1e6))
+        one_u_laplace(ModelParams.from_C(0.8, 1e6))
     assert type(refused) is DomainError and str(refused) == str(alone.value)
     # a probability refusal names its u: at C = 23.73 the u = 1e300
     # determinant underflows on the grid u = 1 shares

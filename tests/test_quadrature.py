@@ -12,9 +12,9 @@ from airykpz.quadrature import (QuadratureRule, composite_legendre, fredholm_det
                                 gauss_legendre, gaussian_cauchy_factors, gram, legendre_on,
                                 tensor_integrate)
 
-from airykpz.kpz_side import kpz_moment
+from airykpz.kpz_side import kpz_moment, kpz_moments
 
-from pointwise import pointwise_sum
+from pointwise import compositions, pointwise_sum
 
 
 def integrate(rule, f):
@@ -143,6 +143,42 @@ def test_balanced_step_equates_truncation_and_discretization(s, w, a, n):
     alias = (2.0 * math.pi / h - w) ** 2 / (4.0 * s)
     strip = 2.0 * math.pi * a / h - s * a * a - w * a
     assert s * (h * (n + 1) / 2.0) ** 2 == pytest.approx(min(alias, strip), rel=1e-12)
+
+
+def test_trapezoid_axis_names_a_count_whose_outer_weights_underflow():
+    # at s = 2 the outer weights h e^{-s x^2} of 3663 balanced nodes are 0
+    # in double precision, which QuadratureRule refused without naming the
+    # count; at 2000 nodes they are positive
+    assert len(quadrature.trapezoid_axis(2.0, 0.2, 1.45, 2, 2000)) == 2000
+    message = ("3663 nodes per axis at s = 2 underflow the outer weights h e^(-s x^2) "
+               "to 0; use fewer nodes per axis")
+    with pytest.raises(ConfigurationError) as refused:
+        quadrature.trapezoid_axis(2.0, 0.2, 1.45, 2, 3663)
+    assert str(refused.value) == message
+    # so KPZ contour 2 at T = 2 refuses orders 2 to 4 with that count and s
+    one, *rest = kpz_moments(4, 2.0, 3663)
+    assert 0.0 < one < math.inf
+    assert [str(r) for r in rest] == [message] * 3
+
+
+def _rotations(word):
+    return {word[i:] + word[:i] for i in range(len(word))}
+
+
+def test_log_det_words_are_the_rotation_classes_of_the_compositions():
+    # every composition of n <= 4 is a rotation of exactly one word, and a
+    # word of j parts weighs (-1)^{j+1}/j times its number of rotations:
+    # merged, the words sum log det = sum_j (-1)^{j+1} tr(X^j)/j term by term
+    words = quadrature.LOG_DET_WORDS
+    for n in range(1, 5):
+        for comp in compositions(n):
+            assert len([w for w in words if comp in _rotations(w)]) == 1, comp
+    assert sorted(c for w in words for c in _rotations(w)) == sorted(
+        c for n in range(1, 5) for c in compositions(n))
+    for w, weight in words.items():
+        assert weight == (-1) ** (len(w) + 1) / len(w) * len(_rotations(w)), w
+    # grouped by order, as log_det_moments sums them
+    assert [sum(w) for w in words] == sorted(sum(w) for w in words)
 
 
 def test_fredholm_zero_kernel_is_exactly_one():

@@ -5,7 +5,6 @@ import pytest
 
 from airykpz import kpz_side
 from airykpz.errors import DomainError
-from airykpz.params import ModelParams
 from airykpz.specfun import airy_ai, airy_both, logistic
 
 # Reference values from a 30-digit arbitrary-precision evaluation
@@ -255,7 +254,7 @@ def test_airy_ai_is_the_value_of_airy_both_bit_for_bit(monkeypatch):
     assert airy_ai(xs).tobytes() == airy_both(xs)[0].tobytes()
     grids = []
     monkeypatch.setattr(kpz_side, "airy_ai", lambda x: grids.append(x) or airy_ai(x))
-    kpz_side.kpz_laplace(ModelParams(C=0.8, u=10.0))
+    kpz_side.kpz_laplaces(0.8, [10.0])
     [grid] = grids
     assert grid.shape[0] == 80 and grid.size > 50000
     assert airy_ai(grid).tobytes() == airy_both(grid)[0].tobytes()
