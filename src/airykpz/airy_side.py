@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (AiryKpzError, ConfigurationError, DomainError, check_order,
-                     check_probability, checked_exp, value)
+from .errors import (AiryKpzError, DomainError, check_order, check_probability, checked_exp,
+                     value)
 from .params import ModelParams
 from .quadrature import (FREDHOLM_NODES, QuadratureRule, composite_legendre, fredholm_det_matrix,
                          gaussian_cauchy_factors, legendre_on, log_det_moments, tensor_integrate)
@@ -86,16 +86,17 @@ def _cd_ratio(x: np.ndarray, pairs) -> np.ndarray:
 # Laplace-transformed correlation functions
 
 def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
-    """Laplace transform of the n-point correlation function, n <= 4.
+    """Laplace transform of the n-point correlation function, n <= 3.
 
     Evaluates
         exp(sum c_i^3/12)/(2 pi)^n * int exp(-sum c_i z_i^2)
             det[1/((-i z_i + c_i/2) + (i z_j + c_j/2))] dz,
     the Gaussian-Cauchy integral of :func:`gaussian_cauchy_factors` with
-    s = c and offsets c/2, which also sets the trapezoid rule.  The matrix
-    1/(a_i + b_j) is the Gram matrix of the functions exp(-s(c_i/2 - i z_i))
-    on s > 0, so its determinant is real and non-negative at every node:
-    every factor is a float64 table >= 0, and the sum is real from the start.
+    s = c and offsets c/2, which also sets the trapezoid rule and refuses a
+    fourth exponent (ConfigurationError).  The matrix 1/(a_i + b_j) is the
+    Gram matrix of the functions exp(-s(c_i/2 - i z_i)) on s > 0, so its
+    determinant is real and non-negative at every node: every factor is a
+    float64 table >= 0, and the sum is real from the start.
 
     The value is symmetric in ``c`` (the correlation function is symmetric
     in its arguments); ``c`` is sorted in descending order, so every order
@@ -106,8 +107,6 @@ def laplace_R(c: Sequence[float], nodes_per_axis: int | None = None) -> float:
         raise DomainError("need a nonempty vector of Laplace exponents")
     if np.any(c <= 0):
         raise DomainError("Laplace exponents must be strictly positive")
-    if c.size > 4:
-        raise ConfigurationError("at most 4 Laplace exponents are supported")
     c = np.sort(c)[::-1]
     pref = checked_exp(f"laplace_R at exponents {c.tolist()}: its prefactor",
                        float(np.sum(c ** 3)) / 12.0) / (2.0 * math.pi) ** c.size

@@ -7,8 +7,8 @@ Output is byte-stable for identical configuration (including the seed).
 A cell reads a result shared with other cells (an Airy or KPZ moment
 series or a K_u matrix per C, an F2(a)) with ``errors.value``, so a
 refusal is its error row.
-A C, T or u that ``ModelParams`` refuses, and an order that
-``errors.check_order`` refuses, raise for the whole command instead: a
+A C, T or u that ``ModelParams`` refuses, an order that ``errors.check_order``
+refuses and an unwritable ``--out`` raise for the whole command instead: a
 usage error (exit 2), before any row and before any Monte Carlo draw.
 """
 
@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -344,10 +345,20 @@ def run(cfg: RunConfig) -> tuple[list[VerificationRow], str]:
     return rows, render(rows, cfg.command, cfg.format)
 
 
+def _check_out(path: str) -> None:
+    """--out is stdout ("-") or a writable file in an existing directory;
+    checked without creating or truncating the file."""
+    parent = os.path.dirname(path) or "."
+    if path != "-" and (os.path.isdir(path) or not os.path.isdir(parent) or not os.access(
+            path if os.path.exists(path) else parent, os.W_OK)):
+        raise ConfigurationError(f"--out {path}: not a writable file in an existing directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = config_from_args(args)
     try:
+        _check_out(cfg.output_path)
         rows, text = run(cfg)
     except AiryKpzError as exc:
         print(f"error: {exc}", file=sys.stderr)

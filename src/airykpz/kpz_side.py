@@ -38,8 +38,7 @@ def _contour(n: int, T: float, nodes_per_axis: int | None) -> tuple[np.ndarray, 
     which cuts part n's phase by 1 - theta.  F_n is the trapezoid weight
     (holding e^{-(Tn/2) t^2}) times the phase, the part's constant and
     e^{nT/24} over 2 pi.  The strip is the nearest pole of any block
-    (n, m) or (m, n); dims = 2 (traces sum over node pairs) escapes the
-    4-d cap and the 1-d floor.
+    (n, m) or (m, n).
     """
     sigma = _CONTOUR_SHIFT * (n - 1) / 2.0
     log_const = (T / 2.0) * (n * (n - 1) * (2 * n - 1) / 6.0 + n * sigma ** 2
@@ -47,7 +46,7 @@ def _contour(n: int, T: float, nodes_per_axis: int | None) -> tuple[np.ndarray, 
     const = checked_exp(f"kpz_moment({n}, {T}): its normalization and contour prefactor",
                         log_const)
     phase = (1.0 - _CONTOUR_SHIFT) * T * n * (n - 1) / 2.0
-    rule = trapezoid_axis(T * n / 2.0, phase, min(1.0 + sigma, n - sigma), 2, nodes_per_axis)
+    rule = trapezoid_axis(T * n / 2.0, phase, min(1.0 + sigma, n - sigma), nodes_per_axis)
     return (sigma - 1j * rule.nodes,
             rule.weights * np.exp(1j * phase * rule.nodes) * (const / (2.0 * math.pi)))
 
@@ -169,7 +168,7 @@ def kpz_moment_nested(k: int, T: float, offsets=None,
     pref = checked_exp(f"{name}: its contour prefactor",
                        (T / 2.0) * float(np.sum(a ** 2))) / (2.0 * math.pi) ** k
     strips = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
-    rules = [trapezoid_axis(T / 2.0, T * aj, strip, k, nodes_per_axis)
+    rules = [trapezoid_axis(T / 2.0, T * aj, strip, nodes_per_axis)
              for aj, strip in zip(a, strips)]
 
     def f(*ts):

@@ -13,10 +13,11 @@ determinants, tensor sums) is built here.  All reductions run in a fixed
 deterministic order.
 
 Every tensor integrand here is a product of per-axis factors and pair
-factors, so the tensor driver takes those factors as small tables and
-sums the axes out one by one, in place of evaluating the integrand at
-each grid point.  The Gaussian-Cauchy integrand writes its Cauchy
-determinant so, in closed form, in float64 tables.
+factors on one to three axes (laplace_R's and the nested contours'), so
+the tensor driver takes those factors as small tables and sums the axes
+out, in place of evaluating the integrand at each grid point.  The
+Gaussian-Cauchy integrand writes its Cauchy determinant so, in closed
+form, in float64 tables.
 """
 
 from __future__ import annotations
@@ -115,9 +116,6 @@ def composite_legendre(a: float, b: float, n_panels: int, n_per_panel: int) -> Q
 # The integral is as small as e^{-kappa}, kappa = w^2/(4s), against the
 # integral of |g|, so each error is held to e^{-(L + kappa)}, L = ln 1e16.
 _LOG_TOL = math.log(1e16)
-# 56^4 = 9.8e6 grid nodes: the default counts reach ~165 per axis at C = 0.6,
-# and 165^4 is past TENSOR_NODE_BUDGET
-_AXIS_CAP_4D = 56
 
 
 def _balanced_step(s: float, w: float, a: float, n: int) -> float:
@@ -135,16 +133,15 @@ def _balanced_step(s: float, w: float, a: float, n: int) -> float:
     return h
 
 
-def trapezoid_axis(s: float, w: float, a: float, dims: int,
+def trapezoid_axis(s: float, w: float, a: float,
                    nodes_per_axis: int | None = None) -> QuadratureRule:
     """Trapezoid rule h (k - (n - 1)/2), k < n, with e^{-s x^2} in its
-    weights, for an axis of a ``dims``-dimensional integrand e^{-s x^2 + i w x}
-    g(x), g analytic in the strip |Im x| < a (a = inf: no pole).  By default
-    the aliasing, strip and truncation errors are held to e^{-(L + kappa)},
-    L = ln 1e16, kappa = w^2/(4 s), and a 4-d axis is capped at 56 nodes at
-    the :func:`_balanced_step`.  An explicit ``nodes_per_axis`` n, an integer
-    >= 1 whose outer weights do not underflow, gives n nodes at the balanced
-    step; a cheap 1-d integral takes at least its default count.
+    weights, for an axis of an integrand e^{-s x^2 + i w x} g(x), g analytic
+    in the strip |Im x| < a (a = inf: no pole).  By default the aliasing,
+    strip and truncation errors are held to e^{-(L + kappa)}, L = ln 1e16,
+    kappa = w^2/(4 s).  An explicit ``nodes_per_axis`` n, an integer >= 1
+    whose outer weights do not underflow, gives n nodes at the
+    :func:`_balanced_step`, on every axis alike.
     """
     if nodes_per_axis is not None and not (is_integer(nodes_per_axis) and nodes_per_axis >= 1):
         raise ConfigurationError(f"nodes_per_axis must be an integer >= 1, got {nodes_per_axis!r}")
@@ -155,12 +152,8 @@ def trapezoid_axis(s: float, w: float, a: float, dims: int,
         h = min(h, 2.0 * math.pi * a / (_LOG_TOL + kappa + s * a * a + w * a))
     # four more than the target: a margin for the prefactor of the cut tail
     n = 2 * math.ceil(math.sqrt((_LOG_TOL + kappa + 4.0) / s) / h) + 1
-    if nodes_per_axis is None:
-        want = min(n, _AXIS_CAP_4D) if dims == 4 else n
-    else:
-        want = max(nodes_per_axis, n) if dims == 1 else nodes_per_axis
-    if want != n:
-        n, h = want, _balanced_step(s, w, a, want)
+    if nodes_per_axis is not None and nodes_per_axis != n:
+        n, h = nodes_per_axis, _balanced_step(s, w, a, nodes_per_axis)
     x = h * (np.arange(n) - (n - 1) / 2.0)
     weights = h * np.exp(-s * x * x)
     if not weights[0] > 0.0:
@@ -172,18 +165,20 @@ def trapezoid_axis(s: float, w: float, a: float, dims: int,
 def gaussian_cauchy_factors(scales, offsets, nodes_per_axis: int | None = None):
     """Rules and factor integrand, for :func:`tensor_integrate`, of
     int over R^l of prod_i e^{-s_i x_i^2} det[1/(a_i - i x_i + a_j + i x_j)] dx
-    (s = ``scales`` > 0, a = ``offsets`` > 0, l <= 4), a Gram determinant
+    (s = ``scales`` > 0, a = ``offsets`` > 0, l <= 3), a Gram determinant
     in its Cauchy product form: axis i carries 1/(2 a_i) and pair (i, j)
     ((a_i - a_j)^2 + d^2)/((a_i + a_j)^2 + d^2), d = x_i - x_j, float64
     tables >= 0.  Axis i takes the :func:`trapezoid_axis` rule of
     (s_i, 0, min over j != i of a_i + a_j, its nearest pair pole).
     """
     ell = len(scales)
+    if not 1 <= ell <= 3:
+        raise ConfigurationError(f"tensor dimension must be 1..3, got {ell}")
     a = np.asarray(offsets, dtype=float)
     sigma = np.add.outer(a, a)
     pole = sigma * sigma / sigma    # not sigma: the strip's last bit sets laplace_R's rules
     np.fill_diagonal(pole, np.inf)
-    rules = [trapezoid_axis(s, 0.0, strip, ell, nodes_per_axis)
+    rules = [trapezoid_axis(s, 0.0, strip, nodes_per_axis)
              for s, strip in zip(scales, pole.min(axis=1))]
 
     def integrand(*xs):
@@ -245,20 +240,14 @@ def gram(X: np.ndarray) -> np.ndarray:
 
 def _contract(u, pairs):
     """sum over the grid of prod_i u[i][x_i] * prod_{i<j} pairs[i, j][x_i, x_j],
-    with every pair present; the axes are summed out in a fixed order by
-    ``np.einsum`` without ``optimize``, so no BLAS call is made."""
+    one to three axes with every pair present; the axes are summed out in a
+    fixed order by ``np.einsum`` without ``optimize``, so no BLAS call is made."""
     if len(u) == 1:
         return np.einsum("a->", u[0])
     if len(u) == 2:
         return np.einsum("a,ab,b->", u[0], pairs[0, 1], u[1])
-    if len(u) == 3:
-        inner = np.einsum("ac,bc->ab", pairs[0, 2], u[2] * pairs[1, 2])
-        return np.einsum("a,ab,b->", u[0], pairs[0, 1] * inner, u[1])
-    # l = 4: fix the first axis's index, fold its pair rows into the other
-    # axes' factors and contract the three left
-    rest = {(i - 1, j - 1): t for (i, j), t in pairs.items() if i > 0}
-    return sum(ux * _contract([u[i] * pairs[0, i][x] for i in (1, 2, 3)], rest)
-               for x, ux in enumerate(u[0]))
+    inner = np.einsum("ac,bc->ab", pairs[0, 2], u[2] * pairs[1, 2])
+    return np.einsum("a,ab,b->", u[0], pairs[0, 1] * inner, u[1])
 
 
 _EPS = float(np.finfo(float).eps)
@@ -278,9 +267,9 @@ def tensor_integrate(f, rules) -> float:
     pairs (i, j), i < j, to the (n_i, n_j) tables of their pair factors.
     A pair left out of the dict is 1.  The integrand at a grid point is the
     product of all factors there, so the n-fold weighted sum is a
-    contraction of these tables: one n^3 ``einsum`` for three axes, a loop
-    over the first axis for four.  The node budget applies to the full
-    grid, which the contraction covers.
+    contraction of these tables: one n^3 ``einsum`` for three axes, the
+    most it takes.  The node budget applies to the full grid, which the
+    contraction covers.
 
     The factors may be complex.  The result is the real part of the total:
     each caller integrates an analytically real quantity.  The tables'
@@ -295,8 +284,8 @@ def tensor_integrate(f, rules) -> float:
     """
     rules = list(rules)
     n = len(rules)
-    if n < 1 or n > 4:
-        raise ConfigurationError(f"tensor dimension must be 1..4, got {n}")
+    if not 1 <= n <= 3:
+        raise ConfigurationError(f"tensor dimension must be 1..3, got {n}")
     total = math.prod(len(r) for r in rules)
     if total > TENSOR_NODE_BUDGET:
         raise ConfigurationError(

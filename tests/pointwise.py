@@ -181,7 +181,7 @@ def gaussian_cauchy_integral(scales, alpha, beta, freqs, nodes_per_axis=None):
     e = np.abs(sigma - sigma.T)
     pole = 2.0 * sigma * sigma.T / (np.sqrt(e * e + 4.0 * sigma * sigma.T) + e)
     np.fill_diagonal(pole, np.inf)
-    rules = [trapezoid_axis(s, w, a, ell, nodes_per_axis)
+    rules = [trapezoid_axis(s, w, a, nodes_per_axis)
              for s, w, a in zip(scales, freqs, pole.min(axis=1))]
 
     def integrand(*xs):
@@ -220,7 +220,8 @@ def partition_term(parts: tuple[int, ...], T: float, nodes_per_axis=None) -> flo
     theta (lambda_j - 1)/2: the Gaussian-Cauchy integral of
     :func:`gaussian_cauchy_integral` with s = T lambda/2, alpha = sigma,
     beta = lambda - sigma and the phase (1 - theta)(T lambda(lambda-1)/2),
-    on its own trapezoid rules (the 4-d axes capped as a tensor axis is).
+    on its own trapezoid rules; a four-part partition is past the tensor
+    driver's three axes (ConfigurationError).
     Times e^{kT/24}, summed over the partitions of k over their symmetry
     factors, it is the partition expansion of kpz_moment(k, T).
     """

@@ -297,7 +297,7 @@ def test_laplace_R_integrand_real_and_positive():
     # det[1/(a_i + b_j)] with a_i = c_i/2 - i z_i, b_j = conj(a_j) is a Gram
     # determinant: laplace_R's factors are float64 tables >= 0 from the start
     rng = np.random.default_rng(11)
-    for n in range(1, 6):
+    for n in range(1, 4):
         c = rng.uniform(0.3, 2.0, n)
         z = [rng.normal(0.0, 3.0, 6) for _ in range(n)]
         axis, pairs = gaussian_cauchy_factors(c, c / 2.0, 1)[1](*z)
@@ -323,8 +323,9 @@ def test_laplace_R_validation():
         laplace_R([1.0, -0.5])
     with pytest.raises(DomainError):
         laplace_R([])
-    with pytest.raises(ConfigurationError):
-        laplace_R([1.0] * 5)
+    # the tensor layer integrates at most three axes
+    with pytest.raises(ConfigurationError, match="tensor dimension must be 1..3, got 4"):
+        laplace_R([1.0] * 4)
     # each exponent is <= 20, but exp(sum c^3/12) = exp(843.75) overflows
     with pytest.raises(DomainError, match="overflows double precision"):
         laplace_R([15.0] * 3)
@@ -364,20 +365,13 @@ def test_airy_h_moment_k2_composition():
     assert airy_h_moment(2, C) == pytest.approx(expect, rel=1e-10)
 
 
-@pytest.mark.parametrize("c, ell", [
-    (0.6, 2), (0.6, 3), (1.0, 2), (1.0, 3),
-    # the default 4-d trapezoid rule is capped at 56 nodes per axis where its
-    # error target asks 165; 1.51e-7 off an oracle self-converged to 1e-14,
-    # and explicit 72 and 100 nodes per axis give 4.9e-9 and 2.1e-11
-    pytest.param(0.6, 4, marks=pytest.mark.xfail(
-        strict=True, reason="quadrature._AXIS_CAP_4D binds (ROADMAP item 16)")),
-])
+@pytest.mark.parametrize("c, ell", [(0.6, 2), (0.6, 3), (1.0, 2), (1.0, 3)])
 def test_laplace_R_at_equal_exponents_matches_gaussian_kernels(c, ell):
     # R_l(c, ..., c) = l! e_l(Q_c) with Okounkov's Gaussian kernel Q_c, an
     # oracle independent of the Cauchy integral that both sides of the
-    # all-ones partition share (ROADMAP item 3).  Left out: l = 4 at c >= 1
-    # and l = 3 at c >= 1.4, where the oracle's alternating sum itself
-    # self-converges only to 4.1e-13 and 7.6e-14
+    # all-ones partition share (ROADMAP item 3).  Left out: l = 3 at
+    # c >= 1.4, where the oracle's alternating sum itself self-converges
+    # only to 7.6e-14
     want = okounkov_equal_R(c, ell)[-1]
     assert abs(laplace_R([c] * ell) / want - 1.0) <= 3e-14
 

@@ -433,6 +433,29 @@ def test_output_file_and_byte_stability(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("command", [
+    ["verify-theorem2", "--C", "1", "--k-max", "1"],
+    ["mc-check", "--C", "0.5", "--u", "1", "--k-max", "1", "--samples", "2000"],
+], ids=["verify-theorem2", "mc-check"])
+def test_unwritable_out_is_a_usage_error_before_any_row(command, tmp_path, capsys, monkeypatch):
+    # a missing directory, a directory and a path under a regular file: exit
+    # 2 and one error line naming the path, before any row and any draw
+    from airykpz import montecarlo
+    monkeypatch.setattr(montecarlo, "draw_edge_samples", lambda *a: pytest.fail("drew"))
+    (tmp_path / "file").write_text("kept\n")
+    for path in ("/nonexistent/x.csv", str(tmp_path), str(tmp_path / "file" / "x.csv")):
+        code, out, err = _run_main(command + ["--out", path], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: --out {path}: not a writable file in an existing directory"]
+    # a run refused for any reason neither truncates nor creates its --out
+    new = tmp_path / "new.csv"
+    for path in (tmp_path / "file", new):
+        code, out, err = _run_main(command + ["--tol", "-1", "--out", str(path)], capsys)
+        assert code == 2 and err.startswith("error: --tol must be finite")
+    assert (tmp_path / "file").read_text() == "kept\n" and not new.exists()
+
+
 def test_output_independent_of_blas_threads():
     src = str(Path(airykpz.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

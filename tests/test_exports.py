@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -189,7 +190,7 @@ def test_only_quadrature_knows_the_hermite_node_model(monkeypatch):
     # laplace_R (through gaussian_cauchy_factors), the KPZ series' contours
     # and the nested contours alike: a module that reads these names keeps
     # a second copy
-    owned = {"_balanced_step", "_LOG_TOL", "_AXIS_CAP_4D"}
+    owned = {"_balanced_step", "_LOG_TOL"}
     users = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "quadrature.py":
@@ -231,6 +232,30 @@ def test_only_quadrature_knows_the_hermite_node_model(monkeypatch):
         moment(3, 2.0)
         assert used and all(any(np.array_equal(t, b.nodes) for b in built) for t in used), \
             moment.__name__
+
+
+def test_no_node_count_depends_on_the_tensor_dimension():
+    # trapezoid_axis takes (s, w, a) and a count, never the dimension of
+    # the integrand its axis belongs to: no src/ module binds a node cap at
+    # module level, reads a `dims`, or passes trapezoid_axis a fifth argument
+    from airykpz import quadrature
+    assert list(inspect.signature(quadrature.trapezoid_axis).parameters) == [
+        "s", "w", "a", "nodes_per_axis"]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in _module_level(tree):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            found += [(path.name, node.lineno, _name(t)) for t in targets
+                      if "cap" in (_name(t) or "").lower()]
+        for node in ast.walk(tree):
+            if _name(node) == "dims" or getattr(node, "arg", None) == "dims":
+                found.append((path.name, node.lineno, "dims"))
+            if (isinstance(node, ast.Call) and _name(node.func) == "trapezoid_axis"
+                    and (len(node.args) > 4
+                         or {k.arg for k in node.keywords} - {"nodes_per_axis"})):
+                found.append((path.name, node.lineno, "trapezoid_axis"))
+    assert found == [], f"a node count that depends on the dimension: {found}"
 
 
 def _function(module, name):

@@ -329,7 +329,7 @@ def test_hermite_orders_of_the_readme_grid_and_the_bench_k4_terms(monkeypatch):
     # k = 4 at 32 nodes: every contour takes exactly 32
     for C in (0.6, 1.0, 1.4):
         assert _contour_counts(counts, 4, 2.0 * C ** 3, 32) == [32] * 4
-    # by default no contour is capped (a 4-d tensor axis stops at 56)
+    # by default no contour is capped
     assert _contour_counts(counts, 4, 2.0 * 0.6 ** 3) == [165, 83, 55, 41]
 
 
@@ -361,7 +361,7 @@ def test_explicit_count_binds_every_contour_up_to_the_memory_bound(monkeypatch):
 
 @pytest.mark.parametrize("n", [0, -5])
 def test_explicit_order_below_one_raises_on_every_term(n):
-    # refused before a 1-d term's lift to its phase floor, which would hide it
+    # refused by name, on one contour and on a tensor axis alike
     for call in (lambda: kpz_moment(1, 2.0, nodes_per_axis=n),
                  lambda: kpz_moment(2, 2.0, nodes_per_axis=n),
                  lambda: laplace_R([1.0], n), lambda: laplace_R([1.0, 2.0], n)):
@@ -378,10 +378,12 @@ def test_partition_term_matches_laplace_R(C):
     # share (worst measured gap 1.9e-13, at (4,), C = 4).  An all-ones term
     # agrees by construction: z = C t maps its integral onto laplace_R's, so
     # both sides evaluate one discrete sum (within 7e-16), and its agreement
-    # shows no convergence
+    # shows no convergence.  Four parts are past the tensor layer's three
+    # axes; test_kpz_cycle_traces_match_airy_chain_traces covers k = 4,
+    # (1, 1, 1, 1) included, with distinct kernels
     T = 2.0 * C ** 3
     for k in (1, 2, 3, 4):
-        for lam in partitions(k):
+        for lam in (lam for lam in partitions(k) if len(lam) < 4):
             assert partition_term(lam, T) * math.exp(k * T / 24.0) == pytest.approx(
                 laplace_R([C * p for p in lam]), rel=1e-12)
 
@@ -429,9 +431,9 @@ def test_kpz_moment_is_the_last_entry_of_its_series():
 
 
 def test_uncapped_k4_meets_the_airy_side_at_C_0_6():
-    # the tensor layer capped the 4-d axes of the (1, 1, 1, 1) term at 56
-    # nodes, 1.3e-10 off airy_h_moment here; the series' contours are
-    # uncapped (measured 2.1e-15 off)
+    # the partition expansion's (1, 1, 1, 1) term, on a 4-d tensor grid
+    # capped at 56 nodes per axis, was 1.3e-10 off airy_h_moment here; the
+    # series' contours are uncapped (measured 2.1e-15 off)
     assert kpz_moment(4, 2.0 * 0.6 ** 3) == pytest.approx(airy_h_moment(4, 0.6), rel=1e-13)
 
 
@@ -442,7 +444,7 @@ def test_contour_factor_is_the_bose_exponent():
     for n in (1, 2, 3, 4):
         d, F = kpz_side._contour(n, T, 9)
         rule = kpz_side.trapezoid_axis(T * n / 2.0, 0.1 * T * n * (n - 1) / 2.0,
-                                       min(1.0 + 0.45 * (n - 1), n - 0.45 * (n - 1)), 2, 9)
+                                       min(1.0 + 0.45 * (n - 1), n - 0.45 * (n - 1)), 9)
         assert np.array_equal(d.imag, -rule.nodes)
         w = -d.real + 1j * rule.nodes
         expect = np.exp([bose_exponent(x, n, T) + n * T / 24.0 + T * n * t * t / 2.0

@@ -149,11 +149,11 @@ def test_trapezoid_axis_names_a_count_whose_outer_weights_underflow():
     # at s = 2 the outer weights h e^{-s x^2} of 3663 balanced nodes are 0
     # in double precision, which QuadratureRule refused without naming the
     # count; at 2000 nodes they are positive
-    assert len(quadrature.trapezoid_axis(2.0, 0.2, 1.45, 2, 2000)) == 2000
+    assert len(quadrature.trapezoid_axis(2.0, 0.2, 1.45, 2000)) == 2000
     message = ("3663 nodes per axis at s = 2 underflow the outer weights h e^(-s x^2) "
                "to 0; use fewer nodes per axis")
     with pytest.raises(ConfigurationError) as refused:
-        quadrature.trapezoid_axis(2.0, 0.2, 1.45, 2, 3663)
+        quadrature.trapezoid_axis(2.0, 0.2, 1.45, 3663)
     assert str(refused.value) == message
     # so KPZ contour 2 at T = 2 refuses orders 2 to 4 with that count and s
     one, *rest = kpz_moments(4, 2.0, 3663)
@@ -279,10 +279,14 @@ def test_tensor_cubic_exactness_3d():
 
 
 def test_tensor_budget_and_dimension_errors():
-    with pytest.raises(ConfigurationError):
-        tensor_integrate(lambda *a: 1.0, [gauss_legendre(512)] * 4)  # > 1e8 nodes
-    with pytest.raises(ConfigurationError):
-        tensor_integrate(lambda *a: 1.0, [gauss_legendre(2)] * 5)
+    with pytest.raises(ConfigurationError, match="exceeds the 100000000 budget"):
+        tensor_integrate(lambda *a: 1.0, [gauss_legendre(512)] * 3)  # 1.34e8 > 1e8 nodes
+    # the tensor layer stops at three axes, and so does the Gaussian-Cauchy integral
+    for ell in (0, 4, 5):
+        with pytest.raises(ConfigurationError, match=f"tensor dimension must be 1..3, got {ell}"):
+            tensor_integrate(lambda *a: 1.0, [gauss_legendre(2)] * ell)
+    with pytest.raises(ConfigurationError, match="tensor dimension must be 1..3, got 4"):
+        gaussian_cauchy_factors([1.0] * 4, [0.5] * 4)
 
 
 def test_tensor_oscillatory_and_deterministic():
@@ -312,8 +316,7 @@ def _random_factors(rng, sizes, missing):
     ((7,), ()),
     ((5, 8), ()),
     ((4, 6, 5), ((0, 2),)),
-    ((3, 5, 4, 6), ((0, 2), (1, 3))),          # the four-axis cycle_E shape
-], ids=["l1", "l2", "l3", "l4"])
+], ids=["l1", "l2", "l3"])
 def test_tensor_contraction_matches_pointwise_sum(sizes, missing):
     # the contraction is the full-grid sum of the factors' product, with a
     # left-out pair counting as 1; random complex factors, unequal axes
@@ -353,8 +356,6 @@ _sq = lambda s, t: 1.0 + np.subtract.outer(s, t) ** 2
     ([1, 2], lambda *xs: ([np.cos(3 * xs[0]), np.ones(xs[1].size), np.ones(xs[2].size)],
                           _coupled(xs, [1, 2], lambda s, t: 1 / (1 + np.add.outer(s * s, t * t))))),
     ([1, 1, 1], lambda *xs: ([np.sin(xs[0]), np.exp(-xs[1]), np.cos(2 * xs[2])], {})),
-    ([4], lambda *xs: ([np.exp(-x) for x in xs],
-                       _coupled(xs, [4], lambda s, t: _sq(s, t) / (2 + np.multiply.outer(s, t))))),
 ])
 def test_tensor_blocks_match_full_grid(blocks, f):
     # the contraction of an integrand whose axes are coupled only inside
@@ -369,16 +370,14 @@ def test_tensor_blocks_match_full_grid(blocks, f):
     assert tensor_integrate(f, rules) == pytest.approx(full.real, rel=1e-13)
 
 
-def _spy_contract(monkeypatch, n_axes):
-    """Record the table dtypes and value of each contraction over n_axes
-    axes (a four-axis contraction recurses into three-axis ones)."""
+def _spy_contract(monkeypatch):
+    """Record the table dtypes and value of each contraction."""
     calls = []
     contract = quadrature._contract
 
     def spy(u, pairs):
         val = contract(u, pairs)
-        if len(u) == n_axes:
-            calls.append(([t.dtype for t in [*u, *pairs.values()]], val))
+        calls.append(([t.dtype for t in [*u, *pairs.values()]], val))
         return val
 
     monkeypatch.setattr(quadrature, "_contract", spy)
@@ -395,8 +394,7 @@ def _nonnegative_real_factors(sizes):
     return axis, pairs, rules
 
 
-_SIZES = pytest.mark.parametrize("sizes", [(7,), (5, 8), (4, 6, 5), (3, 5, 4, 6)],
-                                 ids=["l1", "l2", "l3", "l4"])
+_SIZES = pytest.mark.parametrize("sizes", [(7,), (5, 8), (4, 6, 5)], ids=["l1", "l2", "l3"])
 
 
 @_SIZES
@@ -405,7 +403,7 @@ def test_tensor_real_tables_contracted_in_real_arithmetic(sizes, monkeypatch):
     # sum |w f| contraction
     axis, pairs, rules = _nonnegative_real_factors(sizes)
     ref = quadrature._contract([a * r.weights for a, r in zip(axis, rules)], pairs)
-    calls = _spy_contract(monkeypatch, len(sizes))
+    calls = _spy_contract(monkeypatch)
     val = tensor_integrate(lambda *xs: (axis, pairs), rules)
     assert len(calls) == 1
     assert all(dtype == np.float64 for dtype in calls[0][0])
@@ -421,7 +419,7 @@ def test_tensor_complex_typed_tables_take_complex_path(sizes, monkeypatch):
     real = tensor_integrate(lambda *xs: (axis, pairs), rules)
     axis = [a + 0j for a in axis]
     pairs = {k: t + 0j for k, t in pairs.items()}
-    calls = _spy_contract(monkeypatch, len(sizes))
+    calls = _spy_contract(monkeypatch)
     val = tensor_integrate(lambda *xs: (axis, pairs), rules)
     assert len(calls) == 2
     assert all(dtype == np.complex128 for dtype in calls[0][0])
@@ -434,7 +432,7 @@ def test_tensor_one_imaginary_entry_keeps_complex_path(monkeypatch):
     axis, pairs, rules = _nonnegative_real_factors((4, 6, 5))
     pairs[0, 2] = pairs[0, 2] + 0j
     pairs[0, 2][1, 3] += 1j
-    calls = _spy_contract(monkeypatch, 3)
+    calls = _spy_contract(monkeypatch)
     with pytest.raises(NumericalConsistencyError, match="is not finite and real"):
         tensor_integrate(lambda *xs: (axis, pairs), rules)
     assert len(calls) == 2
@@ -445,7 +443,7 @@ def test_tensor_negative_real_entry_gets_its_own_magnitude(monkeypatch):
     # one negative entry: sum |w f| is contracted separately and exceeds |sum w f|
     axis, pairs, rules = _nonnegative_real_factors((4, 6, 5))
     pairs[0, 1][2, 3] = -5.0
-    calls = _spy_contract(monkeypatch, 3)
+    calls = _spy_contract(monkeypatch)
     val = tensor_integrate(lambda *xs: (axis, pairs), rules)
     assert len(calls) == 2
     assert all(dtype == np.float64 for dtype in calls[0][0] + calls[1][0])
