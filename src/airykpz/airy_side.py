@@ -10,7 +10,8 @@ grids (Bornemann, Math. Comp. 79 (2010)): the multiplicative statistic is
 its value, E h_k is (-1)^k times its u^k coefficient (per C, one series of
 chain traces, read by ``quadrature.log_det_moments`` as are the cycle
 traces of :mod:`airykpz.kpz_side`, gives each order's value or refusal).
-The Monte Carlo counterpart lives in :mod:`airykpz.montecarlo`.
+``_cd_ratio`` builds every matrix here: K from (Ai, Ai'), the series' S and
+S^2 from (s Ai, s Ai').  The Monte Carlo side is :mod:`airykpz.montecarlo`.
 """
 
 from __future__ import annotations
@@ -39,22 +40,14 @@ _CONFLUENT_EPS = 1e-5     # |x - y| below which the confluent diagonal form is u
 # correlation kernel
 
 def airy_kernel_matrix(points: np.ndarray) -> np.ndarray:
-    """Kernel matrix K(x_i, x_j) on a grid, one Airy evaluation per node.
-
-    Christoffel-Darboux ratio form (:func:`_cd_ratio` of the pair (Ai, Ai'))
-    off the diagonal; the diagonal is the confluent limit
-    Ai'(x)^2 - x Ai(x)^2, and the off-diagonal pairs with
-    |x_i - x_j| <= 1e-5 take that limit at their midpoint; they are searched
-    for only when the sorted points have such a gap.
-    """
+    """Kernel matrix K(x_i, x_j) on a grid, one Airy evaluation per node:
+    :func:`_cd_ratio` of the pair (Ai, Ai') with the confluent limit
+    Ai'(x)^2 - x Ai(x)^2 on the diagonal.  The points come from the caller,
+    so the pairs with |x_i - x_j| <= 1e-5 take that limit at their midpoint
+    (searched for only when the sorted points have such a gap)."""
     pts = np.asarray(points, dtype=float)
-    return _kernel_from_airy(pts, *airy_both(pts))
-
-
-def _kernel_from_airy(pts: np.ndarray, ai: np.ndarray, aip: np.ndarray) -> np.ndarray:
-    """:func:`airy_kernel_matrix` from Ai and Ai' at the points."""
-    kmat = _cd_ratio(pts, [(ai, aip)])
-    np.fill_diagonal(kmat, aip ** 2 - pts * ai ** 2)
+    ai, aip = airy_both(pts)
+    kmat = _cd_ratio(pts, [(ai, aip)], aip ** 2 - pts * ai ** 2)
     if np.any(np.diff(np.sort(pts)) <= _CONFLUENT_EPS):
         i, j = np.nonzero(np.abs(np.subtract.outer(pts, pts)) <= _CONFLUENT_EPS)
         i, j = i[i != j], j[i != j]
@@ -64,14 +57,12 @@ def _kernel_from_airy(pts: np.ndarray, ai: np.ndarray, aip: np.ndarray) -> np.nd
     return kmat
 
 
-def _cd_ratio(x: np.ndarray, pairs) -> np.ndarray:
-    """(m - m^T)_ij / (x_i - x_j) with m = sum over ``pairs`` of u v^T, in
-    that order; the diagonal is left to the caller (it holds nan).
-
-    A product commutes, so m - m^T is bitwise antisymmetric and the ratio
-    bitwise symmetric.  m is released before the division, so two n x n
-    arrays are live at a time.
-    """
+def _cd_ratio(x: np.ndarray, pairs, diagonal: np.ndarray) -> np.ndarray:
+    """The Christoffel-Darboux matrix (m - m^T)_ij / (x_i - x_j), m = sum over
+    ``pairs`` of u v^T in that order, with ``diagonal`` on its diagonal: the
+    one builder of every Airy-side matrix.  A product commutes, so m - m^T is
+    bitwise antisymmetric and the ratio bitwise symmetric; m is released
+    before the division, so two n x n arrays are live at a time."""
     m = np.multiply.outer(*pairs[0])
     for u, v in pairs[1:]:
         m += np.multiply.outer(u, v)
@@ -79,6 +70,7 @@ def _cd_ratio(x: np.ndarray, pairs) -> np.ndarray:
     del m
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= np.subtract.outer(x, x)
+    np.fill_diagonal(out, diagonal)
     return out
 
 
@@ -136,26 +128,25 @@ def _h_series(rule: QuadratureRule, C: float, k: int) -> list:
     G = diag(g), and E h_n is the coefficient of v^n in det(I - P), v = -u:
     :func:`log_det_moments` of the :func:`_chain_traces` of S and S^2.
 
-    S^2 costs O(n^2): the Airy kernel is integrable,
-    (x - y) K(x, y) = Ai(x) Ai'(y) - Ai'(x) Ai(y), and the kernel matrix is
-    built entry by entry from that ratio, so with a = s Ai, b = s Ai'
-    (s = (w g)^{1/2}), alpha = S a and beta = S b,
-        (r_i - r_j) (S^2)_ij = (m - m^T)_ij,  m = a beta^T + alpha b^T,
-    and S^2 is :func:`_cd_ratio` of those two pairs off the diagonal and
-    the row sums sum_l S_il^2 on it (S is bitwise symmetric): two mat-vecs
-    instead of a product.  Sums run through ``np.einsum`` without
-    ``optimize``: no BLAS call, so no dependence on its thread count.
+    S and S^2 are :func:`_cd_ratio` matrices of scaled pairs, O(n^2) each:
+    (x - y) K(x, y) = Ai(x) Ai'(y) - Ai'(x) Ai(y), so with a = s Ai and
+    b = s Ai' (s = (w g)^{1/2}), S is the ratio of (a, b) with the confluent
+    limit b^2 - r a^2 on its diagonal (the nodes are over 8e-5 apart at any
+    order up to 512, so no pair is confluent), and with alpha = S a and
+    beta = S b, (r_i - r_j) (S^2)_ij = (m - m^T)_ij, m = a beta^T + alpha b^T:
+    S^2 is the ratio of those two pairs with the row sums sum_l S_il^2 on
+    its diagonal (S is bitwise symmetric), two mat-vecs instead of a
+    product.  Sums run through ``np.einsum`` without ``optimize``: no BLAS
+    call, so no dependence on its thread count.
     """
-    g = np.exp(C * rule.nodes)
+    r = rule.nodes
+    g = np.exp(C * r)
     s = np.sqrt(rule.weights * g)
-    ai, aip = airy_both(rule.nodes)
-    # s_i s_j K_ij: both factors are bitwise symmetric, so S is too
-    S = _kernel_from_airy(rule.nodes, ai, aip)
-    S *= np.multiply.outer(s, s)
+    ai, aip = airy_both(r)
     a, b = s * ai, s * aip
-    S2 = _cd_ratio(rule.nodes, [(a, np.einsum("il,l->i", S, b)),
-                                (np.einsum("il,l->i", S, a), b)])
-    np.fill_diagonal(S2, np.einsum("il,il->i", S, S))
+    S = _cd_ratio(r, [(a, b)], b ** 2 - r * a ** 2)
+    S2 = _cd_ratio(r, [(a, np.einsum("il,l->i", S, b)), (np.einsum("il,l->i", S, a), b)],
+                   np.einsum("il,il->i", S, S))
     # a grid fit for order k can overflow the traces past k, which are not read
     with np.errstate(over="ignore", invalid="ignore"):
         return log_det_moments(f"airy_h_moment({{}}, {C})", _chain_traces(S, S2, g), k)
@@ -167,17 +158,17 @@ def _chain_traces(S, S2, g) -> dict:
     sum of |terms|.  S and S2 = S^2 are bitwise symmetric, so each trace is
     one O(n^2) sum over rows, tr XY = sum_il X_il Y_il.  Only the terms of
     tr S^3 G^a take both signs (S's diagonal is s_i^2 K(r_i, r_i) > 0), and
-    sum_i g_i^a (q_i r_i)^{1/2} bounds them by Cauchy-Schwarz, q and r the
-    row sums of S o S and S^2 o S^2; every other trace is its own bound."""
+    sum_i g_i^a (q_i p_i)^{1/2} bounds them by Cauchy-Schwarz, q and p the
+    row sums of S o S and S^2 o S^2 (tr S^4 = sum p); every other trace is
+    its own bound."""
     def tr(x, a):       # sum_i x_i g_i^a
         return np.einsum("i,i->", x, g ** a)
 
-    d, q = np.einsum("ii->i", S), np.diagonal(S2)
-    c, c_bound = np.einsum("il,il->i", S2, S), np.sqrt(q * np.einsum("il,il->i", S2, S2))
+    d, q, p = np.einsum("ii->i", S), np.diagonal(S2), np.einsum("il,il->i", S2, S2)
+    c, c_bound = np.einsum("il,il->i", S2, S), np.sqrt(q * p)
     traces = {(1,): tr(d, 0), (2,): tr(d, 1), (3,): tr(d, 2), (4,): tr(d, 3),
               (1, 1): tr(q, 0), (1, 2): tr(q, 1), (1, 3): tr(q, 2),
-              (2, 2): tr(np.einsum("il,il,l->i", S, S, g), 1),
-              (1, 1, 1, 1): np.einsum("il,il->", S2, S2)}
+              (2, 2): tr(np.einsum("il,il,l->i", S, S, g), 1), (1, 1, 1, 1): tr(p, 0)}
     return {word: (t, t) for word, t in traces.items()} | {
         (1, 1, 1): (tr(c, 0), tr(c_bound, 0)), (1, 1, 2): (tr(c, 1), tr(c_bound, 1))}
 
@@ -245,13 +236,18 @@ def airy_mult_stat(params: ModelParams, nodes: int = FREDHOLM_NODES) -> float:
     Discretizes det(1 - sqrt(f) K sqrt(f)) with f(r) = 1/(1 + u^{-1} e^{-Cr})
     on ``nodes`` Gauss-Legendre nodes; the symmetrized split leaves the
     determinant unchanged and keeps the matrix symmetric.  u = 0 gives
-    exactly 1.
+    exactly 1; C < (16 + log+ u)/56, whose grid leaves the Airy range, raises.
     """
     if params.u == 0:
         return 1.0
     # the weight dies like u e^{Cr} to the left (shifted by log u for
     # u > 1), the kernel superexponentially to the right
-    grid = legendre_on(-(16.0 + math.log(max(params.u, 1.0))) / params.C - 4.0, 12.0, nodes)
+    decay = 16.0 + math.log(max(params.u, 1.0))
+    left = -decay / params.C - 4.0
+    if left < -SUPPORTED_RANGE:
+        raise DomainError(f"airy_mult_stat at u = {params.u} supports C >= (16 + log+ u)/56 = "
+                          f"{decay / 56.0:.6g}; got C = {params.C}")
+    grid = legendre_on(left, 12.0, nodes)
     kmat = airy_kernel_matrix(grid.nodes)
     f = logistic(params.C * grid.nodes + math.log(params.u))
     return check_probability("airy_mult_stat", fredholm_det_matrix(kmat, grid.weights * f))

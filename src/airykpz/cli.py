@@ -27,7 +27,7 @@ from .airy_side import airy_h_moments, airy_mult_stat, tracy_widom_f2
 from .errors import AiryKpzError, ConfigurationError, check_order, checked_exp, outcome, value
 from .kpz_side import kpz_laplaces, kpz_moments
 from .params import ModelParams
-from .quadrature import FREDHOLM_NODES, MOMENT_RTOL
+from .quadrature import FREDHOLM_NODES, MOMENT_RTOL, gauss_legendre
 
 __all__ = ["RunConfig", "VerificationRow", "main",
            "run_verify_theorem1", "run_verify_theorem2", "run_tw_limit", "run_mc_check"]
@@ -105,10 +105,12 @@ def _derive_grid(cfg: RunConfig) -> list[tuple[float, float]]:
 
 
 def _check_overrides(cfg: RunConfig) -> None:
-    """--nodes and --tol are 0 for the command default or a finite positive
-    override; anything else is a usage error, raised before any cell runs."""
+    """--nodes is 0 (default) or an order gauss_legendre takes, --tol 0 or
+    finite positive; anything else is a usage error, raised before any cell."""
     if cfg.nodes < 0:
         raise ConfigurationError(f"--nodes must be >= 0 (0 = default), got {cfg.nodes}")
+    if cfg.nodes:
+        gauss_legendre(cfg.nodes)
     if not 0.0 <= cfg.tol < math.inf:
         raise ConfigurationError(f"--tol must be finite and >= 0 (0 = default), got {cfg.tol}")
 

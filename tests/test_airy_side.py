@@ -431,6 +431,46 @@ def test_h_series_square_from_displacement(k, C, order, monkeypatch):
     assert np.max(np.abs(S2 - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_cd_ratio_builds_every_airy_side_matrix(monkeypatch):
+    # one call per kernel matrix (K) and two per u-series (S and S^2)
+    calls, cd_ratio = [], airy_side._cd_ratio
+    monkeypatch.setattr(airy_side, "_cd_ratio", lambda x, pairs, diagonal: calls.append(
+        len(pairs)) or cd_ratio(x, pairs, diagonal))
+    airy_kernel_matrix(np.linspace(-3.0, 3.0, 7))
+    assert calls == [1]
+    airy_h_moments(3, 1.0)
+    assert calls == [1, 1, 2]
+    assert not hasattr(airy_side, "_kernel_from_airy")
+
+
+@pytest.mark.parametrize("C", [0.6, 1.0, 1.4])
+def test_h_series_S_is_the_scaled_kernel_matrix(C, monkeypatch):
+    # the S that _h_series builds from the scaled pair (s Ai, s Ai') against
+    # s_i s_j K_ij from airy_kernel_matrix, on the README k = 3 grids.  Both
+    # round the ratio's numerator, which cancels near the diagonal (7.7e-12
+    # relative there on either route), so the gap is held to 8 eps of that
+    # rounding, (|a_i b_j| + |a_j b_i|)/|x_i - x_j| off the diagonal and
+    # b_i^2 + |x_i| a_i^2 on it
+    rules, seen, table = [], [], airy_side._chain_traces
+    monkeypatch.setattr(airy_side, "composite_legendre",
+                        lambda *args: rules.append(composite_legendre(*args)) or rules[-1])
+    monkeypatch.setattr(airy_side, "_chain_traces",
+                        lambda S, S2, g: seen.append(S) or table(S, S2, g))
+    airy_h_moments(3, C)
+    [rule], [S] = rules, seen
+    x = rule.nodes
+    s = np.sqrt(rule.weights * np.exp(C * x))
+    ai, aip = airy_both(x)
+    a, b = np.abs(s * ai), np.abs(s * aip)
+    eps = np.finfo(float).eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = (np.multiply.outer(a, b) + np.multiply.outer(b, a)) / np.abs(
+            np.subtract.outer(x, x))
+    np.fill_diagonal(bound, b ** 2 + np.abs(x) * a ** 2)
+    gap = np.abs(S - airy_kernel_matrix(x) * np.multiply.outer(s, s))
+    assert np.all(gap <= 8.0 * eps * bound)
+
+
 def _traced_chain_traces(monkeypatch):
     """A list that collects the word traces of each ``_h_series`` call, the
     dict that ``quadrature.log_det_moments`` reads l_1, ..., l_4 off."""
@@ -611,6 +651,19 @@ def test_mult_stat_grid_doubling():
     v80 = airy_mult_stat(p, nodes=80)
     v160 = airy_mult_stat(p, nodes=160)
     assert abs(v80 - v160) < 1e-7
+
+
+def test_mult_stat_grid_past_the_airy_range_names_C_and_u(monkeypatch):
+    # the left edge -(16 + log+ u)/C - 4 must stay at or above -60, so
+    # C >= (16 + log+ u)/56; refused before any Airy call
+    monkeypatch.setattr(airy_side, "airy_both", lambda x: pytest.fail("called airy_both"))
+    for C, u, least in [(0.2, 1.0, "0.285714"), (1.0, 1e308, "12.9499")]:
+        with pytest.raises(DomainError, match=re.escape(
+                f"airy_mult_stat at u = {u} supports C >= (16 + log+ u)/56 = {least}; "
+                f"got C = {C}")):
+            airy_mult_stat(ModelParams.from_C(C, u))
+    monkeypatch.undo()
+    assert 0.0 < airy_mult_stat(ModelParams.from_C(16.0 / 56.0, 1.0)) < 1.0
 
 
 def test_tracy_widom_f2_monotone():

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import airykpz
 from airykpz.cli import (RunConfig, build_parser, config_from_args, main,
                          render, run, run_verify_theorem1, run_verify_theorem2)
+from airykpz.errors import ConfigurationError
 from airykpz.params import ModelParams
 
 
@@ -56,6 +58,10 @@ def test_grid_without_cells_is_a_usage_error(argv, capsys, monkeypatch):
 @pytest.mark.parametrize("argv, message", [
     (["verify-theorem2", "--C", "1", "--k-max", "2", "--nodes", "-5"], "--nodes must be >= 0"),
     (["verify-theorem1", "--C", "1", "--u", "1", "--nodes", "-1"], "--nodes must be >= 0"),
+    (["verify-theorem1", "--C", "1", "--u", "1", "--nodes", "600"],
+     "gauss_legendre order must be in [1, 512], got 600"),
+    (["verify-theorem2", "--C", "1", "--k-max", "2", "--nodes", "513"],
+     "gauss_legendre order must be in [1, 512], got 513"),
     (["verify-theorem2", "--C", "1", "--k-max", "1", "--tol", "-1"], "--tol must be finite"),
     (["verify-theorem1", "--C", "1", "--u", "1", "--tol", "nan"], "--tol must be finite"),
     (["tw-limit", "--a", "0", "--T", "8,64", "--tol", "inf"], "--tol must be finite"),
@@ -72,9 +78,9 @@ def test_grid_without_cells_is_a_usage_error(argv, capsys, monkeypatch):
     (["tw-limit", "--a", "0", "--T", "8,inf"], "ModelParams requires T > 0 and finite"),
     (["mc-check", "--C", "0.5", "--u", "inf", "--k-max", "1"],
      "ModelParams requires u >= 0 and finite"),
-], ids=["nodes-thm2", "nodes-thm1", "tol-negative", "tol-nan", "tol-inf", "tol-negative-tw",
-        "tol-nan-mc", "T-zero", "C-negative", "T-negative-tw", "C-zero-mc", "C-inf", "T-inf",
-        "u-inf", "T-inf-tw", "u-inf-mc"])
+], ids=["nodes-thm2", "nodes-thm1", "nodes-600-thm1", "nodes-513-thm2", "tol-negative",
+        "tol-nan", "tol-inf", "tol-negative-tw", "tol-nan-mc", "T-zero", "C-negative",
+        "T-negative-tw", "C-zero-mc", "C-inf", "T-inf", "u-inf", "T-inf-tw", "u-inf-mc"])
 def test_bad_override_or_grid_value_is_a_usage_error(argv, message, capsys, monkeypatch):
     # rejected before any cell builds a row, and for mc-check before any draw
     from airykpz import cli, montecarlo
@@ -83,7 +89,7 @@ def test_bad_override_or_grid_value_is_a_usage_error(argv, message, capsys, monk
     code, out, err = _run_main(argv, capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {message}")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_zero_override_means_command_default(capsys):
@@ -301,10 +307,21 @@ def test_theorem2_series_falls_back_to_the_largest_supported_order(monkeypatch):
     rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[0.3], k_max=2))
     assert [r.status[-18:] for r in rows] == ["got k = 1, C = 0.3", "got k = 2, C = 0.3"]
     assert calls == [4.0]
-    # any other refusal of the series is the refusal of every order below
-    rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[4.0], k_max=4,
-                                         nodes=100000))
-    assert [r.status.split(":")[1] for r in rows] == [" ConfigurationError"] * 3 + [" DomainError"]
+    # any other refusal of the series is the refusal of every order below:
+    # a Legendre order past 512 in the library (the CLI refuses that --nodes
+    # up front), and one the series raises
+    from airykpz import airy_side
+    from airykpz.errors import NumericalConsistencyError
+    assert [type(v).__name__ for v in airy_h_moments(4, 4.0, 100000)] == [
+        "ConfigurationError"] * 3 + ["DomainError"]
+
+    def lost(rule, C, k):
+        raise NumericalConsistencyError("lost")
+
+    monkeypatch.setattr(airy_side, "_h_series", lost)
+    rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[4.0], k_max=4))
+    assert [r.status.split(":")[1] for r in rows] == [
+        " NumericalConsistencyError"] * 3 + [" DomainError"]
 
 
 def test_theorem2_entry_lost_to_cancellation_is_its_own_error_row(monkeypatch):
@@ -350,21 +367,15 @@ def test_nodes_above_the_node_budget_fail_the_moment_row(monkeypatch):
     rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[1.0], k_max=4,
                                          nodes=101))
     assert [r.status for r in rows] == ["ok"] * 4
-    # the KPZ series' node budget is its memory bound: 3664 nodes per
-    # contour make every order from 2 up an error row that names the
-    # bound, and the k = 1 row runs at 3664 nodes.  The Airy side, whose
-    # Legendre orders stop at 512, is stood in for so that the KPZ refusal
-    # is what the rows show
-    from airykpz import cli
-    monkeypatch.setattr(cli, "airy_h_moments", lambda k_max, C, nodes: [1.0] * k_max)
+    # 3664 nodes per contour, past the KPZ series' node budget
+    # (test_kpz_side.py covers that refusal in the library), are past the
+    # Legendre orders of the Airy side too: a usage error before any series
     calls = _count_kpz_series(monkeypatch)
-    rows = run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[0.2], k_max=4,
-                                         nodes=3664))
-    assert calls == [1]
-    assert rows[0].status == "fail" and rows[0].rhs_value > 1.0
-    assert all(r.status.startswith("error: ConfigurationError: kpz_moment(2, 0.016") and
-               r.status.endswith("exceeds the 13421772 one series may hold; use fewer "
-                                 "nodes per axis") for r in rows[1:])
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "gauss_legendre order must be in [1, 512], got 3664")):
+        run_verify_theorem2(RunConfig(command="verify-theorem2", C_list=[0.2], k_max=4,
+                                      nodes=3664))
+    assert calls == []
 
 
 def test_k4_rows_are_held_to_the_one_moment_tolerance(capsys):
